@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LeakageError, ValidationError
-from .operators import DensityOperator, eigvals_hermitian, project_renormalize
+from .operators import DensityOperator, project_renormalize
 from .reference import ReferenceSet
 
 LN2 = math.log(2.0)
@@ -59,8 +59,9 @@ class EntropyValue:
 
 
 def _clipped_eigenvalues(rho: DensityOperator) -> np.ndarray:
-    """Eigenvalues with tiny negative drift zeroed; 0 log 0 := 0 downstream."""
-    w = eigvals_hermitian(rho.matrix)
+    """Descending eigenvalues with tiny negative drift zeroed; 0 log 0 := 0
+    downstream."""
+    w = rho.spectrum
     return np.where(w < 0.0, 0.0, w)
 
 
@@ -84,17 +85,15 @@ def min_entropy(rho: DensityOperator) -> EntropyValue:
 
 def spectral_skew(rho: DensityOperator) -> EntropyValue:
     """S(rho) - H_min(rho) >= 0; vanishes for flat spectra and pure states."""
-    w = _clipped_eigenvalues(rho)
-    s = _entropy_bits(w)
-    hmin = max(0.0, -math.log2(float(w.max())))
-    return EntropyValue(max(0.0, s - hmin))
+    return EntropyValue(max(0.0, von_neumann(rho).bits - min_entropy(rho).bits))
 
 
 def reference_overlap(rho: DensityOperator, ref: ReferenceSet) -> float:
     """Tr(Pi_R rho), the mass retained inside the reference subspace."""
     if rho.dim != ref.dim:
         raise ValidationError(f"dimension mismatch: state {rho.dim}, reference {ref.dim}")
-    return float(np.trace(ref.total.matrix @ rho.matrix).real)
+    # Pi_R is Hermitian, so the trace is the elementwise sum of conj(Pi_R) * rho
+    return float(np.vdot(ref.total.matrix, rho.matrix).real)
 
 
 def _require_supported(rho: DensityOperator, ref: ReferenceSet, leak_tol: float) -> None:
@@ -140,7 +139,7 @@ def hypothesis_testing_divergence(
     if not 0.0 < eta < 1.0:
         raise ValidationError(f"eta {eta} must be in (0,1)")
     _require_supported(rho, ref, leak_tol)
-    w = np.sort(_clipped_eigenvalues(rho))[::-1][: ref.d_r]
+    w = _clipped_eigenvalues(rho)[: ref.d_r]
     budget = eta * ref.d_r
     k = int(math.floor(budget))
     frac = budget - k

@@ -24,6 +24,7 @@ from .bounds import (
 from .entropy import (
     hypothesis_testing_divergence,
     min_entropy,
+    reference_overlap,
     relative_to_reference,
     shannon,
     spectral_skew,
@@ -99,9 +100,9 @@ def born_sample(
 
 
 def _support_probabilities(rho: DensityOperator, ref: ReferenceSet) -> np.ndarray:
-    """Outcome distribution of the reference-basis measurement."""
+    """Outcome distribution of the reference-basis measurement, p_i = v_i^dag rho v_i."""
     basis = ref.support_basis()
-    return np.clip(np.real(np.einsum("ij,jk,ki->i", basis.conj().T, rho.matrix, basis)), 0.0, None)
+    return np.clip(np.einsum("ji,ji->i", basis.conj(), rho.matrix @ basis).real, 0.0, None)
 
 
 def optimal_test_projector(
@@ -160,18 +161,21 @@ def simulate_record(
     below eta with headroom.
     """
     if protocol == "dephase":
-        basis = ref.support_basis()
-        effects = [np.outer(basis[:, i], basis[:, i].conj()) for i in range(ref.d_r)]
-        leak = np.eye(ref.dim, dtype=complex) - ref.total.matrix
-        labels = [str(i) for i in range(ref.d_r)]
-        record = born_sample(
-            rho, effects + [leak], n, seed, protocol="dephase",
-            labels=labels + ["leak"], meta={"basis": "reference-support"}, rng=rng,
-        )
-        counts = dict(record.counts)
-        if counts.pop("leak", 0):
+        if n <= 0:
+            raise ValidationError("n must be positive")
+        # outcomes: the d_R reference basis vectors, then the leak I - Pi_R,
+        # whose mass is Tr(rho) - Tr(Pi_R rho)
+        leak = float(np.trace(rho.matrix).real) - reference_overlap(rho, ref)
+        probs = np.append(_support_probabilities(rho, ref), max(leak, 0.0))
+        if rng is None:
+            rng = stream(seed)
+        counts = rng.multinomial(n, probs / probs.sum())
+        if counts[-1]:
             raise ValidationError("state leaked outside the subspace during sampling")
-        return MeasurementRecord("dephase", n, counts, record.meta)
+        return MeasurementRecord(
+            "dephase", n, {str(i): int(c) for i, c in enumerate(counts[:-1])},
+            meta={"basis": "reference-support"},
+        )
     if protocol == "witness":
         proj = (
             np.asarray(witness_projector, dtype=complex)

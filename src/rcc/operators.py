@@ -8,6 +8,7 @@ pure function of immutable inputs; nothing mutates shared state.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -31,7 +32,13 @@ def _as_matrix(obj) -> np.ndarray:
 
 
 def check_hermitian(matrix: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
-    """Validate Hermiticity entrywise; returns the matrix unchanged."""
+    """Validate finiteness and Hermiticity entrywise; returns the matrix unchanged.
+
+    Non-finite entries are rejected first: every comparison with NaN is
+    false, so a NaN would pass the asymmetry test and poison the spectrum.
+    """
+    if not np.isfinite(matrix).all():
+        raise ValidationError("matrix has non-finite entries (NaN or inf)")
     asym = np.abs(matrix - matrix.conj().T).max() if matrix.size else 0.0
     if asym > tol:
         raise ValidationError(
@@ -54,6 +61,11 @@ def eigvals_hermitian(matrix) -> np.ndarray:
     if _is_diagonal(m):
         return np.sort(m.diagonal().real)[::-1]
     return np.linalg.eigvalsh(m)[::-1]
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -100,7 +112,11 @@ def eig_hermitian(operator) -> SpectralDecomposition:
 
 @dataclass(frozen=True)
 class DensityOperator:
-    """Unit-trace PSD Hermitian matrix; `clipped` marks spectra repaired on load."""
+    """Unit-trace PSD Hermitian matrix; `clipped` marks spectra repaired on load.
+
+    The spectrum is computed at most once per state and cached, so the
+    matrix must not be mutated after construction.
+    """
 
     matrix: np.ndarray
     clipped: bool = False
@@ -117,8 +133,17 @@ class DensityOperator:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        """Eigenvalues, descending and read-only.
+
+        States from `validate_density` carry the spectrum of its single
+        eigensolve; any other state solves for it on first use.
+        """
+        return _read_only(eigvals_hermitian(self.matrix))
+
     def eigenvalues(self) -> np.ndarray:
-        return eigvals_hermitian(self.matrix)
+        return self.spectrum
 
     def purity(self) -> float:
         return float(np.trace(self.matrix @ self.matrix).real)
@@ -129,7 +154,9 @@ def validate_density(matrix, tol: float = DENSITY_TOL) -> DensityOperator:
 
     Rejects when the trace deviates from 1 by more than `tol` or an
     eigenvalue is below -tol. Eigenvalues in [-tol, 0) are clipped to zero
-    and the spectrum renormalized; the result is flagged `clipped`.
+    and the spectrum renormalized; the result is flagged `clipped`. The
+    result carries the spectrum of this one eigensolve (the repaired one
+    when clipped), so no later functional solves for it again.
     """
     m = check_hermitian(_as_matrix(matrix))
     tr = float(np.trace(m).real)
@@ -139,12 +166,16 @@ def validate_density(matrix, tol: float = DENSITY_TOL) -> DensityOperator:
     wmin = float(dec.eigenvalues.min())
     if wmin < -tol:
         raise ValidationError(f"eigenvalue {wmin:.3e} below -{tol:.0e}; not PSD")
+    w = dec.eigenvalues
     if wmin < 0.0:
-        w = np.clip(dec.eigenvalues, 0.0, None)
+        w = np.clip(w, 0.0, None)
         w = w / w.sum()
         v = dec.eigenvectors
-        return DensityOperator((v * w) @ v.conj().T, clipped=True)
-    return DensityOperator(m)
+        rho = DensityOperator((v * w) @ v.conj().T, clipped=True)
+    else:
+        rho = DensityOperator(m)
+    rho.__dict__["spectrum"] = _read_only(w)  # seeds the cached property
+    return rho
 
 
 @dataclass(frozen=True)
@@ -255,7 +286,8 @@ def project_renormalize(rho: DensityOperator, proj: Projector) -> tuple[DensityO
     retained mass q = Tr(P rho)."""
     if rho.dim != proj.dim:
         raise ValidationError(f"dimension mismatch: {rho.dim} vs {proj.dim}")
-    q = float(np.trace(proj.matrix @ rho.matrix).real)
+    # P is Hermitian, so Tr(P rho) is the elementwise sum of conj(P) * rho
+    q = float(np.vdot(proj.matrix, rho.matrix).real)
     if q <= 1e-14:
         raise CompleteLeakageError(q)
     out = proj.matrix @ rho.matrix @ proj.matrix / q

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -56,10 +57,19 @@ class ReferenceSet:
     def sigma_matrix(self) -> np.ndarray:
         return self.total.matrix / self.d_r
 
+    @cached_property
+    def _support_basis(self) -> np.ndarray:
+        basis = np.ascontiguousarray(eig_hermitian(self.total.matrix).eigenvectors[:, : self.d_r])
+        basis.flags.writeable = False
+        return basis
+
     def support_basis(self) -> np.ndarray:
-        """Orthonormal columns spanning the reference subspace."""
-        dec = eig_hermitian(self.total.matrix)
-        return dec.eigenvectors[:, : self.d_r]
+        """Orthonormal columns spanning the reference subspace (d x d_R).
+
+        Computed once per reference set and read-only; every call returns
+        the same array.
+        """
+        return self._support_basis
 
     def contains(self, other: "ReferenceSet", tol: float = COMMUTATOR_TOL) -> bool:
         """True when the other subspace sits inside this one."""

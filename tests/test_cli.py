@@ -47,6 +47,16 @@ class TestCompute:
         result = runner.invoke(main, ["compute", "--state", "nope.json", "--reference", ref])
         assert result.exit_code == 2
 
+    def test_nan_state_is_config_error(self, runner, files, tmp_path):
+        _, ref, _ = files
+        nan_state = tmp_path / "nan.json"
+        nan_state.write_text(json.dumps({"dim": 2, "re": [[math.nan] * 2] * 2}))
+        result = runner.invoke(main, ["compute", "--state", str(nan_state), "--reference", ref])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "non-finite" in result.output
+        assert "Traceback" not in result.output
+
     def test_bad_epsilon_is_config_or_validation(self, runner, files):
         state, ref, _ = files
         result = runner.invoke(

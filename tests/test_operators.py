@@ -4,6 +4,8 @@ import pytest
 from rcc import (
     BlockPartition,
     CompleteLeakageError,
+    DensityOperator,
+    HermitianOperator,
     Projector,
     ValidationError,
     eig_hermitian,
@@ -68,6 +70,25 @@ class TestValidateDensity:
     def test_rejects_negative_beyond_tol(self):
         with pytest.raises(ValidationError, match="eigenvalue"):
             validate_density(np.diag([1.5, -0.5]))
+
+
+NON_FINITE = [
+    # every comparison with NaN is false, so the asymmetry and trace checks alone pass it
+    np.diag([np.nan, 0.5, 0.5, 0.0]),
+    np.full((2, 2), np.nan),
+    np.diag([np.inf, 0.5, 0.5, -np.inf]),
+    np.array([[1.0, complex(0.0, np.inf)], [complex(0.0, -np.inf), 0.0]]),
+]
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("matrix", NON_FINITE)
+    @pytest.mark.parametrize(
+        "build", [validate_density, DensityOperator, Projector, HermitianOperator]
+    )
+    def test_rejected_everywhere(self, build, matrix):
+        with pytest.raises(ValidationError, match="non-finite"):
+            build(matrix)
 
 
 class TestTraceDistance:
