@@ -23,7 +23,7 @@ from .harness import (
     stream,
     sweep_windows,
 )
-from .stats import ht_sample_plan, witness_sample_plan
+from .stats import PROTOCOLS, ht_sample_plan, witness_sample_plan
 from .windows import (
     info_work,
     process_time_bound,
@@ -155,16 +155,12 @@ def compute(state_path, reference_path, epsilon, constants_path, method, unit, o
 @epsilon_opt
 @constants_opt
 @click.option("--witness-rank", type=int, default=1, show_default=True)
-@click.option(
-    "--delta-policy", type=click.Choice(["cap", "presplit"]), default="cap",
-    show_default=True,
-)
 @method_opt
 @unit_opt
 @out_opt
 @_guarded
 def certify(reference_path, state_path, record_paths, delta, eta, epsilon,
-            constants_path, witness_rank, delta_policy, method, unit, out):
+            constants_path, witness_rank, method, unit, out):
     """Certified bounds from measurement records, combined across paths."""
     records = {}
     for path in record_paths:
@@ -182,7 +178,6 @@ def certify(reference_path, state_path, record_paths, delta, eta, epsilon,
         epsilon=epsilon,
         constants=_load_constants(constants_path),
         witness_rank=witness_rank,
-        delta_policy=delta_policy,
         method=method,
         unit=unit,
         echo={
@@ -197,10 +192,7 @@ def certify(reference_path, state_path, record_paths, delta, eta, epsilon,
 @main.command()
 @state_opt
 @reference_opt
-@click.option(
-    "--protocol", type=click.Choice(["hypothesis_test", "witness", "dephase"]),
-    required=True,
-)
+@click.option("--protocol", type=click.Choice(PROTOCOLS), required=True)
 @click.option("--n", "n_samples", type=int, default=2000, show_default=True)
 @seed_opt
 @eta_opt
@@ -257,7 +249,7 @@ def plan(protocol, target_bits, delta, p0, rank, d_r, out):
 @reference_opt
 @click.option(
     "--protocol", "protocols", multiple=True,
-    type=click.Choice(["hypothesis_test", "witness", "dephase", "all"]),
+    type=click.Choice([*PROTOCOLS, "all"]),
     default=("all",), show_default=True,
 )
 @click.option("--trials", type=int, default=500, show_default=True)
@@ -276,7 +268,7 @@ def coverage(state_path, reference_path, protocols, trials, n_samples, delta, et
     if state_path is None:
         raise ConfigError("--state is required for coverage")
     if "all" in protocols:
-        protocols = ("hypothesis_test", "witness", "dephase")
+        protocols = PROTOCOLS
     config = RunConfig(
         state=io.load_state(state_path),
         reference=io.load_reference(reference_path),

@@ -1,9 +1,11 @@
 """Measurement simulation and the end-to-end certified pipeline.
 
-Randomness comes from Philox, a named 64-bit counter-based generator;
-independent streams are derived from the master seed with spawn keys
-(one per protocol and trial index), so coverage experiments are
-order-independent and bit-reproducible across platforms.
+Each statistical protocol fixes its outcome distributions once per run and
+then draws records from them. Randomness comes from Philox, a named 64-bit
+counter-based generator; independent streams are derived from the master
+seed with spawn keys (the protocol's position in `stats.PROTOCOLS`, then the
+trial index), so coverage experiments are order-independent and
+bit-reproducible across platforms.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from .bounds import (
     DEFAULT_CONSTANTS,
     BoundBreakdown,
     BoundConstants,
-    main_lower_bound,
+    bound_from_divergence,
     rcc,
 )
 from .entropy import (
@@ -34,6 +36,9 @@ from .errors import RccError, ValidationError
 from .operators import DensityOperator, eig_hermitian
 from .reference import ReferenceSet
 from .stats import (
+    HT_LABELS,
+    PROTOCOLS,
+    WITNESS_LABELS,
     CertifiedBound,
     CombinedBound,
     MeasurementRecord,
@@ -44,10 +49,11 @@ from .stats import (
 )
 from .windows import WindowFamily, windowed_entropy_bits, windowed_rcc
 
-REPORT_SCHEMA = "rcc-report/1"
+REPORT_SCHEMA = "rcc-report/2"
 COVERAGE_SCHEMA = "rcc-coverage/1"
 
-STAT_PROTOCOLS = ("hypothesis_test", "witness", "dephase")
+# label of the dephase outcome I - Pi_R; a shot on it is a sampling error
+_LEAK = None
 
 
 def stream(seed: int, *key: int) -> np.random.Generator:
@@ -55,6 +61,36 @@ def stream(seed: int, *key: int) -> np.random.Generator:
     if seed < 0:
         raise ValidationError("seed must be a nonnegative integer")
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=key)))
+
+
+def _sample(protocol: str, outcomes: tuple, n: int, rng: np.random.Generator) -> MeasurementRecord:
+    """A record of one multinomial draw of n shots per distribution, in order, on rng."""
+    labels, dists, meta = outcomes
+    if n <= 0:
+        raise ValidationError("n must be positive")
+    counts = np.concatenate([rng.multinomial(n, p) for p in dists])
+    tally = {label: int(c) for label, c in zip(labels, counts)}
+    if tally.pop(_LEAK, 0):
+        raise ValidationError("state leaked outside the subspace during sampling")
+    return MeasurementRecord(protocol, n * len(dists), tally, meta=dict(meta))
+
+
+def _check_povm(mats: list[np.ndarray], dim: int) -> None:
+    """Reject effects that are not PSD or do not sum to the identity within 1e-9."""
+    total = sum(mats)
+    if np.abs(total - np.eye(dim)).max() > 1e-9:
+        raise ValidationError("effects do not sum to the identity; not a POVM")
+    for i, e in enumerate(mats):
+        wmin = float(np.linalg.eigvalsh(0.5 * (e + e.conj().T)).min())
+        if wmin < -1e-9:
+            raise ValidationError(f"effect {i} has negative eigenvalue {wmin:.3e}; not a POVM")
+
+
+def _born_probabilities(matrix: np.ndarray, mats) -> np.ndarray:
+    """Outcome distribution Tr(E_i M), clipped at 0 and normalised."""
+    probs = np.array([float(np.trace(e @ matrix).real) for e in mats])
+    probs = np.clip(probs, 0.0, None)
+    return probs / probs.sum()
 
 
 def born_sample(
@@ -71,32 +107,12 @@ def born_sample(
 
     Effects must each be PSD and sum to the identity within 1e-9.
     """
-    if n <= 0:
-        raise ValidationError("n must be positive")
     mats = [np.asarray(e, dtype=complex) for e in effects]
-    if not mats:
-        raise ValidationError("no POVM effects given")
-    total = sum(mats)
-    if np.abs(total - np.eye(rho.dim)).max() > 1e-9:
-        raise ValidationError("effects do not sum to the identity; not a POVM")
-    for i, e in enumerate(mats):
-        wmin = float(np.linalg.eigvalsh(0.5 * (e + e.conj().T)).min())
-        if wmin < -1e-9:
-            raise ValidationError(f"effect {i} has negative eigenvalue {wmin:.3e}; not a POVM")
-    probs = np.array([float(np.trace(e @ rho.matrix).real) for e in mats])
-    probs = np.clip(probs, 0.0, None)
-    probs = probs / probs.sum()
-    if rng is None:
-        rng = stream(seed)
-    counts = rng.multinomial(n, probs)
+    _check_povm(mats, rho.dim)
     if labels is None:
-        labels = [str(i) for i in range(len(mats))]
-    return MeasurementRecord(
-        protocol=protocol,
-        n=n,
-        counts={str(lab): int(c) for lab, c in zip(labels, counts)},
-        meta=dict(meta or {}),
-    )
+        labels = range(len(mats))
+    outcomes = ([str(lab) for lab in labels], [_born_probabilities(rho.matrix, mats)], meta or {})
+    return _sample(protocol, outcomes, n, rng if rng is not None else stream(seed))
 
 
 def _support_probabilities(rho: DensityOperator, ref: ReferenceSet) -> np.ndarray:
@@ -141,6 +157,52 @@ def default_witness_projector(
     return basis @ v @ v.conj().T @ basis.conj().T
 
 
+def _witness_projector(
+    rho: DensityOperator, ref: ReferenceSet, rank: int, supplied
+) -> tuple[np.ndarray, int]:
+    """The default witness projector of the given rank, or the supplied one
+    checked as the POVM {P, I - P}; with its rank Tr P."""
+    if supplied is None:
+        proj = default_witness_projector(rho, ref, rank)
+    else:
+        proj = np.asarray(supplied, dtype=complex)
+        if proj.shape != (ref.dim, ref.dim):
+            raise ValidationError(f"witness projector must be {ref.dim}x{ref.dim}")
+        _check_povm([proj, np.eye(ref.dim, dtype=complex) - proj], ref.dim)
+    return proj, int(round(float(np.trace(proj).real)))
+
+
+def _outcome_setup(
+    rho: DensityOperator, ref: ReferenceSet, protocol: str, eta: float,
+    test_calibration: float, witness_rank: int, witness_projector=None,
+) -> tuple[list, list[np.ndarray], dict]:
+    """Per-run setup of one protocol on rho: (labels, distributions, meta).
+
+    A record draws n shots from each distribution in order; the labels run
+    over the outcomes of all of them. The effects built here are POVMs by
+    construction and are not checked again.
+    """
+    if protocol == "dephase":
+        # outcomes: the d_R reference basis vectors, then the leak I - Pi_R,
+        # whose mass is Tr(rho) - Tr(Pi_R rho)
+        leak = float(np.trace(rho.matrix).real) - reference_overlap(rho, ref)
+        probs = np.append(_support_probabilities(rho, ref), max(leak, 0.0))
+        labels = [str(i) for i in range(ref.d_r)] + [_LEAK]
+        return labels, [probs / probs.sum()], {"basis": "reference-support"}
+    if protocol == "witness":
+        proj, rank = _witness_projector(rho, ref, witness_rank, witness_projector)
+        effects = [proj, np.eye(ref.dim, dtype=complex) - proj]
+        return list(WITNESS_LABELS), [_born_probabilities(rho.matrix, effects)], {"rank": rank}
+    if protocol == "hypothesis_test":
+        # null calibration on the structured vacuum, then the alternative on rho
+        eta_test = eta * test_calibration
+        t = optimal_test_projector(rho, ref, eta_test)
+        effects = [t, np.eye(ref.dim, dtype=complex) - t]
+        dists = [_born_probabilities(m, effects) for m in (ref.sigma_matrix(), rho.matrix)]
+        return list(HT_LABELS), dists, {"eta": eta, "eta_test": eta_test}
+    raise ValidationError(f"unknown protocol {protocol!r}")
+
+
 def simulate_record(
     rho: DensityOperator,
     ref: ReferenceSet,
@@ -160,60 +222,10 @@ def simulate_record(
     calibrated at eta * test_calibration so the type-I endpoint certifies
     below eta with headroom.
     """
-    if protocol == "dephase":
-        if n <= 0:
-            raise ValidationError("n must be positive")
-        # outcomes: the d_R reference basis vectors, then the leak I - Pi_R,
-        # whose mass is Tr(rho) - Tr(Pi_R rho)
-        leak = float(np.trace(rho.matrix).real) - reference_overlap(rho, ref)
-        probs = np.append(_support_probabilities(rho, ref), max(leak, 0.0))
-        if rng is None:
-            rng = stream(seed)
-        counts = rng.multinomial(n, probs / probs.sum())
-        if counts[-1]:
-            raise ValidationError("state leaked outside the subspace during sampling")
-        return MeasurementRecord(
-            "dephase", n, {str(i): int(c) for i, c in enumerate(counts[:-1])},
-            meta={"basis": "reference-support"},
-        )
-    if protocol == "witness":
-        proj = (
-            np.asarray(witness_projector, dtype=complex)
-            if witness_projector is not None
-            else default_witness_projector(rho, ref, witness_rank)
-        )
-        rank = int(round(float(np.trace(proj).real)))
-        effects = [proj, np.eye(ref.dim, dtype=complex) - proj]
-        return born_sample(
-            rho, effects, n, seed, protocol="witness",
-            labels=["success", "failure"], meta={"rank": rank}, rng=rng,
-        )
-    if protocol == "hypothesis_test":
-        eta_test = eta * test_calibration
-        t = optimal_test_projector(rho, ref, eta_test)
-        effects = [t, np.eye(ref.dim, dtype=complex) - t]
-        sigma = DensityOperator(ref.sigma_matrix())
-        if rng is None:
-            rng = stream(seed)
-        null_run = born_sample(
-            sigma, effects, n, seed, protocol="hypothesis_test",
-            labels=["accept_h1", "accept_h0"], rng=rng,
-        )
-        alt_run = born_sample(
-            rho, effects, n, seed, protocol="hypothesis_test",
-            labels=["accept_h1", "accept_h0"], rng=rng,
-        )
-        counts = {
-            "null_accept_h1": null_run.counts["accept_h1"],
-            "null_accept_h0": null_run.counts["accept_h0"],
-            "alt_accept_h1": alt_run.counts["accept_h1"],
-            "alt_accept_h0": alt_run.counts["accept_h0"],
-        }
-        return MeasurementRecord(
-            "hypothesis_test", 2 * n, counts,
-            meta={"eta": eta, "eta_test": eta_test},
-        )
-    raise ValidationError(f"unknown protocol {protocol!r}")
+    outcomes = _outcome_setup(
+        rho, ref, protocol, eta, test_calibration, witness_rank, witness_projector
+    )
+    return _sample(protocol, outcomes, n, rng if rng is not None else stream(seed))
 
 
 def protocol_ground_truth(
@@ -228,12 +240,7 @@ def protocol_ground_truth(
     if protocol == "hypothesis_test":
         return hypothesis_testing_divergence(rho, ref, eta).bits
     if protocol == "witness":
-        proj = (
-            np.asarray(witness_projector, dtype=complex)
-            if witness_projector is not None
-            else default_witness_projector(rho, ref, witness_rank)
-        )
-        rank = int(round(float(np.trace(proj).real)))
+        proj, rank = _witness_projector(rho, ref, witness_rank, witness_projector)
         p = float(np.trace(proj @ rho.matrix).real)
         return max(0.0, math.log2(max(p, 1e-300) * ref.d_r / rank))
     if protocol == "dephase":
@@ -262,7 +269,6 @@ class RunConfig:
     n_samples: int = 2000
     witness_rank: int = 1
     test_calibration: float = 0.5
-    delta_policy: str = "cap"
     method: str = "lambert"
     unit: str = "structons"
     leak_tol: float = 1e-9
@@ -274,7 +280,7 @@ class RunConfig:
                 raise ValidationError(f"{name} = {x} must be in (0,1)")
         if self.seed < 0:
             raise ValidationError("seed must be a nonnegative integer")
-        bad = [p for p in self.protocols if p != "exact" and p not in STAT_PROTOCOLS]
+        bad = [p for p in self.protocols if p != "exact" and p not in PROTOCOLS]
         if bad:
             raise ValidationError(f"unknown protocols {bad}")
         if not self.protocols:
@@ -315,6 +321,17 @@ def _bound_dict(b: CertifiedBound, log2_gamma: float) -> dict:
         "protocol": b.protocol,
         "params": dict(b.params),
     }
+
+
+def _certify(protocol: str, record: MeasurementRecord, config: RunConfig) -> CertifiedBound:
+    """Certify one protocol's record at the config's delta (and eta); the
+    witness rank comes from the record's meta when it carries one."""
+    if protocol == "hypothesis_test":
+        return ht_protocol(record, config.eta, config.delta)
+    if protocol == "witness":
+        rank = record.meta.get("rank", config.witness_rank)
+        return witness_protocol(record, config.reference, rank, config.delta)
+    return dephase_protocol(record, config.reference, config.delta)
 
 
 def _stage(name: str):
@@ -361,7 +378,6 @@ def pipeline(config: RunConfig) -> dict:
                 "c1_prime": config.constants.c1_prime,
                 "c2_prime": config.constants.c2_prime,
             },
-            "delta_policy": config.delta_policy,
             "method": config.method,
             "unit": config.unit,
         },
@@ -373,9 +389,10 @@ def pipeline(config: RunConfig) -> dict:
     if "exact" in config.protocols:
         with _stage("exact"):
             d_bits = relative_to_reference(rho, ref, leak_tol=config.leak_tol).bits
-            bb = main_lower_bound(
-                rho, ref, config.epsilon, constants=config.constants,
-                method=config.method, leak_tol=config.leak_tol,
+            skew_bits = spectral_skew(rho).bits
+            bb = bound_from_divergence(
+                d_bits, ref, config.epsilon, constants=config.constants,
+                spectral_bits=skew_bits, method=config.method,
             )
             value_structons = rcc(rho, ref, leak_tol=config.leak_tol)
             display = {
@@ -388,7 +405,7 @@ def pipeline(config: RunConfig) -> dict:
                 "divergence_bits": d_bits,
                 "entropy_bits": von_neumann(rho).bits,
                 "min_entropy_bits": min_entropy(rho).bits,
-                "spectral_skew_bits": spectral_skew(rho).bits,
+                "spectral_skew_bits": skew_bits,
                 "circuit_bound": _breakdown_dict(bb, lg),
                 "display": {"value": display, "unit": config.unit},
             }
@@ -404,29 +421,21 @@ def pipeline(config: RunConfig) -> dict:
                     seed=config.seed, eta=config.eta,
                     test_calibration=config.test_calibration,
                     witness_rank=config.witness_rank,
-                    rng=stream(config.seed, STAT_PROTOCOLS.index(proto)),
+                    rng=stream(config.seed, PROTOCOLS.index(proto)),
                 )
-            if proto == "hypothesis_test":
-                certified.append(ht_protocol(record, config.eta, config.delta))
-            elif proto == "witness":
-                rank = int(record.meta.get("rank", config.witness_rank))
-                certified.append(witness_protocol(record, ref, rank, config.delta))
-            else:
-                certified.append(dephase_protocol(record, ref, config.delta))
+            certified.append(_certify(proto, record, config))
     report["certified_bounds"] = [_bound_dict(b, lg) for b in certified]
     if certified:
         with _stage("combine"):
             combined: CombinedBound = combine_bounds(
                 certified, ref, config.epsilon,
                 constants=config.constants, method=config.method,
-                delta_policy=config.delta_policy,
             )
         report["combined"] = {
             "value_structons": combined.value_structons,
             "value_bits": combined.value_structons * lg,
             "confidence": combined.confidence,
             "winner": combined.winner,
-            "delta_policy": combined.delta_policy,
             "per_path_structons": dict(combined.per_path),
             "breakdown": _breakdown_dict(combined.breakdown, lg),
         }
@@ -436,8 +445,9 @@ def pipeline(config: RunConfig) -> dict:
 def coverage_experiment(config: RunConfig, trials: int) -> dict:
     """Estimate how often certified bounds overshoot their exact targets.
 
-    Runs `trials` independently seeded simulations per statistical protocol
-    in the config, certifies each, and reports the violation fraction
+    Sets up each statistical protocol in the config once, draws `trials`
+    independently seeded records from its outcome distributions, certifies
+    each, and reports the violation fraction
     against the exactly computed ground truth. The summary contains no
     timestamp, so identical seeds give byte-identical output.
     """
@@ -454,24 +464,16 @@ def coverage_experiment(config: RunConfig, trials: int) -> dict:
         truth = protocol_ground_truth(
             rho, ref, proto, eta=config.eta, witness_rank=config.witness_rank
         )
+        outcomes = _outcome_setup(
+            rho, ref, proto, config.eta, config.test_calibration, config.witness_rank
+        )
         violations = 0
         invalid = 0
         for trial in range(trials):
-            rng = stream(config.seed, STAT_PROTOCOLS.index(proto), trial)
-            record = simulate_record(
-                rho, ref, proto, config.n_samples, seed=config.seed,
-                eta=config.eta, test_calibration=config.test_calibration,
-                witness_rank=config.witness_rank, rng=rng,
-            )
+            rng = stream(config.seed, PROTOCOLS.index(proto), trial)
+            record = _sample(proto, outcomes, config.n_samples, rng)
             try:
-                if proto == "hypothesis_test":
-                    bound = ht_protocol(record, config.eta, config.delta)
-                elif proto == "witness":
-                    bound = witness_protocol(
-                        record, ref, int(record.meta["rank"]), config.delta
-                    )
-                else:
-                    bound = dephase_protocol(record, ref, config.delta)
+                bound = _certify(proto, record, config)
             except RccError:
                 invalid += 1
                 continue

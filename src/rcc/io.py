@@ -142,7 +142,7 @@ def load_record(path) -> MeasurementRecord:
     try:
         return MeasurementRecord(
             protocol=payload["protocol"],
-            n=int(payload["n"]),
+            n=payload["n"],
             counts=payload["counts"],
             meta=payload.get("meta", {}),
         )

@@ -11,6 +11,7 @@ beta), which is bit-reproducible and avoids special-function inversions.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,12 +28,20 @@ from .entropy import binary_entropy, shannon
 from .errors import ProtocolInvalidError, ValidationError
 from .reference import ReferenceSet
 
+# the statistical protocols; a protocol's position here is the first spawn
+# key of its sampling streams
 PROTOCOLS = ("hypothesis_test", "witness", "dephase")
 
 # outcome labels used by hypothesis-test records (null-calibration run and
 # alternative run, decision per shot)
 HT_LABELS = ("null_accept_h1", "null_accept_h0", "alt_accept_h1", "alt_accept_h0")
 WITNESS_LABELS = ("success", "failure")
+
+
+def _is_integer(x) -> bool:
+    """A Python or numpy integer; bools are Integral too but are not counts,
+    and int() would truncate a fractional value."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -49,6 +58,11 @@ class MeasurementRecord:
             raise ValidationError(
                 f"unknown protocol {self.protocol!r}; expected one of {PROTOCOLS}"
             )
+        if not isinstance(self.meta, dict):
+            raise ValidationError(f"meta must be a mapping, got {self.meta!r}")
+        for name, v in (("n", self.n), *self.counts.items()):
+            if not _is_integer(v):
+                raise ValidationError(f"count {name!r} must be an integer, got {v!r}")
         if self.n <= 0:
             raise ValidationError("n must be positive")
         counts = {str(k): int(v) for k, v in self.counts.items()}
@@ -215,10 +229,8 @@ def witness_protocol(
     """
     if record.protocol != "witness":
         raise ValidationError(f"record protocol {record.protocol!r} is not witness")
-    if rank < 1:
-        raise ValidationError("witness rank must be >= 1")
-    if rank > ref.d_r:
-        raise ValidationError(f"witness rank {rank} exceeds d_R = {ref.d_r}")
+    if not _is_integer(rank) or not 1 <= rank <= ref.d_r:
+        raise ValidationError(f"witness rank {rank!r} must be an integer in [1, d_R = {ref.d_r}]")
     if projector is not None:
         pw = np.asarray(projector, dtype=complex)
         leak = np.linalg.norm(pw - ref.total.matrix @ pw @ ref.total.matrix)
@@ -340,7 +352,6 @@ class CombinedBound:
     winner: str
     breakdown: BoundBreakdown
     contributing: tuple[CertifiedBound, ...]
-    delta_policy: str
     per_path: dict[str, float] = field(default_factory=dict)
 
 
@@ -378,22 +389,16 @@ def combine_bounds(
     epsilon: float,
     constants: BoundConstants = DEFAULT_CONSTANTS,
     method: str = "lambert",
-    delta_policy: str = "cap",
 ) -> CombinedBound:
     """Propagate each certified bound through its matching theorem form and
     keep the best final circuit bound.
 
     The combined confidence applies a multiple-comparison adjustment over
-    the m paths compared: delta_total = min(1, m * max_i delta_i). With
-    delta_policy="presplit" the caller attests the deltas were already
-    divided out of one budget (e.g. via bonferroni), which the report echoes;
-    the adjustment formula is the same.
+    the m paths compared: delta_total = min(1, m * max_i delta_i).
     """
     bounds = list(bounds)
     if not bounds:
         raise ValidationError("no bounds to combine")
-    if delta_policy not in ("cap", "presplit"):
-        raise ValidationError(f"unknown delta policy {delta_policy!r}")
     for b in bounds:
         if not isinstance(b, CertifiedBound) or b.direction != "lower":
             raise ValidationError(
@@ -417,6 +422,5 @@ def combine_bounds(
         winner=best[1].protocol,
         breakdown=best[2],
         contributing=tuple(bounds),
-        delta_policy=delta_policy,
         per_path=per_path,
     )

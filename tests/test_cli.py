@@ -71,7 +71,7 @@ class TestCompute:
             main, ["compute", "--state", state, "--reference", ref, "--out", str(out)]
         )
         assert result.exit_code == 0
-        assert json.loads(out.read_text())["schema"] == "rcc-report/1"
+        assert json.loads(out.read_text())["schema"] == "rcc-report/2"
 
 
 class TestSimulateAndCertify:
@@ -104,6 +104,60 @@ class TestSimulateAndCertify:
             ])
             assert result.exit_code == 0, result.output
         assert out_a.read_bytes() == out_b.read_bytes()
+
+    @pytest.mark.parametrize("witness, message", [
+        ({"dim": 32, "re": (2.0 * np.eye(32)).tolist()}, "not a POVM"),
+        ({"dim": 4, "re": np.eye(4).tolist()}, "32x32"),
+    ])
+    def test_bad_witness_projector_exits_4(self, runner, files, tmp_path, witness, message):
+        state, ref, _ = files
+        path = tmp_path / "witness.json"
+        path.write_text(json.dumps(witness))
+        result = runner.invoke(main, [
+            "simulate", "--state", state, "--reference", ref,
+            "--protocol", "witness", "--witness", str(path),
+        ])
+        assert result.exit_code == 4, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert message in result.output
+        assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize("n, counts", [
+        (10, {"success": 10.7, "failure": -0.7}),
+        (True, {"success": True, "failure": False}),
+    ])
+    def test_non_integer_counts_are_config_errors(self, runner, files, tmp_path, n, counts):
+        _, ref, _ = files
+        path = tmp_path / "record.json"
+        path.write_text(json.dumps({"protocol": "witness", "n": n, "counts": counts}))
+        result = runner.invoke(main, ["certify", "--reference", ref, "--record", str(path)])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "must be an integer" in result.output
+        assert "Traceback" not in result.output
+
+    def test_record_meta_that_is_not_an_object_exits_2(self, runner, files, tmp_path):
+        _, ref, _ = files
+        path = tmp_path / "record.json"
+        path.write_text(json.dumps({
+            "protocol": "witness", "n": 10, "counts": {"success": 9, "failure": 1}, "meta": [1],
+        }))
+        result = runner.invoke(main, ["certify", "--reference", ref, "--record", str(path)])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "meta must be a mapping" in result.output
+
+    def test_fractional_witness_rank_exits_4(self, runner, files, tmp_path):
+        _, ref, _ = files
+        path = tmp_path / "record.json"
+        path.write_text(json.dumps({
+            "protocol": "witness", "n": 10, "counts": {"success": 9, "failure": 1},
+            "meta": {"rank": 1.7},
+        }))
+        result = runner.invoke(main, ["certify", "--reference", ref, "--record", str(path)])
+        assert result.exit_code == 4, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "must be an integer" in result.output
 
     def test_alpha_failure_exits_3(self, runner, files, tmp_path):
         _, ref, _ = files

@@ -78,6 +78,8 @@ class TestBornSample:
         with pytest.raises(ValidationError, match="POVM"):
             born_sample(rho, [np.diag([1.0, 0.0])], 10, seed=1)
         with pytest.raises(ValidationError, match="POVM"):
+            born_sample(rho, [], 10, seed=1)
+        with pytest.raises(ValidationError, match="POVM"):
             born_sample(
                 rho, [np.diag([2.0, 0.0]), np.diag([-1.0, 1.0])], 10, seed=1
             )
@@ -109,6 +111,18 @@ class TestSimulateRecord:
         alpha = float(np.trace(t @ ref.sigma_matrix()).real)
         assert alpha == pytest.approx(0.125, abs=1e-12)
 
+    @pytest.mark.parametrize("scale", [2.0, -1.0])
+    def test_witness_projector_outside_zero_and_identity_rejected(self, small_setup, scale):
+        rho, ref = small_setup
+        bad = scale * default_witness_projector(rho, ref, 1)
+        with pytest.raises(ValidationError, match="not a POVM"):
+            simulate_record(rho, ref, "witness", 100, seed=1, witness_projector=bad)
+
+    def test_witness_projector_of_wrong_size_rejected(self, small_setup):
+        rho, ref = small_setup
+        with pytest.raises(ValidationError, match="4x4"):
+            simulate_record(rho, ref, "witness", 100, seed=1, witness_projector=np.eye(2))
+
     def test_witness_projector_support(self, small_setup):
         rho, ref = small_setup
         proj = default_witness_projector(rho, ref, 2)
@@ -126,7 +140,7 @@ class TestPipeline:
         assert report["exact"]["rcc_structons"] == pytest.approx(
             3 / math.log2(6), abs=1e-12
         )
-        assert report["schema"] == "rcc-report/1"
+        assert report["schema"] == "rcc-report/2"
 
     def test_vacuum_combined_floor_flagged(self):
         ref = full_reference(4)
@@ -160,6 +174,14 @@ class TestPipeline:
         bb = main_lower_bound(rho, ref, 0.02)
         assert report["exact"]["circuit_bound"]["final_structons"] == bb.final
         assert report["exact"]["circuit_bound"]["final_bits"] == bb.final * ref.log2_gamma
+
+    def test_reports_carry_no_delta_policy(self, small_setup):
+        rho, ref = small_setup
+        config = RunConfig(
+            state=rho, reference=ref,
+            protocols=("exact", "hypothesis_test", "witness", "dephase"), n_samples=300,
+        )
+        assert "delta_policy" not in rcc_io.dumps_json(pipeline(config))
 
     def test_report_determinism_modulo_timestamp(self, small_setup):
         rho, ref = small_setup

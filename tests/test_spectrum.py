@@ -1,9 +1,11 @@
-"""One spectrum per state, one basis per reference.
+"""One spectrum per state, one basis per reference, one setup per run.
 
 Every exact figure is a function of rho's spectrum, so validation plus the
 exact pipeline must eigensolve rho once; the reference support basis is
-built once per reference set; and dephase sampling from that basis draws
-exactly the counts of the explicit rank-1 POVM it replaces.
+built once per reference set; each protocol's outcome distributions are set
+up once per run, so coverage eigensolves as often at any trial count; and
+sampling from those distributions draws exactly the counts of the explicit
+POVM it replaces.
 """
 
 import numpy as np
@@ -14,6 +16,7 @@ from rcc import (
     RunConfig,
     block_reference,
     born_sample,
+    coverage_experiment,
     pipeline,
     sector_reference,
     simulate_record,
@@ -21,6 +24,7 @@ from rcc import (
     stream,
     validate_density,
 )
+from rcc.harness import default_witness_projector, optimal_test_projector
 from conftest import full_reference, random_density
 
 
@@ -88,6 +92,20 @@ class TestEigensolveCount:
             simulate_record(rho, ref, "dephase", 500, seed=seed)
         assert sum(eig_calls.values()) <= 1
 
+    def test_coverage_eigensolves_do_not_grow_with_trials(self, rng, eig_calls):
+        rho = subspace_state(rng, stabilizer_reference(4, ["XXII"], 2, 4))
+        counts = []
+        for trials in (10, 40):
+            # a fresh reference, so both runs build its support basis
+            config = RunConfig(
+                state=rho, reference=stabilizer_reference(4, ["XXII"], 2, 4),
+                protocols=("hypothesis_test", "witness", "dephase"), n_samples=200, seed=3,
+            )
+            eig_calls.update(eigh=0, eigvalsh=0)
+            coverage_experiment(config, trials)
+            counts.append(sum(eig_calls.values()))
+        assert counts[0] == counts[1]
+
 
 class TestSpectrumCache:
     @pytest.mark.parametrize("kind", sorted(STATES))
@@ -135,3 +153,43 @@ class TestDephaseRecordIdentity:
             assert explicit.counts.pop(str(ref.d_r)) == 0
             assert record.counts == explicit.counts
             assert record.meta == {"basis": "reference-support"}
+
+
+class TestWitnessAndTestRecordIdentity:
+    @pytest.mark.parametrize("kind", sorted(REFERENCES))
+    def test_witness_counts_match_the_explicit_povm(self, rng, kind):
+        ref = REFERENCES[kind]()
+        rho = subspace_state(rng, ref)
+        proj = default_witness_projector(rho, ref, 2)
+        effects = [proj, np.eye(ref.dim) - proj]
+        for trial in range(20):
+            explicit = born_sample(
+                rho, effects, 2000, seed=0, labels=["success", "failure"], rng=stream(9, 1, trial)
+            )
+            record = simulate_record(
+                rho, ref, "witness", 2000, seed=0, witness_rank=2, rng=stream(9, 1, trial)
+            )
+            assert record.counts == explicit.counts
+            assert record.n == 2000 and record.meta == {"rank": 2}
+
+    @pytest.mark.parametrize("kind", sorted(REFERENCES))
+    def test_hypothesis_test_counts_match_the_explicit_povm(self, rng, kind):
+        ref = REFERENCES[kind]()
+        rho = subspace_state(rng, ref)
+        sigma = DensityOperator(ref.sigma_matrix())
+        t = optimal_test_projector(rho, ref, 0.25 * 0.5)
+        effects = [t, np.eye(ref.dim) - t]
+        labels = ["accept_h1", "accept_h0"]
+        for trial in range(20):
+            # the null calibration draws first, then the alternative, on one stream
+            rng_explicit = stream(9, 0, trial)
+            null = born_sample(sigma, effects, 2000, seed=0, labels=labels, rng=rng_explicit)
+            alt = born_sample(rho, effects, 2000, seed=0, labels=labels, rng=rng_explicit)
+            record = simulate_record(
+                rho, ref, "hypothesis_test", 2000, seed=0, rng=stream(9, 0, trial)
+            )
+            assert record.counts == {
+                **{f"null_{k}": v for k, v in null.counts.items()},
+                **{f"alt_{k}": v for k, v in alt.counts.items()},
+            }
+            assert record.n == 4000 and record.meta == {"eta": 0.25, "eta_test": 0.125}

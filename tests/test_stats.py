@@ -183,6 +183,12 @@ class TestWitnessProtocol:
         with pytest.raises(ValidationError, match="rank"):
             witness_protocol(witness_record(3, 10), ref, rank=5, delta=0.05)
 
+    @pytest.mark.parametrize("rank", [1.7, True, "1", 0])
+    def test_rank_must_be_a_positive_integer(self, rank):
+        ref = embedded_reference(4, 4)
+        with pytest.raises(ValidationError, match="must be an integer in"):
+            witness_protocol(witness_record(3, 10), ref, rank=rank, delta=0.05)
+
     def test_leaky_projector_rejected(self):
         ref = embedded_reference(2, 4)
         leaky = np.diag([1.0, 0.0, 1.0, 0.0])
@@ -303,6 +309,28 @@ class TestRecordValidation:
     def test_unknown_protocol(self):
         with pytest.raises(ValidationError):
             MeasurementRecord("tomography", 4, {"0": 4})
+
+    @pytest.mark.parametrize("n, counts", [
+        (10, {"success": 10.7, "failure": -0.7}),
+        (10, {"success": 10.0, "failure": 0}),
+        (10, {"success": True, "failure": 9}),
+        (10, {"success": np.True_, "failure": 9}),
+        (True, {"success": True, "failure": False}),
+        (10.0, {"success": 10, "failure": 0}),
+        ("10", {"success": 10, "failure": 0}),
+    ])
+    def test_non_integer_or_boolean_counts_rejected(self, n, counts):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            MeasurementRecord("witness", n, counts)
+
+    def test_meta_must_be_a_mapping(self):
+        with pytest.raises(ValidationError, match="meta"):
+            MeasurementRecord("witness", 10, {"success": 9, "failure": 1}, meta=[1])
+
+    def test_numpy_integer_counts_accepted(self):
+        record = MeasurementRecord("witness", np.int64(10), {"success": np.int64(7), "failure": 3})
+        assert record.counts == {"success": 7, "failure": 3}
+        assert all(type(v) is int for v in record.counts.values())
 
     @given(st.integers(1, 200), st.floats(0.01, 0.4))
     @settings(max_examples=30, deadline=None)
