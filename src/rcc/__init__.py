@@ -1,6 +1,8 @@
 """Reference-contingent complexity: certified lower bounds on quantum
 circuit complexity from exact states or finite measurement data."""
 
+from importlib import import_module as _import_module
+
 from .bounds import (
     BoundBreakdown,
     BoundConstants,
@@ -60,6 +62,7 @@ from .operators import (
     trace_distance,
     validate_density,
 )
+from .records import MeasurementRecord
 from .reference import (
     ReferenceSet,
     SmoothedReference,
@@ -69,20 +72,6 @@ from .reference import (
     sector_reference,
     smooth_reference,
     stabilizer_reference,
-)
-from .stats import (
-    CertifiedBound,
-    CombinedBound,
-    MeasurementRecord,
-    bonferroni,
-    clopper_pearson_lower,
-    clopper_pearson_upper,
-    combine_bounds,
-    dephase_protocol,
-    ht_protocol,
-    ht_sample_plan,
-    witness_protocol,
-    witness_sample_plan,
 )
 from .windows import (
     ObservationWindow,
@@ -104,3 +93,30 @@ from .windows import (
 )
 
 __version__ = "0.1.0"
+
+# names of the certifying layer, which imports scipy; they resolve on first
+# access (PEP 562), so `import rcc` alone does not load scipy
+_STATS_NAMES = frozenset({
+    "CertifiedBound",
+    "CombinedBound",
+    "bonferroni",
+    "clopper_pearson_lower",
+    "clopper_pearson_upper",
+    "combine_bounds",
+    "dephase_protocol",
+    "ht_protocol",
+    "ht_sample_plan",
+    "witness_protocol",
+    "witness_sample_plan",
+})
+
+
+def __getattr__(name: str):
+    if name == "stats" or name in _STATS_NAMES:
+        stats = _import_module(f"{__name__}.stats")
+        return stats if name == "stats" else getattr(stats, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), "stats", *_STATS_NAMES})

@@ -23,7 +23,7 @@ from .harness import (
     stream,
     sweep_windows,
 )
-from .stats import PROTOCOLS, ht_sample_plan, witness_sample_plan
+from .records import PROTOCOLS
 from .windows import (
     info_work,
     process_time_bound,
@@ -235,6 +235,8 @@ def simulate(state_path, reference_path, protocol, n_samples, seed, eta,
 @_guarded
 def plan(protocol, target_bits, delta, p0, rank, d_r, out):
     """Sample-size planners for the certification protocols."""
+    from .stats import ht_sample_plan, witness_sample_plan
+
     if protocol == "hypothesis_test":
         n = ht_sample_plan(target_bits, delta)
     else:

@@ -3,7 +3,7 @@
 Each statistical protocol fixes its outcome distributions once per run and
 then draws records from them. Randomness comes from Philox, a named 64-bit
 counter-based generator; independent streams are derived from the master
-seed with spawn keys (the protocol's position in `stats.PROTOCOLS`, then the
+seed with spawn keys (the protocol's position in `records.PROTOCOLS`, then the
 trial index), so coverage experiments are order-independent and
 bit-reproducible across platforms.
 """
@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -35,19 +36,11 @@ from .entropy import (
 from .errors import RccError, ValidationError
 from .operators import DensityOperator, eig_hermitian
 from .reference import ReferenceSet
-from .stats import (
-    HT_LABELS,
-    PROTOCOLS,
-    WITNESS_LABELS,
-    CertifiedBound,
-    CombinedBound,
-    MeasurementRecord,
-    combine_bounds,
-    dephase_protocol,
-    ht_protocol,
-    witness_protocol,
-)
+from .records import HT_LABELS, PROTOCOLS, WITNESS_LABELS, MeasurementRecord
 from .windows import WindowFamily, windowed_entropy_bits, windowed_rcc
+
+if TYPE_CHECKING:
+    from .stats import CertifiedBound
 
 REPORT_SCHEMA = "rcc-report/2"
 COVERAGE_SCHEMA = "rcc-coverage/1"
@@ -323,28 +316,40 @@ def _bound_dict(b: CertifiedBound, log2_gamma: float) -> dict:
     }
 
 
-def _certify(protocol: str, record: MeasurementRecord, config: RunConfig) -> CertifiedBound:
-    """Certify one protocol's record at the config's delta (and eta); the
-    witness rank comes from the record's meta when it carries one."""
+def _certifier(protocol: str):
+    """The function (record, config) -> CertifiedBound that certifies one
+    protocol's records at the config's delta (and eta); the witness rank
+    comes from the record's meta when it carries one.
+
+    The certifiers are imported here, not at module level, so that scipy
+    loads only when something certifies.
+    """
+    from .stats import dephase_protocol, ht_protocol, witness_protocol
+
     if protocol == "hypothesis_test":
-        return ht_protocol(record, config.eta, config.delta)
+        return lambda record, config: ht_protocol(record, config.eta, config.delta)
     if protocol == "witness":
-        rank = record.meta.get("rank", config.witness_rank)
-        return witness_protocol(record, config.reference, rank, config.delta)
-    return dephase_protocol(record, config.reference, config.delta)
+        return lambda record, config: witness_protocol(
+            record, config.reference, record.meta.get("rank", config.witness_rank), config.delta
+        )
+    return lambda record, config: dephase_protocol(record, config.reference, config.delta)
 
 
-def _stage(name: str):
-    class _StageContext:
-        def __enter__(self):
-            return self
+class _Stage:
+    """Context that prefixes an RccError raised inside it with the stage name."""
 
-        def __exit__(self, exc_type, exc, tb):
-            if exc is not None and isinstance(exc, RccError):
-                exc.args = (f"stage '{name}': {exc}",)
-            return False
+    __slots__ = ("name",)
 
-    return _StageContext()
+    def __init__(self, name: str):
+        self.name = name
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        if isinstance(exc, RccError):
+            exc.args = (f"stage '{self.name}': {exc}",)
+        return False
 
 
 def pipeline(config: RunConfig) -> dict:
@@ -387,7 +392,7 @@ def pipeline(config: RunConfig) -> dict:
         },
     }
     if "exact" in config.protocols:
-        with _stage("exact"):
+        with _Stage("exact"):
             d_bits = relative_to_reference(rho, ref, leak_tol=config.leak_tol).bits
             skew_bits = spectral_skew(rho).bits
             bb = bound_from_divergence(
@@ -413,7 +418,7 @@ def pipeline(config: RunConfig) -> dict:
     for proto in config.protocols:
         if proto == "exact":
             continue
-        with _stage(proto):
+        with _Stage(proto):
             record = config.records.get(proto)
             if record is None:
                 record = simulate_record(
@@ -423,11 +428,13 @@ def pipeline(config: RunConfig) -> dict:
                     witness_rank=config.witness_rank,
                     rng=stream(config.seed, PROTOCOLS.index(proto)),
                 )
-            certified.append(_certify(proto, record, config))
+            certified.append(_certifier(proto)(record, config))
     report["certified_bounds"] = [_bound_dict(b, lg) for b in certified]
     if certified:
-        with _stage("combine"):
-            combined: CombinedBound = combine_bounds(
+        from .stats import combine_bounds
+
+        with _Stage("combine"):
+            combined = combine_bounds(
                 certified, ref, config.epsilon,
                 constants=config.constants, method=config.method,
             )
@@ -467,13 +474,14 @@ def coverage_experiment(config: RunConfig, trials: int) -> dict:
         outcomes = _outcome_setup(
             rho, ref, proto, config.eta, config.test_calibration, config.witness_rank
         )
+        certify = _certifier(proto)
         violations = 0
         invalid = 0
         for trial in range(trials):
             rng = stream(config.seed, PROTOCOLS.index(proto), trial)
             record = _sample(proto, outcomes, config.n_samples, rng)
             try:
-                bound = _certify(proto, record, config)
+                bound = certify(record, config)
             except RccError:
                 invalid += 1
                 continue

@@ -15,8 +15,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, ValidationError
 from .operators import DensityOperator, validate_density
+from .records import MeasurementRecord
 from .reference import (
     ReferenceSet,
     block_reference,
@@ -24,7 +25,6 @@ from .reference import (
     sector_reference,
     stabilizer_reference,
 )
-from .stats import MeasurementRecord
 from .windows import BlockPartition, ObservationWindow, ProcessTrace, WindowFamily
 
 DEFAULT_DIM_CAP = 512
@@ -137,8 +137,31 @@ def load_reference(path) -> ReferenceSet:
     return reference_from_config(_read_json(path), str(path))
 
 
+_RECORD_SHAPE = (
+    "a record is an object with a string 'protocol', an integer 'n', 'counts' "
+    "(an object of label -> integer count) and an optional object 'meta'"
+)
+
+
+def _record_shape_problem(payload) -> str | None:
+    """What keeps a decoded JSON value from having the shape of a record."""
+    if not isinstance(payload, dict):
+        return "the file does not hold an object"
+    missing = [key for key in ("protocol", "n", "counts") if key not in payload]
+    if missing:
+        return f"missing {', '.join(map(repr, missing))}"
+    if not isinstance(payload["protocol"], str):
+        return "'protocol' is not a string"
+    if not isinstance(payload["counts"], dict):
+        return "'counts' is not an object"
+    return None
+
+
 def load_record(path) -> MeasurementRecord:
     payload = _read_json(path)
+    problem = _record_shape_problem(payload)
+    if problem is not None:
+        raise ConfigError(f"{path}: {problem}; {_RECORD_SHAPE}")
     try:
         return MeasurementRecord(
             protocol=payload["protocol"],
@@ -146,11 +169,7 @@ def load_record(path) -> MeasurementRecord:
             counts=payload["counts"],
             meta=payload.get("meta", {}),
         )
-    except ConfigError:
-        raise
-    except KeyError as exc:
-        raise ConfigError(f"{path}: missing key {exc}") from exc
-    except Exception as exc:
+    except ValidationError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 

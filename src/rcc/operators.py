@@ -7,7 +7,7 @@ pure function of immutable inputs; nothing mutates shared state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, InitVar, dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -101,7 +101,11 @@ def eig_hermitian(operator) -> SpectralDecomposition:
 
     Raises ValidationError (naming the max asymmetry) for non-Hermitian input.
     """
-    m = check_hermitian(_as_matrix(operator))
+    return _eigh(check_hermitian(_as_matrix(operator)))
+
+
+def _eigh(m: np.ndarray) -> SpectralDecomposition:
+    """eig_hermitian of a matrix already checked by check_hermitian."""
     if _is_diagonal(m):
         d = m.diagonal().real
         order = np.argsort(-d, kind="stable")
@@ -120,10 +124,14 @@ class DensityOperator:
 
     matrix: np.ndarray
     clipped: bool = False
+    _: KW_ONLY
+    # set only by validate_density, which has run check_hermitian on the matrix
+    checked: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, checked: bool):
         m = _as_matrix(self.matrix)
-        check_hermitian(m)
+        if not checked:
+            check_hermitian(m)
         tr = float(np.trace(m).real)
         if abs(tr - 1.0) > DENSITY_TOL:
             raise ValidationError(f"density operator trace {tr!r} is not 1")
@@ -162,7 +170,7 @@ def validate_density(matrix, tol: float = DENSITY_TOL) -> DensityOperator:
     tr = float(np.trace(m).real)
     if abs(tr - 1.0) > tol:
         raise ValidationError(f"trace deviation |{tr} - 1| = {abs(tr - 1.0):.3e} > {tol:.0e}")
-    dec = eig_hermitian(m)
+    dec = _eigh(m)
     wmin = float(dec.eigenvalues.min())
     if wmin < -tol:
         raise ValidationError(f"eigenvalue {wmin:.3e} below -{tol:.0e}; not PSD")
@@ -173,7 +181,7 @@ def validate_density(matrix, tol: float = DENSITY_TOL) -> DensityOperator:
         v = dec.eigenvectors
         rho = DensityOperator((v * w) @ v.conj().T, clipped=True)
     else:
-        rho = DensityOperator(m)
+        rho = DensityOperator(m, checked=True)
     rho.__dict__["spectrum"] = _read_only(w)  # seeds the cached property
     return rho
 

@@ -136,6 +136,24 @@ class TestSimulateAndCertify:
         assert "must be an integer" in result.output
         assert "Traceback" not in result.output
 
+    @pytest.mark.parametrize("payload, problem", [
+        ({"protocol": "witness", "n": 10, "counts": [9, 1]}, "'counts' is not an object"),
+        ({"n": 10, "counts": {"success": 9, "failure": 1}}, "missing 'protocol'"),
+        ({"protocol": "witness", "n": 10}, "missing 'counts'"),
+        ([{"protocol": "witness", "n": 10, "counts": {"success": 10}}], "does not hold an object"),
+    ])
+    def test_record_of_the_wrong_shape_exits_2(self, runner, files, tmp_path, payload, problem):
+        _, ref, _ = files
+        path = tmp_path / "record.json"
+        path.write_text(json.dumps(payload))
+        result = runner.invoke(main, ["certify", "--reference", ref, "--record", str(path)])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.count("\n") == 1
+        assert problem in result.output
+        assert "a record is an object with a string 'protocol'" in result.output
+        assert "Traceback" not in result.output
+
     def test_record_meta_that_is_not_an_object_exits_2(self, runner, files, tmp_path):
         _, ref, _ = files
         path = tmp_path / "record.json"

@@ -1,0 +1,118 @@
+"""The import graph: scipy loads only on the paths that certify, and the
+package keeps every public name, whichever module defines it."""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+import rcc
+
+# every name `rcc` exports, grouped by a module that exports the same object
+EXPORTS = {
+    "bounds": ("BoundBreakdown", "BoundConstants", "bound_from_divergence", "lambert_w0",
+               "main_lower_bound", "rcc", "smoothed_lower_bound", "solve_bootstrap",
+               "structon_convert"),
+    "entropy": ("EntropyValue", "PurityCeiling", "bernoulli_kl", "binary_entropy",
+                "explicit_test_divergence_bound", "hypothesis_testing_divergence",
+                "leakage_adjusted_divergence", "max_relative_to_reference", "min_entropy",
+                "purity_upper_bound", "relative_to_reference", "shannon", "spectral_skew",
+                "von_neumann"),
+    "errors": ("CompleteLeakageError", "ConfigError", "ExclusiveSectorsError", "LeakageError",
+               "NumericalError", "ProtocolInvalidError", "RccError", "ValidationError"),
+    "harness": ("RunConfig", "born_sample", "coverage_experiment", "pipeline",
+                "protocol_ground_truth", "simulate_record", "stream", "sweep_windows"),
+    "operators": ("BlockPartition", "DensityOperator", "HermitianOperator", "Projector",
+                  "SpectralDecomposition", "eig_hermitian", "pinch", "project_renormalize",
+                  "trace_distance", "validate_density"),
+    "reference": ("ReferenceSet", "SmoothedReference", "block_reference", "build_reference",
+                  "misspecification_gap", "sector_reference", "smooth_reference",
+                  "stabilizer_reference"),
+    "stats": ("CertifiedBound", "CombinedBound", "MeasurementRecord", "bonferroni",
+              "clopper_pearson_lower", "clopper_pearson_upper", "combine_bounds",
+              "dephase_protocol", "ht_protocol", "ht_sample_plan", "witness_protocol",
+              "witness_sample_plan"),
+    "windows": ("ObservationWindow", "ProcessTrace", "RectEfficiency", "RectPerformance",
+                "TimeBound", "WindowFamily", "conditional_expectation", "info_work",
+                "process_time_bound", "rect_efficiency", "rect_identity_check",
+                "rect_performance_check", "window_leakage_error", "windowed_pinching_bound",
+                "windowed_rcc", "work_complexity_potential"),
+}
+
+# runs CLI commands in one interpreter and prints, after each step, whether
+# scipy has been loaded
+CHILD = """
+import sys
+
+def loaded(step):
+    print("step:", step, "scipy" in sys.modules)
+
+import rcc
+loaded("import-rcc")
+import rcc.cli
+loaded("import-rcc.cli")
+
+def run(*args):
+    try:
+        rcc.cli.main(list(args), prog_name="rcc")
+    except SystemExit as exc:
+        assert exc.code in (0, None), (args, exc.code)
+    loaded(args[0] if args[0] != "--help" else "help")
+
+state, ref, windows, trace, record, out = sys.argv[1:]
+run("--help")
+run("compute", "--state", state, "--reference", ref, "--out", out)
+for protocol in ("hypothesis_test", "witness", "dephase"):
+    run("simulate", "--state", state, "--reference", ref, "--protocol", protocol,
+        "--n", "50", "--out", out)
+run("sweep", "--state", state, "--reference", ref, "--windows", windows, "--out", out)
+run("rect", "--sigma-avail", "2", "--delta-t", "3", "--c-opt", "1", "--s-e", "1.5",
+    "--gamma-j", "1", "--out", out)
+run("thermo", "--trace", trace, "--gamma-r", "2", "--out", out)
+run("certify", "--reference", ref, "--record", record, "--out", out)
+"""
+
+
+def test_scipy_loads_only_when_something_certifies(tmp_path):
+    state = np.diag([0.5, 0.5, 0.0, 0.0])
+    files = {
+        "state.json": {"dim": 4, "re": state.tolist()},
+        "ref.json": {"type": "projectors", "g": 2, "addressable_units": 1,
+                     "projectors": [{"dim": 4, "re": np.diag([1.0, 1.0, 0, 0]).tolist()}]},
+        "windows.json": {"windows": [{"xi": 0.0, "blocks": [[0], [1], [2], [3]]},
+                                     {"xi": 1.0, "blocks": [[0, 1, 2, 3]]}]},
+        "record.json": {"protocol": "witness", "n": 100,
+                        "counts": {"success": 90, "failure": 10}},
+    }
+    for name, payload in files.items():
+        (tmp_path / name).write_text(json.dumps(payload))
+    (tmp_path / "trace.csv").write_text("t,Pi,T,C\n0,0.5,3,0\n1,0.5,3,1\n2,0.5,3,2\n")
+    args = [str(tmp_path / n) for n in ("state.json", "ref.json", "windows.json", "trace.csv",
+                                        "record.json", "out.json")]
+    src = str(Path(rcc.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", CHILD, *args], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    steps = [line.split()[1:] for line in proc.stdout.splitlines() if line.startswith("step:")]
+    assert [s for s, _ in steps] == [
+        "import-rcc", "import-rcc.cli", "help", "compute", "simulate", "simulate", "simulate",
+        "sweep", "rect", "thermo", "certify",
+    ]
+    assert [flag for _, flag in steps] == ["False"] * 10 + ["True"]
+
+
+def test_every_exported_name_resolves_to_its_defining_object():
+    names = dir(rcc)
+    for module, exported in EXPORTS.items():
+        mod = importlib.import_module(f"rcc.{module}")
+        for name in exported:
+            assert getattr(rcc, name) is getattr(mod, name), name
+            assert name in names, name
+    assert rcc.stats is importlib.import_module("rcc.stats")
+    assert "stats" in names
+    assert rcc.MeasurementRecord is rcc.records.MeasurementRecord

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rcc import operators
 from rcc import (
     BlockPartition,
     CompleteLeakageError,
@@ -70,6 +71,39 @@ class TestValidateDensity:
     def test_rejects_negative_beyond_tol(self):
         with pytest.raises(ValidationError, match="eigenvalue"):
             validate_density(np.diag([1.5, -0.5]))
+
+    @pytest.mark.parametrize("matrix, message", [
+        (np.diag([np.inf, 0.5]), "matrix has non-finite entries (NaN or inf)"),
+        (np.array([[0.5, 1e-3], [0.0, 0.5]]),
+         "matrix is not Hermitian: max asymmetry 1.000e-03 exceeds 1e-12"),
+        # a matrix with two faults reports the first check it fails
+        (np.array([[0.6, 1e-3], [0.0, 0.5]]),
+         "matrix is not Hermitian: max asymmetry 1.000e-03 exceeds 1e-12"),
+        (np.diag([0.6, 0.5]), "trace deviation |1.1 - 1| = 1.000e-01 > 1e-10"),
+        (np.diag([1.5, -0.5]), "eigenvalue -5.000e-01 below -1e-10; not PSD"),
+        (np.array([[1.5, 0.1], [0.1, -0.5]]), "eigenvalue -5.050e-01 below -1e-10; not PSD"),
+    ])
+    def test_each_fault_keeps_its_message(self, matrix, message):
+        with pytest.raises(ValidationError) as info:
+            validate_density(matrix)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("rank", [12, 6])
+    def test_checks_the_input_once(self, rng, monkeypatch, rank):
+        a = rng.normal(size=(12, rank)) + 1j * rng.normal(size=(12, rank))
+        matrix = a @ a.conj().T
+        matrix = 0.5 * (matrix + matrix.conj().T) / np.trace(matrix).real
+        checked = []
+        original = operators.check_hermitian
+
+        def counted(m, *args, **kwargs):
+            checked.append(np.array_equal(m, matrix))
+            return original(m, *args, **kwargs)
+
+        monkeypatch.setattr(operators, "check_hermitian", counted)
+        rho = validate_density(matrix)
+        assert rho.clipped is (rank < 12)
+        assert checked.count(True) == 1
 
 
 NON_FINITE = [
