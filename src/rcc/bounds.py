@@ -21,6 +21,9 @@ from .operators import DensityOperator
 from .reference import ReferenceSet
 
 _INV_E = math.exp(-1.0)
+# Lambert-W iterations stop at this relative residual or this many steps.
+_W0_TOL = 1e-12
+_W0_MAX_ITER = 100
 
 METHODS = ("lambert", "asymptotic", "piecewise")
 
@@ -64,13 +67,13 @@ class BoundBreakdown:
     inputs: dict = field(default_factory=dict)
 
 
-def rcc(rho: DensityOperator, ref: ReferenceSet, leak_tol: float = 1e-9) -> float:
+def rcc(rho: DensityOperator, ref: ReferenceSet) -> float:
     """Reference-contingent complexity in structons.
 
     Ranges over [0, log2 d_R / log2 Gamma_R]: zero exactly at the structured
     vacuum, maximal for any pure state in the subspace.
     """
-    d_bits = relative_to_reference(rho, ref, leak_tol=leak_tol).bits
+    d_bits = relative_to_reference(rho, ref).bits
     return max(0.0, d_bits / ref.log2_gamma)
 
 
@@ -82,12 +85,12 @@ def structon_convert(value: float, gamma_from: float, gamma_to: float) -> float:
     return value * math.log(gamma_from) / math.log(gamma_to)
 
 
-def lambert_w0(z: float, tol: float = 1e-12, max_iter: int = 100) -> float:
+def lambert_w0(z: float) -> float:
     """Principal branch of w e^w = z for z >= -1/e, by Halley iteration.
 
     Initial guess: branch-point series near -1/e, log z - log log z for
     z > e, a rational seed otherwise; converges to |w e^w - z| within
-    tol * max(1, |z|).
+    _W0_TOL * max(1, |z|) in at most _W0_MAX_ITER steps.
     """
     if not math.isfinite(z):
         raise ValidationError(f"lambert_w0 argument {z!r} must be finite")
@@ -109,8 +112,8 @@ def lambert_w0(z: float, tol: float = 1e-12, max_iter: int = 100) -> float:
     else:
         p = math.sqrt(2.0 * (math.e * z + 1.0))
         w = -1.0 + p - p * p / 3.0 + 11.0 * p**3 / 72.0
-    target = tol * max(1.0, abs(z))
-    for _ in range(max_iter):
+    target = _W0_TOL * max(1.0, abs(z))
+    for _ in range(_W0_MAX_ITER):
         ew = math.exp(w)
         f = w * ew - z
         if abs(f) <= target:
@@ -128,7 +131,7 @@ def lambert_w0(z: float, tol: float = 1e-12, max_iter: int = 100) -> float:
     raise NumericalError(f"lambert_w0 failed to converge for z = {z}")
 
 
-def _w0_of_exp(log_z: float, max_iter: int = 100) -> float:
+def _w0_of_exp(log_z: float) -> float:
     """W0(exp(log_z)) without forming exp(log_z); solves w + ln w = log_z.
 
     Used when exp(log_z) overflows, i.e. far on the branch where W0 > 1.
@@ -136,7 +139,7 @@ def _w0_of_exp(log_z: float, max_iter: int = 100) -> float:
     if log_z <= 2.0:
         return lambert_w0(math.exp(log_z))
     w = log_z - math.log(log_z)
-    for _ in range(max_iter):
+    for _ in range(_W0_MAX_ITER):
         f = w + math.log(w) - log_z
         step = f / (1.0 + 1.0 / w)
         w -= step
@@ -256,10 +259,9 @@ def main_lower_bound(
     epsilon: float,
     constants: BoundConstants = DEFAULT_CONSTANTS,
     method: str = "lambert",
-    leak_tol: float = 1e-9,
 ) -> BoundBreakdown:
     """Exact-state circuit lower bound with the unit-coefficient skew term."""
-    d_bits = relative_to_reference(rho, ref, leak_tol=leak_tol).bits
+    d_bits = relative_to_reference(rho, ref).bits
     skew = spectral_skew(rho).bits
     return bound_from_divergence(
         d_bits, ref, epsilon, constants=constants, spectral_bits=skew, method=method

@@ -13,9 +13,10 @@ import click
 import numpy as np
 
 from . import io
-from .bounds import BoundConstants
+from .bounds import METHODS, BoundConstants
 from .errors import ConfigError, ProtocolInvalidError, RccError
 from .harness import (
+    _UNITS,
     RunConfig,
     coverage_experiment,
     pipeline,
@@ -25,6 +26,7 @@ from .harness import (
 )
 from .records import PROTOCOLS
 from .windows import (
+    TIME_BOUND_VARIANTS,
     info_work,
     process_time_bound,
     rect_efficiency,
@@ -102,12 +104,11 @@ constants_opt = click.option(
 seed_opt = click.option("--seed", type=int, default=0, show_default=True)
 out_opt = click.option("--out", type=click.Path(), help="Write output here instead of stdout.")
 unit_opt = click.option(
-    "--unit", type=click.Choice(["bits", "nats", "structons"]), default="structons",
+    "--unit", type=click.Choice(_UNITS), default="structons",
     show_default=True,
 )
 method_opt = click.option(
-    "--method", type=click.Choice(["lambert", "asymptotic", "piecewise"]),
-    default="lambert", show_default=True,
+    "--method", type=click.Choice(METHODS), default="lambert", show_default=True,
 )
 
 
@@ -357,9 +358,8 @@ def rect(sigma_avail, delta_t, c_opt, s_e, gamma_j, hbar, c_r, j, out):
               help="Process trace CSV with columns t, Pi, T, C.")
 @click.option("--gamma-r", type=float, required=True, help="Instruction alphabet size.")
 @click.option(
-    "--variant", type=click.Choice(["envelope", "net_gain", "full", "isothermal",
-                                    "sign_robust"]),
-    default="envelope", show_default=True,
+    "--variant", type=click.Choice(TIME_BOUND_VARIANTS), default="envelope",
+    show_default=True,
 )
 @click.option("--delta-c", type=float, help="Complexity change; defaults to the "
               "trace's net change.")

@@ -23,6 +23,7 @@ from .operators import DensityOperator, project_renormalize
 from .reference import ReferenceSet
 
 LN2 = math.log(2.0)
+# Mass outside the reference subspace above this rejects a state.
 DEFAULT_LEAK_TOL = 1e-9
 
 BITS = "bits"
@@ -96,37 +97,30 @@ def reference_overlap(rho: DensityOperator, ref: ReferenceSet) -> float:
     return float(np.vdot(ref.total.matrix, rho.matrix).real)
 
 
-def _require_supported(rho: DensityOperator, ref: ReferenceSet, leak_tol: float) -> None:
+def _require_supported(rho: DensityOperator, ref: ReferenceSet) -> None:
     q = reference_overlap(rho, ref)
-    if q < 1.0 - leak_tol:
+    if q < 1.0 - DEFAULT_LEAK_TOL:
         raise LeakageError(1.0 - q)
 
 
-def relative_to_reference(
-    rho: DensityOperator, ref: ReferenceSet, leak_tol: float = DEFAULT_LEAK_TOL
-) -> EntropyValue:
+def relative_to_reference(rho: DensityOperator, ref: ReferenceSet) -> EntropyValue:
     """D(rho || sigma_R) = log2 d_R - S(rho) for a reference-supported state.
 
     States leaking outside the subspace are rejected (the divergence would
     diverge); use project_renormalize or leakage_adjusted_divergence instead.
     """
-    _require_supported(rho, ref, leak_tol)
+    _require_supported(rho, ref)
     return EntropyValue(max(0.0, math.log2(ref.d_r) - von_neumann(rho).bits))
 
 
-def max_relative_to_reference(
-    rho: DensityOperator, ref: ReferenceSet, leak_tol: float = DEFAULT_LEAK_TOL
-) -> EntropyValue:
+def max_relative_to_reference(rho: DensityOperator, ref: ReferenceSet) -> EntropyValue:
     """D_max(rho || sigma_R) = log2 d_R - H_min(rho)."""
-    _require_supported(rho, ref, leak_tol)
+    _require_supported(rho, ref)
     return EntropyValue(max(0.0, math.log2(ref.d_r) - min_entropy(rho).bits))
 
 
 def hypothesis_testing_divergence(
-    rho: DensityOperator,
-    ref: ReferenceSet,
-    eta: float,
-    leak_tol: float = DEFAULT_LEAK_TOL,
+    rho: DensityOperator, ref: ReferenceSet, eta: float
 ) -> EntropyValue:
     """D_H^eta(rho || sigma_R) by exact Neyman-Pearson waterfilling.
 
@@ -138,7 +132,7 @@ def hypothesis_testing_divergence(
     """
     if not 0.0 < eta < 1.0:
         raise ValidationError(f"eta {eta} must be in (0,1)")
-    _require_supported(rho, ref, leak_tol)
+    _require_supported(rho, ref)
     w = _clipped_eigenvalues(rho)[: ref.d_r]
     budget = eta * ref.d_r
     k = int(math.floor(budget))
@@ -226,15 +220,13 @@ class PurityCeiling:
     direction: str = "upper"
 
 
-def purity_upper_bound(
-    rho: DensityOperator, ref: ReferenceSet, leak_tol: float = DEFAULT_LEAK_TOL
-) -> PurityCeiling:
+def purity_upper_bound(rho: DensityOperator, ref: ReferenceSet) -> PurityCeiling:
     """(log2 d_R + log2 Tr rho^2) / log2 Gamma_R, an upper bound only.
 
     Purity caps the entropy from below, so it can only cap complexity from
     above; the result is typed as a ceiling so lower-bound reports refuse it.
     """
-    _require_supported(rho, ref, leak_tol)
+    _require_supported(rho, ref)
     p = rho.purity()
     value = (math.log2(ref.d_r) + math.log2(p)) / ref.log2_gamma
     return PurityCeiling(max(0.0, value), p)

@@ -48,6 +48,9 @@ COVERAGE_SCHEMA = "rcc-coverage/1"
 # label of the dephase outcome I - Pi_R; a shot on it is a sampling error
 _LEAK = None
 
+# units a report can display its exact complexity in
+_UNITS = ("bits", "nats", "structons")
+
 
 def stream(seed: int, *key: int) -> np.random.Generator:
     """Philox stream for (master seed, spawn key); same key, same bits."""
@@ -227,15 +230,14 @@ def protocol_ground_truth(
     protocol: str,
     eta: float = 0.25,
     witness_rank: int = 1,
-    witness_projector=None,
 ) -> float:
     """The exact value (in bits) that a protocol's certified bound targets."""
     if protocol == "hypothesis_test":
         return hypothesis_testing_divergence(rho, ref, eta).bits
     if protocol == "witness":
-        proj, rank = _witness_projector(rho, ref, witness_rank, witness_projector)
+        proj = default_witness_projector(rho, ref, witness_rank)
         p = float(np.trace(proj @ rho.matrix).real)
-        return max(0.0, math.log2(max(p, 1e-300) * ref.d_r / rank))
+        return max(0.0, math.log2(max(p, 1e-300) * ref.d_r / witness_rank))
     if protocol == "dephase":
         p = _support_probabilities(rho, ref)
         return max(0.0, math.log2(ref.d_r) - shannon(p / p.sum()).bits)
@@ -264,7 +266,6 @@ class RunConfig:
     test_calibration: float = 0.5
     method: str = "lambert"
     unit: str = "structons"
-    leak_tol: float = 1e-9
     echo: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -278,7 +279,7 @@ class RunConfig:
             raise ValidationError(f"unknown protocols {bad}")
         if not self.protocols:
             raise ValidationError("at least one protocol is required")
-        if self.unit not in ("bits", "nats", "structons"):
+        if self.unit not in _UNITS:
             raise ValidationError(f"unknown unit {self.unit!r}")
         if self.state is None:
             needs_state = "exact" in self.protocols or any(
@@ -393,13 +394,13 @@ def pipeline(config: RunConfig) -> dict:
     }
     if "exact" in config.protocols:
         with _Stage("exact"):
-            d_bits = relative_to_reference(rho, ref, leak_tol=config.leak_tol).bits
+            d_bits = relative_to_reference(rho, ref).bits
             skew_bits = spectral_skew(rho).bits
             bb = bound_from_divergence(
                 d_bits, ref, config.epsilon, constants=config.constants,
                 spectral_bits=skew_bits, method=config.method,
             )
-            value_structons = rcc(rho, ref, leak_tol=config.leak_tol)
+            value_structons = rcc(rho, ref)
             display = {
                 "bits": d_bits,
                 "nats": d_bits * math.log(2.0),

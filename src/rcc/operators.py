@@ -17,8 +17,8 @@ from .errors import CompleteLeakageError, ValidationError
 HERMITICITY_TOL = 1e-12
 PROJECTOR_TOL = 1e-10
 DENSITY_TOL = 1e-10
-# Eigenvalues in [-EIG_CLIP, 0) are numerical PSD drift and count as 0.
-EIG_CLIP = 1e-10
+# Diagonal mass above this marks a basis index as carrying support.
+_SUPPORT_TOL = 1e-9
 
 
 def _as_matrix(obj) -> np.ndarray:
@@ -31,7 +31,7 @@ def _as_matrix(obj) -> np.ndarray:
     return m
 
 
-def check_hermitian(matrix: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
+def check_hermitian(matrix: np.ndarray) -> np.ndarray:
     """Validate finiteness and Hermiticity entrywise; returns the matrix unchanged.
 
     Non-finite entries are rejected first: every comparison with NaN is
@@ -40,15 +40,16 @@ def check_hermitian(matrix: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndar
     if not np.isfinite(matrix).all():
         raise ValidationError("matrix has non-finite entries (NaN or inf)")
     asym = np.abs(matrix - matrix.conj().T).max() if matrix.size else 0.0
-    if asym > tol:
+    if asym > HERMITICITY_TOL:
         raise ValidationError(
-            f"matrix is not Hermitian: max asymmetry {asym:.3e} exceeds {tol:.0e}"
+            f"matrix is not Hermitian: max asymmetry {asym:.3e} exceeds {HERMITICITY_TOL:.0e}"
         )
     return matrix
 
 
 def _is_diagonal(matrix: np.ndarray) -> bool:
-    return np.count_nonzero(matrix - np.diag(np.diagonal(matrix))) == 0
+    # every nonzero entry sits on the diagonal; no d x d temporary is built
+    return np.count_nonzero(matrix) == np.count_nonzero(np.diagonal(matrix))
 
 
 def eigvals_hermitian(matrix) -> np.ndarray:
@@ -157,23 +158,25 @@ class DensityOperator:
         return float(np.trace(self.matrix @ self.matrix).real)
 
 
-def validate_density(matrix, tol: float = DENSITY_TOL) -> DensityOperator:
+def validate_density(matrix) -> DensityOperator:
     """Accept a matrix as a density operator, repairing tolerable PSD drift.
 
-    Rejects when the trace deviates from 1 by more than `tol` or an
-    eigenvalue is below -tol. Eigenvalues in [-tol, 0) are clipped to zero
-    and the spectrum renormalized; the result is flagged `clipped`. The
-    result carries the spectrum of this one eigensolve (the repaired one
-    when clipped), so no later functional solves for it again.
+    Rejects when the trace deviates from 1 by more than DENSITY_TOL or an
+    eigenvalue is below -DENSITY_TOL. Eigenvalues in [-DENSITY_TOL, 0) are
+    clipped to zero and the spectrum renormalized; the result is flagged
+    `clipped`. The result carries the spectrum of this one eigensolve (the
+    repaired one when clipped), so no later functional solves for it again.
     """
     m = check_hermitian(_as_matrix(matrix))
     tr = float(np.trace(m).real)
-    if abs(tr - 1.0) > tol:
-        raise ValidationError(f"trace deviation |{tr} - 1| = {abs(tr - 1.0):.3e} > {tol:.0e}")
+    if abs(tr - 1.0) > DENSITY_TOL:
+        raise ValidationError(
+            f"trace deviation |{tr} - 1| = {abs(tr - 1.0):.3e} > {DENSITY_TOL:.0e}"
+        )
     dec = _eigh(m)
     wmin = float(dec.eigenvalues.min())
-    if wmin < -tol:
-        raise ValidationError(f"eigenvalue {wmin:.3e} below -{tol:.0e}; not PSD")
+    if wmin < -DENSITY_TOL:
+        raise ValidationError(f"eigenvalue {wmin:.3e} below -{DENSITY_TOL:.0e}; not PSD")
     w = dec.eigenvalues
     if wmin < 0.0:
         w = np.clip(w, 0.0, None)
@@ -259,18 +262,18 @@ class BlockPartition:
         return lab
 
 
-def support_indices(rho: DensityOperator, tol: float = 1e-12) -> np.ndarray:
-    """Basis indices carrying diagonal mass above tol."""
-    return np.flatnonzero(np.diagonal(rho.matrix).real > tol)
+def support_indices(rho: DensityOperator) -> np.ndarray:
+    """Basis indices carrying diagonal mass above _SUPPORT_TOL."""
+    return np.flatnonzero(np.diagonal(rho.matrix).real > _SUPPORT_TOL)
 
 
-def pinch(rho: DensityOperator, partition: BlockPartition, tol: float = 1e-9) -> DensityOperator:
+def pinch(rho: DensityOperator, partition: BlockPartition) -> DensityOperator:
     """Erase coherences between blocks: sum_i P_i rho P_i.
 
     Indices not covered by the partition must carry no support (they are
     kept as implicit singletons, so the trace is preserved exactly).
     """
-    supp = support_indices(rho, tol)
+    supp = support_indices(rho)
     missing = set(supp.tolist()) - set(partition.covered)
     if missing:
         raise ValidationError(

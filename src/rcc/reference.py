@@ -33,18 +33,21 @@ class ReferenceSet:
     """Commuting projector family with its bandwidth parameters.
 
     The implied reference state sigma_R = total/d_R is represented by
-    (total, d_R) and materialized on demand by `sigma_matrix`.
+    the total projector, of rank d_R, and materialized on demand by
+    `sigma_matrix`.
     """
 
-    projectors: tuple[Projector, ...]
     total: Projector
-    d_r: int
     g: int
     addressable_units: int
 
     @property
     def dim(self) -> int:
         return self.total.dim
+
+    @property
+    def d_r(self) -> int:
+        return self.total.rank
 
     @property
     def gamma(self) -> int:
@@ -71,12 +74,12 @@ class ReferenceSet:
         """
         return self._support_basis
 
-    def contains(self, other: "ReferenceSet", tol: float = COMMUTATOR_TOL) -> bool:
+    def contains(self, other: "ReferenceSet") -> bool:
         """True when the other subspace sits inside this one."""
         if other.dim != self.dim:
             return False
         pa, pb = self.total.matrix, other.total.matrix
-        return bool(np.linalg.norm(pa @ pb - pb) <= tol)
+        return bool(np.linalg.norm(pa @ pb - pb) <= COMMUTATOR_TOL)
 
 
 def _check_bandwidth(g: int, addressable_units: int) -> None:
@@ -109,8 +112,8 @@ def build_reference(projectors, g: int, addressable_units: int) -> ReferenceSet:
             raise ValidationError(
                 f"projectors {i} and {j} do not commute: ||[P_i,P_j]||_F = {comm:.3e}"
             )
-    total = np.eye(dim, dtype=complex)
-    for p in projs:
+    total = projs[0].matrix
+    for p in projs[1:]:
         total = total @ p.matrix
     total = 0.5 * (total + total.conj().T)
     d_r = int(round(float(np.trace(total).real)))
@@ -120,7 +123,7 @@ def build_reference(projectors, g: int, addressable_units: int) -> ReferenceSet:
             "exclusive. Pick one target sector's total projector first and "
             "add finer constraints inside it."
         )
-    return ReferenceSet(projs, Projector(total, rank=d_r), d_r, g, addressable_units)
+    return ReferenceSet(Projector(total, rank=d_r), g, addressable_units)
 
 
 def sector_reference(
@@ -229,18 +232,13 @@ class SmoothedReference:
 
     base: ReferenceSet
     delta: float
-    ambient_dim: int
 
     def __post_init__(self):
         if not 0.0 < self.delta < 1.0:
             raise ValidationError(f"smoothing delta {self.delta} must be in (0,1)")
-        if self.ambient_dim != self.base.dim:
-            raise ValidationError(
-                f"ambient dim {self.ambient_dim} must match the reference dim {self.base.dim}"
-            )
 
     def density_matrix(self) -> np.ndarray:
-        d, d_r = self.ambient_dim, self.base.d_r
+        d, d_r = self.base.dim, self.base.d_r
         pi = self.base.total.matrix
         if d == d_r:
             return self.base.sigma_matrix()
@@ -248,11 +246,9 @@ class SmoothedReference:
         return (1.0 - self.delta) * self.base.sigma_matrix() + self.delta * comp
 
 
-def smooth_reference(ref: ReferenceSet, delta: float, ambient_dim: int) -> SmoothedReference:
-    """Smooth a reference onto the full space; a no-op when d = d_R."""
-    if ambient_dim < ref.d_r:
-        raise ValidationError("ambient_dim must be at least d_R")
-    return SmoothedReference(ref, delta, ambient_dim)
+def smooth_reference(ref: ReferenceSet, delta: float) -> SmoothedReference:
+    """Smooth a reference onto its full space; a no-op when d = d_R."""
+    return SmoothedReference(ref, delta)
 
 
 def misspecification_gap(

@@ -36,6 +36,12 @@ from .records import (  # noqa: F401
 )
 from .reference import ReferenceSet
 
+# Clopper-Pearson endpoints are bisected to this absolute width.
+_BISECT_WIDTH = 1e-10
+# hypothesis_test spends this share of delta on the type-I endpoint and the
+# rest on the type-II endpoint.
+_HT_DELTA_SPLIT = 0.5
+
 
 @dataclass(frozen=True)
 class CertifiedBound:
@@ -76,12 +82,13 @@ def _binom_cdf(k: int, n: int, p: float) -> float:
     return float(betainc(n - k, k + 1, 1.0 - p))
 
 
-def _bisect(f, lo: float, hi: float, tol: float = 1e-10) -> float:
-    """Root of a monotone bracketed function by plain bisection."""
+def _bisect(f, lo: float, hi: float) -> float:
+    """Root of a monotone bracketed function by plain bisection, to an
+    absolute bracket width of _BISECT_WIDTH."""
     flo = f(lo)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if hi - lo <= tol:
+        if hi - lo <= _BISECT_WIDTH:
             return mid
         if (f(mid) > 0) == (flo > 0):
             lo = mid
@@ -106,19 +113,15 @@ def clopper_pearson_lower(k: int, n: int, delta: float) -> float:
     return _bisect(lambda p: (1.0 - _binom_cdf(k - 1, n, p)) - delta, 0.0, 1.0)
 
 
-def ht_protocol(
-    record: MeasurementRecord,
-    eta: float,
-    delta: float,
-    delta_split: float = 0.5,
-) -> CertifiedBound:
+def ht_protocol(record: MeasurementRecord, eta: float, delta: float) -> CertifiedBound:
     """Hypothesis-testing certification at total confidence 1 - delta.
 
     The record holds decision counts from a null-calibration run (state was
     the structured vacuum) and an alternative run (state was rho); see
-    HT_LABELS. The type-I endpoint alpha_U(delta_split * delta) must stay
-    within eta, otherwise the run cannot certify at level eta; the returned
-    value is -log2 of the type-II upper endpoint at the remaining budget.
+    HT_LABELS. The type-I endpoint alpha_U(_HT_DELTA_SPLIT * delta) must
+    stay within eta, otherwise the run cannot certify at level eta; the
+    returned value is -log2 of the type-II upper endpoint at the remaining
+    budget.
     """
     if record.protocol != "hypothesis_test":
         raise ValidationError(f"record protocol {record.protocol!r} is not hypothesis_test")
@@ -126,8 +129,6 @@ def ht_protocol(
         raise ValidationError(f"eta {eta} must be in (0,1)")
     if not 0.0 < delta < 1.0:
         raise ValidationError(f"delta {delta} must be in (0,1)")
-    if not 0.0 < delta_split < 1.0:
-        raise ValidationError("delta_split must be in (0,1)")
     missing = [lab for lab in HT_LABELS if lab not in record.counts]
     if missing:
         raise ValidationError(f"hypothesis_test record is missing counts {missing}")
@@ -135,8 +136,8 @@ def ht_protocol(
     n_alt = record.counts["alt_accept_h1"] + record.counts["alt_accept_h0"]
     if n_null == 0 or n_alt == 0:
         raise ValidationError("both the null and alternative runs need samples")
-    delta_alpha = delta * delta_split
-    delta_beta = delta * (1.0 - delta_split)
+    delta_alpha = delta * _HT_DELTA_SPLIT
+    delta_beta = delta * (1.0 - _HT_DELTA_SPLIT)
     alpha_upper = clopper_pearson_upper(record.counts["null_accept_h1"], n_null, delta_alpha)
     if alpha_upper > eta:
         raise ProtocolInvalidError(
@@ -155,7 +156,7 @@ def ht_protocol(
         params={
             "eta": eta,
             "delta": delta,
-            "delta_split": delta_split,
+            "delta_split": _HT_DELTA_SPLIT,
             "alpha_upper": alpha_upper,
             "beta_upper": beta_upper,
             "n_null": n_null,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import von_neumann
+from .entropy import binary_entropy, shannon, von_neumann
 from .errors import ValidationError
 from .operators import BlockPartition, DensityOperator, pinch
 from .reference import ReferenceSet
@@ -127,11 +127,13 @@ def windowed_pinching_bound(probabilities, ranks, ref: ReferenceSet) -> float:
         raise ValidationError("probabilities and ranks must be matching 1-d arrays")
     if (r < 1).any():
         raise ValidationError("ranks must be >= 1")
+    # the sum is checked before shannon's own checks, so a vector that is
+    # both unnormalised and negative is reported as unnormalised
     if abs(p.sum() - 1.0) > 1e-9:
         raise ValidationError(f"probabilities sum to {p.sum()!r}, not 1")
+    h_nats = shannon(p).nats
     p = np.clip(p, 0.0, None)
     pos = p > 0.0
-    h_nats = float(-(p[pos] * np.log(p[pos])).sum())
     rank_term = float((p[pos] * np.log(r[pos])).sum())
     value = (math.log(ref.d_r) - h_nats - rank_term) / math.log(ref.gamma)
     return max(0.0, value)
@@ -276,9 +278,7 @@ def window_leakage_error(p_leak: float, d_r: int, gamma_r: float) -> float:
     if gamma_r <= 1:
         raise ValidationError("gamma_r must exceed 1")
     delta = min(1.0, 2.0 * p_leak + 2.0 * math.sqrt(p_leak * (1.0 - p_leak)))
-    h2_nats = 0.0
-    if 0.0 < delta < 1.0:
-        h2_nats = -delta * math.log(delta) - (1.0 - delta) * math.log(1.0 - delta)
+    h2_nats = binary_entropy(delta).nats
     return (delta * math.log(d_r - 1) + h2_nats) / math.log(gamma_r)
 
 

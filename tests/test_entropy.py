@@ -7,15 +7,19 @@ from hypothesis import given, strategies as st
 from rcc import (
     EntropyValue,
     LeakageError,
+    RunConfig,
     ValidationError,
     bernoulli_kl,
     binary_entropy,
     hypothesis_testing_divergence,
     leakage_adjusted_divergence,
+    main_lower_bound,
     max_relative_to_reference,
     min_entropy,
     pinch,
+    pipeline,
     purity_upper_bound,
+    rcc,
     relative_to_reference,
     shannon,
     spectral_skew,
@@ -114,6 +118,32 @@ class TestRelativeToReference:
             log_sigma = ref.total.matrix * math.log2(1.0 / d_r)
             direct = float(np.trace(rho.matrix @ (log_rho - log_sigma)).real)
             assert closed == pytest.approx(direct, abs=1e-8)
+
+
+# every function that needs a reference-supported state, on (rho, ref)
+_SUPPORT_CHECKED = {
+    "relative_to_reference": relative_to_reference,
+    "max_relative_to_reference": max_relative_to_reference,
+    "hypothesis_testing_divergence": lambda rho, ref: hypothesis_testing_divergence(
+        rho, ref, 0.25
+    ),
+    "purity_upper_bound": purity_upper_bound,
+    "rcc": rcc,
+    "main_lower_bound": lambda rho, ref: main_lower_bound(rho, ref, 0.01),
+    "pipeline": lambda rho, ref: pipeline(RunConfig(state=rho, reference=ref)),
+}
+
+
+@pytest.mark.parametrize("name", list(_SUPPORT_CHECKED))
+def test_one_leakage_tolerance_decides_everywhere(name):
+    """Mass 5e-10 outside the subspace is accepted and 2e-9 is rejected."""
+    ref = embedded_reference(2, 4)
+    check = _SUPPORT_CHECKED[name]
+    check(diag_state(0.5 - 2.5e-10, 0.5 - 2.5e-10, 5e-10, 0.0), ref)
+    with pytest.raises(LeakageError) as err:
+        check(diag_state(0.5 - 1e-9, 0.5 - 1e-9, 2e-9, 0.0), ref)
+    prefix = "stage 'exact': " if name == "pipeline" else ""
+    assert str(err.value).startswith(f"{prefix}support leakage 2.000e-09 outside")
 
 
 class TestMaxRelative:
@@ -336,7 +366,7 @@ class TestExplicitTestBound:
         from rcc import explicit_test_divergence_bound, smooth_reference
 
         ref = embedded_reference(2, 4)
-        smoothed = smooth_reference(ref, 0.02, 4)
+        smoothed = smooth_reference(ref, 0.02)
         rho = diag_state(0.9, 0.08, 0.02, 0.0)
         t = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
         alpha = float(np.trace(t @ smoothed.density_matrix()).real)

@@ -53,6 +53,30 @@ class TestEigHermitian:
             eig_hermitian(bad)
 
 
+class TestIsDiagonal:
+    @pytest.mark.parametrize("tiny", [1e-300, 1e-300j, 5e-324])
+    def test_tiny_off_diagonal_entry_is_off_diagonal(self, tiny):
+        m = np.eye(3, dtype=complex)
+        m[0, 2] = tiny
+        assert not operators._is_diagonal(m)
+
+    def test_negative_zero_off_diagonal_is_zero(self):
+        m = np.diag([0.5, 0.0, 0.5]).astype(complex)
+        m[0, 1] = complex(-0.0, -0.0)
+        m[2, 0] = complex(-0.0, 0.0)
+        assert operators._is_diagonal(m)
+
+    def test_matches_subtracting_the_diagonal(self, rng):
+        for _ in range(500):
+            d = int(rng.integers(1, 9))
+            values = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            m = np.where(rng.random((d, d)) < rng.choice([0.0, 0.02, 0.2]), values, 0.0)
+            m[np.diag_indices(d)] = np.where(rng.random(d) < 0.3, 0.0, np.diagonal(values))
+            assert operators._is_diagonal(m) == (
+                np.count_nonzero(m - np.diag(np.diagonal(m))) == 0
+            )
+
+
 class TestValidateDensity:
     def test_accepts_balanced(self):
         rho = validate_density(np.diag([0.5, 0.5]))

@@ -116,26 +116,26 @@ class TestBlockReference:
 class TestSmoothedReference:
     def test_eigenvalue_split(self):
         ref = embedded_reference(2, 4)
-        sm = smooth_reference(ref, 0.01, 4)
+        sm = smooth_reference(ref, 0.01)
         w = np.sort(np.linalg.eigvalsh(sm.density_matrix()))[::-1]
         assert np.allclose(w, [0.495, 0.495, 0.005, 0.005], atol=1e-12)
 
     def test_full_subspace_is_noop(self):
         ref = embedded_reference(4, 4)
-        sm = smooth_reference(ref, 0.3, 4)
+        sm = smooth_reference(ref, 0.3)
         assert np.allclose(sm.density_matrix(), ref.sigma_matrix())
 
     def test_small_delta_limit(self):
         ref = embedded_reference(2, 4)
         for delta in (1e-6, 1e-9, 1e-12):
-            sm = smooth_reference(ref, delta, 4)
+            sm = smooth_reference(ref, delta)
             padded = np.zeros((4, 4), dtype=complex)
             padded[:2, :2] = np.eye(2) / 2
             assert np.abs(sm.density_matrix() - padded).max() <= delta
 
     def test_full_rank_iff_smoothed(self):
         ref = embedded_reference(2, 4)
-        sm = smooth_reference(ref, 0.05, 4)
+        sm = smooth_reference(ref, 0.05)
         w = np.linalg.eigvalsh(sm.density_matrix())
         assert w.min() > 0
         assert abs(np.trace(sm.density_matrix()).real - 1.0) < 1e-12
@@ -143,7 +143,7 @@ class TestSmoothedReference:
     def test_delta_out_of_range(self):
         ref = embedded_reference(2, 4)
         with pytest.raises(ValidationError):
-            smooth_reference(ref, 1.5, 4)
+            smooth_reference(ref, 1.5)
 
 
 class TestMisspecificationGap:

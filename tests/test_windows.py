@@ -193,6 +193,11 @@ class TestWindowedPinchingBound:
         with pytest.raises(ValidationError):
             windowed_pinching_bound([0.5, 0.25], [1, 1], ref)
 
+    def test_negative_probability_rejected(self):
+        ref = full_reference(2)
+        with pytest.raises(ValidationError, match="negative probability entry"):
+            windowed_pinching_bound([1.5, -0.5], [1, 1], ref)
+
 
 class TestThermo:
     def test_potential_direct(self):
