@@ -86,7 +86,10 @@ def _thermo_constants(path: str | None) -> tuple[float, float]:
     if path is None:
         return 1.0, 1.0
     cfg = io._read_json(path)
-    return float(cfg.get("hbar", 1.0)), float(cfg.get("k_b", 1.0))
+    try:
+        return float(cfg.get("hbar", 1.0)), float(cfg.get("k_b", 1.0))
+    except Exception as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 state_opt = click.option("--state", "state_path", type=click.Path(), help="State file (JSON).")

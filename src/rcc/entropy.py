@@ -19,12 +19,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LeakageError, ValidationError
-from .operators import DensityOperator, project_renormalize
+from .operators import EFFECT_TOL, DensityOperator, project_renormalize
 from .reference import ReferenceSet
 
 LN2 = math.log(2.0)
 # Mass outside the reference subspace above this rejects a state.
 DEFAULT_LEAK_TOL = 1e-9
+# A probability vector may sum to 1 within this, and its entries may dip
+# below 0 by _NEGATIVE_PROB_TOL.
+PROBABILITY_TOL = 1e-9
+_NEGATIVE_PROB_TOL = 1e-12
+# An explicit test's type-I error may exceed eta by this rounding slack.
+_TYPE_I_SLACK = 1e-12
 
 BITS = "bits"
 NATS = "nats"
@@ -161,10 +167,10 @@ def explicit_test_divergence_bound(
     sigma = np.asarray(sigma_matrix, dtype=complex)
     t = np.asarray(test_matrix, dtype=complex)
     w = np.linalg.eigvalsh(0.5 * (t + t.conj().T))
-    if w.min() < -1e-9 or w.max() > 1.0 + 1e-9:
+    if w.min() < -EFFECT_TOL or w.max() > 1.0 + EFFECT_TOL:
         raise ValidationError("test operator must satisfy 0 <= T <= I")
     alpha = float(np.trace(t @ sigma).real)
-    if alpha > eta + 1e-12:
+    if alpha > eta + _TYPE_I_SLACK:
         raise ValidationError(
             f"test has type-I error {alpha:.6f} above the allowed eta = {eta}"
         )
@@ -179,9 +185,9 @@ def shannon(probabilities) -> EntropyValue:
     p = np.asarray(probabilities, dtype=float)
     if p.ndim != 1 or p.size == 0:
         raise ValidationError("probability vector must be 1-d and nonempty")
-    if (p < -1e-12).any():
+    if (p < -_NEGATIVE_PROB_TOL).any():
         raise ValidationError("negative probability entry")
-    if abs(p.sum() - 1.0) > 1e-9:
+    if abs(p.sum() - 1.0) > PROBABILITY_TOL:
         raise ValidationError(f"probabilities sum to {p.sum()!r}, not 1")
     return EntropyValue(_entropy_bits(np.clip(p, 0.0, None)))
 

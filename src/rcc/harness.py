@@ -34,7 +34,7 @@ from .entropy import (
     von_neumann,
 )
 from .errors import RccError, ValidationError
-from .operators import DensityOperator, eig_hermitian
+from .operators import EFFECT_TOL, DensityOperator, eig_hermitian
 from .reference import ReferenceSet
 from .records import HT_LABELS, PROTOCOLS, WITNESS_LABELS, MeasurementRecord
 from .windows import WindowFamily, windowed_entropy_bits, windowed_rcc
@@ -50,6 +50,9 @@ _LEAK = None
 
 # units a report can display its exact complexity in
 _UNITS = ("bits", "nats", "structons")
+
+# a coverage trial violates when its bound exceeds the truth by more than this
+_VIOLATION_SLACK = 1e-12
 
 
 def stream(seed: int, *key: int) -> np.random.Generator:
@@ -72,13 +75,13 @@ def _sample(protocol: str, outcomes: tuple, n: int, rng: np.random.Generator) ->
 
 
 def _check_povm(mats: list[np.ndarray], dim: int) -> None:
-    """Reject effects that are not PSD or do not sum to the identity within 1e-9."""
+    """Reject effects that are not PSD or do not sum to the identity within EFFECT_TOL."""
     total = sum(mats)
-    if np.abs(total - np.eye(dim)).max() > 1e-9:
+    if np.abs(total - np.eye(dim)).max() > EFFECT_TOL:
         raise ValidationError("effects do not sum to the identity; not a POVM")
     for i, e in enumerate(mats):
         wmin = float(np.linalg.eigvalsh(0.5 * (e + e.conj().T)).min())
-        if wmin < -1e-9:
+        if wmin < -EFFECT_TOL:
             raise ValidationError(f"effect {i} has negative eigenvalue {wmin:.3e}; not a POVM")
 
 
@@ -101,7 +104,7 @@ def born_sample(
 ) -> MeasurementRecord:
     """Sample n outcomes of a POVM on rho; deterministic given the seed.
 
-    Effects must each be PSD and sum to the identity within 1e-9.
+    Effects must each be PSD and sum to the identity within EFFECT_TOL.
     """
     mats = [np.asarray(e, dtype=complex) for e in effects]
     _check_povm(mats, rho.dim)
@@ -486,7 +489,7 @@ def coverage_experiment(config: RunConfig, trials: int) -> dict:
             except RccError:
                 invalid += 1
                 continue
-            if bound.value > truth + 1e-12:
+            if bound.value > truth + _VIOLATION_SLACK:
                 violations += 1
         results[proto] = {
             "trials": trials,

@@ -8,6 +8,7 @@ never depend on a JSON dialect.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import os
@@ -17,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigError, ValidationError
 from .operators import DensityOperator, validate_density
-from .records import MeasurementRecord
+from .records import MeasurementRecord, _is_integer
 from .reference import (
     ReferenceSet,
     block_reference,
@@ -50,30 +51,42 @@ def _read_json(path) -> dict:
             return json.load(fh)
     except FileNotFoundError as exc:
         raise ConfigError(f"file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON or bytes that are not UTF-8
         raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror}") from exc
 
 
-def _matrix_from_payload(payload: dict, where: str) -> np.ndarray:
-    try:
-        dim = int(payload["dim"])
-        re = payload["re"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: expected keys 'dim' and 're'") from exc
-    im = payload.get("im")
-    if im is None:
-        im = [[0.0] * dim for _ in range(dim)]
-    for name, rows in (("re", re), ("im", im)):
-        if len(rows) != dim or any(
-            not isinstance(r, (list, tuple)) or len(r) != dim for r in rows
-        ):
-            raise ConfigError(f"{where}: '{name}' must be a {dim}x{dim} array")
+def _matrix_from_payload(payload, where: str) -> np.ndarray:
+    """The complex matrix of a {'dim', 're', 'im'} payload.
+
+    The dimension is checked against the cap before anything of that size
+    is built, and every entry must be a JSON number (not a bool or string).
+    """
+    if not isinstance(payload, dict) or "dim" not in payload or "re" not in payload:
+        raise ConfigError(f"{where}: expected keys 'dim' and 're'")
+    dim = payload["dim"]
+    if not _is_integer(dim) or dim < 1:
+        raise ConfigError(f"{where}: 'dim' must be a positive integer, got {dim!r}")
     if dim > dim_cap():
         raise ConfigError(
             f"{where}: dim {dim} exceeds the cap {dim_cap()} "
             f"(override with {DIM_CAP_ENV})"
         )
-    return np.array(re, dtype=float) + 1j * np.array(im, dtype=float)
+    parts = []
+    for name in ("re", "im"):
+        rows = payload.get(name)
+        if rows is None and name == "im":
+            parts.append(0.0)
+            continue
+        if not isinstance(rows, list) or len(rows) != dim or any(
+            not isinstance(r, list) or len(r) != dim for r in rows
+        ):
+            raise ConfigError(f"{where}: '{name}' must be a {dim}x{dim} array")
+        if not set(map(type, itertools.chain.from_iterable(rows))) <= {int, float}:
+            raise ConfigError(f"{where}: '{name}' entries must be numbers")
+        parts.append(np.array(rows, dtype=float))
+    return parts[0] + 1j * parts[1]
 
 
 def matrix_to_payload(matrix: np.ndarray) -> dict:
@@ -99,16 +112,20 @@ def dump_state(rho: DensityOperator, path) -> None:
     write_json(matrix_to_payload(rho.matrix), path)
 
 
+def _integer(cfg: dict, key: str, where: str) -> int:
+    value = cfg[key]
+    if not _is_integer(value):
+        raise ConfigError(f"{where}: {key!r} must be an integer, got {value!r}")
+    return value
+
+
 def reference_from_config(cfg: dict, where: str = "reference config") -> ReferenceSet:
     """Build a reference set from its JSON description."""
-    try:
-        kind = cfg["type"]
-        g = int(cfg["g"])
-        units = int(cfg["addressable_units"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(
-            f"{where}: expected keys 'type', 'g', 'addressable_units'"
-        ) from exc
+    if not isinstance(cfg, dict) or not {"type", "g", "addressable_units"} <= cfg.keys():
+        raise ConfigError(f"{where}: expected keys 'type', 'g', 'addressable_units'")
+    kind = cfg["type"]
+    g = _integer(cfg, "g", where)
+    units = _integer(cfg, "addressable_units", where)
     try:
         if kind == "projectors":
             mats = [
@@ -118,12 +135,22 @@ def reference_from_config(cfg: dict, where: str = "reference config") -> Referen
             return build_reference(mats, g, units)
         if kind == "sector":
             return sector_reference(
-                int(cfg["n_qubits"]), int(cfg["hamming_weight"]), g, units
+                _integer(cfg, "n_qubits", where),
+                _integer(cfg, "hamming_weight", where),
+                g,
+                units,
             )
         if kind == "stabilizer":
-            return stabilizer_reference(int(cfg["n_qubits"]), cfg["generators"], g, units)
+            return stabilizer_reference(
+                _integer(cfg, "n_qubits", where), cfg["generators"], g, units
+            )
         if kind == "blocks":
-            return block_reference(cfg["blocks"], g, units)
+            blocks = cfg["blocks"]
+            if not isinstance(blocks, list) or not all(
+                isinstance(b, list) and all(map(_is_integer, b)) for b in blocks
+            ):
+                raise ConfigError(f"{where}: 'blocks' must be a list of lists of integers")
+            return block_reference(blocks, g, units)
     except ConfigError:
         raise
     except KeyError as exc:
@@ -222,6 +249,8 @@ def load_trace_csv(path) -> ProcessTrace:
         raise ConfigError(f"file not found: {path}") from exc
     except ValueError as exc:
         raise ConfigError(f"{path}: bad numeric value: {exc}") from exc
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror}") from exc
     if len(rows) < 2:
         raise ConfigError(f"{path}: a trace needs at least 2 rows")
     cols = list(zip(*rows))

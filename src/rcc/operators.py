@@ -19,6 +19,13 @@ PROJECTOR_TOL = 1e-10
 DENSITY_TOL = 1e-10
 # Diagonal mass above this marks a basis index as carrying support.
 _SUPPORT_TOL = 1e-9
+# A projector's trace may differ from its integer rank by this much.
+_RANK_TOL = 1e-8
+# Retained mass Tr(P rho) at or below this is complete leakage.
+_COMPLETE_LEAK_TOL = 1e-14
+# Supplied measurement operators (POVM effects, tests, witness projectors):
+# completeness, 0 <= E <= I and support are checked to this tolerance.
+EFFECT_TOL = 1e-9
 
 
 def _as_matrix(obj) -> np.ndarray:
@@ -69,6 +76,12 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _with_spectrum(rho: "DensityOperator", w: np.ndarray) -> "DensityOperator":
+    """rho carrying w as its cached spectrum, so no functional solves for it."""
+    rho.__dict__["spectrum"] = _read_only(w)
+    return rho
+
+
 @dataclass(frozen=True)
 class HermitianOperator:
     """A validated dim x dim Hermitian matrix."""
@@ -102,11 +115,7 @@ def eig_hermitian(operator) -> SpectralDecomposition:
 
     Raises ValidationError (naming the max asymmetry) for non-Hermitian input.
     """
-    return _eigh(check_hermitian(_as_matrix(operator)))
-
-
-def _eigh(m: np.ndarray) -> SpectralDecomposition:
-    """eig_hermitian of a matrix already checked by check_hermitian."""
+    m = check_hermitian(_as_matrix(operator))
     if _is_diagonal(m):
         d = m.diagonal().real
         order = np.argsort(-d, kind="stable")
@@ -115,9 +124,18 @@ def _eigh(m: np.ndarray) -> SpectralDecomposition:
     return SpectralDecomposition(w[::-1], v[:, ::-1])
 
 
+def _check_psd(w: np.ndarray, tol: float = DENSITY_TOL) -> np.ndarray:
+    """Reject a spectrum with an eigenvalue below -tol; returns it unchanged."""
+    wmin = float(w.min())
+    if wmin < -tol:
+        raise ValidationError(f"eigenvalue {wmin:.3e} below -{tol:.0e}; not PSD")
+    return w
+
+
 @dataclass(frozen=True)
 class DensityOperator:
-    """Unit-trace PSD Hermitian matrix; `clipped` marks spectra repaired on load.
+    """Unit-trace PSD Hermitian matrix; `clipped` marks a state whose spectrum
+    was repaired on load while its matrix was kept as given.
 
     The spectrum is computed at most once per state and cached, so the
     matrix must not be mutated after construction.
@@ -147,9 +165,10 @@ class DensityOperator:
         """Eigenvalues, descending and read-only.
 
         States from `validate_density` carry the spectrum of its single
-        eigensolve; any other state solves for it on first use.
+        eigensolve; any other state solves for it on first use and is
+        rejected there if an eigenvalue is below -DENSITY_TOL.
         """
-        return _read_only(eigvals_hermitian(self.matrix))
+        return _read_only(_check_psd(eigvals_hermitian(self.matrix)))
 
     def eigenvalues(self) -> np.ndarray:
         return self.spectrum
@@ -162,10 +181,11 @@ def validate_density(matrix) -> DensityOperator:
     """Accept a matrix as a density operator, repairing tolerable PSD drift.
 
     Rejects when the trace deviates from 1 by more than DENSITY_TOL or an
-    eigenvalue is below -DENSITY_TOL. Eigenvalues in [-DENSITY_TOL, 0) are
-    clipped to zero and the spectrum renormalized; the result is flagged
-    `clipped`. The result carries the spectrum of this one eigensolve (the
-    repaired one when clipped), so no later functional solves for it again.
+    eigenvalue is below -DENSITY_TOL. The check is one eigenvalue solve, and
+    the result carries its spectrum, so no later functional solves again.
+    Eigenvalues in [-DENSITY_TOL, 0) are clipped to zero and the spectrum
+    renormalized; the result is flagged `clipped` and keeps the matrix as
+    given, which its consumers read with the drift clipped.
     """
     m = check_hermitian(_as_matrix(matrix))
     tr = float(np.trace(m).real)
@@ -173,20 +193,12 @@ def validate_density(matrix) -> DensityOperator:
         raise ValidationError(
             f"trace deviation |{tr} - 1| = {abs(tr - 1.0):.3e} > {DENSITY_TOL:.0e}"
         )
-    dec = _eigh(m)
-    wmin = float(dec.eigenvalues.min())
-    if wmin < -DENSITY_TOL:
-        raise ValidationError(f"eigenvalue {wmin:.3e} below -{DENSITY_TOL:.0e}; not PSD")
-    w = dec.eigenvalues
-    if wmin < 0.0:
+    w = _check_psd(eigvals_hermitian(m))
+    clipped = bool(w.min() < 0.0)
+    if clipped:
         w = np.clip(w, 0.0, None)
         w = w / w.sum()
-        v = dec.eigenvectors
-        rho = DensityOperator((v * w) @ v.conj().T, clipped=True)
-    else:
-        rho = DensityOperator(m, checked=True)
-    rho.__dict__["spectrum"] = _read_only(w)  # seeds the cached property
-    return rho
+    return _with_spectrum(DensityOperator(m, clipped=clipped, checked=True), w)
 
 
 @dataclass(frozen=True)
@@ -204,7 +216,7 @@ class Projector:
             raise ValidationError(f"not idempotent: ||P^2 - P||_F = {err:.3e}")
         tr = float(np.trace(m).real)
         r = int(round(tr)) if self.rank < 0 else self.rank
-        if abs(tr - r) > 1e-8:
+        if abs(tr - r) > _RANK_TOL:
             raise ValidationError(f"trace {tr!r} is not the integer rank {r}")
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "rank", r)
@@ -294,13 +306,19 @@ def trace_distance(rho: DensityOperator, sigma: DensityOperator) -> float:
 
 def project_renormalize(rho: DensityOperator, proj: Projector) -> tuple[DensityOperator, float]:
     """Project onto the range of `proj` and renormalize; also returns the
-    retained mass q = Tr(P rho)."""
+    retained mass q = Tr(P rho).
+
+    The projected state carries its spectrum. For rho >= -DENSITY_TOL the
+    projection P rho P is >= -DENSITY_TOL on the range of P, so after the
+    division by q its drift is checked against DENSITY_TOL / q.
+    """
     if rho.dim != proj.dim:
         raise ValidationError(f"dimension mismatch: {rho.dim} vs {proj.dim}")
     # P is Hermitian, so Tr(P rho) is the elementwise sum of conj(P) * rho
     q = float(np.vdot(proj.matrix, rho.matrix).real)
-    if q <= 1e-14:
+    if q <= _COMPLETE_LEAK_TOL:
         raise CompleteLeakageError(q)
     out = proj.matrix @ rho.matrix @ proj.matrix / q
     out = 0.5 * (out + out.conj().T)
-    return DensityOperator(out), q
+    w = _check_psd(eigvals_hermitian(out), DENSITY_TOL / q)
+    return _with_spectrum(DensityOperator(out), w), q

@@ -25,6 +25,7 @@ from .bounds import (
 )
 from .entropy import binary_entropy, shannon
 from .errors import ProtocolInvalidError, ValidationError
+from .operators import EFFECT_TOL
 # the record layer, which loads no scipy; re-exported so that callers may
 # import it from either module
 from .records import (  # noqa: F401
@@ -41,6 +42,11 @@ _BISECT_WIDTH = 1e-10
 # hypothesis_test spends this share of delta on the type-I endpoint and the
 # rest on the type-II endpoint.
 _HT_DELTA_SPLIT = 0.5
+# The sample planners subtract this before rounding up, so that a requirement
+# that is an exact integer does not round up to the next one.
+_PLAN_SLACK = 1e-9
+# A combined bound's total failure probability is capped just below 1.
+_COMBINED_DELTA_CAP = 1.0 - 1e-12
 
 
 @dataclass(frozen=True)
@@ -172,8 +178,7 @@ def ht_sample_plan(target_bits: float, delta: float) -> int:
         raise ValidationError("target must be nonnegative")
     if not 0.0 < delta <= 1.0:
         raise ValidationError(f"delta {delta} must be in (0,1]")
-    # the 1e-9 slack keeps exact integer requirements from rounding up
-    return math.ceil(2.0**target_bits * math.log(1.0 / delta) - 1e-9)
+    return math.ceil(2.0**target_bits * math.log(1.0 / delta) - _PLAN_SLACK)
 
 
 def witness_protocol(
@@ -197,7 +202,7 @@ def witness_protocol(
     if projector is not None:
         pw = np.asarray(projector, dtype=complex)
         leak = np.linalg.norm(pw - ref.total.matrix @ pw @ ref.total.matrix)
-        if leak > 1e-9:
+        if leak > EFFECT_TOL:
             raise ValidationError(
                 f"witness projector leaks outside the reference subspace "
                 f"(norm {leak:.3e})"
@@ -241,7 +246,7 @@ def witness_sample_plan(
             f"anticipated occupation p0 = {p0} does not exceed the certification "
             f"threshold p* = {p_star}; the target is unreachable"
         )
-    return math.ceil(math.log(1.0 / delta) / (2.0 * (p0 - p_star) ** 2) - 1e-9)
+    return math.ceil(math.log(1.0 / delta) / (2.0 * (p0 - p_star) ** 2) - _PLAN_SLACK)
 
 
 def dephase_protocol(
@@ -378,7 +383,7 @@ def combine_bounds(
     assert best is not None
     m = len(bounds)
     max_delta = max(1.0 - b.confidence for b in bounds)
-    delta_total = min(1.0 - 1e-12, m * max_delta)
+    delta_total = min(_COMBINED_DELTA_CAP, m * max_delta)
     return CombinedBound(
         value_structons=best[0],
         confidence=1.0 - delta_total,

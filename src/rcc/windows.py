@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import binary_entropy, shannon, von_neumann
+from .entropy import PROBABILITY_TOL, binary_entropy, shannon, von_neumann
 from .errors import ValidationError
 from .operators import BlockPartition, DensityOperator, pinch
 from .reference import ReferenceSet
@@ -129,7 +129,7 @@ def windowed_pinching_bound(probabilities, ranks, ref: ReferenceSet) -> float:
         raise ValidationError("ranks must be >= 1")
     # the sum is checked before shannon's own checks, so a vector that is
     # both unnormalised and negative is reported as unnormalised
-    if abs(p.sum() - 1.0) > 1e-9:
+    if abs(p.sum() - 1.0) > PROBABILITY_TOL:
         raise ValidationError(f"probabilities sum to {p.sum()!r}, not 1")
     h_nats = shannon(p).nats
     p = np.clip(p, 0.0, None)

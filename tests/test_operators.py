@@ -19,6 +19,7 @@ from rcc import (
 from conftest import random_density, random_partition
 
 from oracles import eigenvalues_by_det_bisection
+from test_spectrum import eig_calls, ginibre_matrix  # noqa: F401 (eig_calls is a fixture)
 
 
 class TestEigHermitian:
@@ -128,6 +129,65 @@ class TestValidateDensity:
         rho = validate_density(matrix)
         assert rho.clipped is (rank < 12)
         assert checked.count(True) == 1
+
+
+class TestEigenvaluesOnlyValidation:
+    @pytest.mark.parametrize("rank", [16, 8])
+    def test_one_eigvalsh_and_no_eigh(self, rng, eig_calls, rank):
+        rho = validate_density(ginibre_matrix(rng, 16, rank))
+        assert rho.clipped is (rank < 16)
+        rho.spectrum
+        assert eig_calls == {"eigh": 0, "eigvalsh": 1}
+
+    def test_clipped_state_keeps_the_input_matrix(self, rng):
+        matrix = ginibre_matrix(rng, 16, 8)
+        given = matrix.copy()
+        rho = validate_density(matrix)
+        assert rho.clipped
+        assert np.array_equal(rho.matrix, given)
+
+    @pytest.mark.parametrize("rank", [16, 8, 1])
+    def test_carried_spectrum_describes_the_matrix(self, rng, rank):
+        for _ in range(10):
+            rho = validate_density(ginibre_matrix(rng, 16, rank))
+            w = rho.spectrum
+            assert (w >= 0.0).all()
+            assert abs(w.sum() - 1.0) <= 1e-12
+            drift = np.abs(w - np.linalg.eigvalsh(rho.matrix)[::-1]).max()
+            assert drift <= operators.DENSITY_TOL
+
+
+class TestDirectStatePositivity:
+    def test_negative_spectrum_rejected(self):
+        rho = DensityOperator(np.diag([1.5, -0.5]))
+        with pytest.raises(ValidationError) as info:
+            rho.spectrum
+        assert str(info.value) == "eigenvalue -5.000e-01 below -1e-10; not PSD"
+        with pytest.raises(ValidationError, match="not PSD"):
+            von_neumann(DensityOperator(np.array([[1.5, 0.1], [0.1, -0.5]])))
+
+    def test_drift_within_tolerance_accepted(self):
+        rho = DensityOperator(np.diag([1.0 + 0.5e-10, -0.5e-10]))
+        assert rho.spectrum.min() == -0.5e-10
+        assert von_neumann(rho).bits == pytest.approx(0.0, abs=1e-8)
+
+    def test_projection_tolerates_drift_scaled_by_retained_mass(self):
+        # validated at -0.9 DENSITY_TOL and kept as given; renormalising by
+        # q = 0.5 doubles the drift to -1.8 DENSITY_TOL
+        tol = operators.DENSITY_TOL
+        rho = validate_density(np.diag([0.5 + 0.9 * tol, 0.5, -0.9 * tol]))
+        assert rho.clipped
+        proj = Projector(np.diag([1.0, 0.0, 1.0]).astype(complex))
+        out, q = project_renormalize(rho, proj)
+        assert q == pytest.approx(0.5, abs=1e-15)
+        assert out.spectrum.min() == pytest.approx(-1.8 * tol, rel=1e-6)
+        assert von_neumann(out).bits == pytest.approx(0.0, abs=1e-8)
+
+    def test_projection_rejects_a_negative_state(self):
+        rho = DensityOperator(np.diag([0.75, 0.5, -0.25]))
+        proj = Projector(np.diag([1.0, 0.0, 1.0]).astype(complex))
+        with pytest.raises(ValidationError, match="eigenvalue -5.000e-01 below -2e-10; not PSD"):
+            project_renormalize(rho, proj)
 
 
 NON_FINITE = [
