@@ -24,6 +24,16 @@ _INV_E = math.exp(-1.0)
 # Lambert-W iterations stop at this relative residual or this many steps.
 _W0_TOL = 1e-12
 _W0_MAX_ITER = 100
+# lambert_w0 accepts z this far below its branch point -1/e, and returns -1
+# for z within _W0_BRANCH_TOL above it.
+_W0_DOMAIN_SLACK = 1e-12
+_W0_BRANCH_TOL = 1e-15
+# A Halley step below this relative size has stalled at roundoff.
+_W0_STEP_TOL = 1e-16
+# The log-domain Newton iteration stops at a step below this relative size,
+# and after its step cap accepts a residual of this relative size.
+_LOG_W0_STEP_TOL = 4e-16
+_LOG_W0_RESIDUAL_TOL = 1e-9
 
 METHODS = ("lambert", "asymptotic", "piecewise")
 
@@ -94,11 +104,11 @@ def lambert_w0(z: float) -> float:
     """
     if not math.isfinite(z):
         raise ValidationError(f"lambert_w0 argument {z!r} must be finite")
-    if z < -_INV_E - 1e-12:
+    if z < -_INV_E - _W0_DOMAIN_SLACK:
         raise ValidationError(f"lambert_w0 undefined for z = {z} < -1/e")
     if z == 0.0:
         return 0.0
-    if z < -_INV_E + 1e-15:
+    if z < -_INV_E + _W0_BRANCH_TOL:
         return -1.0
     if z > 1e150:
         # w e^w overflows in the iteration well before z does; switch to the
@@ -122,7 +132,7 @@ def lambert_w0(z: float) -> float:
         denom = ew * wp1 - (w + 2.0) * f / (2.0 * wp1)
         step = f / denom
         w -= step
-        if abs(step) <= 1e-16 * max(1.0, abs(w)):
+        if abs(step) <= _W0_STEP_TOL * max(1.0, abs(w)):
             ew = math.exp(w)
             if abs(w * ew - z) <= target:
                 return w
@@ -143,11 +153,11 @@ def _w0_of_exp(log_z: float) -> float:
         f = w + math.log(w) - log_z
         step = f / (1.0 + 1.0 / w)
         w -= step
-        if abs(step) <= 4e-16 * w:
+        if abs(step) <= _LOG_W0_STEP_TOL * w:
             return w
     # Newton converges quadratically; reaching the cap means the step is
     # dithering at roundoff, so the last iterate is as good as it gets.
-    if abs(w + math.log(w) - log_z) <= 1e-9 * max(1.0, abs(log_z)):
+    if abs(w + math.log(w) - log_z) <= _LOG_W0_RESIDUAL_TOL * max(1.0, abs(log_z)):
         return w
     raise NumericalError(f"log-domain Lambert iteration failed for log z = {log_z}")
 

@@ -31,6 +31,8 @@ PROBABILITY_TOL = 1e-9
 _NEGATIVE_PROB_TOL = 1e-12
 # An explicit test's type-I error may exceed eta by this rounding slack.
 _TYPE_I_SLACK = 1e-12
+# A type-II error at or below this gives an infinite testing divergence.
+_BETA_FLOOR = 1e-15
 
 BITS = "bits"
 NATS = "nats"
@@ -147,7 +149,7 @@ def hypothesis_testing_divergence(
     if k < w.size:
         accepted += frac * float(w[k])
     beta = 1.0 - accepted
-    if beta <= 1e-15:
+    if beta <= _BETA_FLOOR:
         return EntropyValue(math.inf)
     return EntropyValue(-math.log2(beta))
 
@@ -175,7 +177,7 @@ def explicit_test_divergence_bound(
             f"test has type-I error {alpha:.6f} above the allowed eta = {eta}"
         )
     beta = float(np.trace((np.eye(rho.dim) - t) @ rho.matrix).real)
-    if beta <= 1e-15:
+    if beta <= _BETA_FLOOR:
         return EntropyValue(math.inf)
     return EntropyValue(-math.log2(beta))
 
@@ -254,6 +256,9 @@ def leakage_adjusted_divergence(
     """
     if rho_phys.dim != ref.dim:
         raise ValidationError("dimension mismatch between state and reference")
+    # a state that is not PSD raises here; the projection alone could drop
+    # its negative part and return q > 1
+    rho_phys.spectrum
     projected, q = project_renormalize(rho_phys, ref.total)
     d_core = max(0.0, math.log2(ref.d_r) - von_neumann(projected).bits)
     if mode == "multiplicative":

@@ -119,6 +119,16 @@ def _integer(cfg: dict, key: str, where: str) -> int:
     return value
 
 
+def _integer_blocks(blocks, where) -> list:
+    """blocks, if they are a list of lists of integers (JSON integers, not
+    booleans or integral floats); a ConfigError otherwise."""
+    if not isinstance(blocks, list) or not all(
+        isinstance(b, list) and all(map(_is_integer, b)) for b in blocks
+    ):
+        raise ConfigError(f"{where}: 'blocks' must be a list of lists of integers")
+    return blocks
+
+
 def reference_from_config(cfg: dict, where: str = "reference config") -> ReferenceSet:
     """Build a reference set from its JSON description."""
     if not isinstance(cfg, dict) or not {"type", "g", "addressable_units"} <= cfg.keys():
@@ -145,12 +155,7 @@ def reference_from_config(cfg: dict, where: str = "reference config") -> Referen
                 _integer(cfg, "n_qubits", where), cfg["generators"], g, units
             )
         if kind == "blocks":
-            blocks = cfg["blocks"]
-            if not isinstance(blocks, list) or not all(
-                isinstance(b, list) and all(map(_is_integer, b)) for b in blocks
-            ):
-                raise ConfigError(f"{where}: 'blocks' must be a list of lists of integers")
-            return block_reference(blocks, g, units)
+            return block_reference(_integer_blocks(cfg["blocks"], where), g, units)
     except ConfigError:
         raise
     except KeyError as exc:
@@ -214,16 +219,17 @@ def dump_record(record: MeasurementRecord, path) -> None:
 
 
 def load_window_family(path) -> WindowFamily:
+    """Read a window family: each window's 'blocks' are lists of integer
+    basis indices and its 'xi' a finite number."""
     payload = _read_json(path)
     try:
-        windows = tuple(
-            ObservationWindow(
-                BlockPartition(tuple(tuple(int(i) for i in b) for b in w["blocks"])),
-                xi=float(w["xi"]),
-            )
-            for w in payload["windows"]
-        )
-        return WindowFamily(windows)
+        windows = []
+        for w in payload["windows"]:
+            blocks, xi = _integer_blocks(w["blocks"], path), w["xi"]
+            if isinstance(xi, bool) or not isinstance(xi, (int, float)) or not math.isfinite(xi):
+                raise ConfigError(f"{path}: 'xi' must be a finite number, got {xi!r}")
+            windows.append(ObservationWindow(BlockPartition(tuple(map(tuple, blocks))), float(xi)))
+        return WindowFamily(tuple(windows))
     except ConfigError:
         raise
     except KeyError as exc:
@@ -232,19 +238,30 @@ def load_window_family(path) -> WindowFamily:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
+_TRACE_COLUMNS = ("t", "Pi", "T", "C")
+
+
 def load_trace_csv(path) -> ProcessTrace:
-    """Read a process trace with columns t, Pi, T, C."""
+    """Read a process trace with columns t, Pi, T, C (in any order, others
+    ignored); every row has an entry per column, and the four are finite
+    numbers."""
     rows = []
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
-            fields = set(reader.fieldnames or ())
-            if not {"t", "Pi", "T", "C"} <= fields:
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            if not set(_TRACE_COLUMNS) <= set(header):
                 raise ConfigError(f"{path}: trace CSV needs columns t, Pi, T, C")
+            cols = [header.index(c) for c in _TRACE_COLUMNS]
             for row in reader:
-                rows.append(
-                    (float(row["t"]), float(row["Pi"]), float(row["T"]), float(row["C"]))
-                )
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise ConfigError(
+                        f"{path}: line {reader.line_num} has {len(row)} entries, "
+                        f"not {len(header)}"
+                    )
+                rows.append(tuple(float(row[i]) for i in cols))
     except FileNotFoundError as exc:
         raise ConfigError(f"file not found: {path}") from exc
     except ValueError as exc:

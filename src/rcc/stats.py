@@ -6,6 +6,12 @@ lower confidence bound on a divergence, tagged with its confidence level
 and full parameter provenance. Endpoints are Clopper-Pearson, computed by
 bisecting the exact binomial tail (through the regularized incomplete
 beta), which is bit-reproducible and avoids special-function inversions.
+
+The endpoints take a count or an array of counts. An array is bisected in
+lockstep, one `betainc` call per step over all of its entries, and each
+entry gets the bits of the scalar call; `certify_counts` uses this to
+certify a whole (records x outcomes) count matrix at once, as coverage
+experiments do.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from .bounds import (
     bound_from_divergence,
     smoothed_lower_bound,
 )
-from .entropy import binary_entropy, shannon
+from .entropy import _entropy_bits, binary_entropy, shannon
 from .errors import ProtocolInvalidError, ValidationError
 from .operators import EFFECT_TOL
 # the record layer, which loads no scipy; re-exported so that callers may
@@ -70,53 +76,71 @@ class CertifiedBound:
             raise ValidationError("certified bounds are lower bounds by construction")
 
 
-def _check_binomial_args(k: int, n: int, delta: float) -> None:
-    if n <= 0 or not 0 <= k <= n:
+def _check_binomial_args(k, n, delta: float) -> None:
+    bad = (n <= 0) | (k < 0) | (k > n)
+    if bad.any() if isinstance(bad, np.ndarray) else bad:
         raise ValidationError(f"invalid counts k={k}, N={n}")
     if not 0.0 < delta < 1.0:
         raise ValidationError(f"delta {delta} must be in (0,1)")
 
 
-def _binom_cdf(k: int, n: int, p: float) -> float:
-    """P(X <= k) for X ~ Binomial(n, p), via the incomplete beta."""
-    if k >= n:
-        return 1.0
-    if p <= 0.0:
-        return 1.0
-    if p >= 1.0:
-        return 0.0
-    return float(betainc(n - k, k + 1, 1.0 - p))
+def _binom_cdf(k, n, p):
+    """P(X <= k) for X ~ Binomial(n, p), -1 <= k <= n and 0 < p < 1 (the
+    points a bisection visits), via the incomplete beta; elementwise over
+    arrays, a float for scalars."""
+    r = betainc(n - k, k + 1, 1.0 - p)
+    return r if r.shape else float(r)  # a numpy scalar has shape ()
 
 
-def _bisect(f, lo: float, hi: float) -> float:
-    """Root of a monotone bracketed function by plain bisection, to an
-    absolute bracket width of _BISECT_WIDTH."""
-    flo = f(lo)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= _BISECT_WIDTH:
-            return mid
-        if (f(mid) > 0) == (flo > 0):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def _bisect(f, rising: bool):
+    """Sign changes of monotone functions on [0, 1] by plain bisection, to an
+    absolute bracket width of _BISECT_WIDTH; f rises through 0 (f(0) <= 0)
+    or falls through it (f(0) > 0).
+
+    f maps a point, or an array of points, to one value per root. Every
+    bracket has the same width at every step, so all of them are stepped
+    together, and lo + width is exact: each root gets the bits a bisection
+    of its own would give.
+    """
+    lo, width = 0.0, 1.0
+    while width > _BISECT_WIDTH:
+        width *= 0.5
+        lo = lo + width * ((f(lo + width) > 0) != rising)
+    return lo + 0.5 * width
 
 
-def clopper_pearson_upper(k: int, n: int, delta: float) -> float:
-    """One-sided exact upper endpoint: largest p with P(X <= k; p) >= delta."""
+def _endpoint(edge, value: float, f, rising: bool):
+    """value where edge holds and f's bisected sign change elsewhere, for a
+    count or an array of counts; when every entry is at the edge nothing is
+    bisected."""
+    if not isinstance(edge, np.ndarray):
+        return value if edge else _bisect(f, rising)
+    if edge.all():
+        return np.full(edge.shape, value)
+    return np.where(edge, value, _bisect(f, rising))
+
+
+def clopper_pearson_upper(k, n, delta: float):
+    """One-sided exact upper endpoint: largest p with P(X <= k; p) >= delta.
+
+    k and n may be arrays (broadcast together), giving an array of endpoints.
+    """
     _check_binomial_args(k, n, delta)
-    if k == n:
-        return 1.0
-    return _bisect(lambda p: _binom_cdf(k, n, p) - delta, 0.0, 1.0)
+    return _endpoint(k == n, 1.0, lambda p: _binom_cdf(k, n, p) - delta, rising=False)
 
 
-def clopper_pearson_lower(k: int, n: int, delta: float) -> float:
-    """One-sided exact lower endpoint: smallest p with P(X >= k; p) >= delta."""
+def clopper_pearson_lower(k, n, delta: float):
+    """One-sided exact lower endpoint: smallest p with P(X >= k; p) >= delta.
+
+    k and n may be arrays (broadcast together), giving an array of endpoints.
+    """
     _check_binomial_args(k, n, delta)
-    if k == 0:
-        return 0.0
-    return _bisect(lambda p: (1.0 - _binom_cdf(k - 1, n, p)) - delta, 0.0, 1.0)
+    return _endpoint(k == 0, 0.0, lambda p: (1.0 - _binom_cdf(k - 1, n, p)) - delta, rising=True)
+
+
+def _ht_value(beta_upper: float) -> float:
+    """The certified D_H: -log2 of the type-II upper endpoint, floored at 0."""
+    return max(0.0, -math.log2(beta_upper) if beta_upper > 0 else math.inf)
 
 
 def ht_protocol(record: MeasurementRecord, eta: float, delta: float) -> CertifiedBound:
@@ -142,20 +166,21 @@ def ht_protocol(record: MeasurementRecord, eta: float, delta: float) -> Certifie
     n_alt = record.counts["alt_accept_h1"] + record.counts["alt_accept_h0"]
     if n_null == 0 or n_alt == 0:
         raise ValidationError("both the null and alternative runs need samples")
-    delta_alpha = delta * _HT_DELTA_SPLIT
-    delta_beta = delta * (1.0 - _HT_DELTA_SPLIT)
-    alpha_upper = clopper_pearson_upper(record.counts["null_accept_h1"], n_null, delta_alpha)
+    alpha_upper = clopper_pearson_upper(
+        record.counts["null_accept_h1"], n_null, delta * _HT_DELTA_SPLIT
+    )
     if alpha_upper > eta:
         raise ProtocolInvalidError(
             f"type-I upper endpoint {alpha_upper:.6f} exceeds eta = {eta}; the "
             "bound would not certify at this level (recalibrate the test or "
             "increase the null sample size)"
         )
-    beta_upper = clopper_pearson_upper(record.counts["alt_accept_h0"], n_alt, delta_beta)
-    value = -math.log2(beta_upper) if beta_upper > 0 else math.inf
+    beta_upper = clopper_pearson_upper(
+        record.counts["alt_accept_h0"], n_alt, delta * (1.0 - _HT_DELTA_SPLIT)
+    )
     return CertifiedBound(
         quantity="D_H",
-        value=max(0.0, value),
+        value=_ht_value(beta_upper),
         unit="bits",
         confidence=1.0 - delta,
         protocol="hypothesis_test",
@@ -181,6 +206,16 @@ def ht_sample_plan(target_bits: float, delta: float) -> int:
     return math.ceil(2.0**target_bits * math.log(1.0 / delta) - _PLAN_SLACK)
 
 
+def _check_witness_rank(rank, d_r: int) -> None:
+    if not _is_integer(rank) or not 1 <= rank <= d_r:
+        raise ValidationError(f"witness rank {rank!r} must be an integer in [1, d_R = {d_r}]")
+
+
+def _witness_value(p_lower: float, d_r: int, rank: int) -> float:
+    """The certified D_max: log2(p_L d_R / r), floored at 0."""
+    return math.log2(p_lower * d_r / rank) if p_lower * d_r > rank else 0.0
+
+
 def witness_protocol(
     record: MeasurementRecord,
     ref: ReferenceSet,
@@ -197,8 +232,7 @@ def witness_protocol(
     """
     if record.protocol != "witness":
         raise ValidationError(f"record protocol {record.protocol!r} is not witness")
-    if not _is_integer(rank) or not 1 <= rank <= ref.d_r:
-        raise ValidationError(f"witness rank {rank!r} must be an integer in [1, d_R = {ref.d_r}]")
+    _check_witness_rank(rank, ref.d_r)
     if projector is not None:
         pw = np.asarray(projector, dtype=complex)
         leak = np.linalg.norm(pw - ref.total.matrix @ pw @ ref.total.matrix)
@@ -212,12 +246,9 @@ def witness_protocol(
             raise ValidationError(f"witness record is missing count {lab!r}")
     successes = record.counts["success"]
     p_lower = clopper_pearson_lower(successes, record.n, delta)
-    value = 0.0
-    if p_lower * ref.d_r > rank:
-        value = math.log2(p_lower * ref.d_r / rank)
     return CertifiedBound(
         quantity="D_max",
-        value=value,
+        value=_witness_value(p_lower, ref.d_r, rank),
         unit="bits",
         confidence=1.0 - delta,
         protocol="witness",
@@ -249,44 +280,55 @@ def witness_sample_plan(
     return math.ceil(math.log(1.0 / delta) / (2.0 * (p0 - p_star) ** 2) - _PLAN_SLACK)
 
 
+def _check_dephase_outcomes(n_labels: int, m: int) -> None:
+    if n_labels > m:
+        raise ValidationError(f"{n_labels} outcome labels exceed the d_R = {m} basis states")
+
+
+def _dephase_value(h_hat, n: int, m: int, delta: float):
+    """(D, H_U, eps_N, v) from the empirical entropy of n shots over the
+    m = d_R basis outcomes, or from an array of such entropies.
+
+    H_U = min(log2 M, H(P_hat) + v log2(M-1) + h2(v)), v = eps_N/2 with
+    eps_N = sqrt((2/N)(M ln 2 + ln(1/delta))), and D = log2 d_R - H_U
+    floored at 0. The continuity term is evaluated on its validity range
+    v <= 1 - 1/M; beyond it the always-valid log2 M cap takes over. For
+    M = 1 the entropy is 0 and so is H_U.
+    """
+    eps_n = math.sqrt((2.0 / n) * (m * math.log(2.0) + math.log(1.0 / delta)))
+    v = eps_n / 2.0
+    continuity = 0.0
+    if m > 1:
+        v_eff = min(v, 1.0 - 1.0 / m)
+        continuity = v_eff * math.log2(m - 1) + binary_entropy(v_eff).bits
+    h_upper = np.minimum(math.log2(m), h_hat + continuity)
+    return np.maximum(0.0, math.log2(m) - h_upper), h_upper, eps_n, v
+
+
 def dephase_protocol(
     record: MeasurementRecord, ref: ReferenceSet, delta: float
 ) -> CertifiedBound:
     """Classical-basis certification through an entropy confidence endpoint.
 
     From counts over the d_R reference basis outcomes, bounds the true
-    Shannon entropy by H_U = min(log2 M, H(P_hat) + v log2(M-1) + h2(v)),
-    v = eps_N/2 with eps_N = sqrt((2/N)(M ln 2 + ln(1/delta))), and returns
-    D >= log2 d_R - H_U floored at 0. The continuity term is evaluated on
-    its validity range v <= 1 - 1/M; beyond it the always-valid log2 M cap
-    takes over.
+    Shannon entropy by H_U and returns D >= log2 d_R - H_U floored at 0
+    (see _dephase_value).
     """
     if record.protocol != "dephase":
         raise ValidationError(f"record protocol {record.protocol!r} is not dephase")
     if not 0.0 < delta < 1.0:
         raise ValidationError(f"delta {delta} must be in (0,1)")
     m = ref.d_r
-    if len(record.counts) > m:
-        raise ValidationError(
-            f"{len(record.counts)} outcome labels exceed the d_R = {m} basis states"
-        )
+    _check_dephase_outcomes(len(record.counts), m)
     n = record.n
     counts = np.array(list(record.counts.values()), dtype=float)
     p_hat = np.zeros(m)
     p_hat[: counts.size] = counts / n
     h_hat = shannon(p_hat).bits
-    eps_n = math.sqrt((2.0 / n) * (m * math.log(2.0) + math.log(1.0 / delta)))
-    v = eps_n / 2.0
-    if m == 1:
-        h_upper = 0.0
-    else:
-        v_eff = min(v, 1.0 - 1.0 / m)
-        continuity = v_eff * math.log2(m - 1) + binary_entropy(v_eff).bits
-        h_upper = min(math.log2(m), h_hat + continuity)
-    value = max(0.0, math.log2(ref.d_r) - h_upper)
+    value, h_upper, eps_n, v = _dephase_value(h_hat, n, m, delta)
     return CertifiedBound(
         quantity="D",
-        value=value,
+        value=float(value),
         unit="bits",
         confidence=1.0 - delta,
         protocol="dephase",
@@ -297,9 +339,56 @@ def dephase_protocol(
             "empirical_entropy_bits": h_hat,
             "eps_n": eps_n,
             "v": v,
-            "entropy_upper_bits": h_upper,
+            "entropy_upper_bits": float(h_upper),
         },
     )
+
+
+def certify_counts(
+    protocol: str, counts: np.ndarray, n: int, ref: ReferenceSet, eta: float,
+    delta: float, rank: int,
+) -> tuple[np.ndarray, int]:
+    """Certify many records of one protocol at once, from their counts.
+
+    Row i of the integer matrix `counts` holds record i's outcome counts in
+    label order (HT_LABELS, WITNESS_LABELS, or the d_R reference basis
+    states), n shots per distribution. The rows pass the checks that a
+    MeasurementRecord and its certifier make, with the same messages, and
+    each gets the value its certifier returns, bit for bit: the endpoints
+    of all rows are bisected together, one `betainc` call per step.
+
+    Returns the values in bits of the rows that certify, in row order, and
+    the number of rows that do not: hypothesis tests whose type-I endpoint
+    exceeds eta, which ht_protocol rejects with ProtocolInvalidError.
+    """
+    counts = np.asarray(counts)
+    if counts.ndim != 2 or counts.dtype.kind not in "iu":
+        raise ValidationError(f"counts must be a matrix of integers, got {counts.dtype} "
+                              f"of shape {counts.shape}")
+    if (counts < 0).any():
+        raise ValidationError("negative count")
+    blocks = 2 if protocol == "hypothesis_test" else 1
+    sums = counts.reshape(len(counts), blocks, -1).sum(axis=2)
+    if (sums != n).any():
+        raise ValidationError(f"counts sum {sums[sums != n][0]} does not match n = {n}")
+    # the values take math.log2 of each endpoint, as the record certifiers
+    # do; numpy's vectorized log2 may round the last bit differently
+    if protocol == "hypothesis_test":
+        invalid = clopper_pearson_upper(counts[:, 0], n, delta * _HT_DELTA_SPLIT) > eta
+        beta_upper = clopper_pearson_upper(counts[~invalid, 3], n, delta * (1.0 - _HT_DELTA_SPLIT))
+        values = np.array([_ht_value(b) for b in beta_upper.tolist()])
+        return values, int(np.count_nonzero(invalid))
+    if protocol == "witness":
+        _check_witness_rank(rank, ref.d_r)
+        p_lower = clopper_pearson_lower(counts[:, 0], n, delta)
+        return np.array([_witness_value(p, ref.d_r, rank) for p in p_lower.tolist()]), 0
+    if protocol == "dephase":
+        _check_dephase_outcomes(counts.shape[1], ref.d_r)
+        p_hat = np.zeros((len(counts), ref.d_r))
+        p_hat[:, : counts.shape[1]] = counts / n
+        h_hat = np.array([_entropy_bits(row) for row in p_hat])
+        return _dephase_value(h_hat, n, ref.d_r, delta)[0], 0
+    raise ValidationError(f"unknown protocol {protocol!r}")
 
 
 def bonferroni(delta: float, m: int) -> float:

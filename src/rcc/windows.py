@@ -20,6 +20,11 @@ from .operators import BlockPartition, DensityOperator, pinch
 from .reference import ReferenceSet
 
 COMPAT_TOL = 1e-10
+# A net complexity change below this has no complexity-weighted temperature.
+_NET_CHANGE_TOL = 1e-15
+# The RECT performance margin may fall below 0 by this much, relative to the
+# larger side of the inequality.
+_MARGIN_RTOL = 1e-12
 
 TIME_BOUND_VARIANTS = ("envelope", "net_gain", "full", "isothermal", "sign_robust")
 
@@ -186,6 +191,8 @@ class ProcessTrace:
         for name, a in arrays.items():
             if a.ndim != 1 or a.size != n:
                 raise ValidationError(f"trace column {name} must have {n} entries")
+            if not np.isfinite(a).all():
+                raise ValidationError(f"trace entries must be finite; column {name} is not")
             object.__setattr__(self, name, a)
         if (np.diff(arrays["times"]) <= 0).any():
             raise ValidationError("trace times must be strictly increasing")
@@ -203,7 +210,7 @@ def info_work(trace: ProcessTrace, gamma_r: float) -> tuple[float, float | None]
     t_dc = float(np.trapezoid(trace.temperatures, trace.complexities))
     delta_c = float(trace.complexities[-1] - trace.complexities[0])
     work = math.log(gamma_r) * t_dc
-    if abs(delta_c) < 1e-15:
+    if abs(delta_c) < _NET_CHANGE_TOL:
         return 0.0, None
     return work, t_dc / delta_c
 
@@ -370,5 +377,5 @@ def rect_performance_check(
     rhs = (eta_lr / eta_qsl) * (math.pi * gamma_j / 2.0) * c_r_value
     lhs = sigma_avail * s_e
     margin = lhs - rhs
-    tol = 1e-12 * max(1.0, abs(lhs), abs(rhs))
+    tol = _MARGIN_RTOL * max(1.0, abs(lhs), abs(rhs))
     return RectPerformance(margin, margin / j, margin >= -tol)

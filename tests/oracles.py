@@ -3,8 +3,9 @@
 Each oracle deliberately takes a different computational route from the
 library code it checks: determinant bisection instead of LAPACK
 eigensolvers, grid-scanned threshold tests instead of waterfilling, plain
-bisection instead of Lambert-W, and direct binomial pmf sums instead of
-incomplete-beta tail inversion.
+bisection instead of Lambert-W, direct binomial pmf sums instead of
+incomplete-beta tail inversion, and one simulated record and one record
+certification per trial instead of a batched count matrix.
 """
 
 from __future__ import annotations
@@ -157,3 +158,63 @@ def clopper_pearson_lower_oracle(k: int, n: int, delta: float) -> float:
 
 def shannon_bits_oracle(p) -> float:
     return float(sum(-x * math.log2(x) for x in p if x > 0))
+
+
+def coverage_one_trial_at_a_time(config, trials: int) -> dict:
+    """coverage_experiment's summary, one trial at a time from public pieces.
+
+    Trial t of a protocol simulates its record on the stream (seed, the
+    protocol's position in PROTOCOLS, t), certifies it with the record
+    certifier, and counts a ProtocolInvalidError as an invalid run.
+    """
+    from rcc import (
+        ProtocolInvalidError,
+        dephase_protocol,
+        ht_protocol,
+        protocol_ground_truth,
+        simulate_record,
+        stream,
+        witness_protocol,
+    )
+    from rcc.harness import _VIOLATION_SLACK
+    from rcc.records import PROTOCOLS
+
+    rho, ref = config.state, config.reference
+    certify = {
+        "hypothesis_test": lambda r: ht_protocol(r, config.eta, config.delta),
+        "witness": lambda r: witness_protocol(r, ref, r.meta["rank"], config.delta),
+        "dephase": lambda r: dephase_protocol(r, ref, config.delta),
+    }
+    results = {}
+    for proto in (p for p in config.protocols if p != "exact"):
+        truth = protocol_ground_truth(rho, ref, proto, eta=config.eta,
+                                      witness_rank=config.witness_rank)
+        violations = invalid = 0
+        for t in range(trials):
+            record = simulate_record(
+                rho, ref, proto, config.n_samples, seed=config.seed, eta=config.eta,
+                test_calibration=config.test_calibration, witness_rank=config.witness_rank,
+                rng=stream(config.seed, PROTOCOLS.index(proto), t),
+            )
+            try:
+                bound = certify[proto](record)
+            except ProtocolInvalidError:
+                invalid += 1
+                continue
+            violations += bound.value > truth + _VIOLATION_SLACK
+        results[proto] = {
+            "trials": trials,
+            "violations": violations,
+            "invalid_runs": invalid,
+            "violation_fraction": violations / trials,
+            "true_value_bits": truth,
+        }
+    return {
+        "schema": "rcc-coverage/1",
+        "seed": config.seed,
+        "delta": config.delta,
+        "eta": config.eta,
+        "n_samples": config.n_samples,
+        "trials": trials,
+        "protocols": results,
+    }

@@ -3,9 +3,10 @@
 Hypothesis writes state, reference and record files with non-finite
 entries, ragged arrays, booleans, strings, dimensions over a small
 RCC_DIM_CAP and states just inside and just outside the PSD tolerance,
-then runs `compute`, `simulate` and `certify` in process. Whatever the
-input, the exit code is one of the documented ones and an error is one
-line on stderr.
+then runs `compute`, `simulate` and `certify` in process; it writes window
+families for `sweep` and process-trace CSVs for `thermo` the same way.
+Whatever the input, the exit code is one of the documented ones and an
+error is one line on stderr.
 """
 
 import json
@@ -162,11 +163,19 @@ def run(tmp_path):
     def invoke(command: str, **payloads):
         args = [command]
         for option, payload in payloads.items():
-            path = tmp_path / f"{option}.json"
-            path.write_text(json.dumps(payload))
+            # a process trace is CSV text, written as it is; every other
+            # option is a JSON file, whatever the payload
+            if option == "trace":
+                path = tmp_path / "trace.csv"
+                path.write_text(payload)
+            else:
+                path = tmp_path / f"{option}.json"
+                path.write_text(json.dumps(payload))
             args += [f"--{option}", str(path)]
         if command == "simulate":
             args += ["--protocol", "dephase", "--n", "50"]
+        if command == "thermo":
+            args += ["--gamma-r", "2"]
         result = runner.invoke(main, args, env={"RCC_DIM_CAP": str(DIM_CAP)})
         assert result.exit_code in EXIT_CODES, (result.exit_code, result.exception)
         assert "Traceback" not in result.output
@@ -260,3 +269,85 @@ def test_reference_blocks_are_not_truncated(run, blocks):
     result = run("compute", state=near_psd(0, 0.5, True), reference=reference)
     assert result.exit_code == 2
     assert "'blocks' must be a list of lists of integers" in result.stderr
+
+
+# a nested family over the DIM_CAP basis states that fixes REFERENCE's
+# subspace {1, 2}: singletons, then {1, 2} joined
+WINDOWS = {"windows": [{"xi": 0.0, "blocks": [[0], [1], [2], [3]]},
+                       {"xi": 1.0, "blocks": [[0], [1, 2], [3]]}]}
+window_payloads = st.one_of(
+    st.just(WINDOWS),
+    st.fixed_dictionaries({"windows": st.lists(
+        st.fixed_dictionaries({
+            "xi": st.one_of(st.floats(allow_nan=True, allow_infinity=True), junk),
+            "blocks": st.one_of(
+                st.lists(st.lists(st.one_of(st.integers(-1, DIM_CAP + 1),
+                                            st.floats(-1.0, DIM_CAP), junk),
+                                  max_size=3), max_size=DIM_CAP + 1),
+                junk),
+        }), max_size=3)}),
+    st.fixed_dictionaries({"windows": junk}),
+    junk,
+    st.lists(junk, max_size=3),
+)
+
+
+@FUZZ
+@given(windows=window_payloads)
+def test_sweep(run, windows):
+    run("sweep", state=near_psd(0, 0.5, True), reference=REFERENCE, windows=windows)
+
+
+TRACE_HEADER = "t,Pi,T,C"
+csv_cells = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.integers(-3, 10).map(str),
+    st.sampled_from(["", " ", "abc", "nan", "inf", "-inf", "1e400", "True"]),
+)
+trace_texts = st.one_of(
+    st.builds(
+        lambda header, rows: "\n".join([header, *rows]) + "\n",
+        st.sampled_from([TRACE_HEADER, "t,Pi,T", "C,T,Pi,t", TRACE_HEADER + ",extra", ""]),
+        st.lists(st.lists(csv_cells, max_size=5).map(",".join), max_size=4),
+    ),
+    # four well-formed columns, any numbers
+    st.lists(st.tuples(*[st.floats(allow_nan=True, allow_infinity=True)] * 4),
+             max_size=4).map(lambda rows: "\n".join(
+                 [TRACE_HEADER] + [",".join(map(repr, r)) for r in rows]) + "\n"),
+    st.just(""),
+)
+
+
+@FUZZ
+@given(trace=trace_texts)
+def test_thermo(run, trace):
+    run("thermo", trace=trace)
+
+
+@pytest.mark.parametrize("window, message", [
+    ({"xi": 0.0, "blocks": [[0, 1.5], [2], [3]]}, "'blocks' must be a list of lists of integers"),
+    ({"xi": 0.0, "blocks": [[True], [1, 2], [3]]}, "'blocks' must be a list of lists of integers"),
+    ({"xi": 0.0, "blocks": [["0"], [1, 2], [3]]}, "'blocks' must be a list of lists of integers"),
+    ({"xi": math.nan, "blocks": [[0], [1, 2], [3]]}, "'xi' must be a finite number"),
+    ({"xi": math.inf, "blocks": [[0], [1, 2], [3]]}, "'xi' must be a finite number"),
+    ({"xi": "1", "blocks": [[0], [1, 2], [3]]}, "'xi' must be a finite number"),
+])
+def test_malformed_window_exit_2(run, window, message):
+    result = run("sweep", state=near_psd(0, 0.5, True), reference=REFERENCE,
+                 windows={"windows": [window]})
+    assert result.exit_code == 2
+    assert message in result.stderr
+
+
+@pytest.mark.parametrize("text, message", [
+    ("t,Pi,T,C\n0,1,1,0\n1,1,1\n", "line 3 has 3 entries, not 4"),
+    ("t,Pi,T,C\n0,1,1,0\n1,1,1,2,5\n", "line 3 has 5 entries, not 4"),
+    ("t,Pi,T,C\n0,1,1,0\n1,nan,1,2\n", "trace entries must be finite"),
+    ("t,Pi,T,C\n0,1,1,0\ninf,1,1,2\n", "trace entries must be finite"),
+    ("t,Pi,T,C\n0,1,1,0\n1,x,1,2\n", "bad numeric value"),
+    ("", "trace CSV needs columns t, Pi, T, C"),
+])
+def test_malformed_trace_exit_2(run, text, message):
+    result = run("thermo", trace=text)
+    assert result.exit_code == 2
+    assert message in result.stderr

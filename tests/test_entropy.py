@@ -327,6 +327,16 @@ class TestLeakageAdjusted:
         with pytest.raises(ValidationError):
             leakage_adjusted_divergence(diag_state(1.0, 0.0, 0.0, 0.0), ref, mode="full")
 
+    def test_rejects_a_state_whose_negative_part_projects_away(self):
+        # built directly, not validated: the -0.25 sits outside the subspace,
+        # so the projection alone would keep q = 1.25 and return 0.0363 bits
+        from rcc.operators import DensityOperator
+
+        rho = DensityOperator(np.diag([0.75, 0.5, -0.25]))
+        ref = embedded_reference(2, 3)
+        with pytest.raises(ValidationError, match="eigenvalue -2.500e-01 below -1e-10; not PSD"):
+            leakage_adjusted_divergence(rho, ref)
+
 
 class TestExplicitTestBound:
     def test_matches_exact_optimum_for_optimal_test(self):

@@ -24,7 +24,9 @@ from rcc import (
 )
 from rcc import io as rcc_io
 from rcc.harness import default_witness_projector, optimal_test_projector
-from conftest import embedded_reference, full_reference, random_density
+from rcc.stats import certify_counts
+from conftest import embed_state, embedded_reference, full_reference, random_density
+from oracles import coverage_one_trial_at_a_time
 
 
 def diag_state(*p):
@@ -243,6 +245,56 @@ class TestCoverage:
         summary = coverage_experiment(config, trials=300)
         for proto in ("witness", "dephase"):
             assert summary["protocols"][proto]["violation_fraction"] <= 0.53
+
+
+class TestBatchedCoverage:
+    """coverage_experiment draws every trial into one count matrix and
+    certifies the matrix at once; its summary must be the one that
+    simulating and certifying each trial on its own gives, byte for byte."""
+
+    @pytest.fixture(scope="class")
+    def state_and_ref(self):
+        rng = np.random.default_rng(2024)
+        return embed_state(random_density(rng, 6), 8), embedded_reference(6, 8)
+
+    @pytest.mark.parametrize("settings", [
+        dict(n_samples=400, seed=11),
+        # a test calibrated close enough to eta that some type-I endpoints exceed it
+        dict(test_calibration=0.7, n_samples=200, seed=3),
+        dict(eta=0.3, witness_rank=3, n_samples=150, delta=0.2, seed=5),
+    ])
+    def test_matches_the_per_trial_oracle(self, state_and_ref, settings):
+        rho, ref = state_and_ref
+        config = RunConfig(state=rho, reference=ref,
+                           protocols=("hypothesis_test", "witness", "dephase"), **settings)
+        summary = coverage_experiment(config, trials=30)
+        assert rcc_io.dumps_json(summary) == rcc_io.dumps_json(
+            coverage_one_trial_at_a_time(config, trials=30))
+        if settings.get("test_calibration") == 0.7:
+            assert 0 < summary["protocols"]["hypothesis_test"]["invalid_runs"] < 30
+
+    def test_a_leaking_dephase_setup_raises_as_a_record_does(self):
+        ref = embedded_reference(2, 4)
+        rho = diag_state(0.5, 0.0, 0.0, 0.5)
+        config = RunConfig(state=rho, reference=ref, protocols=("dephase",), n_samples=50)
+        message = "state leaked outside the subspace during sampling"
+        with pytest.raises(ValidationError, match=message):
+            simulate_record(rho, ref, "dephase", 50, seed=0)
+        with pytest.raises(ValidationError, match=message):
+            coverage_experiment(config, trials=5)
+
+    @pytest.mark.parametrize("protocol, counts, message", [
+        ("witness", np.array([[3.0, 7.0]]), "counts must be a matrix of integers"),
+        ("witness", np.array([3, 7]), "counts must be a matrix of integers"),
+        ("witness", np.array([[12, -2]]), "negative count"),
+        ("witness", np.array([[3, 6]]), "counts sum 9 does not match n = 10"),
+        ("hypothesis_test", np.array([[1, 9, 4, 5]]), "counts sum 9 does not match n = 10"),
+        ("dephase", np.array([[1, 2, 3, 4]]), "4 outcome labels exceed the d_R = 2 basis states"),
+    ])
+    def test_certify_counts_makes_the_record_checks(self, protocol, counts, message):
+        ref = embedded_reference(2, 4)
+        with pytest.raises(ValidationError, match=message):
+            certify_counts(protocol, counts, 10, ref, eta=0.25, delta=0.05, rank=1)
 
 
 class TestSweep:

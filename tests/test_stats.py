@@ -22,6 +22,7 @@ from rcc import (
     witness_protocol,
     witness_sample_plan,
 )
+from rcc import stats
 from conftest import embedded_reference, full_reference
 from oracles import clopper_pearson_lower_oracle, clopper_pearson_upper_oracle
 
@@ -90,6 +91,49 @@ class TestClopperPearson:
                     lower = clopper_pearson_lower(k, n, delta)
                     upper = clopper_pearson_upper(k, n, delta)
                     assert lower - 1e-9 <= k / n <= upper + 1e-9
+
+
+class TestArrayEndpoints:
+    """An array of counts is bisected in lockstep; every endpoint must have
+    the bits of the scalar call, which itself returns a Python float."""
+
+    SIZES = [10, 37, 100, 2000, 12345, 10**6, 3 * 2**25, 3216643036] + [
+        ht_sample_plan(bits, 0.05) for bits in (20, 25, 30)
+    ]
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_array_equals_elementwise_scalar(self, n):
+        rng = np.random.default_rng(n % 2**32)
+        ks = sorted({*range(min(n, 10) + 1), *rng.integers(0, n + 1, 6).tolist(), n})
+        for delta in (1e-9, 1e-4, 0.025, 0.05, 0.3):
+            for endpoint in (clopper_pearson_upper, clopper_pearson_lower):
+                scalar = [endpoint(k, n, delta) for k in ks]
+                assert all(type(x) is float for x in scalar)
+                assert np.array_equal(endpoint(np.array(ks), n, delta), scalar)
+
+    def test_edges_are_exact(self):
+        k = np.array([0, 3, 7])
+        assert clopper_pearson_upper(k, 7, 0.05)[2] == 1.0
+        assert clopper_pearson_lower(k, 7, 0.05)[0] == 0.0
+        assert clopper_pearson_upper(np.int64(7), np.int64(7), 0.05) == 1.0
+
+    def test_counts_all_at_the_edge_are_not_bisected(self, monkeypatch):
+        def no_bisection(*args, **kwargs):
+            raise AssertionError("an edge endpoint was bisected")
+
+        monkeypatch.setattr(stats, "_bisect", no_bisection)
+        assert clopper_pearson_upper(7, 7, 0.05) == 1.0
+        assert clopper_pearson_lower(0, 7, 0.05) == 0.0
+        upper = clopper_pearson_upper(np.array([7, 7]), 7, 0.05)
+        lower = clopper_pearson_lower(np.array([0, 0]), np.array([3, 9]), 0.05)
+        assert isinstance(upper, np.ndarray) and upper.tolist() == [1.0, 1.0]
+        assert isinstance(lower, np.ndarray) and lower.tolist() == [0.0, 0.0]
+
+    def test_array_counts_are_checked(self):
+        with pytest.raises(ValidationError, match="invalid counts"):
+            clopper_pearson_upper(np.array([0, 5]), 4, 0.05)
+        with pytest.raises(ValidationError, match="invalid counts"):
+            clopper_pearson_lower(np.array([-1, 2]), 4, 0.05)
 
 
 class TestHtProtocol:
