@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -36,7 +36,9 @@ from .entropy import (
 from .errors import RccError, ValidationError
 from .operators import EFFECT_TOL, DensityOperator, eig_hermitian
 from .reference import ReferenceSet
-from .records import HT_LABELS, PROTOCOLS, WITNESS_LABELS, MeasurementRecord
+from .records import (
+    HT_LABELS, PROTOCOLS, WITNESS_LABELS, MeasurementRecord, _check_witness_rank, _is_integer,
+)
 from .windows import WindowFamily, windowed_entropy_bits, windowed_rcc
 
 if TYPE_CHECKING:
@@ -67,9 +69,10 @@ def stream(seed: int, *key: int) -> np.random.Generator:
 def _draw(labels: list, dists: list[np.ndarray], n: int, rngs) -> np.ndarray:
     """One row of counts per generator: a multinomial draw of n shots from
     each distribution in order, with the leak outcome's column dropped. A
-    shot on the leak is a sampling error."""
-    if n <= 0:
-        raise ValidationError("n must be positive")
+    shot on the leak is a sampling error. The rows are integer, nonnegative
+    and sum to n per distribution, which certify_counts relies on."""
+    if not _is_integer(n) or n <= 0:
+        raise ValidationError(f"n must be a positive integer, got {n!r}")
     counts = np.array([np.concatenate([rng.multinomial(n, p) for p in dists]) for rng in rngs])
     if _LEAK in labels:
         leak = labels.index(_LEAK)
@@ -160,8 +163,7 @@ def default_witness_projector(
     rho: DensityOperator, ref: ReferenceSet, rank: int
 ) -> np.ndarray:
     """Rank-r projector onto the dominant eigenvectors of rho inside H_R."""
-    if not 1 <= rank <= ref.d_r:
-        raise ValidationError(f"witness rank {rank} must be in [1, d_R]")
+    _check_witness_rank(rank, ref.d_r)
     basis = ref.support_basis()
     small = basis.conj().T @ rho.matrix @ basis
     dec = eig_hermitian(0.5 * (small + small.conj().T))
@@ -169,49 +171,53 @@ def default_witness_projector(
     return basis @ v @ v.conj().T @ basis.conj().T
 
 
-def _witness_projector(
-    rho: DensityOperator, ref: ReferenceSet, rank: int, supplied
-) -> tuple[np.ndarray, int]:
-    """The default witness projector of the given rank, or the supplied one
-    checked as the POVM {P, I - P}; with its rank Tr P."""
-    if supplied is None:
-        proj = default_witness_projector(rho, ref, rank)
-    else:
-        proj = np.asarray(supplied, dtype=complex)
-        if proj.shape != (ref.dim, ref.dim):
-            raise ValidationError(f"witness projector must be {ref.dim}x{ref.dim}")
-        _check_povm([proj, np.eye(ref.dim, dtype=complex) - proj], ref.dim)
-    return proj, int(round(float(np.trace(proj).real)))
-
-
 def _outcome_setup(
     rho: DensityOperator, ref: ReferenceSet, protocol: str, eta: float,
     test_calibration: float, witness_rank: int, witness_projector=None,
-) -> tuple[list, list[np.ndarray], dict]:
-    """Per-run setup of one protocol on rho: (labels, distributions, meta).
+) -> tuple[list, list[np.ndarray], dict, Callable[[], float]]:
+    """Per-run setup of one protocol on rho: (labels, distributions, meta,
+    target).
 
     A record draws n shots from each distribution in order; the labels run
     over the outcomes of all of them. The effects built here are POVMs by
-    construction and are not checked again.
+    construction and are not checked again; a supplied witness projector is
+    checked as the POVM {P, I - P}, and its rank is Tr P. target() is the
+    exact value in bits that the protocol's certified bound targets, built
+    from the same pieces; the hypothesis test's is computed only when read,
+    so setting up a record neither pays for it nor needs a supported state.
     """
+    if rho.dim != ref.dim:
+        raise ValidationError(f"dimension mismatch: state {rho.dim}, reference {ref.dim}")
     if protocol == "dephase":
         # outcomes: the d_R reference basis vectors, then the leak I - Pi_R,
         # whose mass is Tr(rho) - Tr(Pi_R rho)
         leak = float(np.trace(rho.matrix).real) - reference_overlap(rho, ref)
-        probs = np.append(_support_probabilities(rho, ref), max(leak, 0.0))
+        p = _support_probabilities(rho, ref)
+        probs = np.append(p, max(leak, 0.0))
         labels = [str(i) for i in range(ref.d_r)] + [_LEAK]
-        return labels, [probs / probs.sum()], {"basis": "reference-support"}
+        return labels, [probs / probs.sum()], {"basis": "reference-support"}, (
+            lambda: max(0.0, math.log2(ref.d_r) - shannon(p / p.sum()).bits))
     if protocol == "witness":
-        proj, rank = _witness_projector(rho, ref, witness_rank, witness_projector)
+        if witness_projector is None:
+            proj, rank = default_witness_projector(rho, ref, witness_rank), witness_rank
+        else:
+            proj = np.asarray(witness_projector, dtype=complex)
+            if proj.shape != (ref.dim, ref.dim):
+                raise ValidationError(f"witness projector must be {ref.dim}x{ref.dim}")
+            _check_povm([proj, np.eye(ref.dim, dtype=complex) - proj], ref.dim)
+            rank = int(round(float(np.trace(proj).real)))
         effects = [proj, np.eye(ref.dim, dtype=complex) - proj]
-        return list(WITNESS_LABELS), [_born_probabilities(rho.matrix, effects)], {"rank": rank}
+        return list(WITNESS_LABELS), [_born_probabilities(rho.matrix, effects)], {"rank": rank}, (
+            lambda: max(0.0, math.log2(max(float(np.trace(proj @ rho.matrix).real),
+                                           _OCCUPATION_FLOOR) * ref.d_r / rank)))
     if protocol == "hypothesis_test":
         # null calibration on the structured vacuum, then the alternative on rho
         eta_test = eta * test_calibration
         t = optimal_test_projector(rho, ref, eta_test)
         effects = [t, np.eye(ref.dim, dtype=complex) - t]
         dists = [_born_probabilities(m, effects) for m in (ref.sigma_matrix(), rho.matrix)]
-        return list(HT_LABELS), dists, {"eta": eta, "eta_test": eta_test}
+        return list(HT_LABELS), dists, {"eta": eta, "eta_test": eta_test}, (
+            lambda: hypothesis_testing_divergence(rho, ref, eta).bits)
     raise ValidationError(f"unknown protocol {protocol!r}")
 
 
@@ -234,10 +240,10 @@ def simulate_record(
     calibrated at eta * test_calibration so the type-I endpoint certifies
     below eta with headroom.
     """
-    outcomes = _outcome_setup(
+    labels, dists, meta, _ = _outcome_setup(
         rho, ref, protocol, eta, test_calibration, witness_rank, witness_projector
     )
-    return _sample(protocol, outcomes, n, rng if rng is not None else stream(seed))
+    return _sample(protocol, (labels, dists, meta), n, rng if rng is not None else stream(seed))
 
 
 def protocol_ground_truth(
@@ -247,17 +253,10 @@ def protocol_ground_truth(
     eta: float = 0.25,
     witness_rank: int = 1,
 ) -> float:
-    """The exact value (in bits) that a protocol's certified bound targets."""
-    if protocol == "hypothesis_test":
-        return hypothesis_testing_divergence(rho, ref, eta).bits
-    if protocol == "witness":
-        proj = default_witness_projector(rho, ref, witness_rank)
-        p = float(np.trace(proj @ rho.matrix).real)
-        return max(0.0, math.log2(max(p, _OCCUPATION_FLOOR) * ref.d_r / witness_rank))
-    if protocol == "dephase":
-        p = _support_probabilities(rho, ref)
-        return max(0.0, math.log2(ref.d_r) - shannon(p / p.sum()).bits)
-    raise ValidationError(f"unknown protocol {protocol!r}")
+    """The exact value (in bits) that a protocol's certified bound targets:
+    the target of its outcome setup, whose test calibration (here
+    simulate_record's default) moves the draws but not the target."""
+    return _outcome_setup(rho, ref, protocol, eta, 0.5, witness_rank)[3]()
 
 
 @dataclass(frozen=True)
@@ -469,14 +468,15 @@ def pipeline(config: RunConfig) -> dict:
 def coverage_experiment(config: RunConfig, trials: int) -> dict:
     """Estimate how often certified bounds overshoot their exact targets.
 
-    Sets up each statistical protocol in the config once and draws `trials`
-    records from its outcome distributions, trial t on its own stream
-    (seed, protocol, t), into one count matrix. `stats.certify_counts`
-    certifies all of them at once, each Clopper-Pearson bisection step one
-    `betainc` call over every trial, with the values the record certifiers
-    give. Reports the violation fraction against the exactly computed
-    ground truth; a run that cannot certify counts as invalid. The summary
-    contains no timestamp, so identical seeds give byte-identical output.
+    Sets up each statistical protocol in the config once; that one setup
+    gives both the outcome distributions and the exact target. Draws
+    `trials` records from the distributions, trial t on its own stream
+    (seed, protocol, t), into one count matrix, which `stats.certify_counts`
+    certifies at once, each Clopper-Pearson bisection step one `betainc`
+    call over every trial, with the values the record certifiers give.
+    Reports the violation fraction against the target; a run that cannot
+    certify counts as invalid. The summary contains no timestamp, so
+    identical seeds give byte-identical output.
     """
     if trials <= 0:
         raise ValidationError("trials must be positive")
@@ -490,12 +490,10 @@ def coverage_experiment(config: RunConfig, trials: int) -> dict:
     rho, ref = config.state, config.reference
     results: dict = {}
     for proto in protocols:
-        truth = protocol_ground_truth(
-            rho, ref, proto, eta=config.eta, witness_rank=config.witness_rank
-        )
-        labels, dists, meta = _outcome_setup(
+        labels, dists, meta, target = _outcome_setup(
             rho, ref, proto, config.eta, config.test_calibration, config.witness_rank
         )
+        truth = target()
         key = PROTOCOLS.index(proto)
         counts = _draw(labels, dists, config.n_samples,
                        [stream(config.seed, key, trial) for trial in range(trials)])

@@ -39,6 +39,7 @@ from .records import (  # noqa: F401
     PROTOCOLS,
     WITNESS_LABELS,
     MeasurementRecord,
+    _check_witness_rank,
     _is_integer,
 )
 from .reference import ReferenceSet
@@ -77,6 +78,12 @@ class CertifiedBound:
 
 
 def _check_binomial_args(k, n, delta: float) -> None:
+    """Integer counts 0 <= k <= n with n > 0 (an array of them needs an
+    integer dtype, a scalar must be an int or a numpy integer), and delta in
+    (0, 1)."""
+    for x in (k, n):
+        if not (x.dtype.kind in "iu" if isinstance(x, np.ndarray) else _is_integer(x)):
+            raise ValidationError(f"counts must be integers, got k={k!r}, N={n!r}")
     bad = (n <= 0) | (k < 0) | (k > n)
     if bad.any() if isinstance(bad, np.ndarray) else bad:
         raise ValidationError(f"invalid counts k={k}, N={n}")
@@ -206,11 +213,6 @@ def ht_sample_plan(target_bits: float, delta: float) -> int:
     return math.ceil(2.0**target_bits * math.log(1.0 / delta) - _PLAN_SLACK)
 
 
-def _check_witness_rank(rank, d_r: int) -> None:
-    if not _is_integer(rank) or not 1 <= rank <= d_r:
-        raise ValidationError(f"witness rank {rank!r} must be an integer in [1, d_R = {d_r}]")
-
-
 def _witness_value(p_lower: float, d_r: int, rank: int) -> float:
     """The certified D_max: log2(p_L d_R / r), floored at 0."""
     return math.log2(p_lower * d_r / rank) if p_lower * d_r > rank else 0.0
@@ -267,8 +269,7 @@ def witness_sample_plan(
     p0: float, target_bits: float, rank: int, d_r: int, delta: float
 ) -> int:
     """Hoeffding sample size to separate p0 from p* = 2^L r / d_R."""
-    if rank < 1 or d_r < rank:
-        raise ValidationError("need 1 <= rank <= d_R")
+    _check_witness_rank(rank, d_r)
     if not 0.0 < delta < 1.0:
         raise ValidationError(f"delta {delta} must be in (0,1)")
     p_star = 2.0**target_bits * rank / d_r
@@ -278,11 +279,6 @@ def witness_sample_plan(
             f"threshold p* = {p_star}; the target is unreachable"
         )
     return math.ceil(math.log(1.0 / delta) / (2.0 * (p0 - p_star) ** 2) - _PLAN_SLACK)
-
-
-def _check_dephase_outcomes(n_labels: int, m: int) -> None:
-    if n_labels > m:
-        raise ValidationError(f"{n_labels} outcome labels exceed the d_R = {m} basis states")
 
 
 def _dephase_value(h_hat, n: int, m: int, delta: float):
@@ -319,7 +315,9 @@ def dephase_protocol(
     if not 0.0 < delta < 1.0:
         raise ValidationError(f"delta {delta} must be in (0,1)")
     m = ref.d_r
-    _check_dephase_outcomes(len(record.counts), m)
+    if len(record.counts) > m:
+        raise ValidationError(f"{len(record.counts)} outcome labels exceed the d_R = {m} "
+                              "basis states")
     n = record.n
     counts = np.array(list(record.counts.values()), dtype=float)
     p_hat = np.zeros(m)
@@ -352,25 +350,16 @@ def certify_counts(
 
     Row i of the integer matrix `counts` holds record i's outcome counts in
     label order (HT_LABELS, WITNESS_LABELS, or the d_R reference basis
-    states), n shots per distribution. The rows pass the checks that a
-    MeasurementRecord and its certifier make, with the same messages, and
-    each gets the value its certifier returns, bit for bit: the endpoints
-    of all rows are bisected together, one `betainc` call per step.
+    states), n shots per distribution: the counts that
+    `harness.coverage_experiment` draws, which meet MeasurementRecord's
+    checks by construction and are not checked again. Each row gets the
+    value its certifier returns, bit for bit: the endpoints of all rows are
+    bisected together, one `betainc` call per step.
 
     Returns the values in bits of the rows that certify, in row order, and
     the number of rows that do not: hypothesis tests whose type-I endpoint
     exceeds eta, which ht_protocol rejects with ProtocolInvalidError.
     """
-    counts = np.asarray(counts)
-    if counts.ndim != 2 or counts.dtype.kind not in "iu":
-        raise ValidationError(f"counts must be a matrix of integers, got {counts.dtype} "
-                              f"of shape {counts.shape}")
-    if (counts < 0).any():
-        raise ValidationError("negative count")
-    blocks = 2 if protocol == "hypothesis_test" else 1
-    sums = counts.reshape(len(counts), blocks, -1).sum(axis=2)
-    if (sums != n).any():
-        raise ValidationError(f"counts sum {sums[sums != n][0]} does not match n = {n}")
     # the values take math.log2 of each endpoint, as the record certifiers
     # do; numpy's vectorized log2 may round the last bit differently
     if protocol == "hypothesis_test":
@@ -383,10 +372,7 @@ def certify_counts(
         p_lower = clopper_pearson_lower(counts[:, 0], n, delta)
         return np.array([_witness_value(p, ref.d_r, rank) for p in p_lower.tolist()]), 0
     if protocol == "dephase":
-        _check_dephase_outcomes(counts.shape[1], ref.d_r)
-        p_hat = np.zeros((len(counts), ref.d_r))
-        p_hat[:, : counts.shape[1]] = counts / n
-        h_hat = np.array([_entropy_bits(row) for row in p_hat])
+        h_hat = np.array([_entropy_bits(row) for row in counts / n])
         return _dephase_value(h_hat, n, ref.d_r, delta)[0], 0
     raise ValidationError(f"unknown protocol {protocol!r}")
 

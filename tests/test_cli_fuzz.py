@@ -3,10 +3,11 @@
 Hypothesis writes state, reference and record files with non-finite
 entries, ragged arrays, booleans, strings, dimensions over a small
 RCC_DIM_CAP and states just inside and just outside the PSD tolerance,
-then runs `compute`, `simulate` and `certify` in process; it writes window
-families for `sweep` and process-trace CSVs for `thermo` the same way.
-Whatever the input, the exit code is one of the documented ones and an
-error is one line on stderr.
+then runs `compute`, `simulate`, `coverage` (each protocol, 2 trials of 20
+shots) and `certify` in process; it writes window families for `sweep`
+and process-trace CSVs for `thermo` the same way. Whatever the input, the
+exit code is one of the documented ones and an error is one line on
+stderr.
 """
 
 import json
@@ -160,7 +161,7 @@ record_payloads = st.one_of(
 def run(tmp_path):
     runner = CliRunner()
 
-    def invoke(command: str, **payloads):
+    def invoke(command: str, *options: str, **payloads):
         args = [command]
         for option, payload in payloads.items():
             # a process trace is CSV text, written as it is; every other
@@ -174,9 +175,12 @@ def run(tmp_path):
             args += [f"--{option}", str(path)]
         if command == "simulate":
             args += ["--protocol", "dephase", "--n", "50"]
+        if command == "coverage":
+            args += ["--trials", "2", "--n", "20"]
         if command == "thermo":
             args += ["--gamma-r", "2"]
-        result = runner.invoke(main, args, env={"RCC_DIM_CAP": str(DIM_CAP)})
+        # options given by the test come last, so they override the above
+        result = runner.invoke(main, [*args, *options], env={"RCC_DIM_CAP": str(DIM_CAP)})
         assert result.exit_code in EXIT_CODES, (result.exit_code, result.exception)
         assert "Traceback" not in result.output
         if result.exit_code:
@@ -197,6 +201,22 @@ def test_compute(run, state, reference):
 @given(state=matrix_payloads)
 def test_simulate(run, state):
     run("simulate", state=state, reference=REFERENCE)
+
+
+@FUZZ
+@given(state=matrix_payloads, reference=st.one_of(st.just(REFERENCE), reference_payloads),
+       protocol=st.sampled_from(["all", *LABELS]))
+def test_coverage(run, state, reference, protocol):
+    run("coverage", "--protocol", protocol, state=state, reference=reference)
+
+
+@pytest.mark.parametrize("protocol", sorted(LABELS))
+def test_state_and_reference_of_different_dimensions_exit_4(run, protocol):
+    state = {"dim": 2, "re": [[0.5, 0.0], [0.0, 0.5]]}
+    for command in ("simulate", "coverage"):
+        result = run(command, "--protocol", protocol, state=state, reference=REFERENCE)
+        assert result.exit_code == 4
+        assert "dimension mismatch: state 2, reference 4" in result.stderr
 
 
 @FUZZ

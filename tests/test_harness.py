@@ -6,6 +6,7 @@ import pytest
 
 from rcc import (
     BlockPartition,
+    LeakageError,
     ObservationWindow,
     RunConfig,
     ValidationError,
@@ -21,6 +22,7 @@ from rcc import (
     stream,
     sweep_windows,
     validate_density,
+    witness_sample_plan,
 )
 from rcc import io as rcc_io
 from rcc.harness import default_witness_projector, optimal_test_projector
@@ -236,6 +238,43 @@ class TestCoverage:
         h = -sum(p * math.log2(p) for p in (0.6, 0.25, 0.1, 0.05))
         assert dephase_truth == pytest.approx(2.0 - h, abs=1e-12)
 
+    def test_a_leaking_state_simulates_but_has_no_test_target(self):
+        # the hypothesis test's target is computed only when read, so
+        # setting up a record does not need a state supported in H_R
+        ref = embedded_reference(2, 4)
+        leaking = diag_state(0.5, 0.3, 0.2, 0.0)
+        record = simulate_record(leaking, ref, "hypothesis_test", 100, seed=0)
+        assert record.n == 200
+        with pytest.raises(LeakageError):
+            protocol_ground_truth(leaking, ref, "hypothesis_test")
+
+    @pytest.mark.parametrize("rank", [1, 3])
+    def test_witness_ground_truth_is_the_top_eigenvalues(self, rank):
+        # inside H_R the default witness projects onto rho's top `rank`
+        # eigenvectors, so its target is log2(sum of them * d_R / rank)
+        rho = embed_state(random_density(np.random.default_rng(8), 6), 8)
+        ref = embedded_reference(6, 8)
+        top = np.sort(np.linalg.eigvalsh(rho.matrix))[::-1][:rank].sum()
+        truth = protocol_ground_truth(rho, ref, "witness", witness_rank=rank)
+        assert truth == pytest.approx(math.log2(top * 6 / rank), abs=1e-12)
+        assert truth > 0.0
+
+    @pytest.mark.parametrize("rank", [1.5, True, 0, 5])
+    def test_witness_rank_is_one_rule(self, small_setup, rank):
+        # the simulator, the pipeline and the planner reject a rank the
+        # certifier would, with its message
+        rho, ref = small_setup
+        message = rf"witness rank {rank!r} must be an integer in \[1, d_R = 4\]"
+        config = RunConfig(state=rho, reference=ref, protocols=("witness",), witness_rank=rank)
+        with pytest.raises(ValidationError, match=message):
+            pipeline(config)
+        with pytest.raises(ValidationError, match=message):
+            coverage_experiment(config, trials=2)
+        with pytest.raises(ValidationError, match=message):
+            simulate_record(rho, ref, "witness", 10, seed=0, witness_rank=rank)
+        with pytest.raises(ValidationError, match=message):
+            witness_sample_plan(0.9, 1.0, rank, 4, 0.05)
+
     def test_loose_delta_still_covers(self, small_setup):
         rho, ref = small_setup
         config = RunConfig(
@@ -283,18 +322,28 @@ class TestBatchedCoverage:
         with pytest.raises(ValidationError, match=message):
             coverage_experiment(config, trials=5)
 
-    @pytest.mark.parametrize("protocol, counts, message", [
-        ("witness", np.array([[3.0, 7.0]]), "counts must be a matrix of integers"),
-        ("witness", np.array([3, 7]), "counts must be a matrix of integers"),
-        ("witness", np.array([[12, -2]]), "negative count"),
-        ("witness", np.array([[3, 6]]), "counts sum 9 does not match n = 10"),
-        ("hypothesis_test", np.array([[1, 9, 4, 5]]), "counts sum 9 does not match n = 10"),
-        ("dephase", np.array([[1, 2, 3, 4]]), "4 outcome labels exceed the d_R = 2 basis states"),
+    @pytest.mark.parametrize("n", [20.5, 20.0, True, 0])
+    def test_the_shot_count_is_a_positive_integer(self, state_and_ref, n):
+        # certify_counts trusts the sampler's counts, so the sampler checks n
+        rho, ref = state_and_ref
+        message = f"n must be a positive integer, got {n!r}"
+        for proto in ("hypothesis_test", "witness", "dephase"):
+            config = RunConfig(state=rho, reference=ref, protocols=(proto,), n_samples=n)
+            with pytest.raises(ValidationError, match=message):
+                coverage_experiment(config, trials=2)
+            with pytest.raises(ValidationError, match=message):
+                simulate_record(rho, ref, proto, n, seed=0)
+
+    @pytest.mark.parametrize("protocol, rank, message", [
+        ("witness", 3, r"witness rank 3 must be an integer in \[1, d_R = 2\]"),
+        ("witness", 1.5, r"witness rank 1.5 must be an integer in \[1, d_R = 2\]"),
+        ("exact", 1, "unknown protocol 'exact'"),
     ])
-    def test_certify_counts_makes_the_record_checks(self, protocol, counts, message):
+    def test_certify_counts_checks_the_rank_and_the_protocol(self, protocol, rank, message):
+        # the counts themselves come from the sampler and are not checked again
         ref = embedded_reference(2, 4)
         with pytest.raises(ValidationError, match=message):
-            certify_counts(protocol, counts, 10, ref, eta=0.25, delta=0.05, rank=1)
+            certify_counts(protocol, np.array([[3, 7]]), 10, ref, eta=0.25, delta=0.05, rank=rank)
 
 
 class TestSweep:

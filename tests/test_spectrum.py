@@ -106,6 +106,20 @@ class TestEigensolveCount:
             counts.append(sum(eig_calls.values()))
         assert counts[0] == counts[1]
 
+    def test_coverage_eigensolves_once_per_projector(self, rng, eig_calls):
+        # the witness and the test projector each take one eigensolve of
+        # V^dag rho V; the targets come from the same setups, and rho's
+        # spectrum from its validation
+        ref = stabilizer_reference(4, ["XXII"], 2, 4)
+        rho = subspace_state(rng, ref)
+        ref.support_basis()
+        config = RunConfig(state=rho, reference=ref,
+                           protocols=("hypothesis_test", "witness", "dephase"),
+                           n_samples=200, seed=3)
+        eig_calls.update(eigh=0, eigvalsh=0)
+        coverage_experiment(config, 10)
+        assert eig_calls == {"eigh": 2, "eigvalsh": 0}
+
 
 class TestSpectrumCache:
     @pytest.mark.parametrize("kind", sorted(STATES))

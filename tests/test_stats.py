@@ -135,6 +135,24 @@ class TestArrayEndpoints:
         with pytest.raises(ValidationError, match="invalid counts"):
             clopper_pearson_lower(np.array([-1, 2]), 4, 0.05)
 
+    @pytest.mark.parametrize("k, n", [
+        (2.5, 10), (2.0, 10), (True, 10), (3, 10.0), (3, True), (np.bool_(True), 10),
+        (np.array([2.0, 3.0]), 10), (np.array([True, False]), 10), (np.array([2, 3]), 10.0),
+        (np.array([2, 3]), np.array([10.0, 10.0])),
+    ])
+    def test_counts_must_be_integers(self, k, n):
+        for endpoint in (clopper_pearson_upper, clopper_pearson_lower):
+            with pytest.raises(ValidationError, match="counts must be integers"):
+                endpoint(k, n, 0.05)
+
+    @pytest.mark.parametrize("k, n", [
+        (np.int64(3), 100), (np.uint8(3), np.int32(100)), (3, np.int64(100)),
+        (np.array([3, 3], dtype=np.int32), np.uint64(100)),
+    ])
+    def test_numpy_integer_counts_are_counts(self, k, n):
+        for endpoint in (clopper_pearson_upper, clopper_pearson_lower):
+            assert np.all(endpoint(k, n, 0.05) == endpoint(3, 100, 0.05))
+
 
 class TestHtProtocol:
     def test_zero_failures(self):
