@@ -5,7 +5,9 @@ then draws records from them. Randomness comes from Philox, a named 64-bit
 counter-based generator; independent streams are derived from the master
 seed with spawn keys (the protocol's position in `records.PROTOCOLS`, then the
 trial index), so coverage experiments are order-independent and
-bit-reproducible across platforms.
+bit-reproducible across platforms. A Philox stream is its 128-bit key and a
+zero counter, so coverage hashes every trial's key in one pass and re-keys
+one generator per protocol, with the bits `stream` gives each trial.
 """
 
 from __future__ import annotations
@@ -57,20 +59,110 @@ _UNITS = ("bits", "nats", "structons")
 _VIOLATION_SLACK = 1e-12
 # the witness target's occupation is floored here so that its log2 is finite
 _OCCUPATION_FLOOR = 1e-300
+# a coverage trial's index is one 32-bit word of its stream's spawn key
+_MAX_TRIALS = 2**32
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): a pool of 4
+# 32-bit words and its mixing constants
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _check_seed(seed) -> None:
+    """A master seed: a nonnegative Python or numpy integer."""
+    if not _is_integer(seed) or seed < 0:
+        raise ValidationError(f"seed must be a nonnegative integer, got {seed!r}")
 
 
 def stream(seed: int, *key: int) -> np.random.Generator:
     """Philox stream for (master seed, spawn key); same key, same bits."""
-    if seed < 0:
-        raise ValidationError("seed must be a nonnegative integer")
+    _check_seed(seed)
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=key)))
+
+
+def _words(n: int) -> list[int]:
+    """n as 32-bit words, least significant first, at least one word:
+    SeedSequence's reading of an integer."""
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def _hasher(const: int, mult: int) -> Callable:
+    """SeedSequence's hashmix with its running constant. Every value is a
+    Python int or a uint32 array; Python products are masked to 32 bits and
+    array products wrap, so no numpy scalar ever overflows."""
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * mult & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+    return hashmix
+
+
+def _mix(x, y):
+    """SeedSequence's mix of two 32-bit words (ints or uint32 arrays)."""
+    r = ((_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32)) & _MASK32
+    return r ^ r >> 16
+
+
+def _trial_keys(seed: int, key: int, trials: int) -> np.ndarray:
+    """The Philox keys of stream(seed, key, t) for t < trials, (trials, 2) uint64.
+
+    Philox(SeedSequence(seed, spawn_key=(key, t))) is keyed with the
+    sequence's generate_state(2, uint64). Its entropy is the seed's words,
+    zero-padded to the pool size, then the key's words, then t. Only the
+    last word differs between trials, so the hash runs once, over Python
+    ints, with t a uint32 array of every trial.
+    """
+    words = _words(int(seed))
+    entropy = (words + [0] * (_POOL_SIZE - len(words)) + _words(key)
+               + [np.arange(trials, dtype=np.uint32)])
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    hashmix = _hasher(_INIT_B, _MULT_B)
+    state = [hashmix(word).astype(np.uint64) for word in pool]
+    return np.stack([state[0] | state[1] << 32, state[2] | state[3] << 32], axis=1)
+
+
+def _trial_streams(seed: int, key: int, trials: int):
+    """Generators with the bits of stream(seed, key, t), t = 0 .. trials-1.
+
+    One Philox is re-keyed before each trial: its key is the trial's, its
+    counter zero and its buffer empty, which is the state a fresh
+    stream(seed, key, t) starts in. Every item is the same Generator, so
+    each must be drawn from before the next is asked for, as _draw does.
+    """
+    bit_generator = np.random.Philox(key=0)
+    rng = np.random.Generator(bit_generator)
+    fresh = {"counter": np.zeros(4, dtype=np.uint64), "key": None}
+    state = {"bit_generator": "Philox", "state": fresh, "buffer": np.zeros(4, dtype=np.uint64),
+             "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    for trial_key in _trial_keys(seed, key, trials):
+        fresh["key"] = trial_key
+        bit_generator.state = state
+        yield rng
 
 
 def _draw(labels: list, dists: list[np.ndarray], n: int, rngs) -> np.ndarray:
     """One row of counts per generator: a multinomial draw of n shots from
     each distribution in order, with the leak outcome's column dropped. A
     shot on the leak is a sampling error. The rows are integer, nonnegative
-    and sum to n per distribution, which certify_counts relies on."""
+    and sum to n per distribution, which certify_counts relies on. Each row
+    is drawn in full before the next generator is taken, so the rows may
+    come from one re-keyed generator (_trial_streams)."""
     if not _is_integer(n) or n <= 0:
         raise ValidationError(f"n must be a positive integer, got {n!r}")
     counts = np.array([np.concatenate([rng.multinomial(n, p) for p in dists]) for rng in rngs])
@@ -287,8 +379,7 @@ class RunConfig:
         for name, x in (("delta", self.delta), ("eta", self.eta), ("epsilon", self.epsilon)):
             if not 0.0 < x < 1.0:
                 raise ValidationError(f"{name} = {x} must be in (0,1)")
-        if self.seed < 0:
-            raise ValidationError("seed must be a nonnegative integer")
+        _check_seed(self.seed)
         bad = [p for p in self.protocols if p != "exact" and p not in PROTOCOLS]
         if bad:
             raise ValidationError(f"unknown protocols {bad}")
@@ -470,16 +561,17 @@ def coverage_experiment(config: RunConfig, trials: int) -> dict:
 
     Sets up each statistical protocol in the config once; that one setup
     gives both the outcome distributions and the exact target. Draws
-    `trials` records from the distributions, trial t on its own stream
-    (seed, protocol, t), into one count matrix, which `stats.certify_counts`
-    certifies at once, each Clopper-Pearson bisection step one `betainc`
-    call over every trial, with the values the record certifiers give.
+    `trials` records from the distributions, trial t with the bits of its
+    own stream (seed, protocol, t), into one count matrix, which
+    `stats.certify_counts` certifies at once, each Clopper-Pearson bisection
+    step one `betainc` call over every trial, with the values the record
+    certifiers give.
     Reports the violation fraction against the target; a run that cannot
     certify counts as invalid. The summary contains no timestamp, so
     identical seeds give byte-identical output.
     """
-    if trials <= 0:
-        raise ValidationError("trials must be positive")
+    if not _is_integer(trials) or not 0 < trials <= _MAX_TRIALS:
+        raise ValidationError(f"trials must be an integer in [1, 2**32], got {trials!r}")
     protocols = [p for p in config.protocols if p != "exact"]
     if not protocols:
         raise ValidationError("coverage needs at least one statistical protocol")
@@ -495,8 +587,7 @@ def coverage_experiment(config: RunConfig, trials: int) -> dict:
         )
         truth = target()
         key = PROTOCOLS.index(proto)
-        counts = _draw(labels, dists, config.n_samples,
-                       [stream(config.seed, key, trial) for trial in range(trials)])
+        counts = _draw(labels, dists, config.n_samples, _trial_streams(config.seed, key, trials))
         values, invalid = certify_counts(
             proto, counts, config.n_samples, ref, config.eta, config.delta,
             meta.get("rank", config.witness_rank),

@@ -1,8 +1,10 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rcc import (
     BlockPartition,
@@ -24,8 +26,11 @@ from rcc import (
     validate_density,
     witness_sample_plan,
 )
-from rcc import io as rcc_io
-from rcc.harness import default_witness_projector, optimal_test_projector
+from rcc import harness, io as rcc_io
+from rcc.harness import (
+    _trial_keys, _trial_streams, default_witness_projector, optimal_test_projector,
+)
+from rcc.records import PROTOCOLS
 from rcc.stats import certify_counts
 from conftest import embed_state, embedded_reference, full_reference, random_density
 from oracles import coverage_one_trial_at_a_time
@@ -230,6 +235,27 @@ class TestCoverage:
         with pytest.raises(ValidationError):
             coverage_experiment(config, trials=0)
 
+    @pytest.mark.parametrize("trials", [2.5, True, -3, 2**32 + 1])
+    def test_trials_must_be_an_integer_in_range(self, small_setup, trials, monkeypatch):
+        # a trial's index is one 32-bit word of its stream's key; past 2**32
+        # trials it would wrap, so that raises before anything is set up,
+        # allocated or drawn
+        rho, ref = small_setup
+        config = RunConfig(state=rho, reference=ref, protocols=("witness",))
+        monkeypatch.setattr(harness, "_outcome_setup",
+                            lambda *args: pytest.fail("set up before the trial count was checked"))
+        message = re.escape(f"trials must be an integer in [1, 2**32], got {trials!r}")
+        with pytest.raises(ValidationError, match=message):
+            coverage_experiment(config, trials)
+
+    def test_numpy_integer_trials_and_seeds_are_accepted(self, small_setup):
+        rho, ref = small_setup
+        plain = RunConfig(state=rho, reference=ref, protocols=("witness",), n_samples=50, seed=7)
+        typed = RunConfig(state=rho, reference=ref, protocols=("witness",), n_samples=50,
+                          seed=np.uint32(7))
+        assert rcc_io.dumps_json(coverage_experiment(typed, np.int64(5))) == rcc_io.dumps_json(
+            coverage_experiment(plain, 5))
+
     def test_ground_truths(self, small_setup):
         rho, ref = small_setup
         ht_truth = protocol_ground_truth(rho, ref, "hypothesis_test", eta=0.25)
@@ -393,6 +419,69 @@ class TestStreams:
     def test_negative_seed_rejected(self):
         with pytest.raises(ValidationError):
             stream(-1)
+
+    @pytest.mark.parametrize("seed", [True, 1.5, "3", None, -1])
+    def test_seed_must_be_a_nonnegative_integer(self, small_setup, seed):
+        # int() would read 1.5 as 1 and True as 1; the seed is checked instead
+        rho, ref = small_setup
+        message = re.escape(f"seed must be a nonnegative integer, got {seed!r}")
+        with pytest.raises(ValidationError, match=message):
+            RunConfig(state=rho, reference=ref, protocols=("witness",), seed=seed)
+        with pytest.raises(ValidationError, match=message):
+            stream(seed, 1, 0)
+        with pytest.raises(ValidationError, match=message):
+            simulate_record(rho, ref, "dephase", 10, seed=seed)
+
+
+def first_draws(rng: np.random.Generator) -> list:
+    # more than one Philox block of 64-bit words, then 32-bit draws, which
+    # use the generator's half-word buffer
+    return (rng.integers(0, 2**63, size=9).tolist()
+            + rng.integers(0, 2**32, size=3, dtype=np.uint32).tolist())
+
+
+class TestTrialStreams:
+    """Coverage hashes every trial's Philox key in one pass and re-keys one
+    generator; each trial must get the bits of stream(seed, key, t)."""
+
+    @pytest.mark.parametrize("seed", [
+        0, 1, 12345, 2**31 - 1, 2**32 - 1, 2**32, 2**64 + 7, 2**70 + 5, 2**128 + 3, 2**200,
+        np.int64(77),
+    ])
+    def test_keys_and_draws_match_stream(self, seed):
+        for key in (0, 1, 2, 2**33):
+            keys = _trial_keys(seed, key, 300)
+            assert keys.dtype == np.uint64
+            assert np.array_equal(keys, [
+                np.random.SeedSequence(seed, spawn_key=(key, t)).generate_state(2, np.uint64)
+                for t in range(300)])
+            assert [first_draws(rng) for rng in _trial_streams(seed, key, 70)] == [
+                first_draws(stream(seed, key, t)) for t in range(70)]
+
+    @settings(deadline=None)
+    @given(seed=st.integers(0, 2**256 - 1), key=st.sampled_from([0, 1, 2]),
+           trials=st.integers(1, 40))
+    def test_any_seed_draws_as_stream(self, seed, key, trials):
+        assert [first_draws(rng) for rng in _trial_streams(seed, key, trials)] == [
+            first_draws(stream(seed, key, t)) for t in range(trials)]
+
+    def test_coverage_builds_no_seed_sequence_per_trial(self, small_setup, monkeypatch):
+        built = []
+        seed_sequence = np.random.SeedSequence
+
+        def counting(*args, **kwargs):
+            built.append(kwargs.get("spawn_key"))
+            return seed_sequence(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "SeedSequence", counting)
+        stream(5, 1, 0)
+        assert built == [(1, 0)]
+        built.clear()
+        rho, ref = small_setup
+        config = RunConfig(state=rho, reference=ref, protocols=PROTOCOLS, n_samples=50)
+        summary = coverage_experiment(config, trials=50)
+        assert sorted(summary["protocols"]) == sorted(PROTOCOLS)
+        assert len(built) <= len(PROTOCOLS)
 
 
 class TestIoRoundTrips:
