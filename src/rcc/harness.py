@@ -95,12 +95,19 @@ def _words(n: int) -> list[int]:
 def _hasher(const: int, mult: int) -> Callable:
     """SeedSequence's hashmix with its running constant. Every value is a
     Python int or a uint32 array; Python products are masked to 32 bits and
-    array products wrap, so no numpy scalar ever overflows."""
-    def hashmix(value):
+    array products wrap, so no numpy scalar ever overflows. hashmix(rows,
+    lanes) makes `lanes` successive calls at once: row i of the array rows
+    is hashed with the constants of the i-th call."""
+    def hashmix(value, lanes: int = 1):
         nonlocal const
-        value = value ^ const
-        const = const * mult & _MASK32
-        value = value * const & _MASK32
+        consts = [const]
+        for _ in range(lanes):
+            consts.append(consts[-1] * mult & _MASK32)
+        const = consts[-1]
+        xor, mul = consts[0], consts[1]
+        if lanes > 1:
+            xor, mul = (np.array(c, dtype=np.uint32)[:, None] for c in (consts[:-1], consts[1:]))
+        value = (value ^ xor) * mul & _MASK32
         return value ^ value >> 16
     return hashmix
 
@@ -116,13 +123,14 @@ def _trial_keys(seed: int, key: int, trials: int) -> np.ndarray:
 
     Philox(SeedSequence(seed, spawn_key=(key, t))) is keyed with the
     sequence's generate_state(2, uint64). Its entropy is the seed's words,
-    zero-padded to the pool size, then the key's words, then t. Only the
-    last word differs between trials, so the hash runs once, over Python
-    ints, with t a uint32 array of every trial.
+    zero-padded to the pool size, then the key's words, then t. Only that
+    last word differs between trials, so everything before it is hashed
+    once, over Python ints. The last word is then mixed into all pool words,
+    and the state generated from them, in one pass each over a
+    (pool size, trials) uint32 array.
     """
     words = _words(int(seed))
-    entropy = (words + [0] * (_POOL_SIZE - len(words)) + _words(key)
-               + [np.arange(trials, dtype=np.uint32)])
+    entropy = words + [0] * (_POOL_SIZE - len(words)) + _words(key)
     hashmix = _hasher(_INIT_A, _MULT_A)
     pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
     for src in range(_POOL_SIZE):
@@ -132,9 +140,10 @@ def _trial_keys(seed: int, key: int, trials: int) -> np.ndarray:
     for word in entropy[_POOL_SIZE:]:
         for dst in range(_POOL_SIZE):
             pool[dst] = _mix(pool[dst], hashmix(word))
-    hashmix = _hasher(_INIT_B, _MULT_B)
-    state = [hashmix(word).astype(np.uint64) for word in pool]
-    return np.stack([state[0] | state[1] << 32, state[2] | state[3] << 32], axis=1)
+    trial = np.arange(trials, dtype=np.uint32)
+    rows = _mix(np.array(pool, dtype=np.uint32)[:, None], hashmix(trial, _POOL_SIZE))
+    state = _hasher(_INIT_B, _MULT_B)(rows, _POOL_SIZE).astype(np.uint64)
+    return (state[0::2] | state[1::2] << 32).T
 
 
 def _trial_streams(seed: int, key: int, trials: int):
@@ -160,9 +169,10 @@ def _draw(labels: list, dists: list[np.ndarray], n: int, rngs) -> np.ndarray:
     """One row of counts per generator: a multinomial draw of n shots from
     each distribution in order, with the leak outcome's column dropped. A
     shot on the leak is a sampling error. The rows are integer, nonnegative
-    and sum to n per distribution, which certify_counts relies on. Each row
-    is drawn in full before the next generator is taken, so the rows may
-    come from one re-keyed generator (_trial_streams)."""
+    and sum to n per distribution, which stats.certify_counts relies on
+    without checking them again. Each row is drawn in full before the next
+    generator is taken, so the rows may come from one re-keyed generator
+    (_trial_streams)."""
     if not _is_integer(n) or n <= 0:
         raise ValidationError(f"n must be a positive integer, got {n!r}")
     counts = np.array([np.concatenate([rng.multinomial(n, p) for p in dists]) for rng in rngs])
@@ -194,8 +204,11 @@ def _check_povm(mats: list[np.ndarray], dim: int) -> None:
 
 
 def _born_probabilities(matrix: np.ndarray, mats) -> np.ndarray:
-    """Outcome distribution Tr(E_i M), clipped at 0 and normalised."""
-    probs = np.array([float(np.trace(e @ matrix).real) for e in mats])
+    """Outcome distribution Tr(E_i M), clipped at 0 and normalised. Each
+    trace is one O(d^2) contraction, vdot(M^dag, E_i) = sum_jk M_kj E_jk,
+    not a matrix product."""
+    adjoint = np.ascontiguousarray(matrix.conj().T)
+    probs = np.array([np.vdot(adjoint, e).real for e in mats])
     probs = np.clip(probs, 0.0, None)
     return probs / probs.sum()
 
@@ -562,10 +575,13 @@ def coverage_experiment(config: RunConfig, trials: int) -> dict:
     Sets up each statistical protocol in the config once; that one setup
     gives both the outcome distributions and the exact target. Draws
     `trials` records from the distributions, trial t with the bits of its
-    own stream (seed, protocol, t), into one count matrix, which
-    `stats.certify_counts` certifies at once, each Clopper-Pearson bisection
-    step one `betainc` call over every trial, with the values the record
-    certifiers give.
+    own stream (seed, protocol, t), into one count matrix.
+    `stats.certify_counts` then counts the trials whose certified value
+    exceeds the target by more than _VIOLATION_SLACK, and those that cannot
+    certify, with the values and the comparison of the record certifiers:
+    a binary search over a binomial protocol's distinct counts finds the
+    count at which a trial starts to violate, so a column of trials costs
+    about log2 of its distinct counts in Clopper-Pearson endpoints.
     Reports the violation fraction against the target; a run that cannot
     certify counts as invalid. The summary contains no timestamp, so
     identical seeds give byte-identical output.
@@ -588,11 +604,10 @@ def coverage_experiment(config: RunConfig, trials: int) -> dict:
         truth = target()
         key = PROTOCOLS.index(proto)
         counts = _draw(labels, dists, config.n_samples, _trial_streams(config.seed, key, trials))
-        values, invalid = certify_counts(
-            proto, counts, config.n_samples, ref, config.eta, config.delta,
-            meta.get("rank", config.witness_rank),
+        violations, invalid = certify_counts(
+            proto, counts, config.n_samples, ref, truth + _VIOLATION_SLACK, config.eta,
+            config.delta, meta.get("rank", config.witness_rank),
         )
-        violations = int(np.count_nonzero(values > truth + _VIOLATION_SLACK))
         results[proto] = {
             "trials": trials,
             "violations": violations,

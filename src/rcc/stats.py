@@ -3,20 +3,22 @@ measurement protocols, sample-size planners and bound combination.
 
 Every protocol turns raw outcome counts into a CertifiedBound: a one-sided
 lower confidence bound on a divergence, tagged with its confidence level
-and full parameter provenance. Endpoints are Clopper-Pearson, computed by
-bisecting the exact binomial tail (through the regularized incomplete
-beta), which is bit-reproducible and avoids special-function inversions.
+and full parameter provenance. Endpoints are Clopper-Pearson, computed for
+one count at a time by bisecting the exact binomial tail (through the
+regularized incomplete beta), which is bit-reproducible and avoids
+special-function inversions.
 
-The endpoints take a count or an array of counts. An array is bisected in
-lockstep, one `betainc` call per step over all of its entries, and each
-entry gets the bits of the scalar call; `certify_counts` uses this to
-certify a whole (records x outcomes) count matrix at once, as coverage
-experiments do.
+Coverage experiments need, of many records of one protocol, only how many
+certify above a limit and how many cannot certify. Each binomial
+certifier is monotone in one count, so `certify_counts` finds the
+threshold count by a binary search over the distinct counts, one scalar
+endpoint per probe, instead of certifying every record.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,37 +80,26 @@ class CertifiedBound:
 
 
 def _check_binomial_args(k, n, delta: float) -> None:
-    """Integer counts 0 <= k <= n with n > 0 (an array of them needs an
-    integer dtype, a scalar must be an int or a numpy integer), and delta in
-    (0, 1)."""
-    for x in (k, n):
-        if not (x.dtype.kind in "iu" if isinstance(x, np.ndarray) else _is_integer(x)):
-            raise ValidationError(f"counts must be integers, got k={k!r}, N={n!r}")
-    bad = (n <= 0) | (k < 0) | (k > n)
-    if bad.any() if isinstance(bad, np.ndarray) else bad:
+    """Integer counts 0 <= k <= n with n > 0 (each an int or a numpy
+    integer), and delta in (0, 1)."""
+    if not (_is_integer(k) and _is_integer(n)):
+        raise ValidationError(f"counts must be integers, got k={k!r}, N={n!r}")
+    if n <= 0 or k < 0 or k > n:
         raise ValidationError(f"invalid counts k={k}, N={n}")
     if not 0.0 < delta < 1.0:
         raise ValidationError(f"delta {delta} must be in (0,1)")
 
 
-def _binom_cdf(k, n, p):
+def _binom_cdf(k: int, n: int, p: float) -> float:
     """P(X <= k) for X ~ Binomial(n, p), -1 <= k <= n and 0 < p < 1 (the
-    points a bisection visits), via the incomplete beta; elementwise over
-    arrays, a float for scalars."""
-    r = betainc(n - k, k + 1, 1.0 - p)
-    return r if r.shape else float(r)  # a numpy scalar has shape ()
+    points a bisection visits), via the incomplete beta."""
+    return float(betainc(n - k, k + 1, 1.0 - p))
 
 
-def _bisect(f, rising: bool):
-    """Sign changes of monotone functions on [0, 1] by plain bisection, to an
+def _bisect(f, rising: bool) -> float:
+    """Sign change of a monotone function on [0, 1] by plain bisection, to an
     absolute bracket width of _BISECT_WIDTH; f rises through 0 (f(0) <= 0)
-    or falls through it (f(0) > 0).
-
-    f maps a point, or an array of points, to one value per root. Every
-    bracket has the same width at every step, so all of them are stepped
-    together, and lo + width is exact: each root gets the bits a bisection
-    of its own would give.
-    """
+    or falls through it (f(0) > 0)."""
     lo, width = 0.0, 1.0
     while width > _BISECT_WIDTH:
         width *= 0.5
@@ -116,33 +107,20 @@ def _bisect(f, rising: bool):
     return lo + 0.5 * width
 
 
-def _endpoint(edge, value: float, f, rising: bool):
-    """value where edge holds and f's bisected sign change elsewhere, for a
-    count or an array of counts; when every entry is at the edge nothing is
-    bisected."""
-    if not isinstance(edge, np.ndarray):
-        return value if edge else _bisect(f, rising)
-    if edge.all():
-        return np.full(edge.shape, value)
-    return np.where(edge, value, _bisect(f, rising))
-
-
-def clopper_pearson_upper(k, n, delta: float):
-    """One-sided exact upper endpoint: largest p with P(X <= k; p) >= delta.
-
-    k and n may be arrays (broadcast together), giving an array of endpoints.
-    """
+def clopper_pearson_upper(k: int, n: int, delta: float) -> float:
+    """One-sided exact upper endpoint: largest p with P(X <= k; p) >= delta."""
     _check_binomial_args(k, n, delta)
-    return _endpoint(k == n, 1.0, lambda p: _binom_cdf(k, n, p) - delta, rising=False)
+    if k == n:
+        return 1.0
+    return _bisect(lambda p: _binom_cdf(k, n, p) - delta, rising=False)
 
 
-def clopper_pearson_lower(k, n, delta: float):
-    """One-sided exact lower endpoint: smallest p with P(X >= k; p) >= delta.
-
-    k and n may be arrays (broadcast together), giving an array of endpoints.
-    """
+def clopper_pearson_lower(k: int, n: int, delta: float) -> float:
+    """One-sided exact lower endpoint: smallest p with P(X >= k; p) >= delta."""
     _check_binomial_args(k, n, delta)
-    return _endpoint(k == 0, 0.0, lambda p: (1.0 - _binom_cdf(k - 1, n, p)) - delta, rising=True)
+    if k == 0:
+        return 0.0
+    return _bisect(lambda p: (1.0 - _binom_cdf(k - 1, n, p)) - delta, rising=True)
 
 
 def _ht_value(beta_upper: float) -> float:
@@ -204,13 +182,22 @@ def ht_protocol(record: MeasurementRecord, eta: float, delta: float) -> Certifie
     )
 
 
+def _pow2(bits: float) -> float:
+    """2^bits for a finite exponent, inf where that overflows a float."""
+    return 2.0**bits if bits < 1024 else math.inf
+
+
 def ht_sample_plan(target_bits: float, delta: float) -> int:
     """Zero-failure sample size certifying D_H >= target: ceil(2^L ln(1/delta))."""
-    if target_bits < 0:
-        raise ValidationError("target must be nonnegative")
+    if not (math.isfinite(target_bits) and target_bits >= 0):
+        raise ValidationError(f"target must be finite and nonnegative, got {target_bits}")
     if not 0.0 < delta <= 1.0:
         raise ValidationError(f"delta {delta} must be in (0,1]")
-    return math.ceil(2.0**target_bits * math.log(1.0 / delta) - _PLAN_SLACK)
+    size = _pow2(target_bits) * math.log(1.0 / delta)
+    if not size < math.inf:
+        raise ValidationError(
+            f"the sample size 2^L ln(1/delta) for target L = {target_bits} bits overflows a float")
+    return math.ceil(size - _PLAN_SLACK)
 
 
 def _witness_value(p_lower: float, d_r: int, rank: int) -> float:
@@ -272,7 +259,11 @@ def witness_sample_plan(
     _check_witness_rank(rank, d_r)
     if not 0.0 < delta < 1.0:
         raise ValidationError(f"delta {delta} must be in (0,1)")
-    p_star = 2.0**target_bits * rank / d_r
+    if not math.isfinite(target_bits):
+        raise ValidationError(f"target must be finite, got {target_bits}")
+    if not 0.0 < p0 <= 1.0:
+        raise ValidationError(f"anticipated occupation p0 = {p0} must be in (0,1]")
+    p_star = _pow2(target_bits) * rank / d_r
     if p0 <= p_star:
         raise ValidationError(
             f"anticipated occupation p0 = {p0} does not exceed the certification "
@@ -342,38 +333,56 @@ def dephase_protocol(
     )
 
 
+def _first_flip(column: np.ndarray, flips) -> tuple[float, int]:
+    """(k*, rows): the least count of the column at which flips turns true,
+    and the number of rows at or above it, for a predicate on counts that
+    is false and then true along ascending counts; (inf, 0) if it never
+    turns. A binary search over the u distinct counts of the column makes
+    at most ceil(log2(u + 1)) calls of flips, each with a Python int."""
+    ks, rows = np.unique(column, return_counts=True)
+    i = bisect_left(ks.tolist(), True, key=flips)
+    return (ks[i] if i < ks.size else math.inf), int(rows[i:].sum())
+
+
 def certify_counts(
-    protocol: str, counts: np.ndarray, n: int, ref: ReferenceSet, eta: float,
+    protocol: str, counts: np.ndarray, n: int, ref: ReferenceSet, limit: float, eta: float,
     delta: float, rank: int,
-) -> tuple[np.ndarray, int]:
-    """Certify many records of one protocol at once, from their counts.
+) -> tuple[int, int]:
+    """Of many records of one protocol, count those that certify above limit.
 
     Row i of the integer matrix `counts` holds record i's outcome counts in
     label order (HT_LABELS, WITNESS_LABELS, or the d_R reference basis
     states), n shots per distribution: the counts that
     `harness.coverage_experiment` draws, which meet MeasurementRecord's
-    checks by construction and are not checked again. Each row gets the
-    value its certifier returns, bit for bit: the endpoints of all rows are
-    bisected together, one `betainc` call per step.
+    checks by construction and are not checked again.
 
-    Returns the values in bits of the rows that certify, in row order, and
-    the number of rows that do not: hypothesis tests whose type-I endpoint
-    exceeds eta, which ht_protocol rejects with ProtocolInvalidError.
+    Returns (above, invalid): the number of rows whose record certifier
+    returns a value greater than limit, and the number of rows that cannot
+    certify (hypothesis tests whose type-I endpoint exceeds eta, which
+    ht_protocol rejects with ProtocolInvalidError). Each binomial certifier
+    reads one count column and is monotone in it: a hypothesis test is
+    invalid from some null_accept_h1 count on, its value falls as
+    alt_accept_h0 grows, and the witness value rises with success. So each
+    column is split at its threshold count by a binary search over its
+    distinct counts, each probe one scalar endpoint, the certifier's value
+    and the same comparison. The dephase value reads the whole row and is
+    computed per row.
     """
-    # the values take math.log2 of each endpoint, as the record certifiers
-    # do; numpy's vectorized log2 may round the last bit differently
     if protocol == "hypothesis_test":
-        invalid = clopper_pearson_upper(counts[:, 0], n, delta * _HT_DELTA_SPLIT) > eta
-        beta_upper = clopper_pearson_upper(counts[~invalid, 3], n, delta * (1.0 - _HT_DELTA_SPLIT))
-        values = np.array([_ht_value(b) for b in beta_upper.tolist()])
-        return values, int(np.count_nonzero(invalid))
+        k_star, invalid = _first_flip(
+            counts[:, 0], lambda k: clopper_pearson_upper(k, n, delta * _HT_DELTA_SPLIT) > eta)
+        alt = counts[counts[:, 0] < k_star, 3]
+        _, not_above = _first_flip(alt, lambda k: not _ht_value(
+            clopper_pearson_upper(k, n, delta * (1.0 - _HT_DELTA_SPLIT))) > limit)
+        return alt.size - not_above, invalid
     if protocol == "witness":
         _check_witness_rank(rank, ref.d_r)
-        p_lower = clopper_pearson_lower(counts[:, 0], n, delta)
-        return np.array([_witness_value(p, ref.d_r, rank) for p in p_lower.tolist()]), 0
+        _, above = _first_flip(counts[:, 0], lambda k: _witness_value(
+            clopper_pearson_lower(k, n, delta), ref.d_r, rank) > limit)
+        return above, 0
     if protocol == "dephase":
         h_hat = np.array([_entropy_bits(row) for row in counts / n])
-        return _dephase_value(h_hat, n, ref.d_r, delta)[0], 0
+        return int(np.count_nonzero(_dephase_value(h_hat, n, ref.d_r, delta)[0] > limit)), 0
     raise ValidationError(f"unknown protocol {protocol!r}")
 
 

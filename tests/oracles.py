@@ -5,7 +5,8 @@ library code it checks: determinant bisection instead of LAPACK
 eigensolvers, grid-scanned threshold tests instead of waterfilling, plain
 bisection instead of Lambert-W, direct binomial pmf sums instead of
 incomplete-beta tail inversion, and one simulated record and one record
-certification per trial instead of a batched count matrix.
+certification per trial instead of a batched count matrix, and one record
+certification per row instead of a binary search for a threshold count.
 """
 
 from __future__ import annotations
@@ -218,3 +219,34 @@ def coverage_one_trial_at_a_time(config, trials: int) -> dict:
         "trials": trials,
         "protocols": results,
     }
+
+
+def certify_record(protocol: str, row: list, n: int, ref, eta: float, delta: float, rank: int):
+    """The CertifiedBound of the record whose outcome counts, in label order,
+    are row, n shots per distribution (a row of certify_counts' matrix)."""
+    from rcc import MeasurementRecord, dephase_protocol, ht_protocol, witness_protocol
+    from rcc.records import HT_LABELS, WITNESS_LABELS
+
+    if protocol == "hypothesis_test":
+        return ht_protocol(MeasurementRecord(protocol, 2 * n, dict(zip(HT_LABELS, row))),
+                           eta, delta)
+    if protocol == "witness":
+        return witness_protocol(MeasurementRecord(protocol, n, dict(zip(WITNESS_LABELS, row))),
+                                ref, rank, delta)
+    record = MeasurementRecord(protocol, n, {str(i): c for i, c in enumerate(row)})
+    return dephase_protocol(record, ref, delta)
+
+
+def count_above_one_record_at_a_time(protocol: str, counts, n: int, ref, limit: float,
+                                     eta: float, delta: float, rank: int) -> tuple[int, int]:
+    """certify_counts' (above, invalid), one record certification per row,
+    with ProtocolInvalidError counted as invalid."""
+    from rcc import ProtocolInvalidError
+
+    above = invalid = 0
+    for row in counts.tolist():
+        try:
+            above += certify_record(protocol, row, n, ref, eta, delta, rank).value > limit
+        except ProtocolInvalidError:
+            invalid += 1
+    return above, invalid

@@ -207,6 +207,27 @@ class TestPlan:
         ])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("args, message", [
+        (["hypothesis_test", "--target-bits", "2000"],
+         "the sample size 2^L ln(1/delta) for target L = 2000.0 bits overflows a float"),
+        (["hypothesis_test", "--target-bits", "inf"], "target must be finite and nonnegative"),
+        (["hypothesis_test", "--target-bits", "nan"], "target must be finite and nonnegative"),
+        (["witness", "--target-bits", "nan", "--p0", "0.5", "--dr", "8"],
+         "target must be finite, got nan"),
+        (["witness", "--target-bits", "1", "--p0", "nan", "--dr", "8"],
+         "anticipated occupation p0 = nan must be in (0,1]"),
+        (["witness", "--target-bits", "1", "--p0", "1.5", "--dr", "8"],
+         "anticipated occupation p0 = 1.5 must be in (0,1]"),
+        (["witness", "--target-bits", "1", "--p0", "0", "--dr", "8"],
+         "anticipated occupation p0 = 0.0 must be in (0,1]"),
+        (["witness", "--target-bits", "2000", "--p0", "0.5", "--dr", "8"],
+         "the target is unreachable"),
+    ])
+    def test_bad_plan_inputs_exit_4(self, runner, args, message):
+        result = runner.invoke(main, ["plan", "--protocol", *args])
+        assert result.exit_code == 4, result.output
+        assert message in result.output
+
 
 class TestCoverageDeterminism:
     def test_byte_identical_summaries(self, runner, files, tmp_path):

@@ -26,7 +26,7 @@ from rcc import (
     validate_density,
     witness_sample_plan,
 )
-from rcc import harness, io as rcc_io
+from rcc import harness, io as rcc_io, stats
 from rcc.harness import (
     _trial_keys, _trial_streams, default_witness_projector, optimal_test_projector,
 )
@@ -92,6 +92,18 @@ class TestBornSample:
             born_sample(
                 rho, [np.diag([2.0, 0.0]), np.diag([-1.0, 1.0])], 10, seed=1
             )
+
+
+    def test_probabilities_are_the_traces_of_the_effects(self, rng):
+        # a complex state and complex effects; the traces are contracted in
+        # another order than the matrix product, so they agree to roundoff
+        rho = random_density(rng, 6)
+        q, _ = np.linalg.qr(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
+        effects = [np.outer(q[:, i], q[:, i].conj()) for i in range(6)]
+        effects = [effects[0] + effects[1], *effects[2:]]
+        traces = np.array([np.trace(e @ rho.matrix).real for e in effects])
+        assert np.allclose(harness._born_probabilities(rho.matrix, effects),
+                           traces / traces.sum(), rtol=0, atol=1e-14)
 
 
 class TestSimulateRecord:
@@ -369,7 +381,22 @@ class TestBatchedCoverage:
         # the counts themselves come from the sampler and are not checked again
         ref = embedded_reference(2, 4)
         with pytest.raises(ValidationError, match=message):
-            certify_counts(protocol, np.array([[3, 7]]), 10, ref, eta=0.25, delta=0.05, rank=rank)
+            certify_counts(protocol, np.array([[3, 7]]), 10, ref, limit=0.0, eta=0.25, delta=0.05,
+                           rank=rank)
+
+    def test_a_count_column_costs_a_binary_search_of_endpoints(self, state_and_ref, monkeypatch):
+        # 500 trials certified one by one would evaluate 1,500 endpoints
+        evaluated = []
+        for name in ("clopper_pearson_upper", "clopper_pearson_lower"):
+            def counting(k, n, delta, endpoint=getattr(stats, name)):
+                evaluated.append(np.size(k))
+                return endpoint(k, n, delta)
+            monkeypatch.setattr(stats, name, counting)
+        rho, ref = state_and_ref
+        config = RunConfig(state=rho, reference=ref, protocols=PROTOCOLS, n_samples=400, seed=11)
+        summary = coverage_experiment(config, trials=500)
+        assert summary["protocols"]["hypothesis_test"]["invalid_runs"] == 0
+        assert 0 < sum(evaluated) <= 3 * math.ceil(math.log2(501))
 
 
 class TestSweep:

@@ -23,8 +23,14 @@ from rcc import (
     witness_sample_plan,
 )
 from rcc import stats
+from rcc.stats import certify_counts
 from conftest import embedded_reference, full_reference
-from oracles import clopper_pearson_lower_oracle, clopper_pearson_upper_oracle
+from oracles import (
+    certify_record,
+    clopper_pearson_lower_oracle,
+    clopper_pearson_upper_oracle,
+    count_above_one_record_at_a_time,
+)
 
 
 def ht_record(null_h1, null_h0, alt_h1, alt_h0):
@@ -94,8 +100,9 @@ class TestClopperPearson:
 
 
 class TestArrayEndpoints:
-    """An array of counts is bisected in lockstep; every endpoint must have
-    the bits of the scalar call, which itself returns a Python float."""
+    """The endpoints take one count at a time and return a Python float;
+    coverage certifies a whole column of counts through certify_counts,
+    which must count what certifying each row's record counts."""
 
     SIZES = [10, 37, 100, 2000, 12345, 10**6, 3 * 2**25, 3216643036] + [
         ht_sample_plan(bits, 0.05) for bits in (20, 25, 30)
@@ -105,17 +112,34 @@ class TestArrayEndpoints:
     def test_array_equals_elementwise_scalar(self, n):
         rng = np.random.default_rng(n % 2**32)
         ks = sorted({*range(min(n, 10) + 1), *rng.integers(0, n + 1, 6).tolist(), n})
+        ref = full_reference(4)
+        columns = {"hypothesis_test": np.array([[k, n - k, n - k, k] for k in ks]),
+                   "witness": np.array([[k, n - k] for k in ks])}
         for delta in (1e-9, 1e-4, 0.025, 0.05, 0.3):
             for endpoint in (clopper_pearson_upper, clopper_pearson_lower):
-                scalar = [endpoint(k, n, delta) for k in ks]
-                assert all(type(x) is float for x in scalar)
-                assert np.array_equal(endpoint(np.array(ks), n, delta), scalar)
+                assert all(type(endpoint(k, n, delta)) is float for k in ks)
+            for protocol, counts in columns.items():
+                values = certified_values(protocol, counts, n, ref, 0.25, delta, 1)
+                tie = values[len(values) // 2] if values else 0.0
+                for limit in (0.0, tie, np.nextafter(tie, -np.inf), np.nextafter(tie, np.inf)):
+                    assert certify_counts(protocol, counts, n, ref, limit, 0.25, delta, 1) == (
+                        count_above_one_record_at_a_time(protocol, counts, n, ref, limit, 0.25,
+                                                         delta, 1))
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_scalar_endpoints_are_nondecreasing_in_k(self, n):
+        # certify_counts' binary search over the counts relies on this
+        rng = np.random.default_rng(n % 2**32 + 1)
+        near = [k + step for k in rng.integers(0, n + 1, 8).tolist() for step in (-1, 0, 1)]
+        ks = sorted({k for k in (*range(31), *near, n - 1, n) if 0 <= k <= n})
+        for delta in (1e-9, 1e-4, 0.025, 0.05, 0.3):
+            for endpoint in (clopper_pearson_upper, clopper_pearson_lower):
+                values = [endpoint(k, n, delta) for k in ks]
+                assert values == sorted(values)
 
     def test_edges_are_exact(self):
-        k = np.array([0, 3, 7])
-        assert clopper_pearson_upper(k, 7, 0.05)[2] == 1.0
-        assert clopper_pearson_lower(k, 7, 0.05)[0] == 0.0
         assert clopper_pearson_upper(np.int64(7), np.int64(7), 0.05) == 1.0
+        assert clopper_pearson_lower(np.int64(0), np.int64(7), 0.05) == 0.0
 
     def test_counts_all_at_the_edge_are_not_bisected(self, monkeypatch):
         def no_bisection(*args, **kwargs):
@@ -124,16 +148,14 @@ class TestArrayEndpoints:
         monkeypatch.setattr(stats, "_bisect", no_bisection)
         assert clopper_pearson_upper(7, 7, 0.05) == 1.0
         assert clopper_pearson_lower(0, 7, 0.05) == 0.0
-        upper = clopper_pearson_upper(np.array([7, 7]), 7, 0.05)
-        lower = clopper_pearson_lower(np.array([0, 0]), np.array([3, 9]), 0.05)
-        assert isinstance(upper, np.ndarray) and upper.tolist() == [1.0, 1.0]
-        assert isinstance(lower, np.ndarray) and lower.tolist() == [0.0, 0.0]
 
     def test_array_counts_are_checked(self):
-        with pytest.raises(ValidationError, match="invalid counts"):
-            clopper_pearson_upper(np.array([0, 5]), 4, 0.05)
-        with pytest.raises(ValidationError, match="invalid counts"):
-            clopper_pearson_lower(np.array([-1, 2]), 4, 0.05)
+        # an endpoint takes one count; an array of integer counts is not one
+        for k, n in [(np.array([0, 5]), 4), (np.array([1, 2]), 4), (np.array(3), 4),
+                     (3, np.array([4, 5]))]:
+            for endpoint in (clopper_pearson_upper, clopper_pearson_lower):
+                with pytest.raises(ValidationError, match="counts must be integers"):
+                    endpoint(k, n, 0.05)
 
     @pytest.mark.parametrize("k, n", [
         (2.5, 10), (2.0, 10), (True, 10), (3, 10.0), (3, True), (np.bool_(True), 10),
@@ -147,11 +169,60 @@ class TestArrayEndpoints:
 
     @pytest.mark.parametrize("k, n", [
         (np.int64(3), 100), (np.uint8(3), np.int32(100)), (3, np.int64(100)),
-        (np.array([3, 3], dtype=np.int32), np.uint64(100)),
     ])
     def test_numpy_integer_counts_are_counts(self, k, n):
         for endpoint in (clopper_pearson_upper, clopper_pearson_lower):
-            assert np.all(endpoint(k, n, 0.05) == endpoint(3, 100, 0.05))
+            assert endpoint(k, n, 0.05) == endpoint(3, 100, 0.05)
+
+
+def certified_values(protocol, counts, n, ref, eta, delta, rank) -> list[float]:
+    """The values of the rows' records that certify, in row order."""
+    values = []
+    for row in counts.tolist():
+        try:
+            values.append(certify_record(protocol, row, n, ref, eta, delta, rank).value)
+        except ProtocolInvalidError:
+            pass
+    return values
+
+
+class TestCertifyCounts:
+    """certify_counts splits each count column at a threshold count by a
+    binary search; it must count what certifying each row's record counts,
+    also when the limit ties a row's value or sits one ULP beside it."""
+
+    REFS = {d: full_reference(d) for d in range(1, 9)}
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), protocol=st.sampled_from(["hypothesis_test", "witness"]),
+           n=st.integers(1, 400) | st.sampled_from([2000, 3141253]),
+           delta=st.floats(1e-6, 0.5), eta=st.floats(0.01, 0.99), d_r=st.integers(1, 8))
+    def test_counts_what_the_record_certifiers_count(self, data, protocol, n, delta, eta, d_r):
+        first = data.draw(st.lists(st.integers(0, n), min_size=1, max_size=40))
+        if protocol == "hypothesis_test":
+            second = data.draw(st.lists(st.integers(0, n), min_size=len(first),
+                                        max_size=len(first)))
+            counts = np.array([[a, n - a, n - b, b] for a, b in zip(first, second)])
+        else:
+            counts = np.array([[k, n - k] for k in first])
+        ref, rank = self.REFS[d_r], data.draw(st.integers(1, d_r))
+        values = certified_values(protocol, counts, n, ref, eta, delta, rank)
+        if values:
+            tie = data.draw(st.sampled_from(values))
+            limit = data.draw(st.sampled_from(
+                [tie, np.nextafter(tie, -np.inf), np.nextafter(tie, np.inf)]))
+        else:
+            limit = data.draw(st.floats(-1.0, 40.0))
+        assert certify_counts(protocol, counts, n, ref, limit, eta, delta, rank) == (
+            count_above_one_record_at_a_time(protocol, counts, n, ref, limit, eta, delta, rank))
+
+    def test_dephase_counts_each_row(self):
+        ref = full_reference(4)
+        counts = np.array([[50, 0, 0, 0], [20, 10, 10, 10], [25, 25, 0, 0], [49, 1, 0, 0]])
+        values = certified_values("dephase", counts, 50, ref, 0.25, 0.05, 1)
+        for limit in (0.0, values[2], np.nextafter(values[2], -np.inf), -1.0):
+            assert certify_counts("dephase", counts, 50, ref, limit, 0.25, 0.05, 1) == (
+                sum(v > limit for v in values), 0)
 
 
 class TestHtProtocol:
