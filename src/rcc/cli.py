@@ -212,6 +212,8 @@ def simulate(state_path, reference_path, protocol, n_samples, seed, eta,
     """Draw Born-rule samples and emit a measurement record."""
     if state_path is None:
         raise ConfigError("--state is required for simulate")
+    if witness_path is not None and protocol != "witness":
+        raise ConfigError("--witness applies only to --protocol witness")
     rho = io.load_state(state_path)
     ref = io.load_reference(reference_path)
     projector = None

@@ -1,7 +1,9 @@
 """Measurement simulation and the end-to-end certified pipeline.
 
-Each statistical protocol fixes its outcome distributions once per run and
-then draws records from them. Randomness comes from Philox, a named 64-bit
+Each statistical protocol is one entry of `_PROTOCOL_TABLE`: its outcome
+setup, its record certifier and its coverage counter. It fixes its outcome
+distributions once per run and then draws records from them; the projectors
+of a run share one eigensolve. Randomness comes from Philox, a named 64-bit
 counter-based generator; independent streams are derived from the master
 seed with spawn keys (the protocol's position in `records.PROTOCOLS`, then the
 trial index), so coverage experiments are order-independent and
@@ -12,10 +14,11 @@ one generator per protocol, with the bits `stream` gives each trial.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
@@ -36,7 +39,7 @@ from .entropy import (
     von_neumann,
 )
 from .errors import RccError, ValidationError
-from .operators import EFFECT_TOL, DensityOperator, eig_hermitian
+from .operators import EFFECT_TOL, DensityOperator, _effect_rank, eig_hermitian
 from .reference import ReferenceSet
 from .records import (
     HT_LABELS, PROTOCOLS, WITNESS_LABELS, MeasurementRecord, _check_witness_rank, _is_integer,
@@ -169,7 +172,7 @@ def _draw(labels: list, dists: list[np.ndarray], n: int, rngs) -> np.ndarray:
     """One row of counts per generator: a multinomial draw of n shots from
     each distribution in order, with the leak outcome's column dropped. A
     shot on the leak is a sampling error. The rows are integer, nonnegative
-    and sum to n per distribution, which stats.certify_counts relies on
+    and sum to n per distribution, which the coverage counters rely on
     without checking them again. Each row is drawn in full before the next
     generator is taken, so the rows may come from one re-keyed generator
     (_trial_streams)."""
@@ -235,25 +238,23 @@ def born_sample(
     return _sample(protocol, outcomes, n, rng if rng is not None else stream(seed))
 
 
-def _support_probabilities(rho: DensityOperator, ref: ReferenceSet) -> np.ndarray:
-    """Outcome distribution of the reference-basis measurement, p_i = v_i^dag rho v_i."""
-    basis = ref.support_basis()
-    return np.clip(np.einsum("ji,ji->i", basis.conj(), rho.matrix @ basis).real, 0.0, None)
+def _compression(rho: DensityOperator, ref: ReferenceSet) -> Callable:
+    """(V, eigendecomposition of V^dag rho V): rho compressed to H_R in the
+    reference support basis V, solved on the first call only, so the test
+    and the witness projector of one run share it, and a run needing neither
+    pays for none."""
+    @functools.cache
+    def solve():
+        basis = ref.support_basis()
+        small = basis.conj().T @ rho.matrix @ basis
+        return basis, eig_hermitian(0.5 * (small + small.conj().T))
+    return solve
 
 
-def optimal_test_projector(
-    rho: DensityOperator, ref: ReferenceSet, eta: float
-) -> np.ndarray:
-    """Waterfilling test operator at type-I level eta, supported in H_R.
-
-    Built in the reference support basis so Tr(T sigma_R) equals eta exactly
-    up to roundoff.
-    """
+def _test_projector(compression: Callable, ref: ReferenceSet, eta: float) -> np.ndarray:
     if not 0.0 < eta < 1.0:
         raise ValidationError(f"eta {eta} must be in (0,1)")
-    basis = ref.support_basis()
-    small = basis.conj().T @ rho.matrix @ basis
-    dec = eig_hermitian(0.5 * (small + small.conj().T))
+    basis, dec = compression()
     budget = eta * ref.d_r
     k = int(math.floor(budget))
     weights = np.zeros(ref.d_r)
@@ -264,20 +265,114 @@ def optimal_test_projector(
     return basis @ t_small @ basis.conj().T
 
 
-def default_witness_projector(
-    rho: DensityOperator, ref: ReferenceSet, rank: int
+def optimal_test_projector(
+    rho: DensityOperator, ref: ReferenceSet, eta: float
 ) -> np.ndarray:
-    """Rank-r projector onto the dominant eigenvectors of rho inside H_R."""
+    """Waterfilling test operator at type-I level eta, supported in H_R.
+
+    Built in the reference support basis so Tr(T sigma_R) equals eta exactly
+    up to roundoff.
+    """
+    return _test_projector(_compression(rho, ref), ref, eta)
+
+
+def _witness_projector(compression: Callable, ref: ReferenceSet, rank: int) -> np.ndarray:
     _check_witness_rank(rank, ref.d_r)
-    basis = ref.support_basis()
-    small = basis.conj().T @ rho.matrix @ basis
-    dec = eig_hermitian(0.5 * (small + small.conj().T))
+    basis, dec = compression()
     v = dec.eigenvectors[:, :rank]
     return basis @ v @ v.conj().T @ basis.conj().T
 
 
+def default_witness_projector(
+    rho: DensityOperator, ref: ReferenceSet, rank: int
+) -> np.ndarray:
+    """Rank-r projector onto the dominant eigenvectors of rho inside H_R."""
+    return _witness_projector(_compression(rho, ref), ref, rank)
+
+
+def _ht_setup(rho, ref, compression, eta, test_calibration, *_):
+    # null calibration on the structured vacuum, then the alternative on rho
+    eta_test = eta * test_calibration
+    t = _test_projector(compression, ref, eta_test)
+    effects = [t, np.eye(ref.dim, dtype=complex) - t]
+    dists = [_born_probabilities(m, effects) for m in (ref.sigma_matrix(), rho.matrix)]
+    return list(HT_LABELS), dists, {"eta": eta, "eta_test": eta_test}, (
+        lambda: hypothesis_testing_divergence(rho, ref, eta).bits)
+
+
+def _witness_setup(rho, ref, compression, eta, test_calibration, witness_rank, witness_projector):
+    if witness_projector is None:
+        proj, rank = _witness_projector(compression, ref, witness_rank), witness_rank
+    else:
+        proj = np.asarray(witness_projector, dtype=complex)
+        if proj.shape != (ref.dim, ref.dim):
+            raise ValidationError(f"witness projector must be {ref.dim}x{ref.dim}")
+        _check_povm([proj, np.eye(ref.dim, dtype=complex) - proj], ref.dim)
+        rank = _effect_rank(proj)
+    effects = [proj, np.eye(ref.dim, dtype=complex) - proj]
+    return list(WITNESS_LABELS), [_born_probabilities(rho.matrix, effects)], {"rank": rank}, (
+        lambda: max(0.0, math.log2(max(float(np.trace(proj @ rho.matrix).real),
+                                       _OCCUPATION_FLOOR) * ref.d_r / rank)))
+
+
+def _dephase_setup(rho, ref, *_):
+    # outcomes: the d_R reference basis vectors, p_i = v_i^dag rho v_i, then
+    # the leak I - Pi_R, whose mass is Tr(rho) - Tr(Pi_R rho)
+    basis = ref.support_basis()
+    p = np.clip(np.einsum("ji,ji->i", basis.conj(), rho.matrix @ basis).real, 0.0, None)
+    leak = float(np.trace(rho.matrix).real) - reference_overlap(rho, ref)
+    probs = np.append(p, max(leak, 0.0))
+    labels = [str(i) for i in range(ref.d_r)] + [_LEAK]
+    return labels, [probs / probs.sum()], {"basis": "reference-support"}, (
+        lambda: max(0.0, math.log2(ref.d_r) - shannon(p / p.sum()).bits))
+
+
+def _stats():
+    from . import stats
+    return stats
+
+
+class _Protocol(NamedTuple):
+    """A protocol's outcome setup (see _outcome_setup), record certifier
+    (record, config) -> CertifiedBound and coverage counter (counts, n, ref,
+    limit, eta, delta, rank) -> (above, invalid). The last two look `stats`
+    up at each call, so scipy loads only when something certifies and a
+    wrapper installed on a `stats` function is called."""
+
+    setup: Callable
+    certify: Callable
+    count: Callable
+
+
+# in the order of records.PROTOCOLS, whose positions are the spawn keys
+_PROTOCOL_TABLE = {
+    "hypothesis_test": _Protocol(
+        _ht_setup,
+        lambda record, config: _stats().ht_protocol(record, config.eta, config.delta),
+        lambda counts, n, ref, limit, eta, delta, rank: _stats().ht_counts(
+            counts, n, limit, eta, delta)),
+    "witness": _Protocol(
+        _witness_setup,
+        lambda record, config: _stats().witness_protocol(
+            record, config.reference, record.meta.get("rank", config.witness_rank), config.delta),
+        lambda counts, n, ref, limit, eta, delta, rank: _stats().witness_counts(
+            counts, n, ref, limit, delta, rank)),
+    "dephase": _Protocol(
+        _dephase_setup,
+        lambda record, config: _stats().dephase_protocol(record, config.reference, config.delta),
+        lambda counts, n, ref, limit, eta, delta, rank: _stats().dephase_counts(
+            counts, n, ref, limit, delta)),
+}
+
+
+def _protocol(name: str) -> _Protocol:
+    if name not in _PROTOCOL_TABLE:
+        raise ValidationError(f"unknown protocol {name!r}")
+    return _PROTOCOL_TABLE[name]
+
+
 def _outcome_setup(
-    rho: DensityOperator, ref: ReferenceSet, protocol: str, eta: float,
+    rho: DensityOperator, ref: ReferenceSet, protocol: str, compression: Callable, eta: float,
     test_calibration: float, witness_rank: int, witness_projector=None,
 ) -> tuple[list, list[np.ndarray], dict, Callable[[], float]]:
     """Per-run setup of one protocol on rho: (labels, distributions, meta,
@@ -286,44 +381,16 @@ def _outcome_setup(
     A record draws n shots from each distribution in order; the labels run
     over the outcomes of all of them. The effects built here are POVMs by
     construction and are not checked again; a supplied witness projector is
-    checked as the POVM {P, I - P}, and its rank is Tr P. target() is the
-    exact value in bits that the protocol's certified bound targets, built
-    from the same pieces; the hypothesis test's is computed only when read,
-    so setting up a record neither pays for it nor needs a supported state.
+    checked as the POVM {P, I - P} and as a projector, and its rank is
+    Tr P. target() is the exact value in bits that the protocol's certified
+    bound targets, built from the same pieces; the hypothesis test's is
+    computed only when read, so setting up a record neither pays for it nor
+    needs a supported state. The setups of one run share compression.
     """
     if rho.dim != ref.dim:
         raise ValidationError(f"dimension mismatch: state {rho.dim}, reference {ref.dim}")
-    if protocol == "dephase":
-        # outcomes: the d_R reference basis vectors, then the leak I - Pi_R,
-        # whose mass is Tr(rho) - Tr(Pi_R rho)
-        leak = float(np.trace(rho.matrix).real) - reference_overlap(rho, ref)
-        p = _support_probabilities(rho, ref)
-        probs = np.append(p, max(leak, 0.0))
-        labels = [str(i) for i in range(ref.d_r)] + [_LEAK]
-        return labels, [probs / probs.sum()], {"basis": "reference-support"}, (
-            lambda: max(0.0, math.log2(ref.d_r) - shannon(p / p.sum()).bits))
-    if protocol == "witness":
-        if witness_projector is None:
-            proj, rank = default_witness_projector(rho, ref, witness_rank), witness_rank
-        else:
-            proj = np.asarray(witness_projector, dtype=complex)
-            if proj.shape != (ref.dim, ref.dim):
-                raise ValidationError(f"witness projector must be {ref.dim}x{ref.dim}")
-            _check_povm([proj, np.eye(ref.dim, dtype=complex) - proj], ref.dim)
-            rank = int(round(float(np.trace(proj).real)))
-        effects = [proj, np.eye(ref.dim, dtype=complex) - proj]
-        return list(WITNESS_LABELS), [_born_probabilities(rho.matrix, effects)], {"rank": rank}, (
-            lambda: max(0.0, math.log2(max(float(np.trace(proj @ rho.matrix).real),
-                                           _OCCUPATION_FLOOR) * ref.d_r / rank)))
-    if protocol == "hypothesis_test":
-        # null calibration on the structured vacuum, then the alternative on rho
-        eta_test = eta * test_calibration
-        t = optimal_test_projector(rho, ref, eta_test)
-        effects = [t, np.eye(ref.dim, dtype=complex) - t]
-        dists = [_born_probabilities(m, effects) for m in (ref.sigma_matrix(), rho.matrix)]
-        return list(HT_LABELS), dists, {"eta": eta, "eta_test": eta_test}, (
-            lambda: hypothesis_testing_divergence(rho, ref, eta).bits)
-    raise ValidationError(f"unknown protocol {protocol!r}")
+    return _protocol(protocol).setup(
+        rho, ref, compression, eta, test_calibration, witness_rank, witness_projector)
 
 
 def simulate_record(
@@ -345,10 +412,9 @@ def simulate_record(
     calibrated at eta * test_calibration so the type-I endpoint certifies
     below eta with headroom.
     """
-    labels, dists, meta, _ = _outcome_setup(
-        rho, ref, protocol, eta, test_calibration, witness_rank, witness_projector
-    )
-    return _sample(protocol, (labels, dists, meta), n, rng if rng is not None else stream(seed))
+    outcomes = _outcome_setup(rho, ref, protocol, _compression(rho, ref), eta, test_calibration,
+                              witness_rank, witness_projector)
+    return _sample(protocol, outcomes[:3], n, rng if rng is not None else stream(seed))
 
 
 def protocol_ground_truth(
@@ -361,7 +427,7 @@ def protocol_ground_truth(
     """The exact value (in bits) that a protocol's certified bound targets:
     the target of its outcome setup, whose test calibration (here
     simulate_record's default) moves the draws but not the target."""
-    return _outcome_setup(rho, ref, protocol, eta, 0.5, witness_rank)[3]()
+    return _outcome_setup(rho, ref, protocol, _compression(rho, ref), eta, 0.5, witness_rank)[3]()
 
 
 @dataclass(frozen=True)
@@ -434,25 +500,6 @@ def _bound_dict(b: CertifiedBound, log2_gamma: float) -> dict:
         "protocol": b.protocol,
         "params": dict(b.params),
     }
-
-
-def _certifier(protocol: str):
-    """The function (record, config) -> CertifiedBound that certifies one
-    protocol's records at the config's delta (and eta); the witness rank
-    comes from the record's meta when it carries one.
-
-    The certifiers are imported here, not at module level, so that scipy
-    loads only when something certifies.
-    """
-    from .stats import dephase_protocol, ht_protocol, witness_protocol
-
-    if protocol == "hypothesis_test":
-        return lambda record, config: ht_protocol(record, config.eta, config.delta)
-    if protocol == "witness":
-        return lambda record, config: witness_protocol(
-            record, config.reference, record.meta.get("rank", config.witness_rank), config.delta
-        )
-    return lambda record, config: dephase_protocol(record, config.reference, config.delta)
 
 
 class _Stage:
@@ -535,20 +582,18 @@ def pipeline(config: RunConfig) -> dict:
                 "display": {"value": display, "unit": config.unit},
             }
     certified: list[CertifiedBound] = []
+    compression = _compression(rho, ref)
     for proto in config.protocols:
         if proto == "exact":
             continue
         with _Stage(proto):
             record = config.records.get(proto)
             if record is None:
-                record = simulate_record(
-                    rho, ref, proto, config.n_samples,
-                    seed=config.seed, eta=config.eta,
-                    test_calibration=config.test_calibration,
-                    witness_rank=config.witness_rank,
-                    rng=stream(config.seed, PROTOCOLS.index(proto)),
-                )
-            certified.append(_certifier(proto)(record, config))
+                outcomes = _outcome_setup(rho, ref, proto, compression, config.eta,
+                                          config.test_calibration, config.witness_rank)
+                record = _sample(proto, outcomes[:3], config.n_samples,
+                                 stream(config.seed, PROTOCOLS.index(proto)))
+            certified.append(_protocol(proto).certify(record, config))
     report["certified_bounds"] = [_bound_dict(b, lg) for b in certified]
     if certified:
         from .stats import combine_bounds
@@ -573,12 +618,13 @@ def coverage_experiment(config: RunConfig, trials: int) -> dict:
     """Estimate how often certified bounds overshoot their exact targets.
 
     Sets up each statistical protocol in the config once; that one setup
-    gives both the outcome distributions and the exact target. Draws
-    `trials` records from the distributions, trial t with the bits of its
-    own stream (seed, protocol, t), into one count matrix.
-    `stats.certify_counts` then counts the trials whose certified value
-    exceeds the target by more than _VIOLATION_SLACK, and those that cannot
-    certify, with the values and the comparison of the record certifiers:
+    gives both the outcome distributions and the exact target, and the
+    setups share one eigensolve of rho compressed to H_R. Draws `trials`
+    records from the distributions, trial t with the bits of its own stream
+    (seed, protocol, t), into one count matrix. The protocol's coverage
+    counter then counts the trials whose certified value exceeds the target
+    by more than _VIOLATION_SLACK, and those that cannot certify, with the
+    values and the comparison of the record certifiers:
     a binary search over a binomial protocol's distinct counts finds the
     count at which a trial starts to violate, so a column of trials costs
     about log2 of its distinct counts in Clopper-Pearson endpoints.
@@ -593,19 +639,18 @@ def coverage_experiment(config: RunConfig, trials: int) -> dict:
         raise ValidationError("coverage needs at least one statistical protocol")
     if config.state is None:
         raise ValidationError("coverage simulation requires a state")
-    from .stats import certify_counts
-
     rho, ref = config.state, config.reference
+    compression = _compression(rho, ref)
     results: dict = {}
     for proto in protocols:
         labels, dists, meta, target = _outcome_setup(
-            rho, ref, proto, config.eta, config.test_calibration, config.witness_rank
+            rho, ref, proto, compression, config.eta, config.test_calibration, config.witness_rank
         )
         truth = target()
         key = PROTOCOLS.index(proto)
         counts = _draw(labels, dists, config.n_samples, _trial_streams(config.seed, key, trials))
-        violations, invalid = certify_counts(
-            proto, counts, config.n_samples, ref, truth + _VIOLATION_SLACK, config.eta,
+        violations, invalid = _protocol(proto).count(
+            counts, config.n_samples, ref, truth + _VIOLATION_SLACK, config.eta,
             config.delta, meta.get("rank", config.witness_rank),
         )
         results[proto] = {

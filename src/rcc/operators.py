@@ -230,6 +230,16 @@ def as_projector(obj) -> Projector:
     return obj if isinstance(obj, Projector) else Projector(_as_matrix(obj))
 
 
+def _effect_rank(p: np.ndarray) -> int:
+    """The rank Tr P of a supplied projective effect, rejected when
+    ||P^2 - P||_F > EFFECT_TOL: an effect that is not a projector has no
+    rank, and rounding its trace to one overstates what it certifies."""
+    err = float(np.linalg.norm(p @ p - p))
+    if err > EFFECT_TOL:
+        raise ValidationError(f"effect is not a projector: ||P^2 - P||_F = {err:.3e}")
+    return int(round(float(np.trace(p).real)))
+
+
 @dataclass(frozen=True)
 class BlockPartition:
     """Pairwise-disjoint index blocks over a basis, possibly partial."""

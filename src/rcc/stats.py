@@ -9,10 +9,13 @@ regularized incomplete beta), which is bit-reproducible and avoids
 special-function inversions.
 
 Coverage experiments need, of many records of one protocol, only how many
-certify above a limit and how many cannot certify. Each binomial
-certifier is monotone in one count, so `certify_counts` finds the
-threshold count by a binary search over the distinct counts, one scalar
-endpoint per probe, instead of certifying every record.
+certify above a limit and how many cannot certify: each protocol's counter
+(`ht_counts`, `witness_counts`, `dephase_counts`) returns those two from a
+matrix of the counts `harness.coverage_experiment` draws, one record per
+row, which meet MeasurementRecord's checks by construction and are not
+checked again. Each binomial certifier is monotone in one count, so its
+counter finds the threshold count by a binary search over the distinct
+counts, one scalar endpoint per probe, instead of certifying every record.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .bounds import (
 )
 from .entropy import _entropy_bits, binary_entropy, shannon
 from .errors import ProtocolInvalidError, ValidationError
-from .operators import EFFECT_TOL
+from .operators import EFFECT_TOL, _effect_rank
 # the record layer, which loads no scipy; re-exported so that callers may
 # import it from either module
 from .records import (  # noqa: F401
@@ -217,13 +220,17 @@ def witness_protocol(
     With p_L the exact lower endpoint of the occupation probability of a
     rank-r projector supported in the reference subspace, certifies
     D_max >= max(0, log2(p_L d_R / r)). The caller attests the support
-    condition unless the projector matrix is supplied for checking.
+    condition and the rank unless the projector matrix is supplied for
+    checking.
     """
     if record.protocol != "witness":
         raise ValidationError(f"record protocol {record.protocol!r} is not witness")
     _check_witness_rank(rank, ref.d_r)
     if projector is not None:
         pw = np.asarray(projector, dtype=complex)
+        if _effect_rank(pw) != rank:
+            raise ValidationError(f"witness projector trace {np.trace(pw).real:.6g} is not "
+                                  f"its rank {rank}")
         leak = np.linalg.norm(pw - ref.total.matrix @ pw @ ref.total.matrix)
         if leak > EFFECT_TOL:
             raise ValidationError(
@@ -344,46 +351,41 @@ def _first_flip(column: np.ndarray, flips) -> tuple[float, int]:
     return (ks[i] if i < ks.size else math.inf), int(rows[i:].sum())
 
 
-def certify_counts(
-    protocol: str, counts: np.ndarray, n: int, ref: ReferenceSet, limit: float, eta: float,
-    delta: float, rank: int,
-) -> tuple[int, int]:
-    """Of many records of one protocol, count those that certify above limit.
+def ht_counts(counts: np.ndarray, n: int, limit: float, eta: float,
+              delta: float) -> tuple[int, int]:
+    """(above, invalid) of hypothesis-test rows in HT_LABELS order, trusted
+    as drawn: how many ht_protocol would certify above limit, and how many
+    it would reject with ProtocolInvalidError. A test is invalid from some
+    null_accept_h1 count on and its value falls as alt_accept_h0 grows, so
+    each column is split at its threshold count, each probe one scalar
+    endpoint, the certifier's value and the same comparison."""
+    k_star, invalid = _first_flip(
+        counts[:, 0], lambda k: clopper_pearson_upper(k, n, delta * _HT_DELTA_SPLIT) > eta)
+    alt = counts[counts[:, 0] < k_star, 3]
+    _, not_above = _first_flip(alt, lambda k: not _ht_value(
+        clopper_pearson_upper(k, n, delta * (1.0 - _HT_DELTA_SPLIT))) > limit)
+    return alt.size - not_above, invalid
 
-    Row i of the integer matrix `counts` holds record i's outcome counts in
-    label order (HT_LABELS, WITNESS_LABELS, or the d_R reference basis
-    states), n shots per distribution: the counts that
-    `harness.coverage_experiment` draws, which meet MeasurementRecord's
-    checks by construction and are not checked again.
 
-    Returns (above, invalid): the number of rows whose record certifier
-    returns a value greater than limit, and the number of rows that cannot
-    certify (hypothesis tests whose type-I endpoint exceeds eta, which
-    ht_protocol rejects with ProtocolInvalidError). Each binomial certifier
-    reads one count column and is monotone in it: a hypothesis test is
-    invalid from some null_accept_h1 count on, its value falls as
-    alt_accept_h0 grows, and the witness value rises with success. So each
-    column is split at its threshold count by a binary search over its
-    distinct counts, each probe one scalar endpoint, the certifier's value
-    and the same comparison. The dephase value reads the whole row and is
-    computed per row.
-    """
-    if protocol == "hypothesis_test":
-        k_star, invalid = _first_flip(
-            counts[:, 0], lambda k: clopper_pearson_upper(k, n, delta * _HT_DELTA_SPLIT) > eta)
-        alt = counts[counts[:, 0] < k_star, 3]
-        _, not_above = _first_flip(alt, lambda k: not _ht_value(
-            clopper_pearson_upper(k, n, delta * (1.0 - _HT_DELTA_SPLIT))) > limit)
-        return alt.size - not_above, invalid
-    if protocol == "witness":
-        _check_witness_rank(rank, ref.d_r)
-        _, above = _first_flip(counts[:, 0], lambda k: _witness_value(
-            clopper_pearson_lower(k, n, delta), ref.d_r, rank) > limit)
-        return above, 0
-    if protocol == "dephase":
-        h_hat = np.array([_entropy_bits(row) for row in counts / n])
-        return int(np.count_nonzero(_dephase_value(h_hat, n, ref.d_r, delta)[0] > limit)), 0
-    raise ValidationError(f"unknown protocol {protocol!r}")
+def witness_counts(counts: np.ndarray, n: int, ref: ReferenceSet, limit: float, delta: float,
+                   rank: int) -> tuple[int, int]:
+    """(above, 0) of witness rows in WITNESS_LABELS order, trusted as drawn
+    (the rank is checked): how many witness_protocol would certify above
+    limit. The value rises with success, so that column is split at its
+    threshold count."""
+    _check_witness_rank(rank, ref.d_r)
+    _, above = _first_flip(counts[:, 0], lambda k: _witness_value(
+        clopper_pearson_lower(k, n, delta), ref.d_r, rank) > limit)
+    return above, 0
+
+
+def dephase_counts(counts: np.ndarray, n: int, ref: ReferenceSet, limit: float,
+                   delta: float) -> tuple[int, int]:
+    """(above, 0) of dephase rows over the d_R reference basis states,
+    trusted as drawn: how many dephase_protocol would certify above limit.
+    The value reads the whole row and is computed per row."""
+    h_hat = np.array([_entropy_bits(row) for row in counts / n])
+    return int(np.count_nonzero(_dephase_value(h_hat, n, ref.d_r, delta)[0] > limit)), 0
 
 
 def bonferroni(delta: float, m: int) -> float:

@@ -223,7 +223,7 @@ def coverage_one_trial_at_a_time(config, trials: int) -> dict:
 
 def certify_record(protocol: str, row: list, n: int, ref, eta: float, delta: float, rank: int):
     """The CertifiedBound of the record whose outcome counts, in label order,
-    are row, n shots per distribution (a row of certify_counts' matrix)."""
+    are row, n shots per distribution (a row of a coverage counter's matrix)."""
     from rcc import MeasurementRecord, dephase_protocol, ht_protocol, witness_protocol
     from rcc.records import HT_LABELS, WITNESS_LABELS
 
@@ -239,7 +239,7 @@ def certify_record(protocol: str, row: list, n: int, ref, eta: float, delta: flo
 
 def count_above_one_record_at_a_time(protocol: str, counts, n: int, ref, limit: float,
                                      eta: float, delta: float, rank: int) -> tuple[int, int]:
-    """certify_counts' (above, invalid), one record certification per row,
+    """A coverage counter's (above, invalid), one record certification per row,
     with ProtocolInvalidError counted as invalid."""
     from rcc import ProtocolInvalidError
 

@@ -108,6 +108,7 @@ class TestSimulateAndCertify:
     @pytest.mark.parametrize("witness, message", [
         ({"dim": 32, "re": (2.0 * np.eye(32)).tolist()}, "not a POVM"),
         ({"dim": 4, "re": np.eye(4).tolist()}, "32x32"),
+        ({"dim": 32, "re": np.diag([1.0, 0.4] + [0.0] * 30).tolist()}, "not a projector"),
     ])
     def test_bad_witness_projector_exits_4(self, runner, files, tmp_path, witness, message):
         state, ref, _ = files
@@ -121,6 +122,18 @@ class TestSimulateAndCertify:
         assert isinstance(result.exception, SystemExit)
         assert message in result.output
         assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize("protocol", ["hypothesis_test", "dephase"])
+    def test_witness_file_with_another_protocol_exits_2(self, runner, files, tmp_path, protocol):
+        state, ref, _ = files
+        path = tmp_path / "witness.json"
+        path.write_text(json.dumps({"dim": 32, "re": np.eye(32).tolist()}))
+        result = runner.invoke(main, [
+            "simulate", "--state", state, "--reference", ref,
+            "--protocol", protocol, "--witness", str(path),
+        ])
+        assert result.exit_code == 2, result.output
+        assert "--witness applies only to --protocol witness" in result.output
 
     @pytest.mark.parametrize("n, counts", [
         (10, {"success": 10.7, "failure": -0.7}),

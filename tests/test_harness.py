@@ -28,10 +28,9 @@ from rcc import (
 )
 from rcc import harness, io as rcc_io, stats
 from rcc.harness import (
-    _trial_keys, _trial_streams, default_witness_projector, optimal_test_projector,
+    _protocol, _trial_keys, _trial_streams, default_witness_projector, optimal_test_projector,
 )
 from rcc.records import PROTOCOLS
-from rcc.stats import certify_counts
 from conftest import embed_state, embedded_reference, full_reference, random_density
 from oracles import coverage_one_trial_at_a_time
 
@@ -138,6 +137,15 @@ class TestSimulateRecord:
         bad = scale * default_witness_projector(rho, ref, 1)
         with pytest.raises(ValidationError, match="not a POVM"):
             simulate_record(rho, ref, "witness", 100, seed=1, witness_projector=bad)
+
+    def test_witness_effect_that_is_not_a_projector_rejected(self):
+        # E = diag(1, 0.4, 0, 0) is a POVM effect whose trace rounds to rank
+        # 1; taken as a rank-1 projector it certified D_max >= 1.48 bits
+        # where D_max is 1
+        rho, ref = diag_state(0.5, 0.5, 0.0, 0.0), full_reference(4)
+        effect = np.diag([1.0, 0.4, 0.0, 0.0])
+        with pytest.raises(ValidationError, match="not a projector"):
+            simulate_record(rho, ref, "witness", 200_000, seed=0, witness_projector=effect)
 
     def test_witness_projector_of_wrong_size_rejected(self, small_setup):
         rho, ref = small_setup
@@ -324,6 +332,20 @@ class TestCoverage:
             assert summary["protocols"][proto]["violation_fraction"] <= 0.53
 
 
+class TestProtocolTable:
+    def test_keys_are_the_protocols_in_spawn_key_order(self):
+        assert tuple(harness._PROTOCOL_TABLE) == PROTOCOLS
+
+    @pytest.mark.parametrize("protocol", ["exact", "Dephase", ""])
+    def test_an_unknown_name_is_rejected_by_the_lookup(self, small_setup, protocol):
+        rho, ref = small_setup
+        message = re.escape(f"unknown protocol {protocol!r}")
+        with pytest.raises(ValidationError, match=message):
+            simulate_record(rho, ref, protocol, 10, seed=0)
+        with pytest.raises(ValidationError, match=message):
+            protocol_ground_truth(rho, ref, protocol)
+
+
 class TestBatchedCoverage:
     """coverage_experiment draws every trial into one count matrix and
     certifies the matrix at once; its summary must be the one that
@@ -362,7 +384,7 @@ class TestBatchedCoverage:
 
     @pytest.mark.parametrize("n", [20.5, 20.0, True, 0])
     def test_the_shot_count_is_a_positive_integer(self, state_and_ref, n):
-        # certify_counts trusts the sampler's counts, so the sampler checks n
+        # the coverage counters trust the sampler's counts, so the sampler checks n
         rho, ref = state_and_ref
         message = f"n must be a positive integer, got {n!r}"
         for proto in ("hypothesis_test", "witness", "dephase"):
@@ -381,8 +403,8 @@ class TestBatchedCoverage:
         # the counts themselves come from the sampler and are not checked again
         ref = embedded_reference(2, 4)
         with pytest.raises(ValidationError, match=message):
-            certify_counts(protocol, np.array([[3, 7]]), 10, ref, limit=0.0, eta=0.25, delta=0.05,
-                           rank=rank)
+            _protocol(protocol).count(np.array([[3, 7]]), 10, ref, limit=0.0, eta=0.25,
+                                      delta=0.05, rank=rank)
 
     def test_a_count_column_costs_a_binary_search_of_endpoints(self, state_and_ref, monkeypatch):
         # 500 trials certified one by one would evaluate 1,500 endpoints

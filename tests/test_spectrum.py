@@ -106,8 +106,8 @@ class TestEigensolveCount:
             counts.append(sum(eig_calls.values()))
         assert counts[0] == counts[1]
 
-    def test_coverage_eigensolves_once_per_projector(self, rng, eig_calls):
-        # the witness and the test projector each take one eigensolve of
+    def test_coverage_eigensolves_once_for_both_projectors(self, rng, eig_calls):
+        # the witness and the test projector read one eigensolve of
         # V^dag rho V; the targets come from the same setups, and rho's
         # spectrum from its validation
         ref = stabilizer_reference(4, ["XXII"], 2, 4)
@@ -118,7 +118,24 @@ class TestEigensolveCount:
                            n_samples=200, seed=3)
         eig_calls.update(eigh=0, eigvalsh=0)
         coverage_experiment(config, 10)
-        assert eig_calls == {"eigh": 2, "eigvalsh": 0}
+        assert eig_calls == {"eigh": 1, "eigvalsh": 0}
+
+    @pytest.mark.parametrize("protocols, eigh", [
+        (("hypothesis_test", "witness"), 1),
+        (("witness", "dephase", "hypothesis_test"), 1),
+        (("dephase",), 0),
+    ])
+    def test_pipeline_eigensolves_once_for_both_projectors(self, rng, eig_calls, protocols,
+                                                           eigh):
+        # a simulating pipeline sets its protocols up on one decomposition
+        # of V^dag rho V, solved only if a projector is built
+        ref = stabilizer_reference(4, ["XXII"], 2, 4)
+        rho = subspace_state(rng, ref)
+        ref.support_basis()
+        config = RunConfig(state=rho, reference=ref, protocols=protocols, n_samples=200, seed=3)
+        eig_calls.update(eigh=0, eigvalsh=0)
+        pipeline(config)
+        assert eig_calls == {"eigh": eigh, "eigvalsh": 0}
 
 
 class TestSpectrumCache:

@@ -23,7 +23,7 @@ from rcc import (
     witness_sample_plan,
 )
 from rcc import stats
-from rcc.stats import certify_counts
+from rcc.harness import _protocol
 from conftest import embedded_reference, full_reference
 from oracles import (
     certify_record,
@@ -101,8 +101,8 @@ class TestClopperPearson:
 
 class TestArrayEndpoints:
     """The endpoints take one count at a time and return a Python float;
-    coverage certifies a whole column of counts through certify_counts,
-    which must count what certifying each row's record counts."""
+    coverage certifies a whole column of counts through its protocol's
+    counter, which must count what certifying each row's record counts."""
 
     SIZES = [10, 37, 100, 2000, 12345, 10**6, 3 * 2**25, 3216643036] + [
         ht_sample_plan(bits, 0.05) for bits in (20, 25, 30)
@@ -122,13 +122,13 @@ class TestArrayEndpoints:
                 values = certified_values(protocol, counts, n, ref, 0.25, delta, 1)
                 tie = values[len(values) // 2] if values else 0.0
                 for limit in (0.0, tie, np.nextafter(tie, -np.inf), np.nextafter(tie, np.inf)):
-                    assert certify_counts(protocol, counts, n, ref, limit, 0.25, delta, 1) == (
+                    assert _protocol(protocol).count(counts, n, ref, limit, 0.25, delta, 1) == (
                         count_above_one_record_at_a_time(protocol, counts, n, ref, limit, 0.25,
                                                          delta, 1))
 
     @pytest.mark.parametrize("n", SIZES)
     def test_scalar_endpoints_are_nondecreasing_in_k(self, n):
-        # certify_counts' binary search over the counts relies on this
+        # the counters' binary search over the counts relies on this
         rng = np.random.default_rng(n % 2**32 + 1)
         near = [k + step for k in rng.integers(0, n + 1, 8).tolist() for step in (-1, 0, 1)]
         ks = sorted({k for k in (*range(31), *near, n - 1, n) if 0 <= k <= n})
@@ -187,7 +187,7 @@ def certified_values(protocol, counts, n, ref, eta, delta, rank) -> list[float]:
 
 
 class TestCertifyCounts:
-    """certify_counts splits each count column at a threshold count by a
+    """A coverage counter splits each count column at a threshold count by a
     binary search; it must count what certifying each row's record counts,
     also when the limit ties a row's value or sits one ULP beside it."""
 
@@ -213,7 +213,7 @@ class TestCertifyCounts:
                 [tie, np.nextafter(tie, -np.inf), np.nextafter(tie, np.inf)]))
         else:
             limit = data.draw(st.floats(-1.0, 40.0))
-        assert certify_counts(protocol, counts, n, ref, limit, eta, delta, rank) == (
+        assert _protocol(protocol).count(counts, n, ref, limit, eta, delta, rank) == (
             count_above_one_record_at_a_time(protocol, counts, n, ref, limit, eta, delta, rank))
 
     def test_dephase_counts_each_row(self):
@@ -221,7 +221,7 @@ class TestCertifyCounts:
         counts = np.array([[50, 0, 0, 0], [20, 10, 10, 10], [25, 25, 0, 0], [49, 1, 0, 0]])
         values = certified_values("dephase", counts, 50, ref, 0.25, 0.05, 1)
         for limit in (0.0, values[2], np.nextafter(values[2], -np.inf), -1.0):
-            assert certify_counts("dephase", counts, 50, ref, limit, 0.25, 0.05, 1) == (
+            assert _protocol("dephase").count(counts, 50, ref, limit, 0.25, 0.05, 1) == (
                 sum(v > limit for v in values), 0)
 
 
@@ -327,6 +327,17 @@ class TestWitnessProtocol:
         leaky = np.diag([1.0, 0.0, 1.0, 0.0])
         with pytest.raises(ValidationError, match="leak"):
             witness_protocol(witness_record(5, 10), ref, rank=2, delta=0.05, projector=leaky)
+
+    @pytest.mark.parametrize("projector, rank, message", [
+        (np.diag([1.0, 0.4, 0.0, 0.0]), 1, "not a projector"),
+        (np.diag([1.0, 1.0, 0.0, 0.0]), 1, "is not its rank 1"),
+    ])
+    def test_supplied_projector_must_be_a_projector_of_the_rank(self, projector, rank, message):
+        # a supplied matrix is the witness the rank and the support are checked against
+        ref = full_reference(4)
+        with pytest.raises(ValidationError, match=message):
+            witness_protocol(witness_record(5, 10), ref, rank=rank, delta=0.05,
+                             projector=projector)
 
 
 class TestDephaseProtocol:
