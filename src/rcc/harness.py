@@ -5,11 +5,11 @@ setup, its record certifier and its coverage counter. It fixes its outcome
 distributions once per run and then draws records from them; the projectors
 of a run share one eigensolve. Randomness comes from Philox, a named 64-bit
 counter-based generator; independent streams are derived from the master
-seed with spawn keys (the protocol's position in `records.PROTOCOLS`, then the
-trial index), so coverage experiments are order-independent and
-bit-reproducible across platforms. A Philox stream is its 128-bit key and a
-zero counter, so coverage hashes every trial's key in one pass and re-keys
-one generator per protocol, with the bits `stream` gives each trial.
+seed with spawn keys, the first of which is the protocol's position in
+`records.PROTOCOLS`. A record draws all its distributions on one stream;
+coverage draws distribution j of every trial on the stream (seed, protocol,
+j) in one call, so coverage experiments are order-independent and
+bit-reproducible across platforms.
 """
 
 from __future__ import annotations
@@ -62,16 +62,9 @@ _UNITS = ("bits", "nats", "structons")
 _VIOLATION_SLACK = 1e-12
 # the witness target's occupation is floored here so that its log2 is finite
 _OCCUPATION_FLOOR = 1e-300
-# a coverage trial's index is one 32-bit word of its stream's spawn key
+# the documented trial range; a count past it is rejected before anything
+# is set up or allocated
 _MAX_TRIALS = 2**32
-
-# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): a pool of 4
-# 32-bit words and its mixing constants
-_MASK32 = 0xFFFFFFFF
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
 
 def _check_seed(seed) -> None:
@@ -86,99 +79,17 @@ def stream(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=key)))
 
 
-def _words(n: int) -> list[int]:
-    """n as 32-bit words, least significant first, at least one word:
-    SeedSequence's reading of an integer."""
-    words = [n & _MASK32]
-    while n := n >> 32:
-        words.append(n & _MASK32)
-    return words
-
-
-def _hasher(const: int, mult: int) -> Callable:
-    """SeedSequence's hashmix with its running constant. Every value is a
-    Python int or a uint32 array; Python products are masked to 32 bits and
-    array products wrap, so no numpy scalar ever overflows. hashmix(rows,
-    lanes) makes `lanes` successive calls at once: row i of the array rows
-    is hashed with the constants of the i-th call."""
-    def hashmix(value, lanes: int = 1):
-        nonlocal const
-        consts = [const]
-        for _ in range(lanes):
-            consts.append(consts[-1] * mult & _MASK32)
-        const = consts[-1]
-        xor, mul = consts[0], consts[1]
-        if lanes > 1:
-            xor, mul = (np.array(c, dtype=np.uint32)[:, None] for c in (consts[:-1], consts[1:]))
-        value = (value ^ xor) * mul & _MASK32
-        return value ^ value >> 16
-    return hashmix
-
-
-def _mix(x, y):
-    """SeedSequence's mix of two 32-bit words (ints or uint32 arrays)."""
-    r = ((_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32)) & _MASK32
-    return r ^ r >> 16
-
-
-def _trial_keys(seed: int, key: int, trials: int) -> np.ndarray:
-    """The Philox keys of stream(seed, key, t) for t < trials, (trials, 2) uint64.
-
-    Philox(SeedSequence(seed, spawn_key=(key, t))) is keyed with the
-    sequence's generate_state(2, uint64). Its entropy is the seed's words,
-    zero-padded to the pool size, then the key's words, then t. Only that
-    last word differs between trials, so everything before it is hashed
-    once, over Python ints. The last word is then mixed into all pool words,
-    and the state generated from them, in one pass each over a
-    (pool size, trials) uint32 array.
-    """
-    words = _words(int(seed))
-    entropy = words + [0] * (_POOL_SIZE - len(words)) + _words(key)
-    hashmix = _hasher(_INIT_A, _MULT_A)
-    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], hashmix(word))
-    trial = np.arange(trials, dtype=np.uint32)
-    rows = _mix(np.array(pool, dtype=np.uint32)[:, None], hashmix(trial, _POOL_SIZE))
-    state = _hasher(_INIT_B, _MULT_B)(rows, _POOL_SIZE).astype(np.uint64)
-    return (state[0::2] | state[1::2] << 32).T
-
-
-def _trial_streams(seed: int, key: int, trials: int):
-    """Generators with the bits of stream(seed, key, t), t = 0 .. trials-1.
-
-    One Philox is re-keyed before each trial: its key is the trial's, its
-    counter zero and its buffer empty, which is the state a fresh
-    stream(seed, key, t) starts in. Every item is the same Generator, so
-    each must be drawn from before the next is asked for, as _draw does.
-    """
-    bit_generator = np.random.Philox(key=0)
-    rng = np.random.Generator(bit_generator)
-    fresh = {"counter": np.zeros(4, dtype=np.uint64), "key": None}
-    state = {"bit_generator": "Philox", "state": fresh, "buffer": np.zeros(4, dtype=np.uint64),
-             "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    for trial_key in _trial_keys(seed, key, trials):
-        fresh["key"] = trial_key
-        bit_generator.state = state
-        yield rng
-
-
-def _draw(labels: list, dists: list[np.ndarray], n: int, rngs) -> np.ndarray:
-    """One row of counts per generator: a multinomial draw of n shots from
-    each distribution in order, with the leak outcome's column dropped. A
+def _draw(labels: list, dists: list[np.ndarray], n: int, rngs: list, rows: int) -> np.ndarray:
+    """A (rows x outcomes) count matrix: distribution j's n-shot multinomial
+    draws, one per row, come from rngs[j] in one call, and the columns follow
+    the distributions in order, with the leak outcome's column dropped. A
     shot on the leak is a sampling error. The rows are integer, nonnegative
     and sum to n per distribution, which the coverage counters rely on
-    without checking them again. Each row is drawn in full before the next
-    generator is taken, so the rows may come from one re-keyed generator
-    (_trial_streams)."""
+    without checking them again."""
     if not _is_integer(n) or n <= 0:
         raise ValidationError(f"n must be a positive integer, got {n!r}")
-    counts = np.array([np.concatenate([rng.multinomial(n, p) for p in dists]) for rng in rngs])
+    counts = np.concatenate([rng.multinomial(n, p, size=rows) for rng, p in zip(rngs, dists)],
+                            axis=1)
     if _LEAK in labels:
         leak = labels.index(_LEAK)
         if counts[:, leak].any():
@@ -190,7 +101,7 @@ def _draw(labels: list, dists: list[np.ndarray], n: int, rngs) -> np.ndarray:
 def _sample(protocol: str, outcomes: tuple, n: int, rng: np.random.Generator) -> MeasurementRecord:
     """A record of one multinomial draw of n shots per distribution, in order, on rng."""
     labels, dists, meta = outcomes
-    counts = _draw(labels, dists, n, [rng])[0]
+    counts = _draw(labels, dists, n, [rng] * len(dists), 1)[0]
     tally = dict(zip((label for label in labels if label is not _LEAK), counts.tolist()))
     return MeasurementRecord(protocol, n * len(dists), tally, meta=dict(meta))
 
@@ -620,11 +531,12 @@ def coverage_experiment(config: RunConfig, trials: int) -> dict:
     Sets up each statistical protocol in the config once; that one setup
     gives both the outcome distributions and the exact target, and the
     setups share one eigensolve of rho compressed to H_R. Draws `trials`
-    records from the distributions, trial t with the bits of its own stream
-    (seed, protocol, t), into one count matrix. The protocol's coverage
-    counter then counts the trials whose certified value exceeds the target
-    by more than _VIOLATION_SLACK, and those that cannot certify, with the
-    values and the comparison of the record certifiers:
+    records into one count matrix, distribution j of all trials in one call
+    on the stream (seed, protocol, j), trial t taking row t of each draw.
+    The protocol's coverage counter then counts the trials whose certified
+    value exceeds the target by more than _VIOLATION_SLACK, and those that
+    cannot certify, with the values and the comparison of the record
+    certifiers:
     a binary search over a binomial protocol's distinct counts finds the
     count at which a trial starts to violate, so a column of trials costs
     about log2 of its distinct counts in Clopper-Pearson endpoints.
@@ -648,7 +560,8 @@ def coverage_experiment(config: RunConfig, trials: int) -> dict:
         )
         truth = target()
         key = PROTOCOLS.index(proto)
-        counts = _draw(labels, dists, config.n_samples, _trial_streams(config.seed, key, trials))
+        rngs = [stream(config.seed, key, j) for j in range(len(dists))]
+        counts = _draw(labels, dists, config.n_samples, rngs, trials)
         violations, invalid = _protocol(proto).count(
             counts, config.n_samples, ref, truth + _VIOLATION_SLACK, config.eta,
             config.delta, meta.get("rank", config.witness_rank),

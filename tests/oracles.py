@@ -4,9 +4,9 @@ Each oracle deliberately takes a different computational route from the
 library code it checks: determinant bisection instead of LAPACK
 eigensolvers, grid-scanned threshold tests instead of waterfilling, plain
 bisection instead of Lambert-W, direct binomial pmf sums instead of
-incomplete-beta tail inversion, and one simulated record and one record
-certification per trial instead of a batched count matrix, and one record
-certification per row instead of a binary search for a threshold count.
+incomplete-beta tail inversion, one multinomial call per distribution and
+trial instead of one call of all trials, and one record certification per
+row instead of a binary search for a threshold count.
 """
 
 from __future__ import annotations
@@ -162,43 +162,33 @@ def shannon_bits_oracle(p) -> float:
 
 
 def coverage_one_trial_at_a_time(config, trials: int) -> dict:
-    """coverage_experiment's summary, one trial at a time from public pieces.
+    """coverage_experiment's summary, one trial at a time.
 
-    Trial t of a protocol simulates its record on the stream (seed, the
-    protocol's position in PROTOCOLS, t), certifies it with the record
-    certifier, and counts a ProtocolInvalidError as an invalid run.
+    Distribution j of a protocol's outcome setup is drawn on the stream
+    (seed, the protocol's position in PROTOCOLS, j), one multinomial call per
+    trial. Trial t's counts, without the leak outcome, are certified as a
+    record by certify_record, and a ProtocolInvalidError counts as an
+    invalid run.
     """
-    from rcc import (
-        ProtocolInvalidError,
-        dephase_protocol,
-        ht_protocol,
-        protocol_ground_truth,
-        simulate_record,
-        stream,
-        witness_protocol,
-    )
-    from rcc.harness import _VIOLATION_SLACK
+    from rcc import ProtocolInvalidError, protocol_ground_truth, stream
+    from rcc.harness import _VIOLATION_SLACK, _compression, _outcome_setup
     from rcc.records import PROTOCOLS
 
-    rho, ref = config.state, config.reference
-    certify = {
-        "hypothesis_test": lambda r: ht_protocol(r, config.eta, config.delta),
-        "witness": lambda r: witness_protocol(r, ref, r.meta["rank"], config.delta),
-        "dephase": lambda r: dephase_protocol(r, ref, config.delta),
-    }
+    rho, ref, n = config.state, config.reference, config.n_samples
     results = {}
     for proto in (p for p in config.protocols if p != "exact"):
+        labels, dists, meta, _ = _outcome_setup(rho, ref, proto, _compression(rho, ref), config.eta,
+                                                config.test_calibration, config.witness_rank)
         truth = protocol_ground_truth(rho, ref, proto, eta=config.eta,
                                       witness_rank=config.witness_rank)
+        rngs = [stream(config.seed, PROTOCOLS.index(proto), j) for j in range(len(dists))]
         violations = invalid = 0
-        for t in range(trials):
-            record = simulate_record(
-                rho, ref, proto, config.n_samples, seed=config.seed, eta=config.eta,
-                test_calibration=config.test_calibration, witness_rank=config.witness_rank,
-                rng=stream(config.seed, PROTOCOLS.index(proto), t),
-            )
+        for _ in range(trials):
+            counts = [c for rng, p in zip(rngs, dists) for c in rng.multinomial(n, p).tolist()]
+            row = [c for label, c in zip(labels, counts) if label is not None]
             try:
-                bound = certify[proto](record)
+                bound = certify_record(proto, row, n, ref, config.eta, config.delta,
+                                       meta.get("rank", config.witness_rank))
             except ProtocolInvalidError:
                 invalid += 1
                 continue

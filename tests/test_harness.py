@@ -27,9 +27,7 @@ from rcc import (
     witness_sample_plan,
 )
 from rcc import harness, io as rcc_io, stats
-from rcc.harness import (
-    _protocol, _trial_keys, _trial_streams, default_witness_projector, optimal_test_projector,
-)
+from rcc.harness import _protocol, default_witness_projector, optimal_test_projector
 from rcc.records import PROTOCOLS
 from conftest import embed_state, embedded_reference, full_reference, random_density
 from oracles import coverage_one_trial_at_a_time
@@ -152,6 +150,20 @@ class TestSimulateRecord:
         with pytest.raises(ValidationError, match="4x4"):
             simulate_record(rho, ref, "witness", 100, seed=1, witness_projector=np.eye(2))
 
+    def test_record_counts_are_pinned(self, small_setup):
+        # every protocol's draws at a fixed seed, so that a change in how a
+        # record is sampled cannot silently move its bits
+        rho, ref = small_setup
+        expected = {
+            "hypothesis_test": {"null_accept_h1": 61, "null_accept_h0": 439,
+                                "alt_accept_h1": 138, "alt_accept_h0": 362},
+            "witness": {"success": 426, "failure": 74},
+            "dephase": {"0": 304, "1": 131, "2": 42, "3": 23},
+        }
+        for protocol, counts in expected.items():
+            record = simulate_record(rho, ref, protocol, 500, seed=2024, witness_rank=2)
+            assert record.counts == counts
+
     def test_witness_projector_support(self, small_setup):
         rho, ref = small_setup
         proj = default_witness_projector(rho, ref, 2)
@@ -257,9 +269,8 @@ class TestCoverage:
 
     @pytest.mark.parametrize("trials", [2.5, True, -3, 2**32 + 1])
     def test_trials_must_be_an_integer_in_range(self, small_setup, trials, monkeypatch):
-        # a trial's index is one 32-bit word of its stream's key; past 2**32
-        # trials it would wrap, so that raises before anything is set up,
-        # allocated or drawn
+        # a trial count outside the documented range raises before anything
+        # is set up, allocated or drawn
         rho, ref = small_setup
         config = RunConfig(state=rho, reference=ref, protocols=("witness",))
         monkeypatch.setattr(harness, "_outcome_setup",
@@ -482,16 +493,20 @@ class TestStreams:
             simulate_record(rho, ref, "dephase", 10, seed=seed)
 
 
-def first_draws(rng: np.random.Generator) -> list:
-    # more than one Philox block of 64-bit words, then 32-bit draws, which
-    # use the generator's half-word buffer
-    return (rng.integers(0, 2**63, size=9).tolist()
-            + rng.integers(0, 2**32, size=3, dtype=np.uint32).tolist())
+def sequential_rows(seed: int, key: int, dists: list, n: int, trials: int) -> list:
+    # trial t's counts as the t-th of sequential draws, one call per
+    # distribution j on a fresh stream(seed, key, j)
+    rngs = [stream(seed, key, j) for j in range(len(dists))]
+    return [np.concatenate([rng.multinomial(n, p) for rng, p in zip(rngs, dists)]).tolist()
+            for _ in range(trials)]
 
 
 class TestTrialStreams:
-    """Coverage hashes every trial's Philox key in one pass and re-keys one
-    generator; each trial must get the bits of stream(seed, key, t)."""
+    """Coverage draws distribution j of all trials in one call on the stream
+    (seed, protocol, j); trial t must get row t of each draw, the counts of
+    the t-th sequential call on that stream."""
+
+    DISTS = [np.array([0.5, 0.3, 0.2]), np.array([0.9, 0.1])]
 
     @pytest.mark.parametrize("seed", [
         0, 1, 12345, 2**31 - 1, 2**32 - 1, 2**32, 2**64 + 7, 2**70 + 5, 2**128 + 3, 2**200,
@@ -499,20 +514,17 @@ class TestTrialStreams:
     ])
     def test_keys_and_draws_match_stream(self, seed):
         for key in (0, 1, 2, 2**33):
-            keys = _trial_keys(seed, key, 300)
-            assert keys.dtype == np.uint64
-            assert np.array_equal(keys, [
-                np.random.SeedSequence(seed, spawn_key=(key, t)).generate_state(2, np.uint64)
-                for t in range(300)])
-            assert [first_draws(rng) for rng in _trial_streams(seed, key, 70)] == [
-                first_draws(stream(seed, key, t)) for t in range(70)]
+            rngs = [stream(seed, key, j) for j in range(len(self.DISTS))]
+            counts = harness._draw(list("abcde"), self.DISTS, 40, rngs, 70)
+            assert counts.tolist() == sequential_rows(seed, key, self.DISTS, 40, 70)
 
     @settings(deadline=None)
     @given(seed=st.integers(0, 2**256 - 1), key=st.sampled_from([0, 1, 2]),
            trials=st.integers(1, 40))
     def test_any_seed_draws_as_stream(self, seed, key, trials):
-        assert [first_draws(rng) for rng in _trial_streams(seed, key, trials)] == [
-            first_draws(stream(seed, key, t)) for t in range(trials)]
+        rngs = [stream(seed, key, j) for j in range(len(self.DISTS))]
+        assert harness._draw(list("abcde"), self.DISTS, 25, rngs, trials).tolist() == (
+            sequential_rows(seed, key, self.DISTS, 25, trials))
 
     def test_coverage_builds_no_seed_sequence_per_trial(self, small_setup, monkeypatch):
         built = []
@@ -526,11 +538,13 @@ class TestTrialStreams:
         stream(5, 1, 0)
         assert built == [(1, 0)]
         built.clear()
+        # one stream per distribution: the hypothesis test's null and
+        # alternative, then the witness and the dephasing distributions
         rho, ref = small_setup
         config = RunConfig(state=rho, reference=ref, protocols=PROTOCOLS, n_samples=50)
         summary = coverage_experiment(config, trials=50)
         assert sorted(summary["protocols"]) == sorted(PROTOCOLS)
-        assert len(built) <= len(PROTOCOLS)
+        assert built == [(0, 0), (0, 1), (1, 0), (2, 0)]
 
 
 class TestIoRoundTrips:
