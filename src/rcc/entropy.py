@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LeakageError, ValidationError
-from .operators import EFFECT_TOL, DensityOperator, project_renormalize
+from .operators import EFFECT_TOL, DensityOperator, check_hermitian, project_renormalize
 from .reference import ReferenceSet
 
 LN2 = math.log(2.0)
@@ -127,28 +127,29 @@ def max_relative_to_reference(rho: DensityOperator, ref: ReferenceSet) -> Entrop
     return EntropyValue(max(0.0, math.log2(ref.d_r) - min_entropy(rho).bits))
 
 
+def _waterfill_weights(d_r: int, eta: float) -> np.ndarray:
+    """The Neyman-Pearson test against the flat sigma_R at type-I level eta,
+    as weights on rho's eigenvectors in descending eigenvalue order:
+    min(1, max(0, eta d_R - i)) on the i-th, so the leading ones are accepted
+    whole and the marginal one in part, spending the budget eta d_R exactly."""
+    if not 0.0 < eta < 1.0:
+        raise ValidationError(f"eta {eta} must be in (0,1)")
+    return np.clip(eta * d_r - np.arange(d_r), 0.0, 1.0)
+
+
 def hypothesis_testing_divergence(
     rho: DensityOperator, ref: ReferenceSet, eta: float
 ) -> EntropyValue:
     """D_H^eta(rho || sigma_R) by exact Neyman-Pearson waterfilling.
 
     sigma_R is flat on the subspace, so rho and sigma_R commute and the
-    optimal test is classical: accept eigenvectors of rho in descending
-    eigenvalue order while the spent null mass (count/d_R) stays within eta,
-    then put fractional weight on the marginal eigenvector so the type-I
-    budget is exhausted exactly. Returns +inf when the type-II error hits 0.
+    optimal test is classical: the type-II error is 1 - w . lambda, with w
+    the waterfilling weights and lambda rho's eigenvalues, descending.
+    Returns +inf when the type-II error hits 0.
     """
-    if not 0.0 < eta < 1.0:
-        raise ValidationError(f"eta {eta} must be in (0,1)")
+    weights = _waterfill_weights(ref.d_r, eta)
     _require_supported(rho, ref)
-    w = _clipped_eigenvalues(rho)[: ref.d_r]
-    budget = eta * ref.d_r
-    k = int(math.floor(budget))
-    frac = budget - k
-    accepted = float(w[:k].sum())
-    if k < w.size:
-        accepted += frac * float(w[k])
-    beta = 1.0 - accepted
+    beta = 1.0 - float(weights @ _clipped_eigenvalues(rho)[: ref.d_r])
     if beta <= _BETA_FLOOR:
         return EntropyValue(math.inf)
     return EntropyValue(-math.log2(beta))
@@ -162,13 +163,14 @@ def explicit_test_divergence_bound(
     For non-commuting pairs (a leaked state against a smoothed reference)
     the exact optimum is not computed here; any supplied test operator T
     with 0 <= T <= I and Tr(T sigma) <= eta certifies
-    D_H^eta >= -log2 Tr[(I - T) rho].
+    D_H^eta >= -log2 Tr[(I - T) rho]. T and sigma must be finite and
+    Hermitian.
     """
     if not 0.0 < eta < 1.0:
         raise ValidationError(f"eta {eta} must be in (0,1)")
-    sigma = np.asarray(sigma_matrix, dtype=complex)
-    t = np.asarray(test_matrix, dtype=complex)
-    w = np.linalg.eigvalsh(0.5 * (t + t.conj().T))
+    sigma = check_hermitian(np.asarray(sigma_matrix, dtype=complex))
+    t = check_hermitian(np.asarray(test_matrix, dtype=complex))
+    w = np.linalg.eigvalsh(t)
     if w.min() < -EFFECT_TOL or w.max() > 1.0 + EFFECT_TOL:
         raise ValidationError("test operator must satisfy 0 <= T <= I")
     alpha = float(np.trace(t @ sigma).real)

@@ -2,8 +2,10 @@
 
 Each statistical protocol is one entry of `_PROTOCOL_TABLE`: its outcome
 setup, its record certifier and its coverage counter. It fixes its outcome
-distributions once per run and then draws records from them; the projectors
-of a run share one eigensolve. Randomness comes from Philox, a named 64-bit
+distributions once per run and then draws records from them. sigma_R is
+flat on H_R, so each designed measurement's distribution is a function of
+one compression per run, C = V^dag rho V in the reference support basis V,
+or of C's eigenvalues. Randomness comes from Philox, a named 64-bit
 counter-based generator; independent streams are derived from the master
 seed with spawn keys, the first of which is the protocol's position in
 `records.PROTOCOLS`. A record draws all its distributions on one stream;
@@ -22,27 +24,19 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
-from .bounds import (
-    DEFAULT_CONSTANTS,
-    BoundBreakdown,
-    BoundConstants,
-    bound_from_divergence,
-    rcc,
-)
+from .bounds import DEFAULT_CONSTANTS, BoundBreakdown, BoundConstants, bound_from_divergence, rcc
 from .entropy import (
-    hypothesis_testing_divergence,
-    min_entropy,
-    reference_overlap,
-    relative_to_reference,
-    shannon,
-    spectral_skew,
-    von_neumann,
+    _waterfill_weights, hypothesis_testing_divergence, min_entropy, relative_to_reference, shannon,
+    spectral_skew, von_neumann,
 )
 from .errors import RccError, ValidationError
-from .operators import EFFECT_TOL, DensityOperator, _effect_rank, eig_hermitian
+from .operators import (
+    EFFECT_TOL, DensityOperator, _effect_rank, check_hermitian, eig_hermitian, eigvals_hermitian,
+)
 from .reference import ReferenceSet
 from .records import (
     HT_LABELS, PROTOCOLS, WITNESS_LABELS, MeasurementRecord, _check_witness_rank, _is_integer,
+    _witness_value,
 )
 from .windows import WindowFamily, windowed_entropy_bits, windowed_rcc
 
@@ -60,8 +54,6 @@ _UNITS = ("bits", "nats", "structons")
 
 # a coverage trial violates when its bound exceeds the truth by more than this
 _VIOLATION_SLACK = 1e-12
-# the witness target's occupation is floored here so that its log2 is finite
-_OCCUPATION_FLOOR = 1e-300
 # the documented trial range; a count past it is rejected before anything
 # is set up or allocated
 _MAX_TRIALS = 2**32
@@ -107,14 +99,22 @@ def _sample(protocol: str, outcomes: tuple, n: int, rng: np.random.Generator) ->
 
 
 def _check_povm(mats: list[np.ndarray], dim: int) -> None:
-    """Reject effects that are not PSD or do not sum to the identity within EFFECT_TOL."""
-    total = sum(mats)
-    if np.abs(total - np.eye(dim)).max() > EFFECT_TOL:
+    """Reject effects that are not finite and Hermitian, not PSD or do not
+    sum to the identity within EFFECT_TOL."""
+    for e in mats:
+        check_hermitian(e)
+    if np.abs(sum(mats) - np.eye(dim)).max() > EFFECT_TOL:
         raise ValidationError("effects do not sum to the identity; not a POVM")
     for i, e in enumerate(mats):
-        wmin = float(np.linalg.eigvalsh(0.5 * (e + e.conj().T)).min())
+        wmin = float(np.linalg.eigvalsh(e).min())
         if wmin < -EFFECT_TOL:
             raise ValidationError(f"effect {i} has negative eigenvalue {wmin:.3e}; not a POVM")
+
+
+def _normalised(probs) -> np.ndarray:
+    """An outcome distribution: probs clipped at 0 and normalised."""
+    probs = np.clip(probs, 0.0, None)
+    return probs / probs.sum()
 
 
 def _born_probabilities(matrix: np.ndarray, mats) -> np.ndarray:
@@ -122,9 +122,7 @@ def _born_probabilities(matrix: np.ndarray, mats) -> np.ndarray:
     trace is one O(d^2) contraction, vdot(M^dag, E_i) = sum_jk M_kj E_jk,
     not a matrix product."""
     adjoint = np.ascontiguousarray(matrix.conj().T)
-    probs = np.array([np.vdot(adjoint, e).real for e in mats])
-    probs = np.clip(probs, 0.0, None)
-    return probs / probs.sum()
+    return _normalised([np.vdot(adjoint, e).real for e in mats])
 
 
 def born_sample(
@@ -139,7 +137,8 @@ def born_sample(
 ) -> MeasurementRecord:
     """Sample n outcomes of a POVM on rho; deterministic given the seed.
 
-    Effects must each be PSD and sum to the identity within EFFECT_TOL.
+    Effects must each be finite, Hermitian and PSD and sum to the identity
+    within EFFECT_TOL.
     """
     mats = [np.asarray(e, dtype=complex) for e in effects]
     _check_povm(mats, rho.dim)
@@ -149,92 +148,84 @@ def born_sample(
     return _sample(protocol, outcomes, n, rng if rng is not None else stream(seed))
 
 
-def _compression(rho: DensityOperator, ref: ReferenceSet) -> Callable:
-    """(V, eigendecomposition of V^dag rho V): rho compressed to H_R in the
-    reference support basis V, solved on the first call only, so the test
-    and the witness projector of one run share it, and a run needing neither
-    pays for none."""
-    @functools.cache
-    def solve():
-        basis = ref.support_basis()
-        small = basis.conj().T @ rho.matrix @ basis
-        return basis, eig_hermitian(0.5 * (small + small.conj().T))
-    return solve
+class _Compression:
+    """C = V^dag rho V, rho compressed to H_R in the reference support basis
+    V, and C's eigenvalues, descending, each computed on first use only: the
+    setups of one run share them, and a run needing neither pays for none."""
+
+    def __init__(self, rho: DensityOperator, ref: ReferenceSet):
+        self.rho, self.ref = rho, ref
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        basis = self.ref.support_basis()
+        small = basis.conj().T @ self.rho.matrix @ basis
+        return 0.5 * (small + small.conj().T)
+
+    @functools.cached_property
+    def eigenvalues(self) -> np.ndarray:
+        return eigvals_hermitian(self.matrix)
 
 
-def _test_projector(compression: Callable, ref: ReferenceSet, eta: float) -> np.ndarray:
-    if not 0.0 < eta < 1.0:
-        raise ValidationError(f"eta {eta} must be in (0,1)")
-    basis, dec = compression()
-    budget = eta * ref.d_r
-    k = int(math.floor(budget))
-    weights = np.zeros(ref.d_r)
-    weights[:k] = 1.0
-    if k < ref.d_r:
-        weights[k] = budget - k
-    t_small = (dec.eigenvectors * weights) @ dec.eigenvectors.conj().T
-    return basis @ t_small @ basis.conj().T
+def _eigenvectors(rho: DensityOperator, ref: ReferenceSet) -> np.ndarray:
+    """C's eigenvectors, descending, as columns of the full space."""
+    return ref.support_basis() @ eig_hermitian(_Compression(rho, ref).matrix).eigenvectors
 
 
-def optimal_test_projector(
-    rho: DensityOperator, ref: ReferenceSet, eta: float
-) -> np.ndarray:
-    """Waterfilling test operator at type-I level eta, supported in H_R.
+def optimal_test_projector(rho: DensityOperator, ref: ReferenceSet, eta: float) -> np.ndarray:
+    """Waterfilling test operator at type-I level eta, supported in H_R: the
+    operator a lab implements; the simulation reads only its probabilities.
 
     Built in the reference support basis so Tr(T sigma_R) equals eta exactly
     up to roundoff.
     """
-    return _test_projector(_compression(rho, ref), ref, eta)
+    weights = _waterfill_weights(ref.d_r, eta)
+    v = _eigenvectors(rho, ref)
+    return (v * weights) @ v.conj().T
 
 
-def _witness_projector(compression: Callable, ref: ReferenceSet, rank: int) -> np.ndarray:
-    _check_witness_rank(rank, ref.d_r)
-    basis, dec = compression()
-    v = dec.eigenvectors[:, :rank]
-    return basis @ v @ v.conj().T @ basis.conj().T
-
-
-def default_witness_projector(
-    rho: DensityOperator, ref: ReferenceSet, rank: int
-) -> np.ndarray:
+def default_witness_projector(rho: DensityOperator, ref: ReferenceSet, rank: int) -> np.ndarray:
     """Rank-r projector onto the dominant eigenvectors of rho inside H_R."""
-    return _witness_projector(_compression(rho, ref), ref, rank)
+    _check_witness_rank(rank, ref.d_r)
+    v = _eigenvectors(rho, ref)[:, :rank]
+    return v @ v.conj().T
 
 
 def _ht_setup(rho, ref, compression, eta, test_calibration, *_):
-    # null calibration on the structured vacuum, then the alternative on rho
+    # the waterfilling test T at eta_test accepts H1 with probability eta_test
+    # on sigma_R (the null calibration) and w . mu on rho, mu C's eigenvalues
     eta_test = eta * test_calibration
-    t = _test_projector(compression, ref, eta_test)
-    effects = [t, np.eye(ref.dim, dtype=complex) - t]
-    dists = [_born_probabilities(m, effects) for m in (ref.sigma_matrix(), rho.matrix)]
+    accept = float(_waterfill_weights(ref.d_r, eta_test) @ compression.eigenvalues)
+    dists = [_normalised([p, 1.0 - p]) for p in (eta_test, accept)]
     return list(HT_LABELS), dists, {"eta": eta, "eta_test": eta_test}, (
         lambda: hypothesis_testing_divergence(rho, ref, eta).bits)
 
 
 def _witness_setup(rho, ref, compression, eta, test_calibration, witness_rank, witness_projector):
     if witness_projector is None:
-        proj, rank = _witness_projector(compression, ref, witness_rank), witness_rank
+        # the projector onto C's top r eigenvectors succeeds with their sum
+        _check_witness_rank(witness_rank, ref.d_r)
+        rank, success = witness_rank, float(compression.eigenvalues[:witness_rank].sum())
+        dist = _normalised([success, 1.0 - success])
     else:
         proj = np.asarray(witness_projector, dtype=complex)
         if proj.shape != (ref.dim, ref.dim):
             raise ValidationError(f"witness projector must be {ref.dim}x{ref.dim}")
-        _check_povm([proj, np.eye(ref.dim, dtype=complex) - proj], ref.dim)
-        rank = _effect_rank(proj)
-    effects = [proj, np.eye(ref.dim, dtype=complex) - proj]
-    return list(WITNESS_LABELS), [_born_probabilities(rho.matrix, effects)], {"rank": rank}, (
-        lambda: max(0.0, math.log2(max(float(np.trace(proj @ rho.matrix).real),
-                                       _OCCUPATION_FLOOR) * ref.d_r / rank)))
+        effects = [proj, np.eye(ref.dim, dtype=complex) - proj]
+        _check_povm(effects, ref.dim)
+        rank, dist = _effect_rank(proj), _born_probabilities(rho.matrix, effects)
+        success = float(np.vdot(rho.matrix, proj).real)
+    return list(WITNESS_LABELS), [dist], {"rank": rank}, (
+        lambda: _witness_value(success, ref.d_r, rank))
 
 
-def _dephase_setup(rho, ref, *_):
-    # outcomes: the d_R reference basis vectors, p_i = v_i^dag rho v_i, then
-    # the leak I - Pi_R, whose mass is Tr(rho) - Tr(Pi_R rho)
-    basis = ref.support_basis()
-    p = np.clip(np.einsum("ji,ji->i", basis.conj(), rho.matrix @ basis).real, 0.0, None)
-    leak = float(np.trace(rho.matrix).real) - reference_overlap(rho, ref)
-    probs = np.append(p, max(leak, 0.0))
+def _dephase_setup(rho, ref, compression, *_):
+    # outcomes: the d_R reference basis vectors, p_i = C_ii, then the leak
+    # I - Pi_R, whose mass is Tr(rho) - Tr(C)
+    p = np.clip(compression.matrix.diagonal().real, 0.0, None)
+    leak = float(np.trace(rho.matrix).real - np.trace(compression.matrix).real)
     labels = [str(i) for i in range(ref.d_r)] + [_LEAK]
-    return labels, [probs / probs.sum()], {"basis": "reference-support"}, (
+    return labels, [_normalised(np.append(p, leak))], {"basis": "reference-support"}, (
         lambda: max(0.0, math.log2(ref.d_r) - shannon(p / p.sum()).bits))
 
 
@@ -283,20 +274,21 @@ def _protocol(name: str) -> _Protocol:
 
 
 def _outcome_setup(
-    rho: DensityOperator, ref: ReferenceSet, protocol: str, compression: Callable, eta: float,
+    rho: DensityOperator, ref: ReferenceSet, protocol: str, compression: _Compression, eta: float,
     test_calibration: float, witness_rank: int, witness_projector=None,
 ) -> tuple[list, list[np.ndarray], dict, Callable[[], float]]:
     """Per-run setup of one protocol on rho: (labels, distributions, meta,
     target).
 
     A record draws n shots from each distribution in order; the labels run
-    over the outcomes of all of them. The effects built here are POVMs by
-    construction and are not checked again; a supplied witness projector is
-    checked as the POVM {P, I - P} and as a projector, and its rank is
-    Tr P. target() is the exact value in bits that the protocol's certified
-    bound targets, built from the same pieces; the hypothesis test's is
-    computed only when read, so setting up a record neither pays for it nor
-    needs a supported state. The setups of one run share compression.
+    over the outcomes of all of them. The setups of one run share
+    compression, and no effect is built: the distributions are functions of
+    C or of its eigenvalues. A supplied witness projector is checked as the
+    POVM {P, I - P} and as a projector, and its rank is Tr P. target() is
+    the exact value in bits that the protocol's certified bound targets,
+    built from the same pieces; the hypothesis test's is computed only when
+    read, so setting up a record neither pays for it nor needs a supported
+    state.
     """
     if rho.dim != ref.dim:
         raise ValidationError(f"dimension mismatch: state {rho.dim}, reference {ref.dim}")
@@ -323,7 +315,7 @@ def simulate_record(
     calibrated at eta * test_calibration so the type-I endpoint certifies
     below eta with headroom.
     """
-    outcomes = _outcome_setup(rho, ref, protocol, _compression(rho, ref), eta, test_calibration,
+    outcomes = _outcome_setup(rho, ref, protocol, _Compression(rho, ref), eta, test_calibration,
                               witness_rank, witness_projector)
     return _sample(protocol, outcomes[:3], n, rng if rng is not None else stream(seed))
 
@@ -338,7 +330,7 @@ def protocol_ground_truth(
     """The exact value (in bits) that a protocol's certified bound targets:
     the target of its outcome setup, whose test calibration (here
     simulate_record's default) moves the draws but not the target."""
-    return _outcome_setup(rho, ref, protocol, _compression(rho, ref), eta, 0.5, witness_rank)[3]()
+    return _outcome_setup(rho, ref, protocol, _Compression(rho, ref), eta, 0.5, witness_rank)[3]()
 
 
 @dataclass(frozen=True)
@@ -493,7 +485,7 @@ def pipeline(config: RunConfig) -> dict:
                 "display": {"value": display, "unit": config.unit},
             }
     certified: list[CertifiedBound] = []
-    compression = _compression(rho, ref)
+    compression = _Compression(rho, ref)
     for proto in config.protocols:
         if proto == "exact":
             continue
@@ -528,21 +520,18 @@ def pipeline(config: RunConfig) -> dict:
 def coverage_experiment(config: RunConfig, trials: int) -> dict:
     """Estimate how often certified bounds overshoot their exact targets.
 
-    Sets up each statistical protocol in the config once; that one setup
-    gives both the outcome distributions and the exact target, and the
-    setups share one eigensolve of rho compressed to H_R. Draws `trials`
-    records into one count matrix, distribution j of all trials in one call
-    on the stream (seed, protocol, j), trial t taking row t of each draw.
-    The protocol's coverage counter then counts the trials whose certified
-    value exceeds the target by more than _VIOLATION_SLACK, and those that
-    cannot certify, with the values and the comparison of the record
-    certifiers:
-    a binary search over a binomial protocol's distinct counts finds the
-    count at which a trial starts to violate, so a column of trials costs
-    about log2 of its distinct counts in Clopper-Pearson endpoints.
-    Reports the violation fraction against the target; a run that cannot
-    certify counts as invalid. The summary contains no timestamp, so
-    identical seeds give byte-identical output.
+    Sets up each statistical protocol in the config once, for both its
+    outcome distributions and its exact target; the setups share one
+    compression C = V^dag rho V of rho to H_R and one eigenvalue solve of
+    it. Draws `trials` records into one count matrix, distribution j of all
+    trials in one call on the stream (seed, protocol, j), trial t taking row
+    t of each draw. The protocol's coverage counter counts, with the values
+    and comparison of the record certifiers, the trials whose certified
+    value exceeds the target by more than _VIOLATION_SLACK and those that
+    cannot certify (invalid runs); a binary search over a binomial column's
+    distinct counts finds where trials start to violate, at about log2 of
+    its distinct counts in Clopper-Pearson endpoints. The summary contains
+    no timestamp, so identical seeds give byte-identical output.
     """
     if not _is_integer(trials) or not 0 < trials <= _MAX_TRIALS:
         raise ValidationError(f"trials must be an integer in [1, 2**32], got {trials!r}")
@@ -552,7 +541,7 @@ def coverage_experiment(config: RunConfig, trials: int) -> dict:
     if config.state is None:
         raise ValidationError("coverage simulation requires a state")
     rho, ref = config.state, config.reference
-    compression = _compression(rho, ref)
+    compression = _Compression(rho, ref)
     results: dict = {}
     for proto in protocols:
         labels, dists, meta, target = _outcome_setup(

@@ -231,9 +231,11 @@ def as_projector(obj) -> Projector:
 
 
 def _effect_rank(p: np.ndarray) -> int:
-    """The rank Tr P of a supplied projective effect, rejected when
-    ||P^2 - P||_F > EFFECT_TOL: an effect that is not a projector has no
-    rank, and rounding its trace to one overstates what it certifies."""
+    """The rank Tr P of a supplied projective effect, rejected when it is
+    not finite and Hermitian or ||P^2 - P||_F > EFFECT_TOL: an effect that is
+    not an orthogonal projector has no rank, and rounding its trace to one
+    overstates what it certifies."""
+    check_hermitian(p)
     err = float(np.linalg.norm(p @ p - p))
     if err > EFFECT_TOL:
         raise ValidationError(f"effect is not a projector: ||P^2 - P||_F = {err:.3e}")

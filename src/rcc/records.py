@@ -7,6 +7,7 @@ records loads no scipy; only certifying them (`stats`) does.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -34,6 +35,12 @@ def _check_witness_rank(rank, d_r: int) -> None:
     the certifier and the planner all check it here."""
     if not _is_integer(rank) or not 1 <= rank <= d_r:
         raise ValidationError(f"witness rank {rank!r} must be an integer in [1, d_R = {d_r}]")
+
+
+def _witness_value(p: float, d_r: int, rank: int) -> float:
+    """The witness D_max of a success probability p, log2(p d_R / r) floored
+    at 0: certified at p's lower endpoint, the exact target at its value."""
+    return math.log2(p * d_r / rank) if p * d_r > rank else 0.0
 
 
 @dataclass(frozen=True)

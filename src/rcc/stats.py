@@ -34,7 +34,7 @@ from .bounds import (
     bound_from_divergence,
     smoothed_lower_bound,
 )
-from .entropy import _entropy_bits, binary_entropy, shannon
+from .entropy import binary_entropy, shannon
 from .errors import ProtocolInvalidError, ValidationError
 from .operators import EFFECT_TOL, _effect_rank
 # the record layer, which loads no scipy; re-exported so that callers may
@@ -46,6 +46,7 @@ from .records import (  # noqa: F401
     MeasurementRecord,
     _check_witness_rank,
     _is_integer,
+    _witness_value,
 )
 from .reference import ReferenceSet
 
@@ -201,11 +202,6 @@ def ht_sample_plan(target_bits: float, delta: float) -> int:
         raise ValidationError(
             f"the sample size 2^L ln(1/delta) for target L = {target_bits} bits overflows a float")
     return math.ceil(size - _PLAN_SLACK)
-
-
-def _witness_value(p_lower: float, d_r: int, rank: int) -> float:
-    """The certified D_max: log2(p_L d_R / r), floored at 0."""
-    return math.log2(p_lower * d_r / rank) if p_lower * d_r > rank else 0.0
 
 
 def witness_protocol(
@@ -383,8 +379,10 @@ def dephase_counts(counts: np.ndarray, n: int, ref: ReferenceSet, limit: float,
                    delta: float) -> tuple[int, int]:
     """(above, 0) of dephase rows over the d_R reference basis states,
     trusted as drawn: how many dephase_protocol would certify above limit.
-    The value reads the whole row and is computed per row."""
-    h_hat = np.array([_entropy_bits(row) for row in counts / n])
+    The value reads the whole row; the rows' entropies are one array pass,
+    0 log 0 := 0."""
+    p = counts / n
+    h_hat = -(p * np.log2(p, out=np.zeros_like(p), where=p > 0)).sum(axis=1)
     return int(np.count_nonzero(_dephase_value(h_hat, n, ref.d_r, delta)[0] > limit)), 0
 
 

@@ -171,13 +171,13 @@ def coverage_one_trial_at_a_time(config, trials: int) -> dict:
     invalid run.
     """
     from rcc import ProtocolInvalidError, protocol_ground_truth, stream
-    from rcc.harness import _VIOLATION_SLACK, _compression, _outcome_setup
+    from rcc.harness import _VIOLATION_SLACK, _Compression, _outcome_setup
     from rcc.records import PROTOCOLS
 
     rho, ref, n = config.state, config.reference, config.n_samples
     results = {}
     for proto in (p for p in config.protocols if p != "exact"):
-        labels, dists, meta, _ = _outcome_setup(rho, ref, proto, _compression(rho, ref), config.eta,
+        labels, dists, meta, _ = _outcome_setup(rho, ref, proto, _Compression(rho, ref), config.eta,
                                                 config.test_calibration, config.witness_rank)
         truth = protocol_ground_truth(rho, ref, proto, eta=config.eta,
                                       witness_rank=config.witness_rank)

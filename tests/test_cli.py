@@ -15,6 +15,14 @@ def runner():
     return CliRunner()
 
 
+def witness_with(i: int, j: int, value: float) -> list:
+    """The rank-1 projector onto basis state 0 of 32 with entry (i, j) set to value."""
+    m = np.zeros((32, 32))
+    m[0, 0] = 1.0
+    m[i, j] = value
+    return m.tolist()
+
+
 @pytest.fixture
 def files(tmp_path):
     """Logical-pure-state setup: d_R = 8 inside 32 dims, gamma = 6."""
@@ -109,6 +117,10 @@ class TestSimulateAndCertify:
         ({"dim": 32, "re": (2.0 * np.eye(32)).tolist()}, "not a POVM"),
         ({"dim": 4, "re": np.eye(4).tolist()}, "32x32"),
         ({"dim": 32, "re": np.diag([1.0, 0.4] + [0.0] * 30).tolist()}, "not a projector"),
+        ({"dim": 32, "re": witness_with(0, 1, math.nan)}, "non-finite"),
+        ({"dim": 32, "re": witness_with(0, 1, math.inf)}, "non-finite"),
+        # oblique: P^2 = P and Tr P = 1, but P is not Hermitian
+        ({"dim": 32, "re": witness_with(0, 1, 6e-5)}, "not Hermitian"),
     ])
     def test_bad_witness_projector_exits_4(self, runner, files, tmp_path, witness, message):
         state, ref, _ = files

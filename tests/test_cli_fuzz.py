@@ -2,12 +2,13 @@
 
 Hypothesis writes state, reference and record files with non-finite
 entries, ragged arrays, booleans, strings, dimensions over a small
-RCC_DIM_CAP and states just inside and just outside the PSD tolerance,
-then runs `compute`, `simulate`, `coverage` (each protocol, 2 trials of 20
-shots) and `certify` in process; it writes window families for `sweep`
-and process-trace CSVs for `thermo` the same way. Whatever the input, the
-exit code is one of the documented ones and an error is one line on
-stderr.
+RCC_DIM_CAP, oblique projectors and states just inside and just outside
+the PSD tolerance, then runs `compute`, `simulate`, `coverage` (each
+protocol, 2 trials of 20 shots) and `certify` in process, and `simulate
+--protocol witness` with such a matrix as the `--witness` projector; it
+writes window families for `sweep` and process-trace CSVs for `thermo` the
+same way. Whatever the input, the exit code is one of the documented ones
+and an error is one line on stderr.
 """
 
 import json
@@ -77,6 +78,15 @@ def diagonal_state(weights: list) -> dict:
     return {"dim": DIM_CAP, "re": np.diag(w).tolist()}
 
 
+def altered_projector(diagonal: list, i: int, j: int, value: float) -> dict:
+    """The diagonal projector with entry (i, j) set to value. With i kept and
+    j dropped, P^2 = P still holds, so a finite value makes it oblique: a
+    projector that is not Hermitian."""
+    m = np.diag(diagonal)
+    m[i, j] = value
+    return {"dim": DIM_CAP, "re": m.tolist()}
+
+
 dims = st.integers(1, DIM_CAP)
 near_psd_states = st.builds(
     near_psd, st.integers(0, 99), st.sampled_from([0.5, 0.99, 1.01, 2.0]), st.booleans(),
@@ -91,6 +101,11 @@ matrix_payloads = st.one_of(
     dims.flatmap(lambda d: st.fixed_dictionaries(
         {"dim": st.just(d), "re": square(d, st.floats(-1.0, 1.0))},
     )),
+    # projectors with one entry altered: non-finite, or oblique
+    st.builds(altered_projector, st.lists(st.sampled_from([0.0, 1.0]), min_size=DIM_CAP,
+                                          max_size=DIM_CAP),
+              st.integers(0, DIM_CAP - 1), st.integers(0, DIM_CAP - 1),
+              st.sampled_from([math.nan, math.inf, -math.inf, 6e-5])),
     # states, inside the reference subspace or leaking out of it
     st.builds(diagonal_state, st.lists(st.floats(0.0, 1.0), min_size=DIM_CAP,
                                        max_size=DIM_CAP)),
@@ -201,6 +216,14 @@ def test_compute(run, state, reference):
 @given(state=matrix_payloads)
 def test_simulate(run, state):
     run("simulate", state=state, reference=REFERENCE)
+
+
+@FUZZ
+@given(witness=matrix_payloads)
+def test_simulate_witness(run, witness):
+    # a valid state inside the reference subspace, so the projector is what is checked
+    state = diagonal_state([0.0, 0.6, 0.4, 0.0])
+    run("simulate", "--protocol", "witness", state=state, reference=REFERENCE, witness=witness)
 
 
 @FUZZ

@@ -35,6 +35,7 @@ from conftest import (
     random_pure,
 )
 from oracles import hypothesis_testing_grid_oracle, shannon_bits_oracle
+from rcc.entropy import _waterfill_weights
 
 
 def diag_state(*p):
@@ -221,6 +222,31 @@ class TestHypothesisTesting:
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
 
+class TestWaterfillWeights:
+    @given(d_r=st.integers(1, 64), eta=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    def test_weights_spend_the_budget_in_descending_order(self, d_r, eta):
+        w = _waterfill_weights(d_r, eta)
+        assert w.shape == (d_r,)
+        assert abs(w.sum() - eta * d_r) <= 1e-12
+        assert ((w >= 0.0) & (w <= 1.0)).all()
+        assert (np.diff(w) <= 0.0).all()
+
+    @given(seed=st.integers(0, 2**32 - 1), d_r=st.integers(1, 16),
+           eta=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    def test_divergence_is_minus_log_of_the_unaccepted_mass(self, seed, d_r, eta):
+        # d_R inside a larger space, so the spectrum also has zeros past d_R
+        rho = embed_state(random_density(np.random.default_rng(seed), d_r), d_r + 2)
+        ref = embedded_reference(d_r, d_r + 2)
+        beta = 1.0 - float(_waterfill_weights(d_r, eta) @ np.clip(rho.spectrum[:d_r], 0.0, None))
+        got = hypothesis_testing_divergence(rho, ref, eta).bits
+        assert got == (math.inf if beta <= 1e-15 else -math.log2(beta))
+
+    def test_eta_outside_the_open_interval_is_rejected(self):
+        for eta in (0.0, 1.0, math.nan):
+            with pytest.raises(ValidationError, match="must be in"):
+                _waterfill_weights(4, eta)
+
+
 class TestClassical:
     def test_uniform_eight(self):
         assert shannon(np.full(8, 0.125)).bits == 3.0
@@ -361,6 +387,24 @@ class TestExplicitTestBound:
         got = explicit_test_divergence_bound(rho, ref.sigma_matrix(), t, alpha + 1e-9)
         exact = hypothesis_testing_divergence(rho, ref, alpha + 1e-9)
         assert got.bits <= exact.bits + 1e-10
+
+    @pytest.mark.parametrize("entry, message", [
+        (6e-5, "not Hermitian"), (math.nan, "non-finite"), (math.inf, "non-finite"),
+    ])
+    def test_test_and_reference_must_be_finite_and_hermitian(self, entry, message):
+        # with entry 6e-5 the test is oblique, and its Hermitian part lies
+        # within EFFECT_TOL of [0, I]; a non-finite reference would make the
+        # type-I check compare NaN and pass
+        from rcc import explicit_test_divergence_bound
+
+        ref = full_reference(2)
+        rho = diag_state(0.7, 0.3)
+        bad = np.array([[1.0, entry], [0.0, 0.0]])
+        with pytest.raises(ValidationError, match=message):
+            explicit_test_divergence_bound(rho, ref.sigma_matrix(), bad, 0.6)
+        if entry != 6e-5:
+            with pytest.raises(ValidationError, match=message):
+                explicit_test_divergence_bound(rho, bad, np.diag([1.0, 0.0]), 0.6)
 
     def test_alpha_violation_rejected(self):
         from rcc import explicit_test_divergence_bound

@@ -91,6 +91,19 @@ class TestBornSample:
             )
 
 
+    @pytest.mark.parametrize("entry, message", [
+        (6e-5, "not Hermitian"), (math.nan, "non-finite"), (math.inf, "non-finite"),
+    ])
+    def test_effects_must_be_finite_and_hermitian(self, entry, message):
+        # with entry 6e-5, P is oblique: P^2 = P and {P, I - P} sums to I,
+        # and P's Hermitian part has eigenvalues within EFFECT_TOL of [0, 1]
+        rho = diag_state(0.3, 0.7)
+        p = np.array([[1.0, entry], [0.0, 0.0]])
+        with pytest.raises(ValidationError, match=message):
+            born_sample(rho, [p, np.eye(2) - p], 10, seed=1)
+        with pytest.raises(ValidationError, match=message):
+            simulate_record(rho, full_reference(2), "witness", 10, seed=1, witness_projector=p)
+
     def test_probabilities_are_the_traces_of_the_effects(self, rng):
         # a complex state and complex effects; the traces are contracted in
         # another order than the matrix product, so they agree to roundoff
@@ -170,6 +183,28 @@ class TestSimulateRecord:
         assert float(np.trace(proj).real) == pytest.approx(2.0, abs=1e-9)
         leak = np.linalg.norm(proj - ref.total.matrix @ proj @ ref.total.matrix)
         assert leak < 1e-10
+
+
+class TestDesignedDistributions:
+    def test_designed_protocols_build_no_effects(self, small_setup, monkeypatch):
+        # the test, the default witness and the reference basis take their
+        # distributions from V^dag rho V and its eigenvalues; only a supplied
+        # witness projector goes through the Born rule
+        rho, ref = small_setup
+
+        def forbidden(*args):
+            raise AssertionError("a designed protocol built its effects")
+
+        monkeypatch.setattr(harness, "_born_probabilities", forbidden)
+        config = RunConfig(state=rho, reference=ref, protocols=("exact", *PROTOCOLS),
+                           n_samples=200, seed=3, witness_rank=2)
+        coverage_experiment(config, 5)
+        pipeline(config)
+        for protocol in PROTOCOLS:
+            simulate_record(rho, ref, protocol, 100, seed=1, witness_rank=2)
+        with pytest.raises(AssertionError, match="built its effects"):
+            simulate_record(rho, ref, "witness", 100, seed=1,
+                            witness_projector=default_witness_projector(rho, ref, 1))
 
 
 class TestPipeline:

@@ -331,6 +331,11 @@ class TestWitnessProtocol:
     @pytest.mark.parametrize("projector, rank, message", [
         (np.diag([1.0, 0.4, 0.0, 0.0]), 1, "not a projector"),
         (np.diag([1.0, 1.0, 0.0, 0.0]), 1, "is not its rank 1"),
+        # oblique: P^2 = P and Tr P = 1, but P is not Hermitian
+        (np.array([[1.0, 6e-5, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]), 1,
+         "not Hermitian"),
+        (np.diag([1.0, math.nan, 0.0, 0.0]), 1, "non-finite"),
+        (np.diag([1.0, math.inf, 0.0, 0.0]), 1, "non-finite"),
     ])
     def test_supplied_projector_must_be_a_projector_of_the_rank(self, projector, rank, message):
         # a supplied matrix is the witness the rank and the support are checked against
