@@ -42,7 +42,6 @@ from .errors import (
 )
 from .harness import (
     RunConfig,
-    born_sample,
     coverage_experiment,
     pipeline,
     protocol_ground_truth,

@@ -21,7 +21,6 @@ from .harness import (
     coverage_experiment,
     pipeline,
     simulate_record,
-    stream,
     sweep_windows,
 )
 from .records import PROTOCOLS
@@ -223,7 +222,7 @@ def simulate(state_path, reference_path, protocol, n_samples, seed, eta,
     record = simulate_record(
         rho, ref, protocol, n_samples, seed=seed, eta=eta,
         test_calibration=test_calibration, witness_rank=witness_rank,
-        witness_projector=projector, rng=stream(seed),
+        witness_projector=projector,
     )
     _emit(io.record_to_payload(record), out)
 

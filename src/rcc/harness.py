@@ -5,12 +5,13 @@ setup, its record certifier and its coverage counter. It fixes its outcome
 distributions once per run and then draws records from them. sigma_R is
 flat on H_R, so each designed measurement's distribution is a function of
 one compression per run, C = V^dag rho V in the reference support basis V,
-or of C's eigenvalues. Randomness comes from Philox, a named 64-bit
-counter-based generator; independent streams are derived from the master
-seed with spawn keys, the first of which is the protocol's position in
-`records.PROTOCOLS`. A record draws all its distributions on one stream;
-coverage draws distribution j of every trial on the stream (seed, protocol,
-j) in one call, so coverage experiments are order-independent and
+or of C's eigenvalues; a supplied witness projector P is read as one trace,
+Tr(P rho), and no d x d effect is sampled. Randomness comes from Philox, a
+named 64-bit counter-based generator; independent streams are derived from
+the master seed with spawn keys, the first of which is the protocol's
+position in `records.PROTOCOLS`. A record draws all its distributions on one
+stream; coverage draws distribution j of every trial on the stream (seed,
+protocol, j) in one call, so coverage experiments are order-independent and
 bit-reproducible across platforms.
 """
 
@@ -30,13 +31,11 @@ from .entropy import (
     spectral_skew, von_neumann,
 )
 from .errors import RccError, ValidationError
-from .operators import (
-    EFFECT_TOL, DensityOperator, _effect_rank, check_hermitian, eig_hermitian, eigvals_hermitian,
-)
+from .operators import DensityOperator, eig_hermitian, eigvals_hermitian
 from .reference import ReferenceSet
 from .records import (
     HT_LABELS, PROTOCOLS, WITNESS_LABELS, MeasurementRecord, _check_witness_rank, _is_integer,
-    _witness_value,
+    _witness_projector_rank, _witness_value,
 )
 from .windows import WindowFamily, windowed_entropy_bits, windowed_rcc
 
@@ -98,54 +97,10 @@ def _sample(protocol: str, outcomes: tuple, n: int, rng: np.random.Generator) ->
     return MeasurementRecord(protocol, n * len(dists), tally, meta=dict(meta))
 
 
-def _check_povm(mats: list[np.ndarray], dim: int) -> None:
-    """Reject effects that are not finite and Hermitian, not PSD or do not
-    sum to the identity within EFFECT_TOL."""
-    for e in mats:
-        check_hermitian(e)
-    if np.abs(sum(mats) - np.eye(dim)).max() > EFFECT_TOL:
-        raise ValidationError("effects do not sum to the identity; not a POVM")
-    for i, e in enumerate(mats):
-        wmin = float(np.linalg.eigvalsh(e).min())
-        if wmin < -EFFECT_TOL:
-            raise ValidationError(f"effect {i} has negative eigenvalue {wmin:.3e}; not a POVM")
-
-
 def _normalised(probs) -> np.ndarray:
     """An outcome distribution: probs clipped at 0 and normalised."""
     probs = np.clip(probs, 0.0, None)
     return probs / probs.sum()
-
-
-def _born_probabilities(matrix: np.ndarray, mats) -> np.ndarray:
-    """Outcome distribution Tr(E_i M), clipped at 0 and normalised. Each
-    trace is one O(d^2) contraction, vdot(M^dag, E_i) = sum_jk M_kj E_jk,
-    not a matrix product."""
-    adjoint = np.ascontiguousarray(matrix.conj().T)
-    return _normalised([np.vdot(adjoint, e).real for e in mats])
-
-
-def born_sample(
-    rho: DensityOperator,
-    effects,
-    n: int,
-    seed: int,
-    protocol: str = "dephase",
-    labels=None,
-    meta: dict | None = None,
-    rng: np.random.Generator | None = None,
-) -> MeasurementRecord:
-    """Sample n outcomes of a POVM on rho; deterministic given the seed.
-
-    Effects must each be finite, Hermitian and PSD and sum to the identity
-    within EFFECT_TOL.
-    """
-    mats = [np.asarray(e, dtype=complex) for e in effects]
-    _check_povm(mats, rho.dim)
-    if labels is None:
-        labels = range(len(mats))
-    outcomes = ([str(lab) for lab in labels], [_born_probabilities(rho.matrix, mats)], meta or {})
-    return _sample(protocol, outcomes, n, rng if rng is not None else stream(seed))
 
 
 class _Compression:
@@ -202,20 +157,15 @@ def _ht_setup(rho, ref, compression, eta, test_calibration, *_):
 
 
 def _witness_setup(rho, ref, compression, eta, test_calibration, witness_rank, witness_projector):
+    # a projector succeeds with Tr(P rho): the designed one onto C's top r
+    # eigenvectors with their sum, a supplied one with one trace
     if witness_projector is None:
-        # the projector onto C's top r eigenvectors succeeds with their sum
         _check_witness_rank(witness_rank, ref.d_r)
         rank, success = witness_rank, float(compression.eigenvalues[:witness_rank].sum())
-        dist = _normalised([success, 1.0 - success])
     else:
         proj = np.asarray(witness_projector, dtype=complex)
-        if proj.shape != (ref.dim, ref.dim):
-            raise ValidationError(f"witness projector must be {ref.dim}x{ref.dim}")
-        effects = [proj, np.eye(ref.dim, dtype=complex) - proj]
-        _check_povm(effects, ref.dim)
-        rank, dist = _effect_rank(proj), _born_probabilities(rho.matrix, effects)
-        success = float(np.vdot(rho.matrix, proj).real)
-    return list(WITNESS_LABELS), [dist], {"rank": rank}, (
+        rank, success = _witness_projector_rank(proj, ref), float(np.vdot(rho.matrix, proj).real)
+    return list(WITNESS_LABELS), [_normalised([success, 1.0 - success])], {"rank": rank}, (
         lambda: _witness_value(success, ref.d_r, rank))
 
 
@@ -283,8 +233,8 @@ def _outcome_setup(
     A record draws n shots from each distribution in order; the labels run
     over the outcomes of all of them. The setups of one run share
     compression, and no effect is built: the distributions are functions of
-    C or of its eigenvalues. A supplied witness projector is checked as the
-    POVM {P, I - P} and as a projector, and its rank is Tr P. target() is
+    C, of its eigenvalues or, for a supplied witness projector P (checked by
+    records._witness_projector_rank), of one trace Tr(P rho). target() is
     the exact value in bits that the protocol's certified bound targets,
     built from the same pieces; the hypothesis test's is computed only when
     read, so setting up a record neither pays for it nor needs a supported

@@ -23,8 +23,8 @@ _SUPPORT_TOL = 1e-9
 _RANK_TOL = 1e-8
 # Retained mass Tr(P rho) at or below this is complete leakage.
 _COMPLETE_LEAK_TOL = 1e-14
-# Supplied measurement operators (POVM effects, tests, witness projectors):
-# completeness, 0 <= E <= I and support are checked to this tolerance.
+# Supplied measurement operators (explicit tests, witness projectors):
+# 0 <= T <= I, P^2 = P and support are checked to this tolerance.
 EFFECT_TOL = 1e-9
 
 
@@ -43,10 +43,12 @@ def check_hermitian(matrix: np.ndarray) -> np.ndarray:
 
     Non-finite entries are rejected first: every comparison with NaN is
     false, so a NaN would pass the asymmetry test and poison the spectrum.
+    An asymmetry of finite entries that overflows is inf, and rejected.
     """
     if not np.isfinite(matrix).all():
         raise ValidationError("matrix has non-finite entries (NaN or inf)")
-    asym = np.abs(matrix - matrix.conj().T).max() if matrix.size else 0.0
+    with np.errstate(over="ignore"):
+        asym = np.abs(matrix - matrix.conj().T).max() if matrix.size else 0.0
     if asym > HERMITICITY_TOL:
         raise ValidationError(
             f"matrix is not Hermitian: max asymmetry {asym:.3e} exceeds {HERMITICITY_TOL:.0e}"
@@ -228,18 +230,6 @@ class Projector:
 
 def as_projector(obj) -> Projector:
     return obj if isinstance(obj, Projector) else Projector(_as_matrix(obj))
-
-
-def _effect_rank(p: np.ndarray) -> int:
-    """The rank Tr P of a supplied projective effect, rejected when it is
-    not finite and Hermitian or ||P^2 - P||_F > EFFECT_TOL: an effect that is
-    not an orthogonal projector has no rank, and rounding its trace to one
-    overstates what it certifies."""
-    check_hermitian(p)
-    err = float(np.linalg.norm(p @ p - p))
-    if err > EFFECT_TOL:
-        raise ValidationError(f"effect is not a projector: ||P^2 - P||_F = {err:.3e}")
-    return int(round(float(np.trace(p).real)))
 
 
 @dataclass(frozen=True)

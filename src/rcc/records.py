@@ -1,5 +1,6 @@
-"""Measurement records: the protocol names, their outcome labels, and the
-validated outcome counts a lab hands to the certifiers.
+"""Measurement records: the protocol names, their outcome labels, the
+witness rules, and the validated outcome counts a lab hands to the
+certifiers.
 
 This layer needs no special functions, so reading, writing and simulating
 records loads no scipy; only certifying them (`stats`) does.
@@ -10,8 +11,15 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
+
+import numpy as np
 
 from .errors import ValidationError
+from .operators import EFFECT_TOL, check_hermitian
+
+if TYPE_CHECKING:
+    from .reference import ReferenceSet
 
 # the statistical protocols; a protocol's position here is the first spawn
 # key of its sampling streams
@@ -35,6 +43,29 @@ def _check_witness_rank(rank, d_r: int) -> None:
     the certifier and the planner all check it here."""
     if not _is_integer(rank) or not 1 <= rank <= d_r:
         raise ValidationError(f"witness rank {rank!r} must be an integer in [1, d_R = {d_r}]")
+
+
+def _witness_projector_rank(projector, ref: ReferenceSet) -> int:
+    """The rank Tr P of a supplied witness projector, which the simulator
+    and the certifier both check here: a finite Hermitian ref.dim x ref.dim
+    matrix with ||P^2 - P||_F and ||P - Pi_R P Pi_R||_F within EFFECT_TOL
+    and a rank _check_witness_rank accepts. A matrix that is not an
+    orthogonal projector in H_R has no rank the witness bound can use."""
+    p = np.asarray(projector, dtype=complex)
+    if p.shape != (ref.dim, ref.dim):
+        raise ValidationError(f"witness projector must be {ref.dim}x{ref.dim}")
+    check_hermitian(p)
+    err = float(np.linalg.norm(p @ p - p))
+    if err > EFFECT_TOL:
+        raise ValidationError(f"witness is not a projector: ||P^2 - P||_F = {err:.3e}")
+    pi = ref.total.matrix
+    leak = float(np.linalg.norm(p - pi @ p @ pi))
+    if leak > EFFECT_TOL:
+        raise ValidationError(
+            f"witness projector leaks outside the reference subspace (norm {leak:.3e})")
+    rank = int(round(float(np.trace(p).real)))
+    _check_witness_rank(rank, ref.d_r)
+    return rank
 
 
 def _witness_value(p: float, d_r: int, rank: int) -> float:

@@ -36,7 +36,6 @@ from .bounds import (
 )
 from .entropy import binary_entropy, shannon
 from .errors import ProtocolInvalidError, ValidationError
-from .operators import EFFECT_TOL, _effect_rank
 # the record layer, which loads no scipy; re-exported so that callers may
 # import it from either module
 from .records import (  # noqa: F401
@@ -46,6 +45,7 @@ from .records import (  # noqa: F401
     MeasurementRecord,
     _check_witness_rank,
     _is_integer,
+    _witness_projector_rank,
     _witness_value,
 )
 from .reference import ReferenceSet
@@ -223,16 +223,9 @@ def witness_protocol(
         raise ValidationError(f"record protocol {record.protocol!r} is not witness")
     _check_witness_rank(rank, ref.d_r)
     if projector is not None:
-        pw = np.asarray(projector, dtype=complex)
-        if _effect_rank(pw) != rank:
-            raise ValidationError(f"witness projector trace {np.trace(pw).real:.6g} is not "
-                                  f"its rank {rank}")
-        leak = np.linalg.norm(pw - ref.total.matrix @ pw @ ref.total.matrix)
-        if leak > EFFECT_TOL:
-            raise ValidationError(
-                f"witness projector leaks outside the reference subspace "
-                f"(norm {leak:.3e})"
-            )
+        supplied = _witness_projector_rank(projector, ref)
+        if supplied != rank:
+            raise ValidationError(f"witness projector rank {supplied} is not its rank {rank}")
     for lab in WITNESS_LABELS:
         if lab not in record.counts:
             raise ValidationError(f"witness record is missing count {lab!r}")

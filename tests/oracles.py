@@ -4,9 +4,11 @@ Each oracle deliberately takes a different computational route from the
 library code it checks: determinant bisection instead of LAPACK
 eigensolvers, grid-scanned threshold tests instead of waterfilling, plain
 bisection instead of Lambert-W, direct binomial pmf sums instead of
-incomplete-beta tail inversion, one multinomial call per distribution and
-trial instead of one call of all trials, and one record certification per
-row instead of a binary search for a threshold count.
+incomplete-beta tail inversion, Born probabilities of explicit POVM effects
+as traces of matrix products instead of one compression or contraction,
+one multinomial call per distribution and trial instead of one call of all
+trials, and one record certification per row instead of a binary search for
+a threshold count.
 """
 
 from __future__ import annotations
@@ -159,6 +161,15 @@ def clopper_pearson_lower_oracle(k: int, n: int, delta: float) -> float:
 
 def shannon_bits_oracle(p) -> float:
     return float(sum(-x * math.log2(x) for x in p if x > 0))
+
+
+def explicit_povm_counts(rho, effects, n: int, rng, labels=None) -> dict[str, int]:
+    """n shots of the POVM {E_i} on rho, keyed by str(label): one multinomial
+    draw on rng from Tr(E_i rho), each the trace of a matrix product, clipped
+    at 0 and normalised."""
+    p = np.clip([np.trace(e @ rho.matrix).real for e in effects], 0.0, None)
+    counts = rng.multinomial(n, p / p.sum()).tolist()
+    return dict(zip(map(str, labels if labels is not None else range(len(effects))), counts))
 
 
 def coverage_one_trial_at_a_time(config, trials: int) -> dict:

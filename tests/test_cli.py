@@ -65,6 +65,16 @@ class TestCompute:
         assert "non-finite" in result.output
         assert "Traceback" not in result.output
 
+    def test_overflowing_asymmetry_is_a_one_line_config_error(self, runner, files, tmp_path):
+        # finite entries whose asymmetry 3.4e308 overflows a float
+        _, ref, _ = files
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"dim": 2, "re": [[0.5, 1.7e308], [-1.7e308, 0.5]]}))
+        result = runner.invoke(main, ["compute", "--state", str(path), "--reference", ref])
+        assert result.exit_code == 2, result.output
+        assert result.stderr.count("\n") == 1, result.stderr
+        assert "not Hermitian" in result.stderr
+
     def test_bad_epsilon_is_config_or_validation(self, runner, files):
         state, ref, _ = files
         result = runner.invoke(
@@ -114,26 +124,32 @@ class TestSimulateAndCertify:
         assert out_a.read_bytes() == out_b.read_bytes()
 
     @pytest.mark.parametrize("witness, message", [
-        ({"dim": 32, "re": (2.0 * np.eye(32)).tolist()}, "not a POVM"),
+        ({"dim": 32, "re": (2.0 * np.eye(32)).tolist()}, "not a projector"),
         ({"dim": 4, "re": np.eye(4).tolist()}, "32x32"),
         ({"dim": 32, "re": np.diag([1.0, 0.4] + [0.0] * 30).tolist()}, "not a projector"),
         ({"dim": 32, "re": witness_with(0, 1, math.nan)}, "non-finite"),
         ({"dim": 32, "re": witness_with(0, 1, math.inf)}, "non-finite"),
         # oblique: P^2 = P and Tr P = 1, but P is not Hermitian
         ({"dim": 32, "re": witness_with(0, 1, 6e-5)}, "not Hermitian"),
+        # d_R = 8: the zero projector, one outside H_R and one of rank 9
+        ({"dim": 32, "re": witness_with(0, 0, 0.0)}, "witness rank 0"),
+        ({"dim": 32, "re": np.diag([0.0] * 31 + [1.0]).tolist()}, "leaks outside"),
+        ({"dim": 32, "re": np.diag([1.0] * 9 + [0.0] * 23).tolist()}, "leaks outside"),
     ])
     def test_bad_witness_projector_exits_4(self, runner, files, tmp_path, witness, message):
         state, ref, _ = files
-        path = tmp_path / "witness.json"
+        path, out = tmp_path / "witness.json", tmp_path / "record.json"
         path.write_text(json.dumps(witness))
         result = runner.invoke(main, [
             "simulate", "--state", state, "--reference", ref,
-            "--protocol", "witness", "--witness", str(path),
+            "--protocol", "witness", "--witness", str(path), "--out", str(out),
         ])
         assert result.exit_code == 4, result.output
         assert isinstance(result.exception, SystemExit)
         assert message in result.output
+        assert result.stderr.count("\n") == 1, result.stderr
         assert "Traceback" not in result.output
+        assert not out.exists()
 
     @pytest.mark.parametrize("protocol", ["hypothesis_test", "dephase"])
     def test_witness_file_with_another_protocol_exits_2(self, runner, files, tmp_path, protocol):

@@ -13,7 +13,6 @@ from rcc import (
     RunConfig,
     ValidationError,
     WindowFamily,
-    born_sample,
     coverage_experiment,
     hypothesis_testing_divergence,
     main_lower_bound,
@@ -51,69 +50,59 @@ def small_setup():
 
 
 class TestBornSample:
+    """Born-rule draws of a supplied witness projector P: one trace Tr(P rho)
+    gives the success probability."""
+
     def test_deterministic_state_all_counts_on_one_outcome(self):
         rho = basis_state(2)
-        effects = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
-        record = born_sample(rho, effects, 500, seed=7)
-        assert record.counts["0"] == 500
+        record = simulate_record(rho, full_reference(2), "witness", 500, seed=7,
+                                 witness_projector=np.diag([1.0, 0.0]))
+        assert record.counts == {"success": 500, "failure": 0}
 
     def test_vacuum_binomial_concentration(self):
         ref = full_reference(2)
         sigma = validate_density(ref.sigma_matrix())
-        effects = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
         n = 10**6
-        record = born_sample(sigma, effects, n, seed=11)
+        record = simulate_record(sigma, ref, "witness", n, seed=11,
+                                 witness_projector=np.diag([1.0, 0.0]))
         sd = math.sqrt(n * 0.25)
-        assert abs(record.counts["0"] - n / 2) < 5 * sd
+        assert abs(record.counts["success"] - n / 2) < 5 * sd
 
     def test_seed_determinism_bit_exact(self):
         rho = diag_state(0.3, 0.7)
-        effects = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
-        a = born_sample(rho, effects, 1000, seed=123)
-        b = born_sample(rho, effects, 1000, seed=123)
+        a, b = (simulate_record(rho, full_reference(2), "witness", 1000, seed=123,
+                                witness_projector=np.diag([0.0, 1.0])) for _ in range(2))
         assert a.counts == b.counts
 
     def test_counts_sum(self):
         rho = diag_state(0.3, 0.7)
-        effects = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
-        record = born_sample(rho, effects, 777, seed=5)
+        record = simulate_record(rho, full_reference(2), "witness", 777, seed=5,
+                                 witness_projector=np.diag([1.0, 0.0]))
         assert sum(record.counts.values()) == 777
-
-    def test_non_povm_rejected(self):
-        rho = diag_state(0.3, 0.7)
-        with pytest.raises(ValidationError, match="POVM"):
-            born_sample(rho, [np.diag([1.0, 0.0])], 10, seed=1)
-        with pytest.raises(ValidationError, match="POVM"):
-            born_sample(rho, [], 10, seed=1)
-        with pytest.raises(ValidationError, match="POVM"):
-            born_sample(
-                rho, [np.diag([2.0, 0.0]), np.diag([-1.0, 1.0])], 10, seed=1
-            )
-
 
     @pytest.mark.parametrize("entry, message", [
         (6e-5, "not Hermitian"), (math.nan, "non-finite"), (math.inf, "non-finite"),
     ])
     def test_effects_must_be_finite_and_hermitian(self, entry, message):
-        # with entry 6e-5, P is oblique: P^2 = P and {P, I - P} sums to I,
-        # and P's Hermitian part has eigenvalues within EFFECT_TOL of [0, 1]
+        # with entry 6e-5, P is oblique: P^2 = P and Tr P = 1
         rho = diag_state(0.3, 0.7)
         p = np.array([[1.0, entry], [0.0, 0.0]])
-        with pytest.raises(ValidationError, match=message):
-            born_sample(rho, [p, np.eye(2) - p], 10, seed=1)
         with pytest.raises(ValidationError, match=message):
             simulate_record(rho, full_reference(2), "witness", 10, seed=1, witness_projector=p)
 
     def test_probabilities_are_the_traces_of_the_effects(self, rng):
-        # a complex state and complex effects; the traces are contracted in
-        # another order than the matrix product, so they agree to roundoff
+        # a complex state and a complex rank-2 projector; the traces are full
+        # matrix products, not the setup's contraction, so they agree to
+        # roundoff
         rho = random_density(rng, 6)
         q, _ = np.linalg.qr(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
-        effects = [np.outer(q[:, i], q[:, i].conj()) for i in range(6)]
-        effects = [effects[0] + effects[1], *effects[2:]]
-        traces = np.array([np.trace(e @ rho.matrix).real for e in effects])
-        assert np.allclose(harness._born_probabilities(rho.matrix, effects),
-                           traces / traces.sum(), rtol=0, atol=1e-14)
+        proj = q[:, :2] @ q[:, :2].conj().T
+        ref = full_reference(6)
+        _, dists, meta, _ = harness._outcome_setup(rho, ref, "witness", harness._Compression(
+            rho, ref), 0.25, 0.5, 1, proj)
+        traces = np.array([np.trace(e @ rho.matrix).real for e in (proj, np.eye(6) - proj)])
+        assert meta == {"rank": 2}
+        assert np.allclose(dists[0], traces / traces.sum(), rtol=0, atol=1e-14)
 
 
 class TestSimulateRecord:
@@ -146,7 +135,7 @@ class TestSimulateRecord:
     def test_witness_projector_outside_zero_and_identity_rejected(self, small_setup, scale):
         rho, ref = small_setup
         bad = scale * default_witness_projector(rho, ref, 1)
-        with pytest.raises(ValidationError, match="not a POVM"):
+        with pytest.raises(ValidationError, match="not a projector"):
             simulate_record(rho, ref, "witness", 100, seed=1, witness_projector=bad)
 
     def test_witness_effect_that_is_not_a_projector_rejected(self):
@@ -157,6 +146,21 @@ class TestSimulateRecord:
         effect = np.diag([1.0, 0.4, 0.0, 0.0])
         with pytest.raises(ValidationError, match="not a projector"):
             simulate_record(rho, ref, "witness", 200_000, seed=0, witness_projector=effect)
+
+    @pytest.mark.parametrize("projector, message", [
+        (np.zeros((4, 4)), "witness rank 0"),
+        (np.diag([0.0, 0.0, 0.0, 1.0]), "leaks outside"),
+        (np.diag([1.0, 1.0, 1.0, 0.0]), "leaks outside"),
+        (np.eye(2), "4x4"),
+    ], ids=["zero", "outside", "over-rank", "wrong-shape"])
+    def test_simulator_and_certifier_check_a_witness_alike(self, projector, message):
+        # d_R = 2 in 4 dims: a projector the certifier rejects is not simulated
+        rho, ref = diag_state(0.5, 0.5, 0.0, 0.0), embedded_reference(2, 4)
+        with pytest.raises(ValidationError, match=message):
+            simulate_record(rho, ref, "witness", 100, seed=1, witness_projector=projector)
+        record = simulate_record(rho, ref, "witness", 100, seed=1)
+        with pytest.raises(ValidationError, match=message):
+            stats.witness_protocol(record, ref, 1, 0.05, projector=projector)
 
     def test_witness_projector_of_wrong_size_rejected(self, small_setup):
         rho, ref = small_setup
@@ -188,23 +192,24 @@ class TestSimulateRecord:
 class TestDesignedDistributions:
     def test_designed_protocols_build_no_effects(self, small_setup, monkeypatch):
         # the test, the default witness and the reference basis take their
-        # distributions from V^dag rho V and its eigenvalues; only a supplied
-        # witness projector goes through the Born rule
+        # distributions from V^dag rho V and its eigenvalues, and a supplied
+        # witness projector from one trace: none needs an effect's eigenvectors
         rho, ref = small_setup
+        supplied = default_witness_projector(rho, ref, 1)
 
         def forbidden(*args):
-            raise AssertionError("a designed protocol built its effects")
+            raise AssertionError("a protocol built its effects")
 
-        monkeypatch.setattr(harness, "_born_probabilities", forbidden)
+        monkeypatch.setattr(harness, "_eigenvectors", forbidden)
         config = RunConfig(state=rho, reference=ref, protocols=("exact", *PROTOCOLS),
                            n_samples=200, seed=3, witness_rank=2)
         coverage_experiment(config, 5)
         pipeline(config)
         for protocol in PROTOCOLS:
             simulate_record(rho, ref, protocol, 100, seed=1, witness_rank=2)
+        simulate_record(rho, ref, "witness", 100, seed=1, witness_projector=supplied)
         with pytest.raises(AssertionError, match="built its effects"):
-            simulate_record(rho, ref, "witness", 100, seed=1,
-                            witness_projector=default_witness_projector(rho, ref, 1))
+            default_witness_projector(rho, ref, 1)
 
 
 class TestPipeline:

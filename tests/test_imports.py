@@ -24,8 +24,8 @@ EXPORTS = {
                 "von_neumann"),
     "errors": ("CompleteLeakageError", "ConfigError", "ExclusiveSectorsError", "LeakageError",
                "NumericalError", "ProtocolInvalidError", "RccError", "ValidationError"),
-    "harness": ("RunConfig", "born_sample", "coverage_experiment", "pipeline",
-                "protocol_ground_truth", "simulate_record", "stream", "sweep_windows"),
+    "harness": ("RunConfig", "coverage_experiment", "pipeline", "protocol_ground_truth",
+                "simulate_record", "stream", "sweep_windows"),
     "operators": ("BlockPartition", "DensityOperator", "HermitianOperator", "Projector",
                   "SpectralDecomposition", "eig_hermitian", "pinch", "project_renormalize",
                   "trace_distance", "validate_density"),

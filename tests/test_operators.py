@@ -209,6 +209,14 @@ class TestNonFinite:
             build(matrix)
 
 
+class TestCheckHermitian:
+    def test_overflowing_asymmetry_is_rejected_without_a_warning(self):
+        # M - M^dag overflows to inf at (0, 1); pytest turns a warning into an error
+        m = np.array([[0.5, 1.7e308], [-1.7e308, 0.5]])
+        with pytest.raises(ValidationError, match="asymmetry inf"):
+            operators.check_hermitian(m)
+
+
 class TestTraceDistance:
     def test_equal_states(self):
         rho = validate_density(np.diag([0.5, 0.5]))

@@ -15,7 +15,6 @@ from rcc import (
     DensityOperator,
     RunConfig,
     block_reference,
-    born_sample,
     coverage_experiment,
     pipeline,
     sector_reference,
@@ -26,6 +25,7 @@ from rcc import (
 )
 from rcc.harness import default_witness_projector, optimal_test_projector
 from conftest import full_reference, random_density
+from oracles import explicit_povm_counts
 
 
 @pytest.fixture
@@ -120,6 +120,16 @@ class TestEigensolveCount:
         coverage_experiment(config, 10)
         assert eig_calls == {"eigh": 0, "eigvalsh": 1}
 
+    def test_supplied_witness_makes_no_eigensolve(self, rng, eig_calls):
+        # a supplied projector is checked by products and read as one trace
+        ref = stabilizer_reference(4, ["XXII"], 2, 4)
+        rho = subspace_state(rng, ref)
+        proj = default_witness_projector(rho, ref, 2)
+        eig_calls.update(eigh=0, eigvalsh=0)
+        record = simulate_record(rho, ref, "witness", 500, seed=1, witness_projector=proj)
+        assert eig_calls == {"eigh": 0, "eigvalsh": 0}
+        assert record.meta == {"rank": 2}
+
     @pytest.mark.parametrize("protocols, eigvalsh", [
         (("hypothesis_test", "witness"), 1),
         (("witness", "dephase", "hypothesis_test"), 1),
@@ -180,10 +190,10 @@ class TestDephaseRecordIdentity:
         effects = [np.outer(basis[:, i], basis[:, i].conj()) for i in range(ref.d_r)]
         effects.append(np.eye(ref.dim) - ref.total.matrix)
         for trial in range(20):
-            explicit = born_sample(rho, effects, 2000, seed=0, rng=stream(9, 2, trial))
+            explicit = explicit_povm_counts(rho, effects, 2000, stream(9, 2, trial))
             record = simulate_record(rho, ref, "dephase", 2000, seed=0, rng=stream(9, 2, trial))
-            assert explicit.counts.pop(str(ref.d_r)) == 0
-            assert record.counts == explicit.counts
+            assert explicit.pop(str(ref.d_r)) == 0
+            assert record.counts == explicit
             assert record.meta == {"basis": "reference-support"}
 
 
@@ -195,13 +205,17 @@ class TestWitnessAndTestRecordIdentity:
         proj = default_witness_projector(rho, ref, 2)
         effects = [proj, np.eye(ref.dim) - proj]
         for trial in range(20):
-            explicit = born_sample(
-                rho, effects, 2000, seed=0, labels=["success", "failure"], rng=stream(9, 1, trial)
+            explicit = explicit_povm_counts(
+                rho, effects, 2000, stream(9, 1, trial), labels=["success", "failure"]
             )
             record = simulate_record(
                 rho, ref, "witness", 2000, seed=0, witness_rank=2, rng=stream(9, 1, trial)
             )
-            assert record.counts == explicit.counts
+            supplied = simulate_record(
+                rho, ref, "witness", 2000, seed=0, witness_projector=proj, rng=stream(9, 1, trial)
+            )
+            assert record.counts == explicit
+            assert supplied == record
             assert record.n == 2000 and record.meta == {"rank": 2}
 
     @pytest.mark.parametrize("kind", sorted(REFERENCES))
@@ -215,13 +229,13 @@ class TestWitnessAndTestRecordIdentity:
         for trial in range(20):
             # the null calibration draws first, then the alternative, on one stream
             rng_explicit = stream(9, 0, trial)
-            null = born_sample(sigma, effects, 2000, seed=0, labels=labels, rng=rng_explicit)
-            alt = born_sample(rho, effects, 2000, seed=0, labels=labels, rng=rng_explicit)
+            null = explicit_povm_counts(sigma, effects, 2000, rng_explicit, labels=labels)
+            alt = explicit_povm_counts(rho, effects, 2000, rng_explicit, labels=labels)
             record = simulate_record(
                 rho, ref, "hypothesis_test", 2000, seed=0, rng=stream(9, 0, trial)
             )
             assert record.counts == {
-                **{f"null_{k}": v for k, v in null.counts.items()},
-                **{f"alt_{k}": v for k, v in alt.counts.items()},
+                **{f"null_{k}": v for k, v in null.items()},
+                **{f"alt_{k}": v for k, v in alt.items()},
             }
             assert record.n == 4000 and record.meta == {"eta": 0.25, "eta_test": 0.125}
