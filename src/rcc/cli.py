@@ -11,6 +11,7 @@ import sys
 
 import click
 import numpy as np
+from click.core import ParameterSource
 
 from . import io
 from .bounds import METHODS, BoundConstants
@@ -224,6 +225,12 @@ def simulate(state_path, reference_path, protocol, n_samples, seed, eta,
         test_calibration=test_calibration, witness_rank=witness_rank,
         witness_projector=projector,
     )
+    # a rank given beside a projector must be the projector's rank
+    rank_given = click.get_current_context().get_parameter_source(
+        "witness_rank") is not ParameterSource.DEFAULT
+    if projector is not None and rank_given and witness_rank != record.meta["rank"]:
+        raise ConfigError(f"--witness-rank {witness_rank} conflicts with the rank "
+                          f"{record.meta['rank']} of the --witness projector")
     _emit(io.record_to_payload(record), out)
 
 

@@ -480,7 +480,8 @@ def coverage_experiment(config: RunConfig, trials: int) -> dict:
     value exceeds the target by more than _VIOLATION_SLACK and those that
     cannot certify (invalid runs); a binary search over a binomial column's
     distinct counts finds where trials start to violate, at about log2 of
-    its distinct counts in Clopper-Pearson endpoints. The summary contains
+    its distinct counts in probes, each a Clopper-Pearson bisection stopped
+    once the comparison is decided. The summary contains
     no timestamp, so identical seeds give byte-identical output.
     """
     if not _is_integer(trials) or not 0 < trials <= _MAX_TRIALS:

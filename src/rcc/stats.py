@@ -5,8 +5,8 @@ Every protocol turns raw outcome counts into a CertifiedBound: a one-sided
 lower confidence bound on a divergence, tagged with its confidence level
 and full parameter provenance. Endpoints are Clopper-Pearson, computed for
 one count at a time by bisecting the exact binomial tail (through the
-regularized incomplete beta), which is bit-reproducible and avoids
-special-function inversions.
+regularized incomplete beta) to a fixed bracket width, which is
+bit-reproducible and needs no Beta quantile function.
 
 Coverage experiments need, of many records of one protocol, only how many
 certify above a limit and how many cannot certify: each protocol's counter
@@ -15,7 +15,10 @@ matrix of the counts `harness.coverage_experiment` draws, one record per
 row, which meet MeasurementRecord's checks by construction and are not
 checked again. Each binomial certifier is monotone in one count, so its
 counter finds the threshold count by a binary search over the distinct
-counts, one scalar endpoint per probe, instead of certifying every record.
+counts instead of certifying every record. A probe of one count needs only
+the certifier's comparison with the limit, not the endpoint's value, so its
+endpoint's bisection stops as soon as that comparison is the same at both
+ends of the bracket, with the answer the full bisection gives.
 """
 
 from __future__ import annotations
@@ -100,31 +103,54 @@ def _binom_cdf(k: int, n: int, p: float) -> float:
     return float(betainc(n - k, k + 1, 1.0 - p))
 
 
-def _bisect(f, rising: bool) -> float:
+def _bisect(f, rising: bool, passes=None) -> float:
     """Sign change of a monotone function on [0, 1] by plain bisection, to an
     absolute bracket width of _BISECT_WIDTH; f rises through 0 (f(0) <= 0)
-    or falls through it (f(0) > 0)."""
+    or falls through it (f(0) > 0).
+
+    Given passes, a predicate monotone in the sign change, it stops as soon
+    as passes agrees at both ends of the bracket and returns the bracket's
+    midpoint. Every bracket [lo, lo + width] is exact in floating point (lo
+    is a multiple of width = 2^-j) and holds the full-width result strictly
+    inside, so passes of the early midpoint is passes of that result."""
     lo, width = 0.0, 1.0
-    while width > _BISECT_WIDTH:
+    while width > _BISECT_WIDTH and not (passes and passes(lo) == passes(lo + width)):
         width *= 0.5
         lo = lo + width * ((f(lo + width) > 0) != rising)
     return lo + 0.5 * width
 
 
+def _upper(k: int, n: int, delta: float, passes=None) -> float:
+    """clopper_pearson_upper of checked arguments; passes as in _bisect."""
+    if k == n:
+        return 1.0
+    return _bisect(lambda p: _binom_cdf(k, n, p) - delta, rising=False, passes=passes)
+
+
+def _lower(k: int, n: int, delta: float, passes=None) -> float:
+    """clopper_pearson_lower of checked arguments; passes as in _bisect."""
+    if k == 0:
+        return 0.0
+    return _bisect(lambda p: (1.0 - _binom_cdf(k - 1, n, p)) - delta, rising=True,
+                   passes=passes)
+
+
+def _settled(endpoint, k: int, n: int, delta: float, passes) -> bool:
+    """passes(endpoint(k, n, delta)) for a predicate monotone in the
+    endpoint (_upper or _lower), bisecting only until it is decided."""
+    return passes(endpoint(k, n, delta, passes))
+
+
 def clopper_pearson_upper(k: int, n: int, delta: float) -> float:
     """One-sided exact upper endpoint: largest p with P(X <= k; p) >= delta."""
     _check_binomial_args(k, n, delta)
-    if k == n:
-        return 1.0
-    return _bisect(lambda p: _binom_cdf(k, n, p) - delta, rising=False)
+    return _upper(k, n, delta)
 
 
 def clopper_pearson_lower(k: int, n: int, delta: float) -> float:
     """One-sided exact lower endpoint: smallest p with P(X >= k; p) >= delta."""
     _check_binomial_args(k, n, delta)
-    if k == 0:
-        return 0.0
-    return _bisect(lambda p: (1.0 - _binom_cdf(k - 1, n, p)) - delta, rising=True)
+    return _lower(k, n, delta)
 
 
 def _ht_value(beta_upper: float) -> float:
@@ -259,13 +285,22 @@ def witness_sample_plan(
         raise ValidationError(f"target must be finite, got {target_bits}")
     if not 0.0 < p0 <= 1.0:
         raise ValidationError(f"anticipated occupation p0 = {p0} must be in (0,1]")
-    p_star = _pow2(target_bits) * rank / d_r
+    try:
+        p_star = _pow2(target_bits) * rank / d_r
+    except OverflowError as exc:
+        raise ValidationError(f"rank {rank} and d_R = {d_r} must fit a float") from exc
     if p0 <= p_star:
         raise ValidationError(
             f"anticipated occupation p0 = {p0} does not exceed the certification "
             f"threshold p* = {p_star}; the target is unreachable"
         )
-    return math.ceil(math.log(1.0 / delta) / (2.0 * (p0 - p_star) ** 2) - _PLAN_SLACK)
+    gap = 2.0 * (p0 - p_star) ** 2
+    size = math.log(1.0 / delta) / gap if gap > 0 else math.inf
+    if not size < math.inf:
+        raise ValidationError(
+            f"the sample size ln(1/delta) / (2 (p0 - p*)^2) for p0 = {p0} and p* = {p_star} "
+            "overflows a float")
+    return math.ceil(size - _PLAN_SLACK)
 
 
 def _dephase_value(h_hat, n: int, m: int, delta: float):
@@ -346,13 +381,14 @@ def ht_counts(counts: np.ndarray, n: int, limit: float, eta: float,
     as drawn: how many ht_protocol would certify above limit, and how many
     it would reject with ProtocolInvalidError. A test is invalid from some
     null_accept_h1 count on and its value falls as alt_accept_h0 grows, so
-    each column is split at its threshold count, each probe one scalar
-    endpoint, the certifier's value and the same comparison."""
-    k_star, invalid = _first_flip(
-        counts[:, 0], lambda k: clopper_pearson_upper(k, n, delta * _HT_DELTA_SPLIT) > eta)
+    each column is split at its threshold count, each probe the certifier's
+    value and comparison at one count, settled by a bisection of its scalar
+    endpoint that stops once the comparison is decided."""
+    k_star, invalid = _first_flip(counts[:, 0], lambda k: _settled(
+        _upper, k, n, delta * _HT_DELTA_SPLIT, lambda p: p > eta))
     alt = counts[counts[:, 0] < k_star, 3]
-    _, not_above = _first_flip(alt, lambda k: not _ht_value(
-        clopper_pearson_upper(k, n, delta * (1.0 - _HT_DELTA_SPLIT))) > limit)
+    _, not_above = _first_flip(alt, lambda k: _settled(
+        _upper, k, n, delta * (1.0 - _HT_DELTA_SPLIT), lambda b: not _ht_value(b) > limit))
     return alt.size - not_above, invalid
 
 
@@ -363,8 +399,8 @@ def witness_counts(counts: np.ndarray, n: int, ref: ReferenceSet, limit: float, 
     limit. The value rises with success, so that column is split at its
     threshold count."""
     _check_witness_rank(rank, ref.d_r)
-    _, above = _first_flip(counts[:, 0], lambda k: _witness_value(
-        clopper_pearson_lower(k, n, delta), ref.d_r, rank) > limit)
+    _, above = _first_flip(counts[:, 0], lambda k: _settled(
+        _lower, k, n, delta, lambda p: _witness_value(p, ref.d_r, rank) > limit))
     return above, 0
 
 

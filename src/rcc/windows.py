@@ -289,6 +289,15 @@ def window_leakage_error(p_leak: float, d_r: int, gamma_r: float) -> float:
     return (delta * math.log(d_r - 1) + h2_nats) / math.log(gamma_r)
 
 
+def _check_finite(**values: float) -> None:
+    """A ValidationError naming the first of the values that is NaN or
+    infinite: every comparison with NaN is false, so a sign check alone
+    lets it through."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValidationError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class RectEfficiency:
     """Dynamical efficiency factors; values above 1 violate physical law."""
@@ -319,14 +328,22 @@ def rect_efficiency(
     eta_LR = hbar * S_E / (gamma_j * dt). The testable physics is that both
     stay at or below 1.
     """
+    _check_finite(sigma_avail=sigma_avail, delta_t=delta_t, c_opt=c_opt, s_e=s_e,
+                  gamma_j=gamma_j, hbar=hbar)
     if sigma_avail <= 0 or delta_t <= 0:
         raise ValidationError("sigma_avail and delta_t must be positive")
+    if c_opt < 0:
+        raise ValidationError("instruction-step count c_opt must be >= 0")
     if s_e < 0:
         raise ValidationError("entanglement output must be >= 0")
     if gamma_j <= 0 or hbar <= 0:
         raise ValidationError("gamma_j and hbar must be positive")
-    eta_qsl = (math.pi * hbar / 2.0) * c_opt / (sigma_avail * delta_t)
-    eta_lr = hbar * s_e / (gamma_j * delta_t)
+    try:
+        eta_qsl = (math.pi * hbar / 2.0) * c_opt / (sigma_avail * delta_t)
+        eta_lr = hbar * s_e / (gamma_j * delta_t)
+    except ZeroDivisionError as exc:
+        raise ValidationError("sigma_avail * delta_t or gamma_j * delta_t underflows to 0") from exc
+    _check_finite(eta_qsl=eta_qsl, eta_lr=eta_lr)
     return RectEfficiency(eta_qsl, eta_lr)
 
 
@@ -347,7 +364,9 @@ def rect_identity_check(
     """
     if eta_qsl <= 0:
         raise ValidationError("eta_qsl must be positive")
-    return sigma_avail * s_e - (eta_lr / eta_qsl) * (math.pi * gamma_j / 2.0) * c_opt
+    residual = sigma_avail * s_e - (eta_lr / eta_qsl) * (math.pi * gamma_j / 2.0) * c_opt
+    _check_finite(identity_residual=residual)
+    return residual
 
 
 @dataclass(frozen=True)
@@ -370,6 +389,7 @@ def rect_performance_check(
 ) -> RectPerformance:
     """Check sigma_avail * S_E >= (eta_LR/eta_QSL)(pi gamma_j/2) C_R and its
     dimensionless form (both sides divided by the energy scale J)."""
+    _check_finite(c_r=c_r_value, j=j)
     if eta_qsl <= 0:
         raise ValidationError("eta_qsl must be positive")
     if j <= 0:
@@ -377,5 +397,7 @@ def rect_performance_check(
     rhs = (eta_lr / eta_qsl) * (math.pi * gamma_j / 2.0) * c_r_value
     lhs = sigma_avail * s_e
     margin = lhs - rhs
+    dimensionless = margin / j
+    _check_finite(margin=margin, margin_dimensionless=dimensionless)
     tol = _MARGIN_RTOL * max(1.0, abs(lhs), abs(rhs))
-    return RectPerformance(margin, margin / j, margin >= -tol)
+    return RectPerformance(margin, dimensionless, margin >= -tol)

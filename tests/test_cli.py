@@ -151,6 +151,27 @@ class TestSimulateAndCertify:
         assert "Traceback" not in result.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("rank_args, exit_code", [
+        ([], 0), (["--witness-rank", "2"], 0), (["--witness-rank", "1"], 2),
+        (["--witness-rank", "3"], 2),
+    ])
+    def test_witness_rank_must_be_the_projectors(self, runner, files, tmp_path, rank_args,
+                                                 exit_code):
+        state, ref, _ = files
+        path, out = tmp_path / "witness.json", tmp_path / "record.json"
+        path.write_text(json.dumps({"dim": 32, "re": np.diag([1.0] * 2 + [0.0] * 30).tolist()}))
+        result = runner.invoke(main, [
+            "simulate", "--state", state, "--reference", ref, "--protocol", "witness",
+            "--witness", str(path), "--out", str(out), *rank_args,
+        ])
+        assert result.exit_code == exit_code, result.output
+        if exit_code:
+            assert result.stderr == (f"config error: {' '.join(rank_args)} conflicts with the "
+                                     "rank 2 of the --witness projector\n")
+            assert not out.exists()
+        else:
+            assert json.loads(out.read_text())["meta"]["rank"] == 2
+
     @pytest.mark.parametrize("protocol", ["hypothesis_test", "dephase"])
     def test_witness_file_with_another_protocol_exits_2(self, runner, files, tmp_path, protocol):
         state, ref, _ = files
@@ -263,6 +284,11 @@ class TestPlan:
          "anticipated occupation p0 = 0.0 must be in (0,1]"),
         (["witness", "--target-bits", "2000", "--p0", "0.5", "--dr", "8"],
          "the target is unreachable"),
+        # p0 - p* squares to 0, and d_R overflows a float
+        (["witness", "--target-bits", "-2000", "--p0", "5e-324", "--dr", "1"],
+         "for p0 = 5e-324 and p* = 0.0 overflows a float"),
+        (["witness", "--target-bits", "1", "--p0", "0.5", "--dr", str(10**400)],
+         "rank 1 and d_R = 1000"),
     ])
     def test_bad_plan_inputs_exit_4(self, runner, args, message):
         result = runner.invoke(main, ["plan", "--protocol", *args])
@@ -317,6 +343,31 @@ class TestRectThermo:
         payload = json.loads(result.output)
         assert payload["eta_qsl"] == pytest.approx(math.pi / 12)
         assert abs(payload["identity_residual"]) < 1e-12
+
+    @pytest.mark.parametrize("args, message", [
+        (["--sigma-avail", "nan"], "sigma_avail must be finite, got nan"),
+        (["--delta-t", "inf"], "delta_t must be finite, got inf"),
+        (["--c-opt", "inf"], "c_opt must be finite, got inf"),
+        (["--c-opt", "-1"], "instruction-step count c_opt must be >= 0"),
+        (["--s-e", "nan"], "s_e must be finite, got nan"),
+        (["--gamma-j", "inf"], "gamma_j must be finite, got inf"),
+        (["--hbar", "nan"], "hbar must be finite, got nan"),
+        (["--c-r", "nan"], "c_r must be finite, got nan"),
+        (["--j", "-inf"], "j must be finite, got -inf"),
+        # finite inputs whose results leave the float range
+        (["--delta-t", "1e-310"], "eta_qsl must be finite, got inf"),
+        (["--sigma-avail", "1e-200", "--delta-t", "1e-200"],
+         "sigma_avail * delta_t or gamma_j * delta_t underflows to 0"),
+        (["--s-e", "1e308"], "identity_residual must be finite, got nan"),
+        (["--c-r", "1e300", "--j", "1e-10"], "margin_dimensionless must be finite, got -inf"),
+    ])
+    def test_rect_rejects_non_finite_input_and_output(self, runner, args, message):
+        result = runner.invoke(main, [
+            "rect", "--sigma-avail", "2", "--delta-t", "3", "--c-opt", "1", "--s-e", "1.5",
+            "--gamma-j", "1", "--c-r", "1", "--j", "1", *args,
+        ])
+        assert result.exit_code == 4, result.output
+        assert result.stderr == f"error: {message}\n"
 
     def test_thermo(self, runner, tmp_path):
         trace = tmp_path / "trace.csv"

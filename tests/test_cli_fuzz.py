@@ -7,8 +7,9 @@ the PSD tolerance, then runs `compute`, `simulate`, `coverage` (each
 protocol, 2 trials of 20 shots) and `certify` in process, and `simulate
 --protocol witness` with such a matrix as the `--witness` projector; it
 writes window families for `sweep` and process-trace CSVs for `thermo` the
-same way. Whatever the input, the exit code is one of the documented ones
-and an error is one line on stderr.
+same way. It also draws the numeric flags of `plan` and `rect`. Whatever
+the input, the exit code is one of the documented ones and an error is one
+line on stderr; a flag-fuzzed command that succeeds prints finite numbers.
 """
 
 import json
@@ -394,3 +395,60 @@ def test_malformed_trace_exit_2(run, text, message):
     result = run("thermo", trace=text)
     assert result.exit_code == 2
     assert message in result.stderr
+
+
+# numbers a float flag can be given: any float, the edges of the float range
+# and plain small values
+flag_floats = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 1.7976931348623157e308,
+                     -1.7976931348623157e308, 2.2250738585072014e-308, 5e-324, -5e-324]),
+    st.floats(-10.0, 10.0),
+).map(repr)
+flag_ints = st.one_of(st.integers(-3, 10), st.sampled_from([2**63, 10**400])).map(str)
+
+
+def only_finite(payload) -> bool:
+    """Whether a JSON payload holds only finite numbers (io.dumps_json
+    writes a non-finite one as the string "nan", "inf" or "-inf")."""
+    if isinstance(payload, dict):
+        return all(map(only_finite, payload.values()))
+    if isinstance(payload, list):
+        return all(map(only_finite, payload))
+    if isinstance(payload, str):
+        return payload not in ("nan", "inf", "-inf")
+    return isinstance(payload, bool) or math.isfinite(payload)
+
+
+def optional_flags(**strategies) -> st.SearchStrategy:
+    """Each flag given with a drawn value, or left out."""
+    return st.fixed_dictionaries({}, optional=strategies).map(
+        lambda flags: [arg for flag, value in flags.items() for arg in (flag, value)])
+
+
+@FUZZ
+@given(protocol=st.sampled_from(["hypothesis_test", "witness"]), target=flag_floats,
+       flags=optional_flags(**{"--delta": flag_floats, "--p0": flag_floats,
+                               "--rank": flag_ints, "--dr": flag_ints}))
+def test_plan_flags(run, protocol, target, flags):
+    result = run("plan", "--protocol", protocol, "--target-bits", target, *flags)
+    if result.exit_code == 0:
+        assert only_finite(json.loads(result.output))
+
+
+# rect needs five positive numbers to get past its checks: draw mostly those,
+# moderate ones or any over the float range, whose results can overflow
+rect_floats = st.sampled_from([
+    flag_floats, st.floats(5e-324, 1.7976931348623157e308).map(repr),
+    st.floats(0.1, 10.0).map(repr), st.floats(0.1, 10.0).map(repr),
+]).flatmap(lambda strategy: strategy)
+
+
+@FUZZ
+@given(required=st.lists(rect_floats, min_size=5, max_size=5),
+       flags=optional_flags(**{"--hbar": flag_floats, "--c-r": flag_floats, "--j": flag_floats}))
+def test_rect_flags(run, required, flags):
+    names = ["--sigma-avail", "--delta-t", "--c-opt", "--s-e", "--gamma-j"]
+    result = run("rect", *[arg for pair in zip(names, required) for arg in pair], *flags)
+    if result.exit_code == 0:
+        assert only_finite(json.loads(result.output))

@@ -458,18 +458,18 @@ class TestBatchedCoverage:
                                       delta=0.05, rank=rank)
 
     def test_a_count_column_costs_a_binary_search_of_endpoints(self, state_and_ref, monkeypatch):
-        # 500 trials certified one by one would evaluate 1,500 endpoints
-        evaluated = []
-        for name in ("clopper_pearson_upper", "clopper_pearson_lower"):
-            def counting(k, n, delta, endpoint=getattr(stats, name)):
-                evaluated.append(np.size(k))
-                return endpoint(k, n, delta)
-            monkeypatch.setattr(stats, name, counting)
+        # 500 trials certified one by one would evaluate 1,500 endpoints, and
+        # a full bisection makes 34 tail evaluations per endpoint
+        probes, tails = [], []
+        settled, binom_cdf = stats._settled, stats._binom_cdf
+        monkeypatch.setattr(stats, "_settled", lambda *args: probes.append(1) or settled(*args))
+        monkeypatch.setattr(stats, "_binom_cdf", lambda *args: tails.append(1) or binom_cdf(*args))
         rho, ref = state_and_ref
         config = RunConfig(state=rho, reference=ref, protocols=PROTOCOLS, n_samples=400, seed=11)
         summary = coverage_experiment(config, trials=500)
         assert summary["protocols"]["hypothesis_test"]["invalid_runs"] == 0
-        assert 0 < sum(evaluated) <= 3 * math.ceil(math.log2(501))
+        assert 0 < len(probes) <= 3 * math.ceil(math.log2(501))
+        assert len(tails) <= 10 * len(probes)
 
 
 class TestSweep:

@@ -148,6 +148,8 @@ class TestArrayEndpoints:
         monkeypatch.setattr(stats, "_bisect", no_bisection)
         assert clopper_pearson_upper(7, 7, 0.05) == 1.0
         assert clopper_pearson_lower(0, 7, 0.05) == 0.0
+        assert stats._settled(stats._upper, 7, 7, 0.05, lambda p: p > 0.5) is True
+        assert stats._settled(stats._lower, 0, 7, 0.05, lambda p: p > 0.5) is False
 
     def test_array_counts_are_checked(self):
         # an endpoint takes one count; an array of integer counts is not one
@@ -173,6 +175,35 @@ class TestArrayEndpoints:
     def test_numpy_integer_counts_are_counts(self, k, n):
         for endpoint in (clopper_pearson_upper, clopper_pearson_lower):
             assert endpoint(k, n, 0.05) == endpoint(3, 100, 0.05)
+
+
+class TestSettledProbes:
+    """A coverage probe stops an endpoint's bisection once its comparison is
+    decided; the answer must be the comparison of the full endpoint, also at
+    a limit that ties the endpoint's value or sits one ULP beside it."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 3216643036), delta=st.floats(1e-9, 0.5),
+           d_r=st.integers(1, 8))
+    def test_settled_answer_is_the_full_endpoints(self, data, n, delta, d_r):
+        k = data.draw(st.integers(0, min(n, 20)) | st.integers(0, n)
+                      | st.integers(max(0, n - 20), n))
+        rank = data.draw(st.integers(1, d_r))
+        upper, lower = clopper_pearson_upper(k, n, delta), clopper_pearson_lower(k, n, delta)
+        probes = [  # (endpoint, its full value, the compared value, negated, random limits)
+            (stats._upper, upper, lambda p: p, False, st.floats(0.0, 1.0)),
+            (stats._upper, upper, stats._ht_value, True, st.floats(-1.0, 40.0)),
+            (stats._lower, lower, lambda p: stats._witness_value(p, d_r, rank), False,
+             st.floats(-1.0, 5.0)),
+        ]
+        for endpoint, full, value, negated, limits in probes:
+            tie = value(full)
+            for limit in (tie, np.nextafter(tie, -np.inf), np.nextafter(tie, np.inf),
+                          data.draw(limits)):
+                def passes(p, limit=limit):
+                    return (value(p) > limit) != negated
+
+                assert stats._settled(endpoint, k, n, delta, passes) == passes(full)
 
 
 def certified_values(protocol, counts, n, ref, eta, delta, rank) -> list[float]:
