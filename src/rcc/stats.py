@@ -14,11 +14,16 @@ certify above a limit and how many cannot certify: each protocol's counter
 matrix of the counts `harness.coverage_experiment` draws, one record per
 row, which meet MeasurementRecord's checks by construction and are not
 checked again. Each binomial certifier is monotone in one count, so its
-counter finds the threshold count by a binary search over the distinct
-counts instead of certifying every record. A probe of one count needs only
-the certifier's comparison with the limit, not the endpoint's value, so its
-endpoint's bisection stops as soon as that comparison is the same at both
-ends of the bracket, with the answer the full bisection gives.
+counter compares the column with one threshold count k*, the least count
+whose certified value passes the certifier's comparison with the limit.
+Every bisected endpoint is the midpoint of one of the 2^34 cells of
+_bisect's grid, so the endpoints that pass are those from one flip cell on,
+found with the comparison alone. Whether a count's endpoint reaches the flip
+cell is the test its bisection makes at the cell's lower edge, one tail
+evaluation, which gives the bisection's answer as long as the tail is
+monotone in p on the grid. A binary search over the counts 0..n then finds
+k*: a column costs at most 35 comparisons and ceil(log2(n + 2)) tail
+evaluations, whatever the number of records.
 """
 
 from __future__ import annotations
@@ -55,6 +60,9 @@ from .reference import ReferenceSet
 
 # Clopper-Pearson endpoints are bisected to this absolute width.
 _BISECT_WIDTH = 1e-10
+# _bisect halves [0, 1] down to _BISECT_WIDTH, so it ends in one of this
+# many cells of equal width, a power of two.
+_CELLS = 2 ** math.ceil(-math.log2(_BISECT_WIDTH))
 # hypothesis_test spends this share of delta on the type-I endpoint and the
 # rest on the type-II endpoint.
 _HT_DELTA_SPLIT = 0.5
@@ -98,59 +106,42 @@ def _check_binomial_args(k, n, delta: float) -> None:
 
 
 def _binom_cdf(k: int, n: int, p: float) -> float:
-    """P(X <= k) for X ~ Binomial(n, p), -1 <= k <= n and 0 < p < 1 (the
-    points a bisection visits), via the incomplete beta."""
+    """P(X <= k) for X ~ Binomial(n, p), -1 <= k <= n and 0 <= p <= 1 (the
+    points a bisection visits and the cell edges), via the incomplete beta."""
     return float(betainc(n - k, k + 1, 1.0 - p))
 
 
-def _bisect(f, rising: bool, passes=None) -> float:
-    """Sign change of a monotone function on [0, 1] by plain bisection, to an
-    absolute bracket width of _BISECT_WIDTH; f rises through 0 (f(0) <= 0)
-    or falls through it (f(0) > 0).
+def _above(upper: bool, k: int, n: int, delta: float):
+    """The test _bisect makes for count k's upper endpoint (k < n) or lower
+    endpoint (k > 0): whether the endpoint lies above a point g, read off the
+    binomial tail at g."""
+    if upper:
+        return lambda g: _binom_cdf(k, n, g) - delta > 0
+    return lambda g: not (1.0 - _binom_cdf(k - 1, n, g)) - delta > 0
 
-    Given passes, a predicate monotone in the sign change, it stops as soon
-    as passes agrees at both ends of the bracket and returns the bracket's
-    midpoint. Every bracket [lo, lo + width] is exact in floating point (lo
-    is a multiple of width = 2^-j) and holds the full-width result strictly
-    inside, so passes of the early midpoint is passes of that result."""
+
+def _bisect(above) -> float:
+    """The sign change of a monotone tail on [0, 1] by plain bisection, to an
+    absolute bracket width of _BISECT_WIDTH: the midpoint of the cell of
+    width 1 / _CELLS it ends in. Each step keeps the bracket's upper half
+    where above holds at its middle."""
     lo, width = 0.0, 1.0
-    while width > _BISECT_WIDTH and not (passes and passes(lo) == passes(lo + width)):
+    while width > _BISECT_WIDTH:
         width *= 0.5
-        lo = lo + width * ((f(lo + width) > 0) != rising)
+        lo = lo + width * above(lo + width)
     return lo + 0.5 * width
-
-
-def _upper(k: int, n: int, delta: float, passes=None) -> float:
-    """clopper_pearson_upper of checked arguments; passes as in _bisect."""
-    if k == n:
-        return 1.0
-    return _bisect(lambda p: _binom_cdf(k, n, p) - delta, rising=False, passes=passes)
-
-
-def _lower(k: int, n: int, delta: float, passes=None) -> float:
-    """clopper_pearson_lower of checked arguments; passes as in _bisect."""
-    if k == 0:
-        return 0.0
-    return _bisect(lambda p: (1.0 - _binom_cdf(k - 1, n, p)) - delta, rising=True,
-                   passes=passes)
-
-
-def _settled(endpoint, k: int, n: int, delta: float, passes) -> bool:
-    """passes(endpoint(k, n, delta)) for a predicate monotone in the
-    endpoint (_upper or _lower), bisecting only until it is decided."""
-    return passes(endpoint(k, n, delta, passes))
 
 
 def clopper_pearson_upper(k: int, n: int, delta: float) -> float:
     """One-sided exact upper endpoint: largest p with P(X <= k; p) >= delta."""
     _check_binomial_args(k, n, delta)
-    return _upper(k, n, delta)
+    return 1.0 if k == n else _bisect(_above(True, k, n, delta))
 
 
 def clopper_pearson_lower(k: int, n: int, delta: float) -> float:
     """One-sided exact lower endpoint: smallest p with P(X >= k; p) >= delta."""
     _check_binomial_args(k, n, delta)
-    return _lower(k, n, delta)
+    return 0.0 if k == 0 else _bisect(_above(False, k, n, delta))
 
 
 def _ht_value(beta_upper: float) -> float:
@@ -221,9 +212,9 @@ def ht_sample_plan(target_bits: float, delta: float) -> int:
     """Zero-failure sample size certifying D_H >= target: ceil(2^L ln(1/delta))."""
     if not (math.isfinite(target_bits) and target_bits >= 0):
         raise ValidationError(f"target must be finite and nonnegative, got {target_bits}")
-    if not 0.0 < delta <= 1.0:
-        raise ValidationError(f"delta {delta} must be in (0,1]")
-    size = _pow2(target_bits) * math.log(1.0 / delta)
+    if not 0.0 < delta < 1.0:
+        raise ValidationError(f"delta {delta} must be in (0,1)")
+    size = _pow2(target_bits) * -math.log(delta)
     if not size < math.inf:
         raise ValidationError(
             f"the sample size 2^L ln(1/delta) for target L = {target_bits} bits overflows a float")
@@ -295,7 +286,7 @@ def witness_sample_plan(
             f"threshold p* = {p_star}; the target is unreachable"
         )
     gap = 2.0 * (p0 - p_star) ** 2
-    size = math.log(1.0 / delta) / gap if gap > 0 else math.inf
+    size = -math.log(delta) / gap if gap > 0 else math.inf
     if not size < math.inf:
         raise ValidationError(
             f"the sample size ln(1/delta) / (2 (p0 - p*)^2) for p0 = {p0} and p* = {p_star} "
@@ -364,44 +355,45 @@ def dephase_protocol(
     )
 
 
-def _first_flip(column: np.ndarray, flips) -> tuple[float, int]:
-    """(k*, rows): the least count of the column at which flips turns true,
-    and the number of rows at or above it, for a predicate on counts that
-    is false and then true along ascending counts; (inf, 0) if it never
-    turns. A binary search over the u distinct counts of the column makes
-    at most ceil(log2(u + 1)) calls of flips, each with a Python int."""
-    ks, rows = np.unique(column, return_counts=True)
-    i = bisect_left(ks.tolist(), True, key=flips)
-    return (ks[i] if i < ks.size else math.inf), int(rows[i:].sum())
+def _threshold(upper: bool, n: int, delta: float, passes) -> int:
+    """The least count k in [0, n] whose upper (or lower) endpoint at delta
+    passes, n + 1 if none does, for a predicate false and then true along
+    [0, 1].
+
+    The least cell whose midpoint passes, the flip cell, is found with
+    passes alone; a bisected endpoint passes if and only if its bisection
+    keeps the upper half at the flip cell's lower edge, which holds if the
+    tail is monotone in p on the grid of cell edges. The edge count's
+    endpoint (1.0 upper, 0.0 lower) is not bisected, as in the certifiers.
+    """
+    cell = bisect_left(range(_CELLS), True, key=lambda j: passes((j + 0.5) / _CELLS))
+    edge, end = (n, 1.0) if upper else (0, 0.0)
+    return bisect_left(range(n + 1), True, key=lambda k: passes(end) if k == edge
+                       else _above(upper, k, n, delta)(cell / _CELLS))
 
 
 def ht_counts(counts: np.ndarray, n: int, limit: float, eta: float,
               delta: float) -> tuple[int, int]:
     """(above, invalid) of hypothesis-test rows in HT_LABELS order, trusted
     as drawn: how many ht_protocol would certify above limit, and how many
-    it would reject with ProtocolInvalidError. A test is invalid from some
-    null_accept_h1 count on and its value falls as alt_accept_h0 grows, so
-    each column is split at its threshold count, each probe the certifier's
-    value and comparison at one count, settled by a bisection of its scalar
-    endpoint that stops once the comparison is decided."""
-    k_star, invalid = _first_flip(counts[:, 0], lambda k: _settled(
-        _upper, k, n, delta * _HT_DELTA_SPLIT, lambda p: p > eta))
-    alt = counts[counts[:, 0] < k_star, 3]
-    _, not_above = _first_flip(alt, lambda k: _settled(
-        _upper, k, n, delta * (1.0 - _HT_DELTA_SPLIT), lambda b: not _ht_value(b) > limit))
-    return alt.size - not_above, invalid
+    it would reject with ProtocolInvalidError. A test is invalid from a
+    threshold null_accept_h1 count on, and its value is above the limit
+    below a threshold alt_accept_h0 count."""
+    invalid = counts[:, 0] >= _threshold(True, n, delta * _HT_DELTA_SPLIT, lambda p: p > eta)
+    k_alt = _threshold(True, n, delta * (1.0 - _HT_DELTA_SPLIT),
+                       lambda b: not _ht_value(b) > limit)
+    return int(np.count_nonzero(~invalid & (counts[:, 3] < k_alt))), int(np.count_nonzero(invalid))
 
 
 def witness_counts(counts: np.ndarray, n: int, ref: ReferenceSet, limit: float, delta: float,
                    rank: int) -> tuple[int, int]:
     """(above, 0) of witness rows in WITNESS_LABELS order, trusted as drawn
     (the rank is checked): how many witness_protocol would certify above
-    limit. The value rises with success, so that column is split at its
-    threshold count."""
+    limit. The value rises with success, so the rows from a threshold
+    success count on certify above it."""
     _check_witness_rank(rank, ref.d_r)
-    _, above = _first_flip(counts[:, 0], lambda k: _settled(
-        _lower, k, n, delta, lambda p: _witness_value(p, ref.d_r, rank) > limit))
-    return above, 0
+    k = _threshold(False, n, delta, lambda p: _witness_value(p, ref.d_r, rank) > limit)
+    return int(np.count_nonzero(counts[:, 0] >= k)), 0
 
 
 def dephase_counts(counts: np.ndarray, n: int, ref: ReferenceSet, limit: float,

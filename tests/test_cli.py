@@ -263,6 +263,15 @@ class TestPlan:
         assert result.exit_code == 0
         assert json.loads(result.output)["n"] == 3068
 
+    @pytest.mark.parametrize("args, n", [
+        (["hypothesis_test", "--target-bits", "0"], 745),
+        (["witness", "--target-bits", "1", "--p0", "0.5", "--dr", "8"], 5956),
+    ])
+    def test_subnormal_delta_plans(self, runner, args, n):
+        result = runner.invoke(main, ["plan", "--protocol", *args, "--delta", "5e-324"])
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output)["n"] == n
+
     def test_witness_plan_needs_args(self, runner):
         result = runner.invoke(main, [
             "plan", "--protocol", "witness", "--target-bits", "2", "--delta", "0.05",
@@ -289,6 +298,8 @@ class TestPlan:
          "for p0 = 5e-324 and p* = 0.0 overflows a float"),
         (["witness", "--target-bits", "1", "--p0", "0.5", "--dr", str(10**400)],
          "rank 1 and d_R = 1000"),
+        # a plan of n = 0, which no record can certify
+        (["hypothesis_test", "--target-bits", "10", "--delta", "1"], "delta 1.0 must be in (0,1)"),
     ])
     def test_bad_plan_inputs_exit_4(self, runner, args, message):
         result = runner.invoke(main, ["plan", "--protocol", *args])

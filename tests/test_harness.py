@@ -459,17 +459,46 @@ class TestBatchedCoverage:
 
     def test_a_count_column_costs_a_binary_search_of_endpoints(self, state_and_ref, monkeypatch):
         # 500 trials certified one by one would evaluate 1,500 endpoints, and
-        # a full bisection makes 34 tail evaluations per endpoint
-        probes, tails = [], []
-        settled, binom_cdf = stats._settled, stats._binom_cdf
-        monkeypatch.setattr(stats, "_settled", lambda *args: probes.append(1) or settled(*args))
+        # a full bisection makes 34 tail evaluations per endpoint; a column's
+        # threshold count costs at most ceil(log2(n + 2)) tail evaluations,
+        # whatever the number of trials, and no bisection
+        def no_bisection(*args):
+            raise AssertionError("coverage bisected an endpoint")
+
+        tails = []
+        binom_cdf = stats._binom_cdf
+        monkeypatch.setattr(stats, "_bisect", no_bisection)
         monkeypatch.setattr(stats, "_binom_cdf", lambda *args: tails.append(1) or binom_cdf(*args))
         rho, ref = state_and_ref
         config = RunConfig(state=rho, reference=ref, protocols=PROTOCOLS, n_samples=400, seed=11)
-        summary = coverage_experiment(config, trials=500)
-        assert summary["protocols"]["hypothesis_test"]["invalid_runs"] == 0
-        assert 0 < len(probes) <= 3 * math.ceil(math.log2(501))
-        assert len(tails) <= 10 * len(probes)
+        costs = []
+        for trials in (50, 500):
+            tails.clear()
+            summary = coverage_experiment(config, trials=trials)
+            assert summary["protocols"]["hypothesis_test"]["invalid_runs"] == 0
+            costs.append(len(tails))
+        assert costs[0] == costs[1]
+        assert 0 < costs[1] <= 3 * math.ceil(math.log2(400 + 2))
+
+    @pytest.mark.parametrize("state, settings, counts", [
+        # (violations, invalid_runs) of hypothesis_test, witness and dephase
+        ("flat", dict(n_samples=7, delta=0.3, seed=1), [(3, 242), (47, 0), (0, 0)]),
+        ("mixed", dict(n_samples=50, test_calibration=0.7, seed=2), [(0, 314), (19, 0), (0, 0)]),
+        ("mixed", dict(n_samples=400, eta=0.3, witness_rank=3, delta=0.2, seed=3),
+         [(0, 0), (78, 0), (0, 0)]),
+        ("mixed", dict(n_samples=2000, delta=1e-3, seed=4), [(0, 0), (1, 0), (0, 0)]),
+        ("mixed", dict(n_samples=100, test_calibration=0.8, eta=0.1, delta=0.1, seed=5),
+         [(0, 359), (38, 0), (0, 0)]),
+    ])
+    def test_golden_counts(self, state_and_ref, state, settings, counts):
+        # fixed counts, so that a change to a counter or to the draws shows
+        rho, ref = state_and_ref
+        if state == "flat":
+            rho, ref = diag_state(0.3, 0.25, 0.25, 0.2), full_reference(4)
+        config = RunConfig(state=rho, reference=ref, protocols=PROTOCOLS, **settings)
+        summary = coverage_experiment(config, trials=400)
+        assert [(summary["protocols"][p]["violations"], summary["protocols"][p]["invalid_runs"])
+                for p in PROTOCOLS] == counts
 
 
 class TestSweep:

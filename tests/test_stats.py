@@ -148,8 +148,10 @@ class TestArrayEndpoints:
         monkeypatch.setattr(stats, "_bisect", no_bisection)
         assert clopper_pearson_upper(7, 7, 0.05) == 1.0
         assert clopper_pearson_lower(0, 7, 0.05) == 0.0
-        assert stats._settled(stats._upper, 7, 7, 0.05, lambda p: p > 0.5) is True
-        assert stats._settled(stats._lower, 0, 7, 0.05, lambda p: p > 0.5) is False
+        # no cell midpoint passes, only the upper edge's 1.0; every cell
+        # midpoint passes, but not the lower edge's 0.0
+        assert stats._threshold(True, 7, 0.05, lambda p: p > 1.0 - 1e-12) == 7
+        assert stats._threshold(False, 7, 0.05, lambda p: p > 1e-12) == 1
 
     def test_array_counts_are_checked(self):
         # an endpoint takes one count; an array of integer counts is not one
@@ -177,33 +179,34 @@ class TestArrayEndpoints:
             assert endpoint(k, n, 0.05) == endpoint(3, 100, 0.05)
 
 
-class TestSettledProbes:
-    """A coverage probe stops an endpoint's bisection once its comparison is
-    decided; the answer must be the comparison of the full endpoint, also at
-    a limit that ties the endpoint's value or sits one ULP beside it."""
+class TestThresholdCounts:
+    """A coverage counter compares each count with the threshold count of
+    its column; a count must reach it exactly when the full endpoint of that
+    count passes the comparison, also at a limit that ties the endpoint's
+    value or sits one ULP beside it."""
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), n=st.integers(1, 3216643036), delta=st.floats(1e-9, 0.5),
            d_r=st.integers(1, 8))
-    def test_settled_answer_is_the_full_endpoints(self, data, n, delta, d_r):
+    def test_threshold_is_where_the_full_endpoint_passes(self, data, n, delta, d_r):
         k = data.draw(st.integers(0, min(n, 20)) | st.integers(0, n)
                       | st.integers(max(0, n - 20), n))
         rank = data.draw(st.integers(1, d_r))
         upper, lower = clopper_pearson_upper(k, n, delta), clopper_pearson_lower(k, n, delta)
-        probes = [  # (endpoint, its full value, the compared value, negated, random limits)
-            (stats._upper, upper, lambda p: p, False, st.floats(0.0, 1.0)),
-            (stats._upper, upper, stats._ht_value, True, st.floats(-1.0, 40.0)),
-            (stats._lower, lower, lambda p: stats._witness_value(p, d_r, rank), False,
+        probes = [  # (upper endpoint?, its full value, the compared value, negated, random limits)
+            (True, upper, lambda p: p, False, st.floats(0.0, 1.0)),
+            (True, upper, stats._ht_value, True, st.floats(-1.0, 40.0)),
+            (False, lower, lambda p: stats._witness_value(p, d_r, rank), False,
              st.floats(-1.0, 5.0)),
         ]
-        for endpoint, full, value, negated, limits in probes:
+        for is_upper, full, value, negated, limits in probes:
             tie = value(full)
             for limit in (tie, np.nextafter(tie, -np.inf), np.nextafter(tie, np.inf),
                           data.draw(limits)):
                 def passes(p, limit=limit):
                     return (value(p) > limit) != negated
 
-                assert stats._settled(endpoint, k, n, delta, passes) == passes(full)
+                assert (k >= stats._threshold(is_upper, n, delta, passes)) == passes(full)
 
 
 def certified_values(protocol, counts, n, ref, eta, delta, rank) -> list[float]:
@@ -295,7 +298,28 @@ class TestPlanners:
         assert ht_sample_plan(0, 0.05) == 3
 
     def test_ht_plan_delta_one_limit(self):
-        assert ht_sample_plan(5, 1.0) == 0
+        # n = 0 is a record no certifier accepts
+        for delta in (1.0, 0.0, 1.5, math.nan):
+            with pytest.raises(ValidationError, match=r"must be in \(0,1\)"):
+                ht_sample_plan(5, delta)
+
+    def test_subnormal_delta_plans(self):
+        # 1 / delta overflows a float at 5e-324; -ln(delta) is 744.44
+        assert ht_sample_plan(0, 5e-324) == 745
+        assert witness_sample_plan(0.5, 1, 1, 8, 5e-324) == 5956
+
+    def test_planned_sizes_are_ln_one_over_delta(self):
+        # the sizes of ceil(2^L ln(1/delta)) and ceil(ln(1/delta) / (2 (p0 - p*)^2))
+        # at any normal delta, where 1 / delta is a float
+        rng = np.random.default_rng(17)
+        slack = stats._PLAN_SLACK
+        for target, delta, p0 in zip(rng.uniform(0.0, 40.0, 2000).tolist(),
+                                     (10.0 ** -rng.uniform(1e-3, 300.0, 2000)).tolist(),
+                                     rng.uniform(0.3, 1.0, 2000).tolist()):
+            assert ht_sample_plan(target, delta) == math.ceil(
+                2.0**target * math.log(1.0 / delta) - slack)
+            assert witness_sample_plan(p0, -target / 8, 1, 4, delta) == math.ceil(
+                math.log(1.0 / delta) / (2.0 * (p0 - 2.0 ** (-target / 8) / 4) ** 2) - slack)
 
     def test_witness_plan_example(self):
         # p* = 0.8 realized as 2^2 * 1 / 5
