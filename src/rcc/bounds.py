@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 
 from .entropy import LN2, relative_to_reference, spectral_skew
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, _check_finite, _check_level
 from .operators import DensityOperator
 from .reference import ReferenceSet
 
@@ -50,6 +50,7 @@ class BoundConstants:
     c2_prime: float = 1.0
 
     def __post_init__(self):
+        _check_finite(c1=self.c1, c1_prime=self.c1_prime, c2_prime=self.c2_prime)
         for name in ("c1", "c1_prime", "c2_prime"):
             if getattr(self, name) <= 0:
                 raise ValidationError(f"constant {name} must be strictly positive")
@@ -102,8 +103,7 @@ def lambert_w0(z: float) -> float:
     z > e, a rational seed otherwise; converges to |w e^w - z| within
     _W0_TOL * max(1, |z|) in at most _W0_MAX_ITER steps.
     """
-    if not math.isfinite(z):
-        raise ValidationError(f"lambert_w0 argument {z!r} must be finite")
+    _check_finite(z=z)
     if z < -_INV_E - _W0_DOMAIN_SLACK:
         raise ValidationError(f"lambert_w0 undefined for z = {z} < -1/e")
     if z == 0.0:
@@ -292,10 +292,8 @@ def smoothed_lower_bound(
     (c1' log(1/eps) + c2' log(1/eta))/log G and keeps the explicit
     max(1, .) floor of its closed-form solution.
     """
-    if not 0.0 < epsilon < 1.0:
-        raise ValidationError(f"epsilon {epsilon} must be in (0,1)")
-    if not 0.0 < eta < 1.0:
-        raise ValidationError(f"eta {eta} must be in (0,1)")
+    _check_level("epsilon", epsilon)
+    _check_level("eta", eta)
     if dh_bits < 0:
         raise ValidationError("divergence bound must be nonnegative")
     lg = ref.log2_gamma

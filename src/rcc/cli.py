@@ -387,11 +387,13 @@ def thermo(trace_path, gamma_r, variant, delta_c, pi_avg, temperature,
     hbar, k_b = _thermo_constants(constants_path)
     trace = io.load_trace_csv(trace_path)
     work, t_avg = info_work(trace, gamma_r)
-    if delta_c is None:
-        delta_c = float(trace.complexities[-1] - trace.complexities[0])
-    if pi_avg is None and variant not in ("isothermal", "sign_robust"):
-        span = float(trace.times[-1] - trace.times[0])
-        pi_avg = float(np.trapezoid(trace.potentials, trace.times) / span)
+    # a default that overflows is rejected by process_time_bound's checks
+    with np.errstate(over="ignore", invalid="ignore"):
+        if delta_c is None:
+            delta_c = float(trace.complexities[-1] - trace.complexities[0])
+        if pi_avg is None and variant not in ("isothermal", "sign_robust"):
+            span = float(trace.times[-1] - trace.times[0])
+            pi_avg = float(np.trapezoid(trace.potentials, trace.times) / span)
     bound = process_time_bound(
         delta_c, pi_avg, variant, log_correction=log_correction,
         temperature=temperature, trace=trace, hbar=hbar, k_b=k_b,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LeakageError, ValidationError
+from .errors import LeakageError, ValidationError, _check_level
 from .operators import EFFECT_TOL, DensityOperator, check_hermitian, project_renormalize
 from .reference import ReferenceSet
 
@@ -132,8 +132,7 @@ def _waterfill_weights(d_r: int, eta: float) -> np.ndarray:
     as weights on rho's eigenvectors in descending eigenvalue order:
     min(1, max(0, eta d_R - i)) on the i-th, so the leading ones are accepted
     whole and the marginal one in part, spending the budget eta d_R exactly."""
-    if not 0.0 < eta < 1.0:
-        raise ValidationError(f"eta {eta} must be in (0,1)")
+    _check_level("eta", eta)
     return np.clip(eta * d_r - np.arange(d_r), 0.0, 1.0)
 
 
@@ -166,8 +165,7 @@ def explicit_test_divergence_bound(
     D_H^eta >= -log2 Tr[(I - T) rho]. T and sigma must be finite and
     Hermitian.
     """
-    if not 0.0 < eta < 1.0:
-        raise ValidationError(f"eta {eta} must be in (0,1)")
+    _check_level("eta", eta)
     sigma = check_hermitian(np.asarray(sigma_matrix, dtype=complex))
     t = check_hermitian(np.asarray(test_matrix, dtype=complex))
     w = np.linalg.eigvalsh(t)
@@ -268,7 +266,6 @@ def leakage_adjusted_divergence(
     if mode == "full":
         if delta is None:
             raise ValidationError("mode='full' requires the smoothing delta")
-        if not 0.0 < delta < 1.0:
-            raise ValidationError(f"delta {delta} must be in (0,1)")
+        _check_level("delta", delta)
         return EntropyValue(bernoulli_kl(q, 1.0 - delta).bits + q * d_core)
     raise ValidationError(f"unknown mode {mode!r} (use 'multiplicative' or 'full')")

@@ -1,8 +1,11 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the two input rules
+every module checks the same way: a level in (0,1) and a finite number.
 
 CLI exit codes: ConfigError -> 2, ProtocolInvalidError -> 3, everything
 else derived from RccError -> 4.
 """
+
+import math
 
 
 class RccError(Exception):
@@ -59,3 +62,19 @@ class ProtocolInvalidError(RccError):
 
 class NumericalError(RccError):
     """A numerical routine failed to converge or left its domain."""
+
+
+def _check_level(name: str, x: float) -> None:
+    """A ValidationError unless x, a confidence level, failure probability
+    or smoothing weight, lies in (0,1); NaN fails both comparisons."""
+    if not 0.0 < x < 1.0:
+        raise ValidationError(f"{name} {x} must be in (0,1)")
+
+
+def _check_finite(**values: float) -> None:
+    """A ValidationError naming the first of the values that is NaN or
+    infinite: every comparison with NaN is false, so a sign check alone
+    lets it through."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValidationError(f"{name} must be finite, got {value}")

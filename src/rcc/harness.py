@@ -30,7 +30,7 @@ from .entropy import (
     _waterfill_weights, hypothesis_testing_divergence, min_entropy, relative_to_reference, shannon,
     spectral_skew, von_neumann,
 )
-from .errors import RccError, ValidationError
+from .errors import RccError, ValidationError, _check_level
 from .operators import DensityOperator, eig_hermitian, eigvals_hermitian
 from .reference import ReferenceSet
 from .records import (
@@ -256,7 +256,6 @@ def simulate_record(
     test_calibration: float = 0.5,
     witness_rank: int = 1,
     witness_projector=None,
-    rng: np.random.Generator | None = None,
 ) -> MeasurementRecord:
     """Produce the MeasurementRecord a lab would hand to the certifiers.
 
@@ -267,7 +266,7 @@ def simulate_record(
     """
     outcomes = _outcome_setup(rho, ref, protocol, _Compression(rho, ref), eta, test_calibration,
                               witness_rank, witness_projector)
-    return _sample(protocol, outcomes[:3], n, rng if rng is not None else stream(seed))
+    return _sample(protocol, outcomes[:3], n, stream(seed))
 
 
 def protocol_ground_truth(
@@ -309,8 +308,7 @@ class RunConfig:
 
     def __post_init__(self):
         for name, x in (("delta", self.delta), ("eta", self.eta), ("epsilon", self.epsilon)):
-            if not 0.0 < x < 1.0:
-                raise ValidationError(f"{name} = {x} must be in (0,1)")
+            _check_level(name, x)
         _check_seed(self.seed)
         bad = [p for p in self.protocols if p != "exact" and p not in PROTOCOLS]
         if bad:

@@ -15,7 +15,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import ExclusiveSectorsError, ValidationError
+from .errors import ExclusiveSectorsError, ValidationError, _check_level
 from .operators import Projector, as_projector, eig_hermitian
 
 COMMUTATOR_TOL = 1e-10
@@ -234,8 +234,7 @@ class SmoothedReference:
     delta: float
 
     def __post_init__(self):
-        if not 0.0 < self.delta < 1.0:
-            raise ValidationError(f"smoothing delta {self.delta} must be in (0,1)")
+        _check_level("smoothing delta", self.delta)
 
     def density_matrix(self) -> np.ndarray:
         d, d_r = self.base.dim, self.base.d_r

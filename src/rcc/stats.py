@@ -5,25 +5,26 @@ Every protocol turns raw outcome counts into a CertifiedBound: a one-sided
 lower confidence bound on a divergence, tagged with its confidence level
 and full parameter provenance. Endpoints are Clopper-Pearson, computed for
 one count at a time by bisecting the exact binomial tail (through the
-regularized incomplete beta) to a fixed bracket width, which is
-bit-reproducible and needs no Beta quantile function.
+regularized incomplete beta) to one cell of a fixed grid on [0, 1], which
+is bit-reproducible and needs no Beta quantile function.
 
 Coverage experiments need, of many records of one protocol, only how many
 certify above a limit and how many cannot certify: each protocol's counter
 (`ht_counts`, `witness_counts`, `dephase_counts`) returns those two from a
 matrix of the counts `harness.coverage_experiment` draws, one record per
 row, which meet MeasurementRecord's checks by construction and are not
-checked again. Each binomial certifier is monotone in one count, so its
-counter compares the column with one threshold count k*, the least count
-whose certified value passes the certifier's comparison with the limit.
-Every bisected endpoint is the midpoint of one of the 2^34 cells of
-_bisect's grid, so the endpoints that pass are those from one flip cell on,
-found with the comparison alone. Whether a count's endpoint reaches the flip
-cell is the test its bisection makes at the cell's lower edge, one tail
-evaluation, which gives the bisection's answer as long as the tail is
-monotone in p on the grid. A binary search over the counts 0..n then finds
-k*: a column costs at most 35 comparisons and ceil(log2(n + 2)) tail
-evaluations, whatever the number of records.
+checked again. The dephase counter evaluates dephase_protocol's certificate
+on the whole matrix. Each binomial certifier is monotone in one count, so
+its counter compares the column with one threshold count k*, the least
+count whose certified value passes the certifier's comparison with the
+limit. Every bisected endpoint is the midpoint of one of the _CELLS = 2^34
+cells of _bisect's grid, so the endpoints that pass are those from one flip
+cell on, found with the comparison alone. Whether a count's endpoint
+reaches the flip cell is the test its bisection makes at the cell's lower
+edge, one tail evaluation, which gives the bisection's answer as long as
+the tail is monotone in p on the grid. A binary search over the counts 0..n
+then finds k*: a column costs at most 35 comparisons and ceil(log2(n + 2))
+tail evaluations, whatever the number of records.
 """
 
 from __future__ import annotations
@@ -42,8 +43,8 @@ from .bounds import (
     bound_from_divergence,
     smoothed_lower_bound,
 )
-from .entropy import binary_entropy, shannon
-from .errors import ProtocolInvalidError, ValidationError
+from .entropy import binary_entropy
+from .errors import ProtocolInvalidError, ValidationError, _check_finite, _check_level
 # the record layer, which loads no scipy; re-exported so that callers may
 # import it from either module
 from .records import (  # noqa: F401
@@ -58,11 +59,9 @@ from .records import (  # noqa: F401
 )
 from .reference import ReferenceSet
 
-# Clopper-Pearson endpoints are bisected to this absolute width.
-_BISECT_WIDTH = 1e-10
-# _bisect halves [0, 1] down to _BISECT_WIDTH, so it ends in one of this
-# many cells of equal width, a power of two.
-_CELLS = 2 ** math.ceil(-math.log2(_BISECT_WIDTH))
+# Clopper-Pearson endpoints are bisected on this grid: _bisect halves [0, 1]
+# until its bracket is one of this many cells of equal width, 2^-34 < 1e-10.
+_CELLS = 2**34
 # hypothesis_test spends this share of delta on the type-I endpoint and the
 # rest on the type-II endpoint.
 _HT_DELTA_SPLIT = 0.5
@@ -88,8 +87,7 @@ class CertifiedBound:
     def __post_init__(self):
         if self.quantity not in ("D_H", "D_max", "D", "C_R"):
             raise ValidationError(f"unknown quantity {self.quantity!r}")
-        if not 0.0 < self.confidence < 1.0:
-            raise ValidationError(f"confidence {self.confidence} outside (0,1)")
+        _check_level("confidence", self.confidence)
         if self.direction != "lower":
             raise ValidationError("certified bounds are lower bounds by construction")
 
@@ -101,8 +99,7 @@ def _check_binomial_args(k, n, delta: float) -> None:
         raise ValidationError(f"counts must be integers, got k={k!r}, N={n!r}")
     if n <= 0 or k < 0 or k > n:
         raise ValidationError(f"invalid counts k={k}, N={n}")
-    if not 0.0 < delta < 1.0:
-        raise ValidationError(f"delta {delta} must be in (0,1)")
+    _check_level("delta", delta)
 
 
 def _binom_cdf(k: int, n: int, p: float) -> float:
@@ -121,12 +118,12 @@ def _above(upper: bool, k: int, n: int, delta: float):
 
 
 def _bisect(above) -> float:
-    """The sign change of a monotone tail on [0, 1] by plain bisection, to an
-    absolute bracket width of _BISECT_WIDTH: the midpoint of the cell of
-    width 1 / _CELLS it ends in. Each step keeps the bracket's upper half
-    where above holds at its middle."""
-    lo, width = 0.0, 1.0
-    while width > _BISECT_WIDTH:
+    """The sign change of a monotone tail on [0, 1] by plain bisection: the
+    midpoint of the cell of width 1 / _CELLS it ends in, after 34 halvings.
+    Each step keeps the bracket's upper half where above holds at its
+    middle."""
+    lo, width, cell = 0.0, 1.0, 1.0 / _CELLS
+    while width > cell:
         width *= 0.5
         lo = lo + width * above(lo + width)
     return lo + 0.5 * width
@@ -161,10 +158,8 @@ def ht_protocol(record: MeasurementRecord, eta: float, delta: float) -> Certifie
     """
     if record.protocol != "hypothesis_test":
         raise ValidationError(f"record protocol {record.protocol!r} is not hypothesis_test")
-    if not 0.0 < eta < 1.0:
-        raise ValidationError(f"eta {eta} must be in (0,1)")
-    if not 0.0 < delta < 1.0:
-        raise ValidationError(f"delta {delta} must be in (0,1)")
+    _check_level("eta", eta)
+    _check_level("delta", delta)
     missing = [lab for lab in HT_LABELS if lab not in record.counts]
     if missing:
         raise ValidationError(f"hypothesis_test record is missing counts {missing}")
@@ -210,10 +205,10 @@ def _pow2(bits: float) -> float:
 
 def ht_sample_plan(target_bits: float, delta: float) -> int:
     """Zero-failure sample size certifying D_H >= target: ceil(2^L ln(1/delta))."""
-    if not (math.isfinite(target_bits) and target_bits >= 0):
-        raise ValidationError(f"target must be finite and nonnegative, got {target_bits}")
-    if not 0.0 < delta < 1.0:
-        raise ValidationError(f"delta {delta} must be in (0,1)")
+    _check_finite(target=target_bits)
+    if target_bits < 0:
+        raise ValidationError(f"target must be nonnegative, got {target_bits}")
+    _check_level("delta", delta)
     size = _pow2(target_bits) * -math.log(delta)
     if not size < math.inf:
         raise ValidationError(
@@ -270,10 +265,8 @@ def witness_sample_plan(
 ) -> int:
     """Hoeffding sample size to separate p0 from p* = 2^L r / d_R."""
     _check_witness_rank(rank, d_r)
-    if not 0.0 < delta < 1.0:
-        raise ValidationError(f"delta {delta} must be in (0,1)")
-    if not math.isfinite(target_bits):
-        raise ValidationError(f"target must be finite, got {target_bits}")
+    _check_level("delta", delta)
+    _check_finite(target=target_bits)
     if not 0.0 < p0 <= 1.0:
         raise ValidationError(f"anticipated occupation p0 = {p0} must be in (0,1]")
     try:
@@ -294,16 +287,21 @@ def witness_sample_plan(
     return math.ceil(size - _PLAN_SLACK)
 
 
-def _dephase_value(h_hat, n: int, m: int, delta: float):
-    """(D, H_U, eps_N, v) from the empirical entropy of n shots over the
-    m = d_R basis outcomes, or from an array of such entropies.
+def _dephase_value(counts: np.ndarray, n: int, m: int, delta: float):
+    """(D, H_U, H(P_hat), eps_N, v) of a count matrix with one record of n
+    shots over the m = d_R basis outcomes per row; the first three have one
+    entry per row.
 
+    H(P_hat) is one array pass, 0 log 0 := 0, and
     H_U = min(log2 M, H(P_hat) + v log2(M-1) + h2(v)), v = eps_N/2 with
     eps_N = sqrt((2/N)(M ln 2 + ln(1/delta))), and D = log2 d_R - H_U
     floored at 0. The continuity term is evaluated on its validity range
     v <= 1 - 1/M; beyond it the always-valid log2 M cap takes over. For
     M = 1 the entropy is 0 and so is H_U.
     """
+    p = counts / n
+    # 0.0 - x, not -x, so that an entropy of 0 is +0.0
+    h_hat = 0.0 - (p * np.log2(p, out=np.zeros_like(p), where=p > 0)).sum(axis=1)
     eps_n = math.sqrt((2.0 / n) * (m * math.log(2.0) + math.log(1.0 / delta)))
     v = eps_n / 2.0
     continuity = 0.0
@@ -311,7 +309,7 @@ def _dephase_value(h_hat, n: int, m: int, delta: float):
         v_eff = min(v, 1.0 - 1.0 / m)
         continuity = v_eff * math.log2(m - 1) + binary_entropy(v_eff).bits
     h_upper = np.minimum(math.log2(m), h_hat + continuity)
-    return np.maximum(0.0, math.log2(m) - h_upper), h_upper, eps_n, v
+    return np.maximum(0.0, math.log2(m) - h_upper), h_upper, h_hat, eps_n, v
 
 
 def dephase_protocol(
@@ -325,21 +323,18 @@ def dephase_protocol(
     """
     if record.protocol != "dephase":
         raise ValidationError(f"record protocol {record.protocol!r} is not dephase")
-    if not 0.0 < delta < 1.0:
-        raise ValidationError(f"delta {delta} must be in (0,1)")
+    _check_level("delta", delta)
     m = ref.d_r
     if len(record.counts) > m:
         raise ValidationError(f"{len(record.counts)} outcome labels exceed the d_R = {m} "
                               "basis states")
     n = record.n
-    counts = np.array(list(record.counts.values()), dtype=float)
-    p_hat = np.zeros(m)
-    p_hat[: counts.size] = counts / n
-    h_hat = shannon(p_hat).bits
-    value, h_upper, eps_n, v = _dephase_value(h_hat, n, m, delta)
+    counts = np.zeros((1, m))
+    counts[0, : len(record.counts)] = list(record.counts.values())
+    value, h_upper, h_hat, eps_n, v = _dephase_value(counts, n, m, delta)
     return CertifiedBound(
         quantity="D",
-        value=float(value),
+        value=float(value[0]),
         unit="bits",
         confidence=1.0 - delta,
         protocol="dephase",
@@ -347,10 +342,10 @@ def dephase_protocol(
             "delta": delta,
             "n": n,
             "m_outcomes": m,
-            "empirical_entropy_bits": h_hat,
+            "empirical_entropy_bits": float(h_hat[0]),
             "eps_n": eps_n,
             "v": v,
-            "entropy_upper_bits": float(h_upper),
+            "entropy_upper_bits": float(h_upper[0]),
         },
     )
 
@@ -379,10 +374,12 @@ def ht_counts(counts: np.ndarray, n: int, limit: float, eta: float,
     it would reject with ProtocolInvalidError. A test is invalid from a
     threshold null_accept_h1 count on, and its value is above the limit
     below a threshold alt_accept_h0 count."""
-    invalid = counts[:, 0] >= _threshold(True, n, delta * _HT_DELTA_SPLIT, lambda p: p > eta)
+    invalid = counts[:, HT_LABELS.index("null_accept_h1")] >= _threshold(
+        True, n, delta * _HT_DELTA_SPLIT, lambda p: p > eta)
     k_alt = _threshold(True, n, delta * (1.0 - _HT_DELTA_SPLIT),
                        lambda b: not _ht_value(b) > limit)
-    return int(np.count_nonzero(~invalid & (counts[:, 3] < k_alt))), int(np.count_nonzero(invalid))
+    above = ~invalid & (counts[:, HT_LABELS.index("alt_accept_h0")] < k_alt)
+    return int(np.count_nonzero(above)), int(np.count_nonzero(invalid))
 
 
 def witness_counts(counts: np.ndarray, n: int, ref: ReferenceSet, limit: float, delta: float,
@@ -393,26 +390,21 @@ def witness_counts(counts: np.ndarray, n: int, ref: ReferenceSet, limit: float, 
     success count on certify above it."""
     _check_witness_rank(rank, ref.d_r)
     k = _threshold(False, n, delta, lambda p: _witness_value(p, ref.d_r, rank) > limit)
-    return int(np.count_nonzero(counts[:, 0] >= k)), 0
+    return int(np.count_nonzero(counts[:, WITNESS_LABELS.index("success")] >= k)), 0
 
 
 def dephase_counts(counts: np.ndarray, n: int, ref: ReferenceSet, limit: float,
                    delta: float) -> tuple[int, int]:
     """(above, 0) of dephase rows over the d_R reference basis states,
-    trusted as drawn: how many dephase_protocol would certify above limit.
-    The value reads the whole row; the rows' entropies are one array pass,
-    0 log 0 := 0."""
-    p = counts / n
-    h_hat = -(p * np.log2(p, out=np.zeros_like(p), where=p > 0)).sum(axis=1)
-    return int(np.count_nonzero(_dephase_value(h_hat, n, ref.d_r, delta)[0] > limit)), 0
+    trusted as drawn: how many dephase_protocol would certify above limit."""
+    return int(np.count_nonzero(_dephase_value(counts, n, ref.d_r, delta)[0] > limit)), 0
 
 
 def bonferroni(delta: float, m: int) -> float:
     """Split a confidence budget across m comparisons: delta / m."""
     if m < 1:
         raise ValidationError("number of comparisons must be >= 1")
-    if not 0.0 < delta < 1.0:
-        raise ValidationError(f"delta {delta} must be in (0,1)")
+    _check_level("delta", delta)
     return delta / m
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import PROBABILITY_TOL, binary_entropy, shannon, von_neumann
-from .errors import ValidationError
+from .errors import ValidationError, _check_finite
 from .operators import BlockPartition, DensityOperator, pinch
 from .reference import ReferenceSet
 
@@ -191,10 +191,10 @@ class ProcessTrace:
         for name, a in arrays.items():
             if a.ndim != 1 or a.size != n:
                 raise ValidationError(f"trace column {name} must have {n} entries")
-            if not np.isfinite(a).all():
-                raise ValidationError(f"trace entries must be finite; column {name} is not")
+            # the column's first entry that is NaN or infinite, if it has one
+            _check_finite(**{f"column {name}: trace entries": a[np.isfinite(a).argmin()]})
             object.__setattr__(self, name, a)
-        if (np.diff(arrays["times"]) <= 0).any():
+        if (arrays["times"][1:] <= arrays["times"][:-1]).any():
             raise ValidationError("trace times must be strictly increasing")
 
 
@@ -203,16 +203,21 @@ def info_work(trace: ProcessTrace, gamma_r: float) -> tuple[float, float | None]
 
     W = ln(Gamma_R) * integral of T dC (trapezoidal along the complexity
     coordinate) and <T>_C = (integral T dC) / dC. The average is None when
-    the net complexity change vanishes.
+    the net complexity change vanishes. Gamma_R and both results must be
+    finite.
     """
+    _check_finite(gamma_r=gamma_r)
     if gamma_r <= 1:
         raise ValidationError("gamma_r must exceed 1")
-    t_dc = float(np.trapezoid(trace.temperatures, trace.complexities))
-    delta_c = float(trace.complexities[-1] - trace.complexities[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        t_dc = float(np.trapezoid(trace.temperatures, trace.complexities))
+        delta_c = float(trace.complexities[-1] - trace.complexities[0])
     work = math.log(gamma_r) * t_dc
     if abs(delta_c) < _NET_CHANGE_TOL:
         return 0.0, None
-    return work, t_dc / delta_c
+    t_avg = t_dc / delta_c
+    _check_finite(w_info=work, t_avg_weighted=t_avg)
+    return work, t_avg
 
 
 @dataclass(frozen=True)
@@ -243,31 +248,43 @@ def process_time_bound(
     correction budget. isothermal: hbar * delta_c / (2 pi k_B T), flagged
     approximate since the underlying potential cap is heuristic.
     sign_robust: pi_avg is replaced by the time average of the positive part
-    of the potential along the trace.
+    of the potential along the trace. Every number given and the bound must
+    be finite, and hbar and k_B positive.
     """
     if variant not in TIME_BOUND_VARIANTS:
         raise ValidationError(
             f"unknown variant {variant!r}; expected one of {TIME_BOUND_VARIANTS}"
         )
+    given = {"pi_avg": pi_avg, "temperature": temperature}
+    _check_finite(delta_c=delta_c, log_correction=log_correction, hbar=hbar, k_b=k_b,
+                  **{name: x for name, x in given.items() if x is not None})
+    if hbar <= 0 or k_b <= 0:
+        raise ValidationError("hbar and k_b must be positive")
     if delta_c == 0.0:
         return TimeBound(0.0, variant, approximate=variant == "isothermal")
     if variant == "isothermal":
         if temperature is None or temperature <= 0:
             raise ValidationError("isothermal variant needs a positive temperature")
-        return TimeBound(
-            hbar * delta_c / (2.0 * math.pi * k_b * temperature), variant, approximate=True
-        )
-    if variant == "sign_robust":
-        if trace is None:
-            raise ValidationError("sign_robust variant needs a process trace")
-        span = float(trace.times[-1] - trace.times[0])
-        pi_avg = float(
-            np.trapezoid(np.clip(trace.potentials, 0.0, None), trace.times) / span
-        )
-    if pi_avg is None or pi_avg <= 0:
-        raise ValidationError("the average work potential must be positive")
-    effective = delta_c - (log_correction if variant == "full" else 0.0)
-    return TimeBound(max(0.0, hbar * effective / (2.0 * pi_avg)), variant)
+        try:
+            value = hbar * delta_c / (2.0 * math.pi * k_b * temperature)
+        except ZeroDivisionError as exc:
+            raise ValidationError("k_b * temperature underflows to 0") from exc
+    else:
+        if variant == "sign_robust":
+            if trace is None:
+                raise ValidationError("sign_robust variant needs a process trace")
+            with np.errstate(over="ignore", invalid="ignore"):
+                span = float(trace.times[-1] - trace.times[0])
+                pi_avg = float(
+                    np.trapezoid(np.clip(trace.potentials, 0.0, None), trace.times) / span
+                )
+            _check_finite(pi_avg=pi_avg)
+        if pi_avg is None or pi_avg <= 0:
+            raise ValidationError("the average work potential must be positive")
+        effective = delta_c - (log_correction if variant == "full" else 0.0)
+        value = max(0.0, hbar * effective / (2.0 * pi_avg))
+    _check_finite(time_bound=value)
+    return TimeBound(value, variant, approximate=variant == "isothermal")
 
 
 def window_leakage_error(p_leak: float, d_r: int, gamma_r: float) -> float:
@@ -287,15 +304,6 @@ def window_leakage_error(p_leak: float, d_r: int, gamma_r: float) -> float:
     delta = min(1.0, 2.0 * p_leak + 2.0 * math.sqrt(p_leak * (1.0 - p_leak)))
     h2_nats = binary_entropy(delta).nats
     return (delta * math.log(d_r - 1) + h2_nats) / math.log(gamma_r)
-
-
-def _check_finite(**values: float) -> None:
-    """A ValidationError naming the first of the values that is NaN or
-    infinite: every comparison with NaN is false, so a sign check alone
-    lets it through."""
-    for name, value in values.items():
-        if not math.isfinite(value):
-            raise ValidationError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)

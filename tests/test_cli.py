@@ -82,6 +82,20 @@ class TestCompute:
         )
         assert result.exit_code == 4
 
+    @pytest.mark.parametrize("text, message", [
+        ('{"c1": NaN}', "c1 must be finite, got nan"),
+        ('{"c1": Infinity, "c1_prime": Infinity}', "c1 must be finite, got inf"),
+    ])
+    def test_non_finite_constants_exit_4(self, runner, files, text, message):
+        state, ref, tmp_path = files
+        constants = tmp_path / "constants.json"
+        constants.write_text(text)
+        result = runner.invoke(main, [
+            "compute", "--state", state, "--reference", ref, "--constants", str(constants),
+        ])
+        assert result.exit_code == 4, result.output
+        assert result.stderr == f"error: {message}\n"
+
     def test_out_file(self, runner, files):
         state, ref, tmp_path = files
         out = tmp_path / "report.json"
@@ -281,8 +295,8 @@ class TestPlan:
     @pytest.mark.parametrize("args, message", [
         (["hypothesis_test", "--target-bits", "2000"],
          "the sample size 2^L ln(1/delta) for target L = 2000.0 bits overflows a float"),
-        (["hypothesis_test", "--target-bits", "inf"], "target must be finite and nonnegative"),
-        (["hypothesis_test", "--target-bits", "nan"], "target must be finite and nonnegative"),
+        (["hypothesis_test", "--target-bits", "inf"], "target must be finite, got inf"),
+        (["hypothesis_test", "--target-bits", "nan"], "target must be finite, got nan"),
         (["witness", "--target-bits", "nan", "--p0", "0.5", "--dr", "8"],
          "target must be finite, got nan"),
         (["witness", "--target-bits", "1", "--p0", "nan", "--dr", "8"],
@@ -300,6 +314,7 @@ class TestPlan:
          "rank 1 and d_R = 1000"),
         # a plan of n = 0, which no record can certify
         (["hypothesis_test", "--target-bits", "10", "--delta", "1"], "delta 1.0 must be in (0,1)"),
+        (["hypothesis_test", "--target-bits", "-1"], "target must be nonnegative, got -1.0"),
     ])
     def test_bad_plan_inputs_exit_4(self, runner, args, message):
         result = runner.invoke(main, ["plan", "--protocol", *args])
@@ -390,6 +405,30 @@ class TestRectThermo:
         payload = json.loads(result.output)
         assert payload["w_info"] == pytest.approx(3 * 2 * math.log(2), abs=1e-9)
         assert payload["time_bound"]["value"] == pytest.approx(2.0, abs=1e-12)
+
+    @pytest.mark.parametrize("trace, args, constants, message", [
+        (None, ["--delta-c", "nan"], None, "delta_c must be finite, got nan"),
+        (None, ["--gamma-r", "nan"], None, "gamma_r must be finite, got nan"),
+        (None, [], '{"hbar": NaN, "k_b": Infinity}', "hbar must be finite, got nan"),
+        (None, [], '{"k_b": 0}', "hbar and k_b must be positive"),
+        (None, ["--gamma-r", "1e308", "--delta-c", "1e308", "--pi-avg", "1e-308"], None,
+         "time_bound must be finite, got inf"),
+        (None, ["--variant", "isothermal", "--temperature", "1e-300"], '{"k_b": 1e-300}',
+         "k_b * temperature underflows to 0"),
+        # trace-derived defaults that overflow: the mean potential, the time span
+        ("t,Pi,T,C\n0,1e308,3,0\n10,1e308,3,1\n", [], None, "pi_avg must be finite, got inf"),
+        ("t,Pi,T,C\n-1e308,1,3,0\n1e308,1,3,1\n", [], None, "pi_avg must be finite, got nan"),
+    ])
+    def test_thermo_rejects_non_finite_input_and_output(self, runner, tmp_path, trace, args,
+                                                          constants, message):
+        path = tmp_path / "trace.csv"
+        path.write_text(trace or "t,Pi,T,C\n0,0.5,3,0\n1,0.5,3,1\n2,0.5,3,2\n")
+        if constants is not None:
+            (tmp_path / "constants.json").write_text(constants)
+            args = [*args, "--constants", str(tmp_path / "constants.json")]
+        result = runner.invoke(main, ["thermo", "--trace", str(path), "--gamma-r", "2", *args])
+        assert result.exit_code == 4, result.output
+        assert result.stderr == f"error: {message}\n"
 
     def test_bad_trace_exits_2(self, runner, tmp_path):
         trace = tmp_path / "trace.csv"

@@ -7,7 +7,8 @@ the PSD tolerance, then runs `compute`, `simulate`, `coverage` (each
 protocol, 2 trials of 20 shots) and `certify` in process, and `simulate
 --protocol witness` with such a matrix as the `--witness` projector; it
 writes window families for `sweep` and process-trace CSVs for `thermo` the
-same way. It also draws the numeric flags of `plan` and `rect`. Whatever
+same way. It also draws the numeric flags of `plan`, `rect` and `thermo`,
+and thermo's hbar and k_B. Whatever
 the input, the exit code is one of the documented ones and an error is one
 line on stderr; a flag-fuzzed command that succeeds prints finite numbers.
 """
@@ -21,6 +22,7 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from rcc.cli import main
+from rcc.windows import TIME_BOUND_VARIANTS
 
 DIM_CAP = 4
 EXIT_CODES = {0, 2, 3, 4}
@@ -450,5 +452,28 @@ rect_floats = st.sampled_from([
 def test_rect_flags(run, required, flags):
     names = ["--sigma-avail", "--delta-t", "--c-opt", "--s-e", "--gamma-j"]
     result = run("rect", *[arg for pair in zip(names, required) for arg in pair], *flags)
+    if result.exit_code == 0:
+        assert only_finite(json.loads(result.output))
+
+
+# a well-formed trace with a net complexity change of 2 and a work potential
+# of 0.5, so that every failure comes from the drawn flags and constants
+THERMO_TRACE = "t,Pi,T,C\n0,0.5,3,0\n1,0.5,3,1\n2,0.5,3,2\n"
+constant_floats = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -1.0, 5e-324, 1.7976931348623157e308]),
+    st.floats(0.1, 10.0),
+)
+
+
+@FUZZ
+@given(gamma_r=flag_floats, variant=st.sampled_from(TIME_BOUND_VARIANTS),
+       flags=optional_flags(**{"--delta-c": flag_floats, "--pi-avg": flag_floats,
+                               "--temperature": flag_floats, "--log-correction": flag_floats}),
+       constants=st.fixed_dictionaries({}, optional={"hbar": constant_floats,
+                                                     "k_b": constant_floats}))
+def test_thermo_flags(run, gamma_r, variant, flags, constants):
+    result = run("thermo", "--gamma-r", gamma_r, "--variant", variant, *flags,
+                 trace=THERMO_TRACE, constants=constants)
     if result.exit_code == 0:
         assert only_finite(json.loads(result.output))

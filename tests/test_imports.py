@@ -1,6 +1,8 @@
-"""The import graph: scipy loads only on the paths that certify, and the
-package keeps every public name, whichever module defines it."""
+"""The import graph: scipy loads only on the paths that certify, the
+package keeps every public name, whichever module defines it, and `errors`
+alone raises the level and finiteness messages."""
 
+import ast
 import importlib
 import json
 import os
@@ -116,3 +118,19 @@ def test_every_exported_name_resolves_to_its_defining_object():
     assert rcc.stats is importlib.import_module("rcc.stats")
     assert "stats" in names
     assert rcc.MeasurementRecord is rcc.records.MeasurementRecord
+
+
+def test_only_errors_raises_the_level_and_finiteness_messages():
+    """errors._check_level and errors._check_finite own these two rules; a
+    module raising either message itself holds a second copy of its rule."""
+    copies = []
+    for path in sorted(Path(rcc.__file__).parent.glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise):
+                text = "".join(c.value for c in ast.walk(node)
+                               if isinstance(c, ast.Constant) and isinstance(c.value, str))
+                copies += [f"{path.name}:{node.lineno}" for message in
+                           ("must be in (0,1)", "must be finite") if message in text]
+    assert copies == []

@@ -190,8 +190,8 @@ class TestDephaseRecordIdentity:
         effects = [np.outer(basis[:, i], basis[:, i].conj()) for i in range(ref.d_r)]
         effects.append(np.eye(ref.dim) - ref.total.matrix)
         for trial in range(20):
-            explicit = explicit_povm_counts(rho, effects, 2000, stream(9, 2, trial))
-            record = simulate_record(rho, ref, "dephase", 2000, seed=0, rng=stream(9, 2, trial))
+            explicit = explicit_povm_counts(rho, effects, 2000, stream(trial))
+            record = simulate_record(rho, ref, "dephase", 2000, seed=trial)
             assert explicit.pop(str(ref.d_r)) == 0
             assert record.counts == explicit
             assert record.meta == {"basis": "reference-support"}
@@ -206,14 +206,11 @@ class TestWitnessAndTestRecordIdentity:
         effects = [proj, np.eye(ref.dim) - proj]
         for trial in range(20):
             explicit = explicit_povm_counts(
-                rho, effects, 2000, stream(9, 1, trial), labels=["success", "failure"]
+                rho, effects, 2000, stream(trial), labels=["success", "failure"]
             )
-            record = simulate_record(
-                rho, ref, "witness", 2000, seed=0, witness_rank=2, rng=stream(9, 1, trial)
-            )
-            supplied = simulate_record(
-                rho, ref, "witness", 2000, seed=0, witness_projector=proj, rng=stream(9, 1, trial)
-            )
+            record = simulate_record(rho, ref, "witness", 2000, seed=trial, witness_rank=2)
+            supplied = simulate_record(rho, ref, "witness", 2000, seed=trial,
+                                       witness_projector=proj)
             assert record.counts == explicit
             assert supplied == record
             assert record.n == 2000 and record.meta == {"rank": 2}
@@ -228,12 +225,10 @@ class TestWitnessAndTestRecordIdentity:
         labels = ["accept_h1", "accept_h0"]
         for trial in range(20):
             # the null calibration draws first, then the alternative, on one stream
-            rng_explicit = stream(9, 0, trial)
+            rng_explicit = stream(trial)
             null = explicit_povm_counts(sigma, effects, 2000, rng_explicit, labels=labels)
             alt = explicit_povm_counts(rho, effects, 2000, rng_explicit, labels=labels)
-            record = simulate_record(
-                rho, ref, "hypothesis_test", 2000, seed=0, rng=stream(9, 0, trial)
-            )
+            record = simulate_record(rho, ref, "hypothesis_test", 2000, seed=trial)
             assert record.counts == {
                 **{f"null_{k}": v for k, v in null.items()},
                 **{f"alt_{k}": v for k, v in alt.items()},

@@ -250,6 +250,20 @@ class TestCertifyCounts:
         assert _protocol(protocol).count(counts, n, ref, limit, eta, delta, rank) == (
             count_above_one_record_at_a_time(protocol, counts, n, ref, limit, eta, delta, rank))
 
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), d_r=st.integers(1, 64), n=st.integers(20, 2000),
+           delta=st.floats(1e-6, 0.5), alpha=st.sampled_from([0.05, 0.3, 1.0]))
+    def test_dephase_counts_what_dephase_protocol_certifies(self, data, d_r, n, delta, alpha):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        # concentrated rows certify above 0, and rows with zero counts are
+        # where an entropy summed over the nonzero counts alone moves
+        counts = rng.multinomial(n, rng.dirichlet(np.full(d_r, alpha)), size=20)
+        ref = full_reference(d_r)
+        values = certified_values("dephase", counts, n, ref, 0.25, delta, 1)
+        for limit in values + [np.nextafter(v, -np.inf) for v in values]:
+            assert stats.dephase_counts(counts, n, ref, limit, delta) == (
+                sum(v > limit for v in values), 0)
+
     def test_dephase_counts_each_row(self):
         ref = full_reference(4)
         counts = np.array([[50, 0, 0, 0], [20, 10, 10, 10], [25, 25, 0, 0], [49, 1, 0, 0]])
