@@ -8,13 +8,14 @@ from __future__ import annotations
 
 import functools
 import sys
+from dataclasses import asdict
 
 import click
 import numpy as np
 from click.core import ParameterSource
 
 from . import io
-from .bounds import METHODS, BoundConstants
+from .bounds import DEFAULT_CONSTANTS, METHODS, BoundConstants
 from .errors import ConfigError, ProtocolInvalidError, RccError
 from .harness import (
     _UNITS,
@@ -66,30 +67,26 @@ def _emit(payload: dict, out: str | None) -> None:
         click.echo(text, nl=False)
 
 
-def _load_constants(path: str | None) -> BoundConstants:
+def _constants(path: str | None, **defaults: float) -> dict[str, float]:
+    """The constants file's value of each key of defaults, or its default.
+    A value that is not a JSON number (a bool, a string or null), or an
+    integer past the float range, is a ConfigError naming its key; NaN and
+    inf pass, to the finiteness checks of the code that reads them."""
     if path is None:
-        return BoundConstants()
+        return defaults
     cfg = io._read_json(path)
-    try:
-        return BoundConstants(
-            c1=float(cfg.get("c1", 1.0)),
-            c1_prime=float(cfg.get("c1_prime", 1.0)),
-            c2_prime=float(cfg.get("c2_prime", 1.0)),
-        )
-    except RccError:
-        raise
-    except Exception as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-
-
-def _thermo_constants(path: str | None) -> tuple[float, float]:
-    if path is None:
-        return 1.0, 1.0
-    cfg = io._read_json(path)
-    try:
-        return float(cfg.get("hbar", 1.0)), float(cfg.get("k_b", 1.0))
-    except Exception as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{path}: constants must be a JSON object")
+    values = {}
+    for key, default in defaults.items():
+        value = cfg.get(key, default)
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"{path}: {key!r} must be a number, got {value!r}")
+        try:
+            values[key] = float(value)
+        except OverflowError as exc:
+            raise ConfigError(f"{path}: {key!r}: {exc}") from exc
+    return values
 
 
 state_opt = click.option("--state", "state_path", type=click.Path(), help="State file (JSON).")
@@ -139,7 +136,7 @@ def compute(state_path, reference_path, epsilon, constants_path, method, unit, o
         reference=io.load_reference(reference_path),
         protocols=("exact",),
         epsilon=epsilon,
-        constants=_load_constants(constants_path),
+        constants=BoundConstants(**_constants(constants_path, **asdict(DEFAULT_CONSTANTS))),
         method=method,
         unit=unit,
         echo={"state_path": state_path, "reference_path": reference_path},
@@ -180,7 +177,7 @@ def certify(reference_path, state_path, record_paths, delta, eta, epsilon,
         delta=delta,
         eta=eta,
         epsilon=epsilon,
-        constants=_load_constants(constants_path),
+        constants=BoundConstants(**_constants(constants_path, **asdict(DEFAULT_CONSTANTS))),
         witness_rank=witness_rank,
         method=method,
         unit=unit,
@@ -384,7 +381,7 @@ def rect(sigma_avail, delta_t, c_opt, s_e, gamma_j, hbar, c_r, j, out):
 def thermo(trace_path, gamma_r, variant, delta_c, pi_avg, temperature,
            log_correction, constants_path, out):
     """Work accounting and complexity-driven lower bounds on process time."""
-    hbar, k_b = _thermo_constants(constants_path)
+    hbar, k_b = _constants(constants_path, hbar=1.0, k_b=1.0).values()
     trace = io.load_trace_csv(trace_path)
     work, t_avg = info_work(trace, gamma_r)
     # a default that overflows is rejected by process_time_bound's checks

@@ -111,6 +111,14 @@ def _require_supported(rho: DensityOperator, ref: ReferenceSet) -> None:
         raise LeakageError(1.0 - q)
 
 
+def _supported_spectrum(rho: DensityOperator, ref: ReferenceSet) -> np.ndarray:
+    """rho's top d_R eigenvalues, descending and clipped at 0, for a state
+    supported in H_R (a LeakageError otherwise): by Cauchy interlacing they
+    are those of V^dag rho V to within the leaked mass in total."""
+    _require_supported(rho, ref)
+    return _clipped_eigenvalues(rho)[: ref.d_r]
+
+
 def relative_to_reference(rho: DensityOperator, ref: ReferenceSet) -> EntropyValue:
     """D(rho || sigma_R) = log2 d_R - S(rho) for a reference-supported state.
 
@@ -147,8 +155,7 @@ def hypothesis_testing_divergence(
     Returns +inf when the type-II error hits 0.
     """
     weights = _waterfill_weights(ref.d_r, eta)
-    _require_supported(rho, ref)
-    beta = 1.0 - float(weights @ _clipped_eigenvalues(rho)[: ref.d_r])
+    beta = 1.0 - float(weights @ _supported_spectrum(rho, ref))
     if beta <= _BETA_FLOOR:
         return EntropyValue(math.inf)
     return EntropyValue(-math.log2(beta))

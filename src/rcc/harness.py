@@ -4,8 +4,10 @@ Each statistical protocol is one entry of `_PROTOCOL_TABLE`: its outcome
 setup, its record certifier and its coverage counter. It fixes its outcome
 distributions once per run and then draws records from them. sigma_R is
 flat on H_R, so each designed measurement's distribution is a function of
-one compression per run, C = V^dag rho V in the reference support basis V,
-or of C's eigenvalues; a supplied witness projector P is read as one trace,
+rho's spectrum, which validation already holds: the test and the default
+witness read rho's top d_R eigenvalues, those of C = V^dag rho V in the
+reference support basis V, and need a state supported in H_R; dephasing
+reads C's diagonal. A supplied witness projector P is read as one trace,
 Tr(P rho), and no d x d effect is sampled. Randomness comes from Philox, a
 named 64-bit counter-based generator; independent streams are derived from
 the master seed with spawn keys, the first of which is the protocol's
@@ -17,7 +19,6 @@ bit-reproducible across platforms.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -27,11 +28,11 @@ import numpy as np
 
 from .bounds import DEFAULT_CONSTANTS, BoundBreakdown, BoundConstants, bound_from_divergence, rcc
 from .entropy import (
-    _waterfill_weights, hypothesis_testing_divergence, min_entropy, relative_to_reference, shannon,
-    spectral_skew, von_neumann,
+    _supported_spectrum, _waterfill_weights, hypothesis_testing_divergence, min_entropy,
+    relative_to_reference, shannon, spectral_skew, von_neumann,
 )
 from .errors import RccError, ValidationError, _check_level
-from .operators import DensityOperator, eig_hermitian, eigvals_hermitian
+from .operators import DensityOperator, eig_hermitian
 from .reference import ReferenceSet
 from .records import (
     HT_LABELS, PROTOCOLS, WITNESS_LABELS, MeasurementRecord, _check_witness_rank, _is_integer,
@@ -103,28 +104,12 @@ def _normalised(probs) -> np.ndarray:
     return probs / probs.sum()
 
 
-class _Compression:
-    """C = V^dag rho V, rho compressed to H_R in the reference support basis
-    V, and C's eigenvalues, descending, each computed on first use only: the
-    setups of one run share them, and a run needing neither pays for none."""
-
-    def __init__(self, rho: DensityOperator, ref: ReferenceSet):
-        self.rho, self.ref = rho, ref
-
-    @functools.cached_property
-    def matrix(self) -> np.ndarray:
-        basis = self.ref.support_basis()
-        small = basis.conj().T @ self.rho.matrix @ basis
-        return 0.5 * (small + small.conj().T)
-
-    @functools.cached_property
-    def eigenvalues(self) -> np.ndarray:
-        return eigvals_hermitian(self.matrix)
-
-
 def _eigenvectors(rho: DensityOperator, ref: ReferenceSet) -> np.ndarray:
-    """C's eigenvectors, descending, as columns of the full space."""
-    return ref.support_basis() @ eig_hermitian(_Compression(rho, ref).matrix).eigenvectors
+    """The eigenvectors of C = V^dag rho V, rho compressed to H_R in the
+    reference support basis V, descending, as columns of the full space."""
+    basis = ref.support_basis()
+    small = basis.conj().T @ rho.matrix @ basis
+    return basis @ eig_hermitian(0.5 * (small + small.conj().T)).eigenvectors
 
 
 def optimal_test_projector(rho: DensityOperator, ref: ReferenceSet, eta: float) -> np.ndarray:
@@ -146,22 +131,24 @@ def default_witness_projector(rho: DensityOperator, ref: ReferenceSet, rank: int
     return v @ v.conj().T
 
 
-def _ht_setup(rho, ref, compression, eta, test_calibration, *_):
+def _ht_setup(rho, ref, eta, test_calibration, *_):
     # the waterfilling test T at eta_test accepts H1 with probability eta_test
-    # on sigma_R (the null calibration) and w . mu on rho, mu C's eigenvalues
+    # on sigma_R (the null calibration) and w . mu on rho, mu its top d_R
     eta_test = eta * test_calibration
-    accept = float(_waterfill_weights(ref.d_r, eta_test) @ compression.eigenvalues)
+    accept = float(_waterfill_weights(ref.d_r, eta_test) @ _supported_spectrum(rho, ref))
     dists = [_normalised([p, 1.0 - p]) for p in (eta_test, accept)]
     return list(HT_LABELS), dists, {"eta": eta, "eta_test": eta_test}, (
         lambda: hypothesis_testing_divergence(rho, ref, eta).bits)
 
 
-def _witness_setup(rho, ref, compression, eta, test_calibration, witness_rank, witness_projector):
-    # a projector succeeds with Tr(P rho): the designed one onto C's top r
-    # eigenvectors with their sum, a supplied one with one trace
+def _witness_setup(rho, ref, eta, test_calibration, witness_rank, witness_projector):
+    # a projector succeeds with Tr(P rho): the designed one onto rho's top r
+    # eigenvectors with their sum, a supplied one with one trace; a leaking
+    # state has an infinite D_max, so neither has a finite target
+    spectrum = _supported_spectrum(rho, ref)
     if witness_projector is None:
         _check_witness_rank(witness_rank, ref.d_r)
-        rank, success = witness_rank, float(compression.eigenvalues[:witness_rank].sum())
+        rank, success = witness_rank, float(spectrum[:witness_rank].sum())
     else:
         proj = np.asarray(witness_projector, dtype=complex)
         rank, success = _witness_projector_rank(proj, ref), float(np.vdot(rho.matrix, proj).real)
@@ -169,11 +156,13 @@ def _witness_setup(rho, ref, compression, eta, test_calibration, witness_rank, w
         lambda: _witness_value(success, ref.d_r, rank))
 
 
-def _dephase_setup(rho, ref, compression, *_):
-    # outcomes: the d_R reference basis vectors, p_i = C_ii, then the leak
-    # I - Pi_R, whose mass is Tr(rho) - Tr(C)
-    p = np.clip(compression.matrix.diagonal().real, 0.0, None)
-    leak = float(np.trace(rho.matrix).real - np.trace(compression.matrix).real)
+def _dephase_setup(rho, ref, *_):
+    # outcomes: the d_R reference basis vectors, p_i = C_ii with C = V^dag
+    # rho V, then the leak I - Pi_R, whose mass is Tr(rho) - Tr(C)
+    basis = ref.support_basis()
+    diagonal = (basis.conj().T @ rho.matrix @ basis).diagonal()
+    p = np.clip(diagonal.real, 0.0, None)
+    leak = float(np.trace(rho.matrix).real - diagonal.sum().real)
     labels = [str(i) for i in range(ref.d_r)] + [_LEAK]
     return labels, [_normalised(np.append(p, leak))], {"basis": "reference-support"}, (
         lambda: max(0.0, math.log2(ref.d_r) - shannon(p / p.sum()).bits))
@@ -224,26 +213,27 @@ def _protocol(name: str) -> _Protocol:
 
 
 def _outcome_setup(
-    rho: DensityOperator, ref: ReferenceSet, protocol: str, compression: _Compression, eta: float,
-    test_calibration: float, witness_rank: int, witness_projector=None,
+    rho: DensityOperator, ref: ReferenceSet, protocol: str, eta: float, test_calibration: float,
+    witness_rank: int, witness_projector=None,
 ) -> tuple[list, list[np.ndarray], dict, Callable[[], float]]:
     """Per-run setup of one protocol on rho: (labels, distributions, meta,
     target).
 
     A record draws n shots from each distribution in order; the labels run
-    over the outcomes of all of them. The setups of one run share
-    compression, and no effect is built: the distributions are functions of
-    C, of its eigenvalues or, for a supplied witness projector P (checked by
-    records._witness_projector_rank), of one trace Tr(P rho). target() is
-    the exact value in bits that the protocol's certified bound targets,
-    built from the same pieces; the hypothesis test's is computed only when
-    read, so setting up a record neither pays for it nor needs a supported
-    state.
+    over the outcomes of all of them. Nothing is eigensolved and no effect
+    is built: the test and the witness read rho's validated spectrum
+    (entropy._supported_spectrum), so both raise LeakageError on a leaking
+    state, a supplied witness projector P (checked by
+    records._witness_projector_rank) is read as one trace Tr(P rho), and
+    dephasing reads the diagonal of C = V^dag rho V. target() is the exact
+    value in bits that the protocol's certified bound targets, built from
+    the same pieces and computed only when read: a record never pays for
+    the test's divergence, nor divides by a leaked state's retained mass.
     """
     if rho.dim != ref.dim:
         raise ValidationError(f"dimension mismatch: state {rho.dim}, reference {ref.dim}")
     return _protocol(protocol).setup(
-        rho, ref, compression, eta, test_calibration, witness_rank, witness_projector)
+        rho, ref, eta, test_calibration, witness_rank, witness_projector)
 
 
 def simulate_record(
@@ -264,8 +254,8 @@ def simulate_record(
     calibrated at eta * test_calibration so the type-I endpoint certifies
     below eta with headroom.
     """
-    outcomes = _outcome_setup(rho, ref, protocol, _Compression(rho, ref), eta, test_calibration,
-                              witness_rank, witness_projector)
+    outcomes = _outcome_setup(rho, ref, protocol, eta, test_calibration, witness_rank,
+                              witness_projector)
     return _sample(protocol, outcomes[:3], n, stream(seed))
 
 
@@ -279,7 +269,7 @@ def protocol_ground_truth(
     """The exact value (in bits) that a protocol's certified bound targets:
     the target of its outcome setup, whose test calibration (here
     simulate_record's default) moves the draws but not the target."""
-    return _outcome_setup(rho, ref, protocol, _Compression(rho, ref), eta, 0.5, witness_rank)[3]()
+    return _outcome_setup(rho, ref, protocol, eta, 0.5, witness_rank)[3]()
 
 
 @dataclass(frozen=True)
@@ -433,15 +423,14 @@ def pipeline(config: RunConfig) -> dict:
                 "display": {"value": display, "unit": config.unit},
             }
     certified: list[CertifiedBound] = []
-    compression = _Compression(rho, ref)
     for proto in config.protocols:
         if proto == "exact":
             continue
         with _Stage(proto):
             record = config.records.get(proto)
             if record is None:
-                outcomes = _outcome_setup(rho, ref, proto, compression, config.eta,
-                                          config.test_calibration, config.witness_rank)
+                outcomes = _outcome_setup(rho, ref, proto, config.eta, config.test_calibration,
+                                          config.witness_rank)
                 record = _sample(proto, outcomes[:3], config.n_samples,
                                  stream(config.seed, PROTOCOLS.index(proto)))
             certified.append(_protocol(proto).certify(record, config))
@@ -469,11 +458,12 @@ def coverage_experiment(config: RunConfig, trials: int) -> dict:
     """Estimate how often certified bounds overshoot their exact targets.
 
     Sets up each statistical protocol in the config once, for both its
-    outcome distributions and its exact target; the setups share one
-    compression C = V^dag rho V of rho to H_R and one eigenvalue solve of
-    it. Draws `trials` records into one count matrix, distribution j of all
-    trials in one call on the stream (seed, protocol, j), trial t taking row
-    t of each draw. The protocol's coverage counter counts, with the values
+    outcome distributions and its exact target; the setups read rho's
+    validated spectrum and eigensolve nothing, and the test and the witness
+    reject a state that leaks out of H_R, as their records do. Draws
+    `trials` records into one count matrix, distribution j of all trials in
+    one call on the stream (seed, protocol, j), trial t taking row t of each
+    draw. The protocol's coverage counter counts, with the values
     and comparison of the record certifiers, the trials whose certified
     value exceeds the target by more than _VIOLATION_SLACK and those that
     cannot certify (invalid runs). A binomial column is compared with one
@@ -494,11 +484,10 @@ def coverage_experiment(config: RunConfig, trials: int) -> dict:
     if config.state is None:
         raise ValidationError("coverage simulation requires a state")
     rho, ref = config.state, config.reference
-    compression = _Compression(rho, ref)
     results: dict = {}
     for proto in protocols:
         labels, dists, meta, target = _outcome_setup(
-            rho, ref, proto, compression, config.eta, config.test_calibration, config.witness_rank
+            rho, ref, proto, config.eta, config.test_calibration, config.witness_rank
         )
         truth = target()
         key = PROTOCOLS.index(proto)

@@ -219,6 +219,11 @@ def block_reference(blocks, g: int, addressable_units: int) -> ReferenceSet:
         specs.append((d, r, m))
     if not specs:
         raise ValidationError("empty block list")
+    from .io import dim_cap
+
+    dim = sum(d * m for d, _, m in specs)
+    if dim > dim_cap():
+        raise ValidationError(f"block dimension {dim} exceeds the dimension cap {dim_cap()}")
     diags = []
     for d, r, m in specs:
         q = np.concatenate([np.ones(r), np.zeros(m - r)])

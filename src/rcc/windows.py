@@ -203,8 +203,8 @@ def info_work(trace: ProcessTrace, gamma_r: float) -> tuple[float, float | None]
 
     W = ln(Gamma_R) * integral of T dC (trapezoidal along the complexity
     coordinate) and <T>_C = (integral T dC) / dC. The average is None when
-    the net complexity change vanishes. Gamma_R and both results must be
-    finite.
+    the net complexity change vanishes, and the work is kept. Gamma_R and
+    both results must be finite.
     """
     _check_finite(gamma_r=gamma_r)
     if gamma_r <= 1:
@@ -213,10 +213,11 @@ def info_work(trace: ProcessTrace, gamma_r: float) -> tuple[float, float | None]
         t_dc = float(np.trapezoid(trace.temperatures, trace.complexities))
         delta_c = float(trace.complexities[-1] - trace.complexities[0])
     work = math.log(gamma_r) * t_dc
+    _check_finite(w_info=work)
     if abs(delta_c) < _NET_CHANGE_TOL:
-        return 0.0, None
+        return work, None
     t_avg = t_dc / delta_c
-    _check_finite(w_info=work, t_avg_weighted=t_avg)
+    _check_finite(t_avg_weighted=t_avg)
     return work, t_avg
 
 

@@ -5,7 +5,7 @@ library code it checks: determinant bisection instead of LAPACK
 eigensolvers, grid-scanned threshold tests instead of waterfilling, plain
 bisection instead of Lambert-W, direct binomial pmf sums instead of
 incomplete-beta tail inversion, Born probabilities of explicit POVM effects
-as traces of matrix products instead of one compression or contraction,
+as traces of matrix products instead of a spectrum or one contraction,
 one multinomial call per distribution and trial instead of one call of all
 trials, and one record certification per row instead of a binary search for
 a threshold count.
@@ -182,13 +182,13 @@ def coverage_one_trial_at_a_time(config, trials: int) -> dict:
     invalid run.
     """
     from rcc import ProtocolInvalidError, protocol_ground_truth, stream
-    from rcc.harness import _VIOLATION_SLACK, _Compression, _outcome_setup
+    from rcc.harness import _VIOLATION_SLACK, _outcome_setup
     from rcc.records import PROTOCOLS
 
     rho, ref, n = config.state, config.reference, config.n_samples
     results = {}
     for proto in (p for p in config.protocols if p != "exact"):
-        labels, dists, meta, _ = _outcome_setup(rho, ref, proto, _Compression(rho, ref), config.eta,
+        labels, dists, meta, _ = _outcome_setup(rho, ref, proto, config.eta,
                                                 config.test_calibration, config.witness_rank)
         truth = protocol_ground_truth(rho, ref, proto, eta=config.eta,
                                       witness_rank=config.witness_rank)

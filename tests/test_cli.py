@@ -96,6 +96,32 @@ class TestCompute:
         assert result.exit_code == 4, result.output
         assert result.stderr == f"error: {message}\n"
 
+    @pytest.mark.parametrize("text, key, value", [
+        ('{"c1": true, "c1_prime": "2"}', "c1", "True"),
+        ('{"c1_prime": "2"}', "c1_prime", "'2'"),
+        ('{"c2_prime": null}', "c2_prime", "None"),
+    ])
+    def test_constants_that_are_not_numbers_exit_2(self, runner, files, text, key, value):
+        state, ref, tmp_path = files
+        constants = tmp_path / "constants.json"
+        constants.write_text(text)
+        result = runner.invoke(main, [
+            "compute", "--state", state, "--reference", ref, "--constants", str(constants),
+        ])
+        assert result.exit_code == 2, result.output
+        assert result.stderr == (
+            f"config error: {constants}: {key!r} must be a number, got {value}\n")
+
+    def test_block_reference_over_the_dimension_cap_exits_2(self, runner, files):
+        state, _, tmp_path = files
+        ref = tmp_path / "blocks.json"
+        ref.write_text(json.dumps({"type": "blocks", "blocks": [[600, 1]], "g": 2,
+                                   "addressable_units": 2}))
+        result = runner.invoke(main, ["compute", "--state", state, "--reference", str(ref)])
+        assert result.exit_code == 2, result.output
+        assert result.stderr == (
+            f"config error: {ref}: block dimension 600 exceeds the dimension cap 512\n")
+
     def test_out_file(self, runner, files):
         state, ref, tmp_path = files
         out = tmp_path / "report.json"
@@ -185,6 +211,26 @@ class TestSimulateAndCertify:
             assert not out.exists()
         else:
             assert json.loads(out.read_text())["meta"]["rank"] == 2
+
+    @pytest.mark.parametrize("protocol, witness", [
+        ("hypothesis_test", None), ("witness", None), ("witness", [0.0, 1.0, 0.0, 0.0]),
+    ])
+    def test_a_leaking_state_exits_4(self, runner, tmp_path, protocol, witness):
+        # 0.1% of the mass is outside the weight-1 sector of 2 qubits
+        state, ref = tmp_path / "state.json", tmp_path / "ref.json"
+        state.write_text(json.dumps({"dim": 4, "re": np.diag([0.001, 0.6, 0.399, 0.0]).tolist()}))
+        ref.write_text(json.dumps({"type": "sector", "n_qubits": 2, "hamming_weight": 1,
+                                   "g": 2, "addressable_units": 2}))
+        args = ["simulate", "--state", str(state), "--reference", str(ref),
+                "--protocol", protocol, "--out", str(tmp_path / "record.json")]
+        if witness is not None:
+            (tmp_path / "witness.json").write_text(
+                json.dumps({"dim": 4, "re": np.diag(witness).tolist()}))
+            args += ["--witness", str(tmp_path / "witness.json")]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 4, result.output
+        assert result.stderr.startswith("error: support leakage 1.000e-03 outside")
+        assert not (tmp_path / "record.json").exists()
 
     @pytest.mark.parametrize("protocol", ["hypothesis_test", "dephase"])
     def test_witness_file_with_another_protocol_exits_2(self, runner, files, tmp_path, protocol):
@@ -406,6 +452,18 @@ class TestRectThermo:
         assert payload["w_info"] == pytest.approx(3 * 2 * math.log(2), abs=1e-9)
         assert payload["time_bound"]["value"] == pytest.approx(2.0, abs=1e-12)
 
+    def test_thermo_round_trip_keeps_its_work(self, runner, tmp_path):
+        # C returns to 0: no weighted temperature, but a work of ln 2 * 1
+        trace = tmp_path / "trace.csv"
+        trace.write_text("t,Pi,T,C\n0,.5,3,0\n1,.5,5,1\n2,.5,1,0\n")
+        result = runner.invoke(main, [
+            "thermo", "--trace", str(trace), "--gamma-r", "2", "--delta-c", "1",
+        ])
+        assert result.exit_code == 0, result.output
+        payload = json.loads(result.output)
+        assert payload["w_info"] == pytest.approx(math.log(2), abs=1e-12)
+        assert payload["t_avg_weighted"] is None
+
     @pytest.mark.parametrize("trace, args, constants, message", [
         (None, ["--delta-c", "nan"], None, "delta_c must be finite, got nan"),
         (None, ["--gamma-r", "nan"], None, "gamma_r must be finite, got nan"),
@@ -429,6 +487,22 @@ class TestRectThermo:
         result = runner.invoke(main, ["thermo", "--trace", str(path), "--gamma-r", "2", *args])
         assert result.exit_code == 4, result.output
         assert result.stderr == f"error: {message}\n"
+
+    @pytest.mark.parametrize("text, key, value", [
+        ('{"hbar": true, "k_b": "2"}', "hbar", "True"),
+        ('{"k_b": "2"}', "k_b", "'2'"),
+        ('{"hbar": null}', "hbar", "None"),
+    ])
+    def test_thermo_constants_that_are_not_numbers_exit_2(self, runner, tmp_path, text, key,
+                                                          value):
+        trace, constants = tmp_path / "trace.csv", tmp_path / "constants.json"
+        trace.write_text("t,Pi,T,C\n0,0.5,3,0\n1,0.5,3,1\n")
+        constants.write_text(text)
+        result = runner.invoke(main, ["thermo", "--trace", str(trace), "--gamma-r", "2",
+                                      "--constants", str(constants)])
+        assert result.exit_code == 2, result.output
+        assert result.stderr == (
+            f"config error: {constants}: {key!r} must be a number, got {value}\n")
 
     def test_bad_trace_exits_2(self, runner, tmp_path):
         trace = tmp_path / "trace.csv"

@@ -19,6 +19,7 @@ from rcc import (
     pipeline,
     protocol_ground_truth,
     rcc,
+    sector_reference,
     simulate_record,
     stream,
     sweep_windows,
@@ -98,8 +99,7 @@ class TestBornSample:
         q, _ = np.linalg.qr(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
         proj = q[:, :2] @ q[:, :2].conj().T
         ref = full_reference(6)
-        _, dists, meta, _ = harness._outcome_setup(rho, ref, "witness", harness._Compression(
-            rho, ref), 0.25, 0.5, 1, proj)
+        _, dists, meta, _ = harness._outcome_setup(rho, ref, "witness", 0.25, 0.5, 1, proj)
         traces = np.array([np.trace(e @ rho.matrix).real for e in (proj, np.eye(6) - proj)])
         assert meta == {"rank": 2}
         assert np.allclose(dists[0], traces / traces.sum(), rtol=0, atol=1e-14)
@@ -335,15 +335,27 @@ class TestCoverage:
         h = -sum(p * math.log2(p) for p in (0.6, 0.25, 0.1, 0.05))
         assert dephase_truth == pytest.approx(2.0 - h, abs=1e-12)
 
-    def test_a_leaking_state_simulates_but_has_no_test_target(self):
-        # the hypothesis test's target is computed only when read, so
-        # setting up a record does not need a state supported in H_R
-        ref = embedded_reference(2, 4)
-        leaking = diag_state(0.5, 0.3, 0.2, 0.0)
-        record = simulate_record(leaking, ref, "hypothesis_test", 100, seed=0)
-        assert record.n == 200
+    @pytest.mark.parametrize("seed", range(20))
+    def test_a_leaking_state_has_no_test_or_witness_run(self, seed):
+        # 0.1% of the mass leaks out of the weight-1 sector (d_R = 2), so
+        # D_max is infinite and D_H is not computed: the test and the witness
+        # reject the state in every setup, whatever the seed, before a shot
+        ref = sector_reference(2, 1, 2, 2)
+        leaking = diag_state(0.001, 0.6, 0.399, 0.0)
+        supplied = np.diag([0.0, 1.0, 0.0, 0.0])
+        for protocol in ("hypothesis_test", "witness"):
+            config = RunConfig(state=leaking, reference=ref, protocols=(protocol,),
+                               n_samples=200, seed=seed)
+            with pytest.raises(LeakageError):
+                simulate_record(leaking, ref, protocol, 200, seed=seed)
+            with pytest.raises(LeakageError, match=f"stage '{protocol}'"):
+                pipeline(config)
+            with pytest.raises(LeakageError):
+                coverage_experiment(config, trials=5)
+            with pytest.raises(LeakageError):
+                protocol_ground_truth(leaking, ref, protocol)
         with pytest.raises(LeakageError):
-            protocol_ground_truth(leaking, ref, "hypothesis_test")
+            simulate_record(leaking, ref, "witness", 200, seed=seed, witness_projector=supplied)
 
     @pytest.mark.parametrize("rank", [1, 3])
     def test_witness_ground_truth_is_the_top_eigenvalues(self, rank):

@@ -112,6 +112,20 @@ class TestBlockReference:
         with pytest.raises(ValidationError):
             block_reference([], 2, 2)
 
+    @pytest.mark.parametrize("blocks, dim", [([(600, 1)], 600), ([(2, 1, 300)], 600),
+                                             ([(10**12, 1)], 10**12)])
+    def test_dimension_cap(self, blocks, dim):
+        # checked before any array is built, so a huge block allocates nothing
+        with pytest.raises(ValidationError,
+                           match=f"block dimension {dim} exceeds the dimension cap 512"):
+            block_reference(blocks, 2, 2)
+
+    def test_dimension_cap_is_read_from_the_environment(self, monkeypatch):
+        monkeypatch.setenv("RCC_DIM_CAP", "8")
+        assert block_reference([(4, 1, 2)], 2, 2).dim == 8
+        with pytest.raises(ValidationError, match="block dimension 9 exceeds"):
+            block_reference([(3, 3)], 2, 2)
+
 
 class TestSmoothedReference:
     def test_eigenvalue_split(self):

@@ -228,6 +228,20 @@ class TestThermo:
         assert work == 0.0
         assert t_avg is None
 
+    def test_info_work_round_trip_keeps_its_work(self):
+        # C returns to 0, so there is no average, but ln 2 * integral T dC
+        # = ln 2 * (4 - 3) is still the work
+        trace = ProcessTrace([0, 1, 2], [0.5, 0.5, 0.5], [3, 5, 1], [0, 1, 0])
+        work, t_avg = info_work(trace, gamma_r=2.0)
+        assert work == pytest.approx(math.log(2), abs=1e-12)
+        assert t_avg is None
+
+    def test_info_work_round_trip_must_be_finite(self):
+        # the two legs overflow to +inf and -inf
+        trace = ProcessTrace([0, 1, 2], [1, 1, 1], [1e308, 1e308, 1], [0, 1e10, 0])
+        with pytest.raises(ValidationError, match="w_info must be finite, got nan"):
+            info_work(trace, gamma_r=2.0)
+
     def test_info_work_linear_temperature(self):
         trace = ProcessTrace([0, 1], [1, 1], [1, 3], [0, 1])
         work, t_avg = info_work(trace, gamma_r=math.e)
