@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LeakageError, ValidationError, _check_level
+from .errors import LeakageError, ValidationError, _check_finite, _check_level
 from .operators import EFFECT_TOL, DensityOperator, check_hermitian, project_renormalize
 from .reference import ReferenceSet
 
@@ -194,6 +194,8 @@ def shannon(probabilities) -> EntropyValue:
     p = np.asarray(probabilities, dtype=float)
     if p.ndim != 1 or p.size == 0:
         raise ValidationError("probability vector must be 1-d and nonempty")
+    # a NaN entry passes the sign and sum checks below
+    _check_finite(probabilities=float(np.abs(p).max()))
     if (p < -_NEGATIVE_PROB_TOL).any():
         raise ValidationError("negative probability entry")
     if abs(p.sum() - 1.0) > PROBABILITY_TOL:

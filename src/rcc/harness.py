@@ -31,8 +31,8 @@ from .entropy import (
     _supported_spectrum, _waterfill_weights, hypothesis_testing_divergence, min_entropy,
     relative_to_reference, shannon, spectral_skew, von_neumann,
 )
-from .errors import RccError, ValidationError, _check_level
-from .operators import DensityOperator, eig_hermitian
+from .errors import CompleteLeakageError, RccError, ValidationError, _check_level
+from .operators import _COMPLETE_LEAK_TOL, DensityOperator, eig_hermitian
 from .reference import ReferenceSet
 from .records import (
     HT_LABELS, PROTOCOLS, WITNESS_LABELS, MeasurementRecord, _check_witness_rank, _is_integer,
@@ -57,6 +57,8 @@ _VIOLATION_SLACK = 1e-12
 # the documented trial range; a count past it is rejected before anything
 # is set up or allocated
 _MAX_TRIALS = 2**32
+# the largest shot count numpy's multinomial sampler takes (a C long)
+_MAX_SHOTS = 2**63 - 1
 
 
 def _check_seed(seed) -> None:
@@ -80,6 +82,8 @@ def _draw(labels: list, dists: list[np.ndarray], n: int, rngs: list, rows: int) 
     without checking them again."""
     if not _is_integer(n) or n <= 0:
         raise ValidationError(f"n must be a positive integer, got {n!r}")
+    if n > _MAX_SHOTS:
+        raise ValidationError(f"n = {n} is past the sampler's range [1, 2**63 - 1]")
     counts = np.concatenate([rng.multinomial(n, p, size=rows) for rng, p in zip(rngs, dists)],
                             axis=1)
     if _LEAK in labels:
@@ -162,10 +166,17 @@ def _dephase_setup(rho, ref, *_):
     basis = ref.support_basis()
     diagonal = (basis.conj().T @ rho.matrix @ basis).diagonal()
     p = np.clip(diagonal.real, 0.0, None)
-    leak = float(np.trace(rho.matrix).real - diagonal.sum().real)
+    kept = float(diagonal.sum().real)
+    leak = float(np.trace(rho.matrix).real) - kept
     labels = [str(i) for i in range(ref.d_r)] + [_LEAK]
-    return labels, [_normalised(np.append(p, leak))], {"basis": "reference-support"}, (
-        lambda: max(0.0, math.log2(ref.d_r) - shannon(p / p.sum()).bits))
+
+    def target():
+        # the distribution inside H_R is C's diagonal over Tr C
+        if kept <= _COMPLETE_LEAK_TOL:
+            raise CompleteLeakageError(kept)
+        return max(0.0, math.log2(ref.d_r) - shannon(p / p.sum()).bits)
+
+    return labels, [_normalised(np.append(p, leak))], {"basis": "reference-support"}, target
 
 
 def _stats():

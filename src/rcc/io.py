@@ -85,7 +85,10 @@ def _matrix_from_payload(payload, where: str) -> np.ndarray:
             raise ConfigError(f"{where}: '{name}' must be a {dim}x{dim} array")
         if not set(map(type, itertools.chain.from_iterable(rows))) <= {int, float}:
             raise ConfigError(f"{where}: '{name}' entries must be numbers")
-        parts.append(np.array(rows, dtype=float))
+        try:
+            parts.append(np.array(rows, dtype=float))
+        except OverflowError as exc:
+            raise ConfigError(f"{where}: '{name}' entries must fit a float: {exc}") from exc
     return parts[0] + 1j * parts[1]
 
 

@@ -6,7 +6,9 @@ lower confidence bound on a divergence, tagged with its confidence level
 and full parameter provenance. Endpoints are Clopper-Pearson, computed for
 one count at a time by bisecting the exact binomial tail (through the
 regularized incomplete beta) to one cell of a fixed grid on [0, 1], which
-is bit-reproducible and needs no Beta quantile function.
+is bit-reproducible and needs no Beta quantile function. A count's tail is
+one function of p (`_binom_cdf`) that holds the count's two Beta shape
+parameters as doubles, so each bisection step is one array betainc call.
 
 Coverage experiments need, of many records of one protocol, only how many
 certify above a limit and how many cannot certify: each protocol's counter
@@ -102,19 +104,33 @@ def _check_binomial_args(k, n, delta: float) -> None:
     _check_level("delta", delta)
 
 
-def _binom_cdf(k: int, n: int, p: float) -> float:
-    """P(X <= k) for X ~ Binomial(n, p), -1 <= k <= n and 0 <= p <= 1 (the
-    points a bisection visits and the cell edges), via the incomplete beta."""
-    return float(betainc(n - k, k + 1, 1.0 - p))
+def _binom_cdf(k: int, n: int):
+    """P(X <= k) for X ~ Binomial(n, p) as a function of p, for
+    -1 <= k <= n and 0 <= p <= 1 (the points a bisection visits and the cell
+    edges), via the incomplete beta I_{1-p}(n - k, k + 1).
+
+    The shape parameters are converted to doubles once, into one-element
+    arrays; each evaluation writes 1 - p into a third and makes one array
+    betainc call, the ufunc loop a scalar call runs, so every tail is the
+    same double."""
+    a, b, x = np.empty(1), np.empty(1), np.empty(1)
+    a[0], b[0] = n - k, k + 1
+
+    def tail(p: float) -> float:
+        x[0] = 1.0 - p
+        return betainc(a, b, x).item()
+
+    return tail
 
 
 def _above(upper: bool, k: int, n: int, delta: float):
     """The test _bisect makes for count k's upper endpoint (k < n) or lower
     endpoint (k > 0): whether the endpoint lies above a point g, read off the
     binomial tail at g."""
+    cdf = _binom_cdf(k if upper else k - 1, n)
     if upper:
-        return lambda g: _binom_cdf(k, n, g) - delta > 0
-    return lambda g: not (1.0 - _binom_cdf(k - 1, n, g)) - delta > 0
+        return lambda g: cdf(g) - delta > 0
+    return lambda g: not (1.0 - cdf(g)) - delta > 0
 
 
 def _bisect(above) -> float:
@@ -360,11 +376,17 @@ def _threshold(upper: bool, n: int, delta: float, passes) -> int:
     keeps the upper half at the flip cell's lower edge, which holds if the
     tail is monotone in p on the grid of cell edges. The edge count's
     endpoint (1.0 upper, 0.0 lower) is not bisected, as in the certifiers.
+    The binary search runs over the other n counts, so that its range fits
+    bisect's C index up to the sampler's n = 2**63 - 1, and the edge count
+    is compared only where the search ends next to it.
     """
     cell = bisect_left(range(_CELLS), True, key=lambda j: passes((j + 0.5) / _CELLS))
-    edge, end = (n, 1.0) if upper else (0, 0.0)
-    return bisect_left(range(n + 1), True, key=lambda k: passes(end) if k == edge
-                       else _above(upper, k, n, delta)(cell / _CELLS))
+    first = 0 if upper else 1
+    k = first + bisect_left(range(first, first + n), True,
+                            key=lambda k: _above(upper, k, n, delta)(cell / _CELLS))
+    if upper:
+        return k if k < n or passes(1.0) else n + 1
+    return 0 if k == 1 and passes(0.0) else k
 
 
 def ht_counts(counts: np.ndarray, n: int, limit: float, eta: float,

@@ -8,7 +8,9 @@ incomplete-beta tail inversion, Born probabilities of explicit POVM effects
 as traces of matrix products instead of a spectrum or one contraction,
 one multinomial call per distribution and trial instead of one call of all
 trials, and one record certification per row instead of a binary search for
-a threshold count.
+a threshold count. One oracle is the library's own earlier route, kept to
+pin a kernel change bit for bit: the Clopper-Pearson bisection with one
+scalar betainc call on integer shape parameters per step.
 """
 
 from __future__ import annotations
@@ -157,6 +159,29 @@ def clopper_pearson_lower_oracle(k: int, n: int, delta: float) -> float:
         else:
             lo = mid
     return 0.5 * (lo + hi)
+
+
+def clopper_pearson_by_int_tail(upper: bool, k: int, n: int, delta: float) -> float:
+    """The upper (or lower) Clopper-Pearson endpoint by 34 halvings of [0, 1]
+    to a cell of width 2^-34 and its midpoint, each step one scalar
+    float(betainc(n - j, j + 1, 1 - p)) with integer shape parameters, where
+    j = k for the upper endpoint and k - 1 for the lower."""
+    from scipy.special import betainc
+
+    if (k == n) if upper else (k == 0):
+        return 1.0 if upper else 0.0
+    j = k if upper else k - 1
+
+    def above(p):
+        tail = float(betainc(n - j, j + 1, 1.0 - p))
+        return tail - delta > 0 if upper else not (1.0 - tail) - delta > 0
+
+    lo, width = 0.0, 1.0
+    for _ in range(34):
+        width *= 0.5
+        if above(lo + width):
+            lo += width
+    return lo + 0.5 * width
 
 
 def shannon_bits_oracle(p) -> float:

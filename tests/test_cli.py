@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -232,6 +233,16 @@ class TestSimulateAndCertify:
         assert result.stderr.startswith("error: support leakage 1.000e-03 outside")
         assert not (tmp_path / "record.json").exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "coverage"])
+    @pytest.mark.parametrize("n", [2**63, 10**23])
+    def test_a_sample_size_past_the_samplers_range_exits_4(self, runner, files, command, n):
+        state, ref, _ = files
+        args = [command, "--state", state, "--reference", ref, "--n", str(n)]
+        args += ["--protocol", "witness"] if command == "simulate" else ["--trials", "2"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 4, result.output
+        assert result.stderr == f"error: n = {n} is past the sampler's range [1, 2**63 - 1]\n"
+
     @pytest.mark.parametrize("protocol", ["hypothesis_test", "dephase"])
     def test_witness_file_with_another_protocol_exits_2(self, runner, files, tmp_path, protocol):
         state, ref, _ = files
@@ -381,6 +392,24 @@ class TestCoverageDeterminism:
             ])
             assert result.exit_code == 0, result.output
         assert out_a.read_bytes() == out_b.read_bytes()
+
+
+class TestCoverage:
+    def test_a_state_with_no_mass_in_the_reference_exits_4_without_a_warning(
+            self, runner, tmp_path):
+        # diag(0.5, 0, 0, 0.5) lies outside the weight-1 sector of 2 qubits
+        state, ref = tmp_path / "state.json", tmp_path / "ref.json"
+        state.write_text(json.dumps({"dim": 4, "re": np.diag([0.5, 0.0, 0.0, 0.5]).tolist()}))
+        ref.write_text(json.dumps({"type": "sector", "n_qubits": 2, "hamming_weight": 1,
+                                   "g": 2, "addressable_units": 2}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = runner.invoke(main, ["coverage", "--state", str(state), "--reference",
+                                          str(ref), "--protocol", "dephase", "--trials", "5"])
+        assert result.exit_code == 4, result.output
+        assert result.stderr == (
+            "error: state mass inside the reference subspace is 0.000e+00; projection is "
+            "undefined, use the smoothed reference scheme instead\n")
 
 
 class TestSweep:

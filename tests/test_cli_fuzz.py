@@ -293,6 +293,10 @@ def test_directory_or_list_where_a_file_belongs_exit_2(tmp_path):
     ({"dim": 2, "re": [[True, False], [False, False]]}, "'re' entries must be numbers"),
     ({"dim": 2, "re": [[0.5, "0"], [0, 0.5]]}, "'re' entries must be numbers"),
     ({"dim": 2, "re": 5}, "'re' must be a 2x2 array"),
+    # a 401-digit integer is a JSON number that no float holds
+    ({"dim": 2, "re": [[10**400, 0], [0, 0.5]]}, "'re' entries must fit a float"),
+    ({"dim": 2, "re": [[0.5, 0], [0, 0.5]], "im": [[0, -10**400], [10**400, 0]]},
+     "'im' entries must fit a float"),
 ])
 def test_malformed_state_message(run, payload, message):
     result = run("compute", state=payload, reference=REFERENCE)

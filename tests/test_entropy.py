@@ -258,6 +258,13 @@ class TestClassical:
         # frozen from direct evaluation of -v log2 v - (1-v) log2(1-v)
         assert binary_entropy(0.059338).bits == pytest.approx(0.3248114020, abs=1e-9)
 
+    @pytest.mark.parametrize("p", [[math.nan, math.nan], [0.5, math.nan], [math.inf, 0.0],
+                                   [1.0, -math.inf, math.inf]])
+    def test_shannon_rejects_non_finite_entries(self, p):
+        # a NaN sum passes the sum check, so [nan, nan] read as 0 bits
+        with pytest.raises(ValidationError, match="probabilities must be finite"):
+            shannon(p)
+
     def test_shannon_oracle(self, rng):
         for _ in range(20):
             p = rng.dirichlet(np.ones(int(rng.integers(2, 20))))

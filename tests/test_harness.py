@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from rcc import (
     BlockPartition,
+    CompleteLeakageError,
     LeakageError,
     ObservationWindow,
     RunConfig,
@@ -384,6 +385,17 @@ class TestCoverage:
         with pytest.raises(ValidationError, match=message):
             witness_sample_plan(0.9, 1.0, rank, 4, 0.05)
 
+    def test_a_state_with_no_mass_in_the_reference_has_no_dephase_target(self):
+        # Tr C = 0: the target's distribution C_ii / Tr C is undefined, so it
+        # raises before it divides, and coverage raises before it draws
+        ref = sector_reference(2, 1, 2, 2)
+        rho = diag_state(0.5, 0.0, 0.0, 0.5)
+        with pytest.raises(CompleteLeakageError, match="reference subspace is 0.000e"):
+            protocol_ground_truth(rho, ref, "dephase")
+        config = RunConfig(state=rho, reference=ref, protocols=("dephase",), n_samples=50)
+        with pytest.raises(CompleteLeakageError):
+            coverage_experiment(config, trials=5)
+
     def test_loose_delta_still_covers(self, small_setup):
         rho, ref = small_setup
         config = RunConfig(
@@ -456,6 +468,28 @@ class TestBatchedCoverage:
                 coverage_experiment(config, trials=2)
             with pytest.raises(ValidationError, match=message):
                 simulate_record(rho, ref, proto, n, seed=0)
+
+    @pytest.mark.parametrize("n", [2**63, 10**23])
+    def test_a_shot_count_past_the_samplers_range_is_rejected(self, state_and_ref, n):
+        # numpy's multinomial takes n up to 2**63 - 1, a C long
+        rho, ref = state_and_ref
+        message = re.escape(f"n = {n} is past the sampler's range [1, 2**63 - 1]")
+        for proto in PROTOCOLS:
+            config = RunConfig(state=rho, reference=ref, protocols=(proto,), n_samples=n)
+            with pytest.raises(ValidationError, match=message):
+                coverage_experiment(config, trials=2)
+            with pytest.raises(ValidationError, match=message):
+                simulate_record(rho, ref, proto, n, seed=0)
+
+    def test_the_largest_shot_count_covers_and_simulates(self, state_and_ref):
+        # the threshold search over n + 1 counts still fits bisect's C index
+        rho, ref = state_and_ref
+        n = 2**63 - 1
+        config = RunConfig(state=rho, reference=ref, protocols=PROTOCOLS, n_samples=n)
+        summary = coverage_experiment(config, trials=3)
+        assert all(s["trials"] == 3 for s in summary["protocols"].values())
+        for proto in PROTOCOLS:
+            assert simulate_record(rho, ref, proto, n, seed=0).n in (n, 2 * n)
 
     @pytest.mark.parametrize("protocol, rank, message", [
         ("witness", 3, r"witness rank 3 must be an integer in \[1, d_R = 2\]"),

@@ -27,6 +27,7 @@ from rcc.harness import _protocol
 from conftest import embedded_reference, full_reference
 from oracles import (
     certify_record,
+    clopper_pearson_by_int_tail,
     clopper_pearson_lower_oracle,
     clopper_pearson_upper_oracle,
     count_above_one_record_at_a_time,
@@ -89,6 +90,36 @@ class TestClopperPearson:
             assert clopper_pearson_lower(k, n, delta) == pytest.approx(
                 clopper_pearson_lower_oracle(k, n, delta), abs=1e-8
             )
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 10**12), delta=st.floats(1e-12, 0.5))
+    def test_endpoints_equal_the_integer_argument_bisection(self, data, n, delta):
+        # a count's tail converts its shape parameters to doubles once and
+        # calls betainc on one-element arrays, the loop a scalar call runs
+        k = data.draw(st.integers(0, min(n, 20)) | st.integers(0, n)
+                      | st.integers(max(0, n - 20), n))
+        for upper, endpoint in ((True, clopper_pearson_upper), (False, clopper_pearson_lower)):
+            assert endpoint(k, n, delta).hex() == clopper_pearson_by_int_tail(
+                upper, k, n, delta).hex()
+
+    def test_a_bisected_endpoint_builds_one_tail_and_calls_betainc_34_times(self, monkeypatch):
+        tails, steps = [], []
+        binom_cdf, betainc = stats._binom_cdf, stats.betainc
+        monkeypatch.setattr(stats, "_binom_cdf", lambda k, n: tails.append((k, n))
+                            or binom_cdf(k, n))
+        monkeypatch.setattr(stats, "betainc", lambda *args: steps.append(args) or betainc(*args))
+        for endpoint, tail in ((clopper_pearson_upper, (251, 2000)),
+                               (clopper_pearson_lower, (250, 2000))):
+            tails.clear()
+            steps.clear()
+            endpoint(251, 2000, 0.025)
+            assert tails == [tail]
+            assert len(steps) == 34
+            assert all(arg.shape == (1,) for args in steps for arg in args)
+        tails.clear()
+        steps.clear()
+        assert (clopper_pearson_upper(7, 7, 0.05), clopper_pearson_lower(0, 7, 0.05)) == (1.0, 0.0)
+        assert tails == steps == []
 
     def test_brackets_empirical_rate_exhaustively(self):
         for delta in (0.05, 0.25):

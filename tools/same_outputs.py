@@ -1,0 +1,261 @@
+"""Check that two `rcc` source trees compute the same outputs, bit for bit.
+
+    python tools/same_outputs.py OLD_SRC NEW_SRC [--small]
+
+OLD_SRC and NEW_SRC are directories holding the `rcc` package (a
+checkout's `src`). Each tree runs one fixed, seeded battery in its own
+child process, which prints every output leaf as one JSON object; this
+process compares the two. The battery covers a grid of Clopper-Pearson
+endpoints, coverage summaries, simulated records and their certificates,
+`pipeline` reports (apart from `timestamp`) and the CLI's `certify` output
+(stdout, stderr and exit code). An output that raises an `RccError` is
+compared by its exception type and message. `--small` runs a shorter
+battery.
+
+Every differing field is printed with the number of its leaves that differ
+and its largest absolute change (a field is a leaf path with its case
+indices dropped). The exit status is 1 on any difference and 0 when the
+two trees agree on every leaf.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import re
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+REFERENCES = [
+    {"type": "sector", "g": 2, "addressable_units": 2, "n_qubits": 4, "hamming_weight": 2},
+    {"type": "stabilizer", "g": 2, "addressable_units": 3, "n_qubits": 3,
+     "generators": ["ZZI"]},
+    {"type": "blocks", "g": 3, "addressable_units": 2, "blocks": [[2, 1], [1, 2, 3]]},
+]
+# (seed, n_samples, delta, eta, trials, test_calibration, witness_rank)
+COVERAGE = [(0, 2000, 0.05, 0.25, 200, 0.5, 1), (7, 50, 0.2, 0.3, 300, 0.7, 2),
+            (11, 10**6, 0.01, 0.1, 100, 0.5, 1), (3, 7, 0.3, 0.2, 500, 0.9, 1),
+            (13, 400, 1e-6, 0.05, 200, 0.3, 3), (5, 3216643036, 0.05, 0.25, 50, 0.5, 1)]
+ENDPOINT_N = [1, 7, 100, 2000, 12345, 10**6, 3216643036, 10**12]
+ENDPOINT_DELTA = [1e-9, 1e-4, 0.025, 0.05, 0.3]
+PLAN_BITS = (10, 20, 30)
+
+
+def _leaves(obj, path: str, out: dict) -> None:
+    """Flatten nested dicts, lists and arrays into out."""
+    import numpy as np
+
+    if isinstance(obj, dict):
+        for key in sorted(obj, key=str):
+            _leaves(obj[key], f"{path}.{key}", out)
+    elif isinstance(obj, (list, tuple, np.ndarray)):
+        for i, value in enumerate(obj):
+            _leaves(value, f"{path}[{i}]", out)
+    elif isinstance(obj, np.generic):
+        out[path] = obj.item()
+    else:
+        out[path] = obj
+
+
+def _guard(fn):
+    """fn()'s value, or the type and message of the RccError it raises."""
+    from rcc import RccError
+
+    try:
+        return fn()
+    except RccError as exc:
+        return {"error": f"{type(exc).__name__}: {exc}"}
+
+
+def _states(ref, rng):
+    """States on ref: a mixed and a pure state inside H_R, and a full-rank
+    state that leaks out of it."""
+    import numpy as np
+
+    from rcc import validate_density
+
+    def ginibre(dim, rank):
+        a = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+        m = a @ a.conj().T
+        return m / np.trace(m).real
+
+    v = ref.support_basis()
+    inside = [v @ ginibre(ref.d_r, rank) @ v.conj().T for rank in (ref.d_r, 1)]
+    return [validate_density(0.5 * (m + m.conj().T))
+            for m in (*inside, ginibre(ref.dim, ref.dim))]
+
+
+def _record_payload(record) -> dict:
+    return {"protocol": record.protocol, "n": record.n, "counts": dict(record.counts),
+            "meta": dict(record.meta)}
+
+
+def _plan_record(n_null: int, null_h1: int, bits: int, delta: float) -> dict:
+    """A zero-failure hypothesis-test record at the planner's size."""
+    from rcc import ht_sample_plan
+
+    n = ht_sample_plan(bits, delta)
+    return {"protocol": "hypothesis_test", "n": n_null + n,
+            "counts": {"null_accept_h1": null_h1, "null_accept_h0": n_null - null_h1,
+                       "alt_accept_h1": n, "alt_accept_h0": 0}, "meta": {}}
+
+
+def _certify_cli(src: str, workdir: Path, ref_cfg: dict, records: list[dict], tag: str) -> dict:
+    """`rcc certify` on the records, run from workdir with relative paths so
+    that the paths the report echoes are the same for both trees."""
+    (workdir / "ref.json").write_text(json.dumps(ref_cfg))
+    args = [sys.executable, "-m", "rcc.cli", "certify", "--reference", "ref.json"]
+    for i, payload in enumerate(records):
+        name = f"{tag}_{i}.json"
+        (workdir / name).write_text(json.dumps(payload))
+        args += ["--record", name]
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(args, cwd=workdir, env=env, capture_output=True, text=True,
+                          timeout=300)
+    try:
+        report = json.loads(proc.stdout)
+        report.pop("timestamp", None)
+    except ValueError:
+        report = proc.stdout
+    return {"exit": proc.returncode, "stdout": report, "stderr": proc.stderr}
+
+
+def battery(src: str, small: bool) -> dict:
+    """Every output of the battery, as leaf path -> JSON value."""
+    import numpy as np
+
+    import rcc
+    from rcc import RunConfig, coverage_experiment, io, pipeline, simulate_record, stats
+    from rcc.records import PROTOCOLS
+
+    out: dict = {}
+    sizes = ENDPOINT_N[::3] if small else ENDPOINT_N
+    deltas = ENDPOINT_DELTA[::2] if small else ENDPOINT_DELTA
+    grid = []
+    for n in sizes:
+        for k in sorted({k for k in (0, 1, 2, 5, 17, n // 3, n // 2, n - 1, n) if k <= n}):
+            for delta in deltas:
+                grid.append({"k": k, "n": n, "delta": delta,
+                             "upper": stats.clopper_pearson_upper(k, n, delta),
+                             "lower": stats.clopper_pearson_lower(k, n, delta)})
+    _leaves(grid, "endpoints", out)
+
+    rng = np.random.default_rng(20261019)
+    cases = []
+    for ref_cfg in REFERENCES[:1] if small else REFERENCES:
+        ref = io.reference_from_config(ref_cfg)
+        cases += [(ref_cfg, ref, rho) for rho in _states(ref, rng)]
+    coverage_settings = COVERAGE[:1] if small else COVERAGE
+    summaries, records, certificates, reports = [], [], [], []
+    for ref_cfg, ref, rho in cases:
+        for seed, n, delta, eta, trials, calibration, rank in coverage_settings:
+            def config(*protocols):
+                return RunConfig(state=rho, reference=ref, protocols=protocols, delta=delta,
+                                 eta=eta, seed=seed, n_samples=n,
+                                 test_calibration=calibration, witness_rank=rank)
+
+            report = _guard(lambda: pipeline(config("exact", *PROTOCOLS)))
+            report.pop("timestamp", None)
+            reports.append(report)
+            for proto in PROTOCOLS:
+                # one protocol per run, so that a leaking state's dephase
+                # summary is not lost to the test's LeakageError
+                summaries.append(_guard(lambda: coverage_experiment(config(proto), trials)))
+                record = _guard(lambda: simulate_record(
+                    rho, ref, proto, n, seed=seed, eta=eta, test_calibration=calibration,
+                    witness_rank=rank))
+                if not isinstance(record, rcc.MeasurementRecord):
+                    records.append(record)
+                    continue
+                records.append(_record_payload(record))
+                certified = _guard(lambda: pipeline(RunConfig(
+                    state=None, reference=ref, protocols=(proto,), records={proto: record},
+                    delta=delta, eta=eta, witness_rank=rank)))
+                certified.pop("timestamp", None)
+                certificates.append(certified)
+    _leaves(summaries, "coverage", out)
+    _leaves(records, "records", out)
+    _leaves(certificates, "certificates", out)
+    _leaves(reports, "pipeline", out)
+
+    ref_cfg, ref, rho = cases[0]
+    cli_sets = [[_record_payload(simulate_record(rho, ref, proto, 2000, seed=5))
+                 for proto in PROTOCOLS]]
+    cli_sets += [[_plan_record(2000, 251, bits, 0.05)]
+                 for bits in (PLAN_BITS[1:2] if small else PLAN_BITS)]
+    # too many null acceptances: the test cannot certify at eta (exit 3)
+    cli_sets.append([_plan_record(2000, 900, 10, 0.05)])
+    with tempfile.TemporaryDirectory() as tmp:
+        cli = [_certify_cli(src, Path(tmp), ref_cfg, recs, f"set{i}")
+               for i, recs in enumerate(cli_sets)]
+    _leaves(cli, "cli_certify", out)
+    return out
+
+
+def _field(path: str) -> str:
+    return re.sub(r"\[\d+\]", "", path)
+
+
+def _change(old, new) -> float | None:
+    """|new - old| for two numbers (not bools), None otherwise."""
+    if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (old, new)):
+        return abs(new - old)
+    return None
+
+
+def compare(old: dict, new: dict) -> list[str]:
+    """One line per field whose leaves differ between the two outputs,
+    with how many differ and the largest absolute change; a leaf present on
+    one side only differs."""
+    fields: dict[str, list] = {}
+    for path in sorted(old.keys() | new.keys()):
+        a, b = old.get(path, "<missing>"), new.get(path, "<missing>")
+        if type(a) is type(b) and json.dumps(a) == json.dumps(b):
+            continue
+        fields.setdefault(_field(path), []).append(_change(a, b))
+    lines = []
+    for name, changes in sorted(fields.items()):
+        numeric = [c for c in changes if c is not None]
+        what = [f"largest absolute change {max(numeric):.3g}"] if numeric else []
+        if len(numeric) < len(changes):
+            what.append("non-numeric change")
+        lines.append(f"{name}: {len(changes)} differing, {'; '.join(what)}")
+    return lines
+
+
+def _run_child(src: str, small: bool) -> dict:
+    args = [sys.executable, __file__, "--emit", src] + (["--small"] if small else [])
+    proc = subprocess.run(args, capture_output=True, text=True, timeout=3600)
+    if proc.returncode != 0:
+        raise SystemExit(f"the battery failed on {src}:\n{proc.stderr}")
+    return json.loads(proc.stdout)
+
+
+def main(argv: list[str]) -> int:
+    small = "--small" in argv
+    argv = [a for a in argv if a != "--small"]
+    if len(argv) == 2 and argv[0] == "--emit":
+        src = str(Path(argv[1]).resolve())
+        sys.path.insert(0, src)
+        import rcc
+
+        if not Path(rcc.__file__).resolve().is_relative_to(src):
+            raise SystemExit(f"rcc was imported from {rcc.__file__}, not from {src}")
+        json.dump(battery(src, small), sys.stdout)
+        return 0
+    if len(argv) != 2:
+        print(__doc__, file=sys.stderr)
+        return 2
+    old, new = (_run_child(str(Path(a).resolve()), small) for a in argv)
+    lines = compare(old, new)
+    for line in lines:
+        print(line)
+    print(f"{len(old)} leaves compared; " + (f"{len(lines)} fields differ" if lines
+                                             else "all identical"))
+    return 1 if lines else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
