@@ -93,8 +93,9 @@ from .windows import (
 
 __version__ = "0.1.0"
 
-# names of the certifying layer, which imports scipy; they resolve on first
-# access (PEP 562), so `import rcc` alone does not load scipy
+# names of the certifying layer; they resolve on first access (PEP 562), so
+# that `import rcc` and the CLI commands that certify and plan nothing do not
+# import `rcc.stats`, which loads scipy only at its first binomial tail
 _STATS_NAMES = frozenset({
     "CertifiedBound",
     "CombinedBound",

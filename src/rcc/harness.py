@@ -35,8 +35,8 @@ from .errors import CompleteLeakageError, RccError, ValidationError, _check_leve
 from .operators import _COMPLETE_LEAK_TOL, DensityOperator, eig_hermitian
 from .reference import ReferenceSet
 from .records import (
-    HT_LABELS, PROTOCOLS, WITNESS_LABELS, MeasurementRecord, _check_witness_rank, _is_integer,
-    _witness_projector_rank, _witness_value,
+    _MAX_SHOTS, HT_LABELS, PROTOCOLS, WITNESS_LABELS, MeasurementRecord, _check_witness_rank,
+    _is_integer, _witness_projector_rank, _witness_value,
 )
 from .windows import WindowFamily, windowed_entropy_bits, windowed_rcc
 
@@ -57,8 +57,6 @@ _VIOLATION_SLACK = 1e-12
 # the documented trial range; a count past it is rejected before anything
 # is set up or allocated
 _MAX_TRIALS = 2**32
-# the largest shot count numpy's multinomial sampler takes (a C long)
-_MAX_SHOTS = 2**63 - 1
 
 
 def _check_seed(seed) -> None:
@@ -188,8 +186,9 @@ class _Protocol(NamedTuple):
     """A protocol's outcome setup (see _outcome_setup), record certifier
     (record, config) -> CertifiedBound and coverage counter (counts, n, ref,
     limit, eta, delta, rank) -> (above, invalid). The last two look `stats`
-    up at each call, so scipy loads only when something certifies and a
-    wrapper installed on a `stats` function is called."""
+    up at each call, so `stats` is imported only when something certifies,
+    and a wrapper installed on a `stats` function is called; scipy loads
+    only at a hypothesis-test or witness tail."""
 
     setup: Callable
     certify: Callable

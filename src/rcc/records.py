@@ -3,7 +3,8 @@ witness rules, and the validated outcome counts a lab hands to the
 certifiers.
 
 This layer needs no special functions, so reading, writing and simulating
-records loads no scipy; only certifying them (`stats`) does.
+records loads no scipy; only a binomial tail (`stats.betainc`, called when
+a hypothesis test or a witness is certified) does.
 """
 
 from __future__ import annotations
@@ -29,6 +30,11 @@ PROTOCOLS = ("hypothesis_test", "witness", "dephase")
 # alternative run, decision per shot)
 HT_LABELS = ("null_accept_h1", "null_accept_h0", "alt_accept_h1", "alt_accept_h0")
 WITNESS_LABELS = ("success", "failure")
+
+# the shot range of one count: the largest shot count numpy's multinomial
+# sampler takes (a C long); the sampler, the records and the planners share
+# it, and a count in it converts to a double
+_MAX_SHOTS = 2**63 - 1
 
 
 def _is_integer(x) -> bool:
@@ -98,6 +104,9 @@ class MeasurementRecord:
         counts = {str(k): int(v) for k, v in self.counts.items()}
         if any(v < 0 for v in counts.values()):
             raise ValidationError("negative count")
+        for name, v in counts.items():
+            if v > _MAX_SHOTS:
+                raise ValidationError(f"count {name!r} is past the shot range [0, 2**63 - 1]")
         if sum(counts.values()) != self.n:
             raise ValidationError(
                 f"counts sum {sum(counts.values())} does not match n = {self.n}"

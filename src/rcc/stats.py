@@ -9,6 +9,8 @@ regularized incomplete beta) to one cell of a fixed grid on [0, 1], which
 is bit-reproducible and needs no Beta quantile function. A count's tail is
 one function of p (`_binom_cdf`) that holds the count's two Beta shape
 parameters as doubles, so each bisection step is one array betainc call.
+scipy is imported at the first tail (`betainc`), so importing this module,
+the planners and the dephase protocol load no scipy.
 
 Coverage experiments need, of many records of one protocol, only how many
 certify above a limit and how many cannot certify: each protocol's counter
@@ -36,7 +38,6 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import betainc
 
 from .bounds import (
     DEFAULT_CONSTANTS,
@@ -47,9 +48,10 @@ from .bounds import (
 )
 from .entropy import binary_entropy
 from .errors import ProtocolInvalidError, ValidationError, _check_finite, _check_level
-# the record layer, which loads no scipy; re-exported so that callers may
-# import it from either module
+# the record layer; re-exported so that callers may import it from either
+# module
 from .records import (  # noqa: F401
+    _MAX_SHOTS,
     HT_LABELS,
     PROTOCOLS,
     WITNESS_LABELS,
@@ -102,6 +104,16 @@ def _check_binomial_args(k, n, delta: float) -> None:
     if n <= 0 or k < 0 or k > n:
         raise ValidationError(f"invalid counts k={k}, N={n}")
     _check_level("delta", delta)
+
+
+def betainc(a, b, x):
+    """scipy.special.betainc, imported at the first binomial tail: this
+    function rebinds the module's name to the ufunc and forwards the call,
+    so later tails call the ufunc directly and nothing else loads scipy."""
+    global betainc
+    from scipy.special import betainc
+
+    return betainc(a, b, x)
 
 
 def _binom_cdf(k: int, n: int):
@@ -214,6 +226,16 @@ def ht_protocol(record: MeasurementRecord, eta: float, delta: float) -> Certifie
     )
 
 
+def _planned(size: float) -> int:
+    """A planner's sample size, size rounded up after _PLAN_SLACK, within
+    the shot range of one count (records._MAX_SHOTS)."""
+    n = math.ceil(size - _PLAN_SLACK)
+    if n > _MAX_SHOTS:
+        raise ValidationError(f"the planned sample size {n} is past the shot range "
+                              "[1, 2**63 - 1]")
+    return n
+
+
 def _pow2(bits: float) -> float:
     """2^bits for a finite exponent, inf where that overflows a float."""
     return 2.0**bits if bits < 1024 else math.inf
@@ -229,7 +251,7 @@ def ht_sample_plan(target_bits: float, delta: float) -> int:
     if not size < math.inf:
         raise ValidationError(
             f"the sample size 2^L ln(1/delta) for target L = {target_bits} bits overflows a float")
-    return math.ceil(size - _PLAN_SLACK)
+    return _planned(size)
 
 
 def witness_protocol(
@@ -300,7 +322,7 @@ def witness_sample_plan(
         raise ValidationError(
             f"the sample size ln(1/delta) / (2 (p0 - p*)^2) for p0 = {p0} and p* = {p_star} "
             "overflows a float")
-    return math.ceil(size - _PLAN_SLACK)
+    return _planned(size)
 
 
 def _dephase_value(counts: np.ndarray, n: int, m: int, delta: float):

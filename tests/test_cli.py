@@ -298,6 +298,18 @@ class TestSimulateAndCertify:
         assert isinstance(result.exception, SystemExit)
         assert "meta must be a mapping" in result.output
 
+    @pytest.mark.parametrize("n", [10**400, 2**64])
+    def test_a_count_past_the_shot_range_exits_2(self, runner, files, tmp_path, n):
+        _, ref, _ = files
+        path = tmp_path / "record.json"
+        path.write_text(json.dumps({
+            "protocol": "witness", "n": n, "counts": {"success": n - 5, "failure": 5}}))
+        result = runner.invoke(main, ["certify", "--reference", ref, "--record", str(path)])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr == (f"config error: {path}: count 'success' is past the shot "
+                                 "range [0, 2**63 - 1]\n")
+
     def test_fractional_witness_rank_exits_4(self, runner, files, tmp_path):
         _, ref, _ = files
         path = tmp_path / "record.json"
@@ -372,6 +384,11 @@ class TestPlan:
         # a plan of n = 0, which no record can certify
         (["hypothesis_test", "--target-bits", "10", "--delta", "1"], "delta 1.0 must be in (0,1)"),
         (["hypothesis_test", "--target-bits", "-1"], "target must be nonnegative, got -1.0"),
+        # plans that numpy's sampler could not draw nor a record hold
+        (["hypothesis_test", "--target-bits", "70"], "the planned sample size "
+         "3536736420070561415168 is past the shot range [1, 2**63 - 1]"),
+        (["witness", "--target-bits", "2", "--p0", "0.5000000001", "--dr", "8"],
+         "the planned sample size 149786588890902659072 is past the shot range"),
     ])
     def test_bad_plan_inputs_exit_4(self, runner, args, message):
         result = runner.invoke(main, ["plan", "--protocol", *args])

@@ -1,4 +1,4 @@
-"""The import graph: scipy loads only on the paths that certify, the
+"""The import graph: scipy loads only at a binomial tail, the
 package keeps every public name, whichever module defines it, and `errors`
 alone raises the level and finiteness messages."""
 
@@ -46,7 +46,8 @@ EXPORTS = {
 }
 
 # runs CLI commands in one interpreter and prints, after each step, whether
-# scipy has been loaded
+# scipy has been loaded; only the last step, a witness certificate, computes
+# a binomial tail
 CHILD = """
 import sys
 
@@ -65,7 +66,7 @@ def run(*args):
         assert exc.code in (0, None), (args, exc.code)
     loaded(args[0] if args[0] != "--help" else "help")
 
-state, ref, windows, trace, record, out = sys.argv[1:]
+state, ref, windows, trace, record, dephase, out = sys.argv[1:]
 run("--help")
 run("compute", "--state", state, "--reference", ref, "--out", out)
 for protocol in ("hypothesis_test", "witness", "dephase"):
@@ -75,8 +76,22 @@ run("sweep", "--state", state, "--reference", ref, "--windows", windows, "--out"
 run("rect", "--sigma-avail", "2", "--delta-t", "3", "--c-opt", "1", "--s-e", "1.5",
     "--gamma-j", "1", "--out", out)
 run("thermo", "--trace", trace, "--gamma-r", "2", "--out", out)
+run("plan", "--protocol", "hypothesis_test", "--target-bits", "20", "--out", out)
+run("plan", "--protocol", "witness", "--target-bits", "1", "--p0", "0.5", "--dr", "8",
+    "--out", out)
+run("certify", "--reference", ref, "--record", dephase, "--out", out)
+run("coverage", "--state", state, "--reference", ref, "--protocol", "dephase",
+    "--trials", "20", "--n", "100", "--out", out)
 run("certify", "--reference", ref, "--record", record, "--out", out)
 """
+
+
+def run_child(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter that imports this checkout's rcc."""
+    src = str(Path(rcc.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                          env=env, timeout=300)
 
 
 def test_scipy_loads_only_when_something_certifies(tmp_path):
@@ -89,23 +104,33 @@ def test_scipy_loads_only_when_something_certifies(tmp_path):
                                      {"xi": 1.0, "blocks": [[0, 1, 2, 3]]}]},
         "record.json": {"protocol": "witness", "n": 100,
                         "counts": {"success": 90, "failure": 10}},
+        "dephase.json": {"protocol": "dephase", "n": 100, "counts": {"0": 60, "1": 40}},
     }
     for name, payload in files.items():
         (tmp_path / name).write_text(json.dumps(payload))
     (tmp_path / "trace.csv").write_text("t,Pi,T,C\n0,0.5,3,0\n1,0.5,3,1\n2,0.5,3,2\n")
     args = [str(tmp_path / n) for n in ("state.json", "ref.json", "windows.json", "trace.csv",
-                                        "record.json", "out.json")]
-    src = str(Path(rcc.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run([sys.executable, "-c", CHILD, *args], capture_output=True, text=True,
-                          env=env, timeout=300)
+                                        "record.json", "dephase.json", "out.json")]
+    proc = run_child(CHILD, *args)
     assert proc.returncode == 0, proc.stderr
     steps = [line.split()[1:] for line in proc.stdout.splitlines() if line.startswith("step:")]
     assert [s for s, _ in steps] == [
         "import-rcc", "import-rcc.cli", "help", "compute", "simulate", "simulate", "simulate",
-        "sweep", "rect", "thermo", "certify",
+        "sweep", "rect", "thermo", "plan", "plan", "certify", "coverage", "certify",
     ]
-    assert [flag for _, flag in steps] == ["False"] * 10 + ["True"]
+    assert [flag for _, flag in steps] == ["False"] * 14 + ["True"]
+
+
+def test_rcc_stats_imports_scipy_at_its_first_tail():
+    proc = run_child("""
+import sys
+import rcc.stats
+assert "scipy" not in sys.modules
+rcc.stats.clopper_pearson_upper(3, 100, 0.05)
+import scipy.special
+assert rcc.stats.betainc is scipy.special.betainc
+""")
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_every_exported_name_resolves_to_its_defining_object():

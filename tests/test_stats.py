@@ -103,6 +103,9 @@ class TestClopperPearson:
                 upper, k, n, delta).hex()
 
     def test_a_bisected_endpoint_builds_one_tail_and_calls_betainc_34_times(self, monkeypatch):
+        # the first tail rebinds stats.betainc from its scipy importer to the
+        # ufunc, so the spy wraps the ufunc whatever ran before this test
+        clopper_pearson_upper(1, 2, 0.5)
         tails, steps = [], []
         binom_cdf, betainc = stats._binom_cdf, stats.betainc
         monkeypatch.setattr(stats, "_binom_cdf", lambda k, n: tails.append((k, n))
@@ -366,6 +369,12 @@ class TestPlanners:
             assert witness_sample_plan(p0, -target / 8, 1, 4, delta) == math.ceil(
                 math.log(1.0 / delta) / (2.0 * (p0 - 2.0 ** (-target / 8) / 4) ** 2) - slack)
 
+    def test_plans_stay_in_the_shot_range(self):
+        # 2^62 ln 2 fits the sampler's n <= 2**63 - 1; 2^63 ln 20 does not
+        assert ht_sample_plan(62, 0.5) == math.ceil(2.0**62 * math.log(2.0))
+        with pytest.raises(ValidationError, match=r"past the shot range \[1, 2\*\*63 - 1\]"):
+            ht_sample_plan(63, 0.05)
+
     def test_witness_plan_example(self):
         # p* = 0.8 realized as 2^2 * 1 / 5
         assert witness_sample_plan(0.9, 2.0, 1, 5, 0.05) == 150
@@ -575,6 +584,13 @@ class TestRecordValidation:
     def test_meta_must_be_a_mapping(self):
         with pytest.raises(ValidationError, match="meta"):
             MeasurementRecord("witness", 10, {"success": 9, "failure": 1}, meta=[1])
+
+    def test_counts_stay_in_the_shot_range(self):
+        top = 2**63 - 1
+        record = MeasurementRecord("witness", 2 * top, {"success": top, "failure": top})
+        assert witness_protocol(record, full_reference(2), 1, 0.05).params["p_lower"] < 0.5
+        with pytest.raises(ValidationError, match=r"count 'failure' is past the shot range"):
+            MeasurementRecord("witness", top + 2, {"success": 1, "failure": top + 1})
 
     def test_numpy_integer_counts_accepted(self):
         record = MeasurementRecord("witness", np.int64(10), {"success": np.int64(7), "failure": 3})

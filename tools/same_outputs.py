@@ -6,8 +6,9 @@ OLD_SRC and NEW_SRC are directories holding the `rcc` package (a
 checkout's `src`). Each tree runs one fixed, seeded battery in its own
 child process, which prints every output leaf as one JSON object; this
 process compares the two. The battery covers a grid of Clopper-Pearson
-endpoints, coverage summaries, simulated records and their certificates,
-`pipeline` reports (apart from `timestamp`) and the CLI's `certify` output
+endpoints, the two planners' sample sizes, coverage summaries, simulated
+records and their certificates, `pipeline` reports (apart from
+`timestamp`) and the CLI's `certify` output
 (stdout, stderr and exit code). An output that raises an `RccError` is
 compared by its exception type and message. `--small` runs a shorter
 battery.
@@ -41,6 +42,11 @@ COVERAGE = [(0, 2000, 0.05, 0.25, 200, 0.5, 1), (7, 50, 0.2, 0.3, 300, 0.7, 2),
 ENDPOINT_N = [1, 7, 100, 2000, 12345, 10**6, 3216643036, 10**12]
 ENDPOINT_DELTA = [1e-9, 1e-4, 0.025, 0.05, 0.3]
 PLAN_BITS = (10, 20, 30)
+# ht_sample_plan's (target_bits, delta) and witness_sample_plan's
+# (p0, target_bits, rank, d_R, delta)
+HT_PLANS = [(0, 0.05), (10, 0.05), (20, 1e-6), (30, 0.25), (40, 5e-324), (12.3, 0.01)]
+WITNESS_PLANS = [(0.9, 2.0, 1, 5, 0.05), (0.5, 1, 1, 8, 5e-324), (0.99, -3.0, 2, 64, 1e-9),
+                 (0.3, 0.5, 3, 16, 0.2)]
 
 
 def _leaves(obj, path: str, out: dict) -> None:
@@ -141,6 +147,9 @@ def battery(src: str, small: bool) -> dict:
                              "upper": stats.clopper_pearson_upper(k, n, delta),
                              "lower": stats.clopper_pearson_lower(k, n, delta)})
     _leaves(grid, "endpoints", out)
+    plans = [_guard(lambda: stats.ht_sample_plan(*args)) for args in HT_PLANS]
+    plans += [_guard(lambda: stats.witness_sample_plan(*args)) for args in WITNESS_PLANS]
+    _leaves(plans, "plans", out)
 
     rng = np.random.default_rng(20261019)
     cases = []
