@@ -102,6 +102,10 @@ constants_opt = click.option(
     help="JSON with c1, c1_prime, c2_prime (and hbar, k_b for thermo).",
 )
 seed_opt = click.option("--seed", type=int, default=0, show_default=True)
+test_calibration_opt = click.option(
+    "--test-calibration", type=float, default=0.5, show_default=True,
+    help="Fraction of eta, in (0, 1), at which the simulated test is calibrated.",
+)
 out_opt = click.option("--out", type=click.Path(), help="Write output here instead of stdout.")
 unit_opt = click.option(
     "--unit", type=click.Choice(_UNITS), default="structons",
@@ -197,8 +201,7 @@ def certify(reference_path, state_path, record_paths, delta, eta, epsilon,
 @click.option("--n", "n_samples", type=int, default=2000, show_default=True)
 @seed_opt
 @eta_opt
-@click.option("--test-calibration", type=float, default=0.5, show_default=True,
-              help="Fraction of eta at which the simulated test is calibrated.")
+@test_calibration_opt
 @click.option("--witness-rank", type=int, default=1, show_default=True)
 @click.option("--witness", "witness_path", type=click.Path(),
               help="Witness projector matrix (state-file layout).")
@@ -267,7 +270,7 @@ def plan(protocol, target_bits, delta, p0, rank, d_r, out):
 @click.option("--n", "n_samples", type=int, default=2000, show_default=True)
 @delta_opt
 @eta_opt
-@click.option("--test-calibration", type=float, default=0.5, show_default=True)
+@test_calibration_opt
 @click.option("--witness-rank", type=int, default=1, show_default=True)
 @seed_opt
 @out_opt

@@ -98,9 +98,14 @@ def spectral_skew(rho: DensityOperator) -> EntropyValue:
 
 
 def reference_overlap(rho: DensityOperator, ref: ReferenceSet) -> float:
-    """Tr(Pi_R rho), the mass retained inside the reference subspace."""
+    """Tr(Pi_R rho), the mass retained inside the reference subspace: the
+    sum of rho's diagonal over a coordinate reference's index set, otherwise
+    one O(d^2) overlap of the two matrices."""
     if rho.dim != ref.dim:
         raise ValidationError(f"dimension mismatch: state {rho.dim}, reference {ref.dim}")
+    indices = ref.coordinate_indices
+    if indices is not None:
+        return float(rho.matrix.diagonal()[indices].real.sum())
     # Pi_R is Hermitian, so the trace is the elementwise sum of conj(Pi_R) * rho
     return float(np.vdot(ref.total.matrix, rho.matrix).real)
 

@@ -7,14 +7,17 @@ flat on H_R, so each designed measurement's distribution is a function of
 rho's spectrum, which validation already holds: the test and the default
 witness read rho's top d_R eigenvalues, those of C = V^dag rho V in the
 reference support basis V, and need a state supported in H_R; dephasing
-reads C's diagonal. A supplied witness projector P is read as one trace,
-Tr(P rho), and no d x d effect is sampled. Randomness comes from Philox, a
-named 64-bit counter-based generator; independent streams are derived from
-the master seed with spawn keys, the first of which is the protocol's
-position in `records.PROTOCOLS`. A record draws all its distributions on one
-stream; coverage draws distribution j of every trial on the stream (seed,
-protocol, j) in one call, so coverage experiments are order-independent and
-bit-reproducible across platforms.
+reads C's diagonal, which over a coordinate reference (its H_R spanned by
+computational basis vectors, `ReferenceSet.coordinate_indices`) is a
+gather of rho's diagonal at the reference's index set. A supplied witness
+projector P is read as one trace, Tr(P rho), and no d x d effect is
+sampled. Randomness comes from Philox, a named 64-bit counter-based
+generator; independent streams are derived from the master seed with spawn
+keys, the first of which is the protocol's position in `records.PROTOCOLS`.
+A record draws all its distributions on one stream; coverage draws
+distribution j of every trial on the stream (seed, protocol, j) in one
+call, so coverage experiments are order-independent and bit-reproducible
+across platforms.
 """
 
 from __future__ import annotations
@@ -160,9 +163,15 @@ def _witness_setup(rho, ref, eta, test_calibration, witness_rank, witness_projec
 
 def _dephase_setup(rho, ref, *_):
     # outcomes: the d_R reference basis vectors, p_i = C_ii with C = V^dag
-    # rho V, then the leak I - Pi_R, whose mass is Tr(rho) - Tr(C)
-    basis = ref.support_basis()
-    diagonal = (basis.conj().T @ rho.matrix @ basis).diagonal()
+    # rho V, then the leak I - Pi_R, whose mass is Tr(rho) - Tr(C); over a
+    # coordinate reference V is the identity columns of its index set, so C's
+    # diagonal is a gather of rho's, the same doubles
+    indices = ref.coordinate_indices
+    if indices is not None:
+        diagonal = rho.matrix.diagonal()[indices]
+    else:
+        basis = ref.support_basis()
+        diagonal = (basis.conj().T @ rho.matrix @ basis).diagonal()
     p = np.clip(diagonal.real, 0.0, None)
     kept = float(diagonal.sum().real)
     leak = float(np.trace(rho.matrix).real) - kept
@@ -235,13 +244,19 @@ def _outcome_setup(
     (entropy._supported_spectrum), so both raise LeakageError on a leaking
     state, a supplied witness projector P (checked by
     records._witness_projector_rank) is read as one trace Tr(P rho), and
-    dephasing reads the diagonal of C = V^dag rho V. target() is the exact
-    value in bits that the protocol's certified bound targets, built from
-    the same pieces and computed only when read: a record never pays for
-    the test's divergence, nor divides by a leaked state's retained mass.
+    dephasing reads the diagonal of C = V^dag rho V, gathered from rho's
+    diagonal when the reference is an index set (coordinate_indices), so
+    neither V nor C is formed. test_calibration, the fraction of eta at
+    which the test is calibrated, must lie in (0, 1) for every protocol,
+    so that a run is rejected alike whichever protocols it selects.
+    target() is the exact value in bits that the protocol's certified bound
+    targets, built from the same pieces and computed only when read: a
+    record never pays for the test's divergence, nor divides by a leaked
+    state's retained mass.
     """
     if rho.dim != ref.dim:
         raise ValidationError(f"dimension mismatch: state {rho.dim}, reference {ref.dim}")
+    _check_level("test_calibration", test_calibration)
     return _protocol(protocol).setup(
         rho, ref, eta, test_calibration, witness_rank, witness_projector)
 
@@ -307,7 +322,8 @@ class RunConfig:
     echo: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for name, x in (("delta", self.delta), ("eta", self.eta), ("epsilon", self.epsilon)):
+        for name, x in (("delta", self.delta), ("eta", self.eta), ("epsilon", self.epsilon),
+                        ("test_calibration", self.test_calibration)):
             _check_level(name, x)
         _check_seed(self.seed)
         bad = [p for p in self.protocols if p != "exact" and p not in PROTOCOLS]

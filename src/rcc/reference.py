@@ -16,7 +16,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import ExclusiveSectorsError, ValidationError, _check_level
-from .operators import Projector, as_projector, eig_hermitian
+from .operators import Projector, _is_diagonal, as_projector, eig_hermitian
 
 COMMUTATOR_TOL = 1e-10
 
@@ -34,7 +34,9 @@ class ReferenceSet:
 
     The implied reference state sigma_R = total/d_R is represented by
     the total projector, of rank d_R, and materialized on demand by
-    `sigma_matrix`.
+    `sigma_matrix`. A coordinate reference, whose H_R is spanned by
+    computational basis vectors (sectors, blocks, Z-type code spaces), is
+    also read as the index set of those vectors, `coordinate_indices`.
     """
 
     total: Projector
@@ -59,6 +61,21 @@ class ReferenceSet:
 
     def sigma_matrix(self) -> np.ndarray:
         return self.total.matrix / self.d_r
+
+    @cached_property
+    def coordinate_indices(self) -> np.ndarray | None:
+        """The sorted indices i with (Pi_R)_ii = 1, read-only, when Pi_R is
+        a diagonal of exact 0s and 1s, so that H_R is spanned by those
+        basis vectors and support_basis() is their identity columns in
+        this order; None otherwise. A readout of rho inside H_R is then a
+        gather of rho's diagonal."""
+        m = self.total.matrix
+        diagonal = m.diagonal()
+        if not (_is_diagonal(m) and np.all((diagonal == 0.0) | (diagonal == 1.0))):
+            return None
+        indices = np.flatnonzero(diagonal)
+        indices.flags.writeable = False
+        return indices
 
     @cached_property
     def _support_basis(self) -> np.ndarray:

@@ -118,8 +118,8 @@ def betainc(a, b, x):
 
 def _binom_cdf(k: int, n: int):
     """P(X <= k) for X ~ Binomial(n, p) as a function of p, for
-    -1 <= k <= n and 0 <= p <= 1 (the points a bisection visits and the cell
-    edges), via the incomplete beta I_{1-p}(n - k, k + 1).
+    -1 <= k <= n and 0 <= p <= 1 (the points a bisection visits), via the
+    incomplete beta I_{1-p}(n - k, k + 1).
 
     The shape parameters are converted to doubles once, into one-element
     arrays; each evaluation writes 1 - p into a third and makes one array
@@ -403,9 +403,18 @@ def _threshold(upper: bool, n: int, delta: float, passes) -> int:
     is compared only where the search ends next to it.
     """
     cell = bisect_left(range(_CELLS), True, key=lambda j: passes((j + 0.5) / _CELLS))
+    x = 1.0 - cell / _CELLS
+
+    # _above(upper, k, n, delta) at the edge: the tail _binom_cdf(k, n), or
+    # _binom_cdf(k - 1, n) for the lower side, as one scalar betainc call,
+    # the same ufunc loop and so the same double
+    def reaches(k: int) -> bool:
+        if upper:
+            return betainc(float(n - k), float(k + 1), x) - delta > 0
+        return not (1.0 - betainc(float(n - k + 1), float(k), x)) - delta > 0
+
     first = 0 if upper else 1
-    k = first + bisect_left(range(first, first + n), True,
-                            key=lambda k: _above(upper, k, n, delta)(cell / _CELLS))
+    k = first + bisect_left(range(first, first + n), True, key=reaches)
     if upper:
         return k if k < n or passes(1.0) else n + 1
     return 0 if k == 1 and passes(0.0) else k

@@ -429,6 +429,19 @@ class TestCoverage:
             "undefined, use the smoothed reference scheme instead\n")
 
 
+class TestTestCalibration:
+    @pytest.mark.parametrize("command", ["simulate", "coverage"])
+    @pytest.mark.parametrize("protocol", ["hypothesis_test", "witness", "dephase"])
+    @pytest.mark.parametrize("calibration", ["nan", "0", "1", "3"])
+    def test_a_calibration_outside_the_unit_interval_exits_4(self, runner, files, command,
+                                                             protocol, calibration):
+        state, ref, _ = files
+        result = runner.invoke(main, [command, "--state", state, "--reference", ref,
+                                      "--protocol", protocol, "--test-calibration", calibration])
+        assert result.exit_code == 4, result.output
+        assert result.stderr == f"error: test_calibration {float(calibration)} must be in (0,1)\n"
+
+
 class TestSweep:
     def test_csv_output(self, runner, files, tmp_path):
         state, ref, _ = files

@@ -132,6 +132,20 @@ class TestSimulateRecord:
         alpha = float(np.trace(t @ ref.sigma_matrix()).real)
         assert alpha == pytest.approx(0.125, abs=1e-12)
 
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    @pytest.mark.parametrize("calibration", [math.nan, 0.0, 1.0, 3.0])
+    def test_a_calibration_outside_the_unit_interval_is_rejected(self, small_setup, protocol,
+                                                                 calibration):
+        # every simulation goes through _outcome_setup and every run through
+        # RunConfig, so each rejects it whatever the protocol
+        rho, ref = small_setup
+        message = re.escape(f"test_calibration {calibration} must be in (0,1)")
+        with pytest.raises(ValidationError, match=message):
+            simulate_record(rho, ref, protocol, 400, seed=3, test_calibration=calibration)
+        with pytest.raises(ValidationError, match=message):
+            RunConfig(state=rho, reference=ref, protocols=(protocol,),
+                      test_calibration=calibration)
+
     @pytest.mark.parametrize("scale", [2.0, -1.0])
     def test_witness_projector_outside_zero_and_identity_rejected(self, small_setup, scale):
         rho, ref = small_setup
@@ -507,14 +521,22 @@ class TestBatchedCoverage:
         # 500 trials certified one by one would evaluate 1,500 endpoints, and
         # a full bisection makes 34 tail evaluations per endpoint; a column's
         # threshold count costs at most ceil(log2(n + 2)) tail evaluations,
-        # whatever the number of trials, and no bisection
+        # whatever the number of trials, each one betainc call, and no
+        # bisection
         def no_bisection(*args):
             raise AssertionError("coverage bisected an endpoint")
 
+        def no_tail_function(*args):
+            raise AssertionError("coverage built a tail function")
+
         tails = []
-        binom_cdf = stats._binom_cdf
+        # the first tail rebinds stats.betainc to scipy's ufunc, which the
+        # spy must wrap, or that first call would rebind the name over it
+        stats.clopper_pearson_upper(1, 2, 0.5)
+        betainc = stats.betainc
         monkeypatch.setattr(stats, "_bisect", no_bisection)
-        monkeypatch.setattr(stats, "_binom_cdf", lambda *args: tails.append(1) or binom_cdf(*args))
+        monkeypatch.setattr(stats, "_binom_cdf", no_tail_function)
+        monkeypatch.setattr(stats, "betainc", lambda *args: tails.append(1) or betainc(*args))
         rho, ref = state_and_ref
         config = RunConfig(state=rho, reference=ref, protocols=PROTOCOLS, n_samples=400, seed=11)
         costs = []

@@ -5,8 +5,12 @@ exact pipeline must eigensolve rho once; the reference support basis is
 built once per reference set; each protocol's outcome distributions are set
 up once per run, so coverage eigensolves as often at any trial count; and
 sampling from those distributions draws exactly the counts of the explicit
-POVM it replaces.
+POVM it replaces. A coordinate reference is read as an index set: its
+retained mass and dephase distribution are gathers of rho's diagonal, the
+same numbers as the reads through its support basis.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -14,8 +18,10 @@ from hypothesis import given, settings, strategies as st
 
 from rcc import (
     DensityOperator,
+    ReferenceSet,
     RunConfig,
     block_reference,
+    build_reference,
     coverage_experiment,
     pipeline,
     sector_reference,
@@ -24,7 +30,9 @@ from rcc import (
     stream,
     validate_density,
 )
-from rcc.entropy import _supported_spectrum
+from rcc.entropy import DEFAULT_LEAK_TOL, _supported_spectrum, reference_overlap
+from rcc.harness import _dephase_setup
+from rcc.records import PROTOCOLS
 from rcc.harness import default_witness_projector, optimal_test_projector
 from conftest import full_reference, random_density
 from oracles import explicit_povm_counts
@@ -248,3 +256,82 @@ class TestWitnessAndTestRecordIdentity:
                 **{f"alt_{k}": v for k, v in alt.items()},
             }
             assert record.n == 4000 and record.meta == {"eta": 0.25, "eta_test": 0.125}
+
+
+# coordinate references, each with its support worked out from its construction
+COORDINATE = {
+    "sector": (lambda: sector_reference(6, 3, 2, 6),
+               [i for i in range(64) if bin(i).count("1") == 3]),
+    # (2, 3, 4): basis states 0-2 and 4-6 of 8; (3, 2): all of 8-13
+    "block": (lambda: block_reference([(2, 3, 4), (3, 2)], 2, 3),
+              [0, 1, 2, 4, 5, 6, 8, 9, 10, 11, 12, 13]),
+    # the first letter is the most significant bit: bits 3 = 2 and 1 = 0
+    "z-stabilizer": (lambda: stabilizer_reference(4, ["ZZII", "IIZZ"], 2, 4), [0, 3, 12, 15]),
+    "projectors": (lambda: build_reference(
+        [np.diag([1.0, 1, 1, 1, 0, 0, 0, 0]), np.diag([1.0, 0, 1, 0, 1, 0, 1, 0])], 2, 2), [0, 2]),
+}
+HADAMARD_PLUS = np.full((2, 2), 0.5)
+
+
+def dense(ref):
+    """The same reference read through its support basis: a copy whose index
+    set is None."""
+    copy = dataclasses.replace(ref)
+    vars(copy)["coordinate_indices"] = None
+    return copy
+
+
+def coordinate_states(rng, ref):
+    """A mixed and a pure state inside H_R and a full-rank state that leaks."""
+    basis = dense(ref).support_basis()
+    v = basis @ (rng.normal(size=ref.d_r) + 1j * rng.normal(size=ref.d_r))
+    v /= np.linalg.norm(v)
+    return [subspace_state(rng, ref), validate_density(np.outer(v, v.conj())),
+            random_density(rng, ref.dim)]
+
+
+class TestCoordinateReferences:
+    @pytest.mark.parametrize("kind", sorted(COORDINATE))
+    def test_the_index_set_is_the_sorted_support(self, kind):
+        factory, support = COORDINATE[kind]
+        ref = factory()
+        indices = ref.coordinate_indices
+        assert indices.tolist() == support
+        assert ref.coordinate_indices is indices and not indices.flags.writeable
+        assert np.array_equal(ref.support_basis(), np.eye(ref.dim)[:, indices])
+
+    @pytest.mark.parametrize("ref", [
+        REFERENCES["stabilizer"](),
+        build_reference([np.kron(HADAMARD_PLUS, np.eye(2))], 2, 2),
+        build_reference([np.kron(np.diag([1.0, 0.0]), HADAMARD_PLUS)], 2, 2),
+    ], ids=["XXIII-IIZZI", "rotated", "diagonal-times-rotated"])
+    def test_a_reference_not_spanned_by_basis_vectors_has_no_index_set(self, rng, ref):
+        assert ref.coordinate_indices is None
+        rho = random_density(rng, ref.dim)
+        assert reference_overlap(rho, ref) == float(np.vdot(ref.total.matrix, rho.matrix).real)
+
+    @pytest.mark.parametrize("kind", sorted(COORDINATE))
+    def test_the_gathered_reads_match_the_support_basis_reads(self, rng, kind):
+        # the dephase distribution and target bit for bit, the retained mass
+        # within 4 ULPs (a different summation order) and the same leak decision
+        ref = COORDINATE[kind][0]()
+        for rho in coordinate_states(rng, ref):
+            labels, dists, meta, target = _dephase_setup(rho, ref)
+            dense_labels, dense_dists, dense_meta, dense_target = _dephase_setup(rho, dense(ref))
+            assert (labels, meta) == (dense_labels, dense_meta)
+            assert dists[0].tobytes() == dense_dists[0].tobytes()
+            assert target() == dense_target()
+            kept, dense_kept = reference_overlap(rho, ref), reference_overlap(rho, dense(ref))
+            assert abs(kept - dense_kept) <= 4 * np.spacing(dense_kept)
+            assert (kept < 1.0 - DEFAULT_LEAK_TOL) == (dense_kept < 1.0 - DEFAULT_LEAK_TOL)
+
+    @pytest.mark.parametrize("kind", sorted(COORDINATE))
+    def test_a_coordinate_run_never_builds_the_support_basis(self, rng, monkeypatch, kind):
+        ref = COORDINATE[kind][0]()
+        rho = subspace_state(rng, ref)
+        monkeypatch.setattr(ReferenceSet, "support_basis",
+                            lambda self: pytest.fail("built the support basis"))
+        config = RunConfig(state=rho, reference=ref, protocols=PROTOCOLS, n_samples=200)
+        coverage_experiment(config, trials=20)
+        simulate_record(rho, ref, "dephase", 400, seed=1)
+        assert "_support_basis" not in vars(ref)

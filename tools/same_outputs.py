@@ -34,6 +34,10 @@ REFERENCES = [
     {"type": "stabilizer", "g": 2, "addressable_units": 3, "n_qubits": 3,
      "generators": ["ZZI"]},
     {"type": "blocks", "g": 3, "addressable_units": 2, "blocks": [[2, 1], [1, 2, 3]]},
+    # an X-type generator: H_R is not spanned by basis vectors, so the battery
+    # also covers the references read through a dense support basis
+    {"type": "stabilizer", "g": 2, "addressable_units": 3, "n_qubits": 3,
+     "generators": ["XXI"]},
 ]
 # (seed, n_samples, delta, eta, trials, test_calibration, witness_rank)
 COVERAGE = [(0, 2000, 0.05, 0.25, 200, 0.5, 1), (7, 50, 0.2, 0.3, 300, 0.7, 2),
