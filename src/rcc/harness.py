@@ -41,7 +41,7 @@ from .records import (
     _MAX_SHOTS, HT_LABELS, PROTOCOLS, WITNESS_LABELS, MeasurementRecord, _check_witness_rank,
     _is_integer, _witness_projector_rank, _witness_value,
 )
-from .windows import WindowFamily, windowed_entropy_bits, windowed_rcc
+from .windows import WindowFamily, _windowed_complexity, windowed_entropy_bits
 
 if TYPE_CHECKING:
     from .stats import CertifiedBound
@@ -136,32 +136,32 @@ def default_witness_projector(rho: DensityOperator, ref: ReferenceSet, rank: int
     return v @ v.conj().T
 
 
-def _ht_setup(rho, ref, eta, test_calibration, *_):
+def _ht_setup(rho, ref, config, projector):
     # the waterfilling test T at eta_test accepts H1 with probability eta_test
     # on sigma_R (the null calibration) and w . mu on rho, mu its top d_R
-    eta_test = eta * test_calibration
+    eta_test = config.eta * config.test_calibration
     accept = float(_waterfill_weights(ref.d_r, eta_test) @ _supported_spectrum(rho, ref))
     dists = [_normalised([p, 1.0 - p]) for p in (eta_test, accept)]
-    return list(HT_LABELS), dists, {"eta": eta, "eta_test": eta_test}, (
-        lambda: hypothesis_testing_divergence(rho, ref, eta).bits)
+    return list(HT_LABELS), dists, {"eta": config.eta, "eta_test": eta_test}, (
+        lambda: hypothesis_testing_divergence(rho, ref, config.eta).bits)
 
 
-def _witness_setup(rho, ref, eta, test_calibration, witness_rank, witness_projector):
+def _witness_setup(rho, ref, config, projector):
     # a projector succeeds with Tr(P rho): the designed one onto rho's top r
     # eigenvectors with their sum, a supplied one with one trace; a leaking
     # state has an infinite D_max, so neither has a finite target
     spectrum = _supported_spectrum(rho, ref)
-    if witness_projector is None:
-        _check_witness_rank(witness_rank, ref.d_r)
-        rank, success = witness_rank, float(spectrum[:witness_rank].sum())
+    if projector is None:
+        _check_witness_rank(config.witness_rank, ref.d_r)
+        rank, success = config.witness_rank, float(spectrum[:config.witness_rank].sum())
     else:
-        proj = np.asarray(witness_projector, dtype=complex)
+        proj = np.asarray(projector, dtype=complex)
         rank, success = _witness_projector_rank(proj, ref), float(np.vdot(rho.matrix, proj).real)
     return list(WITNESS_LABELS), [_normalised([success, 1.0 - success])], {"rank": rank}, (
         lambda: _witness_value(success, ref.d_r, rank))
 
 
-def _dephase_setup(rho, ref, *_):
+def _dephase_setup(rho, ref, config, projector):
     # outcomes: the d_R reference basis vectors, p_i = C_ii with C = V^dag
     # rho V, then the leak I - Pi_R, whose mass is Tr(rho) - Tr(C); over a
     # coordinate reference V is the identity columns of its index set, so C's
@@ -232,33 +232,31 @@ def _protocol(name: str) -> _Protocol:
 
 
 def _outcome_setup(
-    rho: DensityOperator, ref: ReferenceSet, protocol: str, eta: float, test_calibration: float,
-    witness_rank: int, witness_projector=None,
+    config: RunConfig, protocol: str, witness_projector=None,
 ) -> tuple[list, list[np.ndarray], dict, Callable[[], float]]:
-    """Per-run setup of one protocol on rho: (labels, distributions, meta,
-    target).
+    """Per-run setup of one protocol: (labels, distributions, meta, target).
 
-    A record draws n shots from each distribution in order; the labels run
-    over the outcomes of all of them. Nothing is eigensolved and no effect
-    is built: the test and the witness read rho's validated spectrum
+    The state, reference, eta, test calibration and witness rank are the
+    config's, whose levels and seed RunConfig checked, so every entry point
+    rejects a bad one alike. Each setup is called as (rho, ref, config,
+    projector), with a supplied witness projector P or None. A record draws
+    n shots from each distribution in order; the labels run over the
+    outcomes of all of them. Nothing is eigensolved and no effect is built:
+    the test and the witness read rho's validated spectrum
     (entropy._supported_spectrum), so both raise LeakageError on a leaking
-    state, a supplied witness projector P (checked by
-    records._witness_projector_rank) is read as one trace Tr(P rho), and
-    dephasing reads the diagonal of C = V^dag rho V, gathered from rho's
-    diagonal when the reference is an index set (coordinate_indices), so
-    neither V nor C is formed. test_calibration, the fraction of eta at
-    which the test is calibrated, must lie in (0, 1) for every protocol,
-    so that a run is rejected alike whichever protocols it selects.
-    target() is the exact value in bits that the protocol's certified bound
-    targets, built from the same pieces and computed only when read: a
-    record never pays for the test's divergence, nor divides by a leaked
-    state's retained mass.
+    state, P (checked by records._witness_projector_rank) is read as one
+    trace Tr(P rho), and dephasing reads the diagonal of C = V^dag rho V,
+    gathered from rho's diagonal when the reference is an index set
+    (coordinate_indices), so neither V nor C is formed. target() is the
+    exact value in bits that the protocol's certified bound targets, built
+    from the same pieces and computed only when read: a record never pays
+    for the test's divergence, nor divides by a leaked state's retained
+    mass.
     """
+    rho, ref = config.state, config.reference
     if rho.dim != ref.dim:
         raise ValidationError(f"dimension mismatch: state {rho.dim}, reference {ref.dim}")
-    _check_level("test_calibration", test_calibration)
-    return _protocol(protocol).setup(
-        rho, ref, eta, test_calibration, witness_rank, witness_projector)
+    return _protocol(protocol).setup(rho, ref, config, witness_projector)
 
 
 def simulate_record(
@@ -279,8 +277,9 @@ def simulate_record(
     calibrated at eta * test_calibration so the type-I endpoint certifies
     below eta with headroom.
     """
-    outcomes = _outcome_setup(rho, ref, protocol, eta, test_calibration, witness_rank,
-                              witness_projector)
+    config = RunConfig(rho, ref, eta=eta, test_calibration=test_calibration,
+                       witness_rank=witness_rank, seed=seed)
+    outcomes = _outcome_setup(config, protocol, witness_projector)
     return _sample(protocol, outcomes[:3], n, stream(seed))
 
 
@@ -293,8 +292,8 @@ def protocol_ground_truth(
 ) -> float:
     """The exact value (in bits) that a protocol's certified bound targets:
     the target of its outcome setup, whose test calibration (here
-    simulate_record's default) moves the draws but not the target."""
-    return _outcome_setup(rho, ref, protocol, eta, 0.5, witness_rank)[3]()
+    RunConfig's default) moves the draws but not the target."""
+    return _outcome_setup(RunConfig(rho, ref, eta=eta, witness_rank=witness_rank), protocol)[3]()
 
 
 @dataclass(frozen=True)
@@ -455,8 +454,7 @@ def pipeline(config: RunConfig) -> dict:
         with _Stage(proto):
             record = config.records.get(proto)
             if record is None:
-                outcomes = _outcome_setup(rho, ref, proto, config.eta, config.test_calibration,
-                                          config.witness_rank)
+                outcomes = _outcome_setup(config, proto)
                 record = _sample(proto, outcomes[:3], config.n_samples,
                                  stream(config.seed, PROTOCOLS.index(proto)))
             certified.append(_protocol(proto).certify(record, config))
@@ -509,12 +507,10 @@ def coverage_experiment(config: RunConfig, trials: int) -> dict:
         raise ValidationError("coverage needs at least one statistical protocol")
     if config.state is None:
         raise ValidationError("coverage simulation requires a state")
-    rho, ref = config.state, config.reference
+    ref = config.reference
     results: dict = {}
     for proto in protocols:
-        labels, dists, meta, target = _outcome_setup(
-            rho, ref, proto, config.eta, config.test_calibration, config.witness_rank
-        )
+        labels, dists, meta, target = _outcome_setup(config, proto)
         truth = target()
         key = PROTOCOLS.index(proto)
         rngs = [stream(config.seed, key, j) for j in range(len(dists))]
@@ -552,5 +548,5 @@ def sweep_windows(
     rows = []
     for w in family.windows:
         s_bits = windowed_entropy_bits(rho, ref, w)
-        rows.append((w.xi, s_bits, windowed_rcc(rho, ref, w)))
+        rows.append((w.xi, s_bits, _windowed_complexity(ref, s_bits)))
     return rows

@@ -11,7 +11,6 @@ import csv
 import itertools
 import json
 import math
-import os
 from pathlib import Path
 
 import numpy as np
@@ -20,29 +19,15 @@ from .errors import ConfigError, ValidationError
 from .operators import DensityOperator, validate_density
 from .records import MeasurementRecord, _is_integer
 from .reference import (
+    DIM_CAP_ENV,
     ReferenceSet,
     block_reference,
     build_reference,
+    dim_cap,
     sector_reference,
     stabilizer_reference,
 )
 from .windows import BlockPartition, ObservationWindow, ProcessTrace, WindowFamily
-
-DEFAULT_DIM_CAP = 512
-DIM_CAP_ENV = "RCC_DIM_CAP"
-
-
-def dim_cap() -> int:
-    raw = os.environ.get(DIM_CAP_ENV)
-    if raw is None:
-        return DEFAULT_DIM_CAP
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{DIM_CAP_ENV}={raw!r} is not an integer") from exc
-    if cap < 1:
-        raise ConfigError(f"{DIM_CAP_ENV} must be >= 1")
-    return cap
 
 
 def _read_json(path) -> dict:

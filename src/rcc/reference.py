@@ -9,16 +9,19 @@ of every complexity figure in this package.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
 import numpy as np
 
-from .errors import ExclusiveSectorsError, ValidationError, _check_level
+from .errors import ConfigError, ExclusiveSectorsError, ValidationError, _check_level
 from .operators import Projector, _is_diagonal, as_projector, eig_hermitian
 
 COMMUTATOR_TOL = 1e-10
+DEFAULT_DIM_CAP = 512
+DIM_CAP_ENV = "RCC_DIM_CAP"
 
 _PAULI = {
     "I": np.eye(2, dtype=complex),
@@ -99,6 +102,26 @@ class ReferenceSet:
         return bool(np.linalg.norm(pa @ pb - pb) <= COMMUTATOR_TOL)
 
 
+def dim_cap() -> int:
+    """The largest dimension a state or reference may have: RCC_DIM_CAP, else 512."""
+    raw = os.environ.get(DIM_CAP_ENV)
+    if raw is None:
+        return DEFAULT_DIM_CAP
+    try:
+        cap = int(raw)
+    except ValueError as exc:
+        raise ConfigError(f"{DIM_CAP_ENV}={raw!r} is not an integer") from exc
+    if cap < 1:
+        raise ConfigError(f"{DIM_CAP_ENV} must be >= 1")
+    return cap
+
+
+def _check_dim_cap(dim: int, name: str) -> None:
+    """Reject a reference dimension, named `name`, past the cap, before it is built."""
+    if dim > dim_cap():
+        raise ValidationError(f"{name} exceeds the dimension cap {dim_cap()}")
+
+
 def _check_bandwidth(g: int, addressable_units: int) -> None:
     if g < 1 or addressable_units < 1:
         raise ValidationError("g and addressable_units must be >= 1")
@@ -155,11 +178,8 @@ def sector_reference(
         raise ValidationError(
             f"hamming weight {hamming_weight} out of range for {n_qubits} qubits"
         )
-    from .io import dim_cap  # local import to avoid a cycle
-
     dim = 2**n_qubits
-    if dim > dim_cap():
-        raise ValidationError(f"2^{n_qubits} exceeds the dimension cap {dim_cap()}")
+    _check_dim_cap(dim, f"2^{n_qubits}")
     diag = np.array(
         [1.0 if bin(i).count("1") == hamming_weight else 0.0 for i in range(dim)]
     )
@@ -199,11 +219,8 @@ def stabilizer_reference(
     for (i, a), (j, b) in combinations(enumerate(gens), 2):
         if _paulis_anticommute(a, b):
             raise ValidationError(f"generators {a!r} and {b!r} anticommute")
-    from .io import dim_cap
-
     dim = 2**n_qubits
-    if dim > dim_cap():
-        raise ValidationError(f"2^{n_qubits} exceeds the dimension cap {dim_cap()}")
+    _check_dim_cap(dim, f"2^{n_qubits}")
     eye = np.eye(dim, dtype=complex)
     projs = [0.5 * (eye + _pauli_string_matrix(s)) for s in gens]
     ref = build_reference(projs, g, addressable_units)
@@ -236,11 +253,8 @@ def block_reference(blocks, g: int, addressable_units: int) -> ReferenceSet:
         specs.append((d, r, m))
     if not specs:
         raise ValidationError("empty block list")
-    from .io import dim_cap
-
     dim = sum(d * m for d, _, m in specs)
-    if dim > dim_cap():
-        raise ValidationError(f"block dimension {dim} exceeds the dimension cap {dim_cap()}")
+    _check_dim_cap(dim, f"block dimension {dim}")
     diags = []
     for d, r, m in specs:
         q = np.concatenate([np.ones(r), np.zeros(m - r)])

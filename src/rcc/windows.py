@@ -114,7 +114,11 @@ def windowed_rcc(
     Never exceeds the unwindowed complexity; equals it when the window's
     single block spans the whole space.
     """
-    s_bits = windowed_entropy_bits(rho, ref, window)
+    return _windowed_complexity(ref, windowed_entropy_bits(rho, ref, window))
+
+
+def _windowed_complexity(ref: ReferenceSet, s_bits: float) -> float:
+    """The windowed complexity, in structons, of a window whose entropy is s_bits."""
     return max(0.0, (math.log2(ref.d_r) - s_bits) / ref.log2_gamma)
 
 

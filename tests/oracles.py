@@ -213,8 +213,7 @@ def coverage_one_trial_at_a_time(config, trials: int) -> dict:
     rho, ref, n = config.state, config.reference, config.n_samples
     results = {}
     for proto in (p for p in config.protocols if p != "exact"):
-        labels, dists, meta, _ = _outcome_setup(rho, ref, proto, config.eta,
-                                                config.test_calibration, config.witness_rank)
+        labels, dists, meta, _ = _outcome_setup(config, proto)
         truth = protocol_ground_truth(rho, ref, proto, eta=config.eta,
                                       witness_rank=config.witness_rank)
         rngs = [stream(config.seed, PROTOCOLS.index(proto), j) for j in range(len(dists))]

@@ -442,6 +442,19 @@ class TestTestCalibration:
         assert result.stderr == f"error: test_calibration {float(calibration)} must be in (0,1)\n"
 
 
+class TestEta:
+    @pytest.mark.parametrize("protocol, eta", [
+        ("hypothesis_test", "1.5"), ("hypothesis_test", "7"), ("dephase", "7"), ("witness", "-1"),
+    ])
+    def test_simulate_exits_4_naming_the_eta_given(self, runner, files, protocol, eta):
+        # the eta given, not the test's eta * test_calibration, for every protocol
+        state, ref, _ = files
+        result = runner.invoke(main, ["simulate", "--state", state, "--reference", ref,
+                                      "--protocol", protocol, "--eta", eta])
+        assert result.exit_code == 4, result.output
+        assert result.stderr == f"error: eta {float(eta)} must be in (0,1)\n"
+
+
 class TestSweep:
     def test_csv_output(self, runner, files, tmp_path):
         state, ref, _ = files

@@ -25,9 +25,11 @@ from rcc import (
     stream,
     sweep_windows,
     validate_density,
+    windowed_rcc,
     witness_sample_plan,
 )
-from rcc import harness, io as rcc_io, stats
+from rcc import harness, io as rcc_io, stats, windows
+from rcc.windows import windowed_entropy_bits
 from rcc.harness import _protocol, default_witness_projector, optimal_test_projector
 from rcc.records import PROTOCOLS
 from conftest import embed_state, embedded_reference, full_reference, random_density
@@ -100,7 +102,7 @@ class TestBornSample:
         q, _ = np.linalg.qr(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
         proj = q[:, :2] @ q[:, :2].conj().T
         ref = full_reference(6)
-        _, dists, meta, _ = harness._outcome_setup(rho, ref, "witness", 0.25, 0.5, 1, proj)
+        _, dists, meta, _ = harness._outcome_setup(RunConfig(rho, ref), "witness", proj)
         traces = np.array([np.trace(e @ rho.matrix).real for e in (proj, np.eye(6) - proj)])
         assert meta == {"rank": 2}
         assert np.allclose(dists[0], traces / traces.sum(), rtol=0, atol=1e-14)
@@ -136,8 +138,8 @@ class TestSimulateRecord:
     @pytest.mark.parametrize("calibration", [math.nan, 0.0, 1.0, 3.0])
     def test_a_calibration_outside_the_unit_interval_is_rejected(self, small_setup, protocol,
                                                                  calibration):
-        # every simulation goes through _outcome_setup and every run through
-        # RunConfig, so each rejects it whatever the protocol
+        # every simulation and every run builds a RunConfig, so each rejects
+        # it whatever the protocol
         rho, ref = small_setup
         message = re.escape(f"test_calibration {calibration} must be in (0,1)")
         with pytest.raises(ValidationError, match=message):
@@ -145,6 +147,28 @@ class TestSimulateRecord:
         with pytest.raises(ValidationError, match=message):
             RunConfig(state=rho, reference=ref, protocols=(protocol,),
                       test_calibration=calibration)
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    @pytest.mark.parametrize("eta", [math.nan, -1.0, 0.0, 1.0, 1.5, 5.0, 7.0])
+    def test_an_eta_outside_the_unit_interval_is_rejected_by_every_protocol(
+            self, small_setup, protocol, eta):
+        # the error names the eta given, not eta * test_calibration
+        rho, ref = small_setup
+        message = re.escape(f"eta {eta} must be in (0,1)")
+        with pytest.raises(ValidationError, match=message):
+            simulate_record(rho, ref, protocol, 400, seed=3, eta=eta)
+        with pytest.raises(ValidationError, match=message):
+            protocol_ground_truth(rho, ref, protocol, eta=eta)
+
+    def test_a_bad_level_is_reported_before_a_bad_protocol_or_shot_count(self, small_setup):
+        # RunConfig checks the run's parameters before anything is set up
+        rho, ref = small_setup
+        with pytest.raises(ValidationError, match=re.escape("eta 2.0 must be in (0,1)")):
+            simulate_record(rho, ref, "nope", 0, seed=3, eta=2.0)
+        with pytest.raises(ValidationError, match="seed must be a nonnegative integer"):
+            simulate_record(rho, ref, "nope", 0, seed=-1)
+        with pytest.raises(ValidationError, match="unknown protocol 'nope'"):
+            simulate_record(rho, ref, "nope", 0, seed=3)
 
     @pytest.mark.parametrize("scale", [2.0, -1.0])
     def test_witness_projector_outside_zero_and_identity_rejected(self, small_setup, scale):
@@ -603,6 +627,35 @@ class TestSweep:
         rows = sweep_windows(rho, ref, family)
         cs = [c for _, _, c in rows]
         assert all(b >= a - 1e-12 for a, b in zip(cs, cs[1:]))
+
+    def test_each_window_is_checked_pinched_and_solved_once(self, rng, monkeypatch):
+        # singletons, pairs and the whole space at d = 16: 3 compatibility
+        # checks and 3 pinchings, and one eigensolve for each pinched state
+        # that is not diagonal; the rows are the per-window functions' doubles
+        ref = full_reference(16)
+        rho = random_density(rng, 16)
+        family = WindowFamily((
+            ObservationWindow(BlockPartition.singletons(16), 0.0),
+            ObservationWindow(BlockPartition(tuple((i, i + 1) for i in range(0, 16, 2))), 1.0),
+            ObservationWindow(BlockPartition.whole(16), 2.0),
+        ))
+        expected = [(w.xi, windowed_entropy_bits(rho, ref, w), windowed_rcc(rho, ref, w))
+                    for w in family.windows]
+        calls = {"window_compatible": 0, "pinch": 0, "eigvalsh": 0}
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(windows, "window_compatible")
+        counted(windows, "pinch")
+        counted(np.linalg, "eigvalsh")
+        assert sweep_windows(rho, ref, family) == expected
+        assert calls == {"window_compatible": 3, "pinch": 3, "eigvalsh": 2}
 
 
 class TestStreams:

@@ -316,8 +316,9 @@ class TestCoordinateReferences:
         # within 4 ULPs (a different summation order) and the same leak decision
         ref = COORDINATE[kind][0]()
         for rho in coordinate_states(rng, ref):
-            labels, dists, meta, target = _dephase_setup(rho, ref)
-            dense_labels, dense_dists, dense_meta, dense_target = _dephase_setup(rho, dense(ref))
+            labels, dists, meta, target = _dephase_setup(rho, ref, None, None)
+            dense_labels, dense_dists, dense_meta, dense_target = _dephase_setup(
+                rho, dense(ref), None, None)
             assert (labels, meta) == (dense_labels, dense_meta)
             assert dists[0].tobytes() == dense_dists[0].tobytes()
             assert target() == dense_target()

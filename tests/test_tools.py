@@ -1,12 +1,17 @@
 """tools/same_outputs.py: the byte-identity check between two source trees."""
 
 import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "same_outputs.py"
+# the full battery's leaves for this tree, with the versions that computed them
+STORED = ROOT / "tests" / "data" / "same_outputs.json"
 
 
 def load_tool():
@@ -41,3 +46,26 @@ def test_compare_names_each_differing_field_with_its_largest_change():
         "records.n: 1 differing, largest absolute change 0",
     ]
     assert tool.compare(old, dict(old)) == []
+
+
+def test_the_tree_computes_its_stored_outputs():
+    # a moved leaf fails with each moved field and its largest change, and
+    # another numpy, scipy or BLAS fails naming the mismatch; a change that
+    # moves a leaf on purpose rewrites the file with --write
+    proc = subprocess.run([sys.executable, str(TOOL), str(ROOT / "src"), "--against", str(STORED)],
+                          capture_output=True, text=True, timeout=1200)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.endswith("all identical\n")
+
+
+def test_a_version_mismatch_fails_and_is_named(tmp_path):
+    # it fails rather than skips, though every leaf agrees
+    stored = json.loads(STORED.read_text())
+    stored["versions"]["numpy"] = "0.0"
+    path = tmp_path / "stored.json"
+    path.write_text(json.dumps(stored))
+    proc = subprocess.run([sys.executable, str(TOOL), str(ROOT / "src"), "--against", str(path)],
+                          capture_output=True, text=True, timeout=1200)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert proc.stdout == (f"version mismatch: numpy {np.__version__} here, 0.0 in the stored "
+                           f"file\n{len(stored['leaves'])} leaves compared; differences: 1\n")

@@ -1,22 +1,30 @@
-"""Check that two `rcc` source trees compute the same outputs, bit for bit.
+"""Check that `rcc` source trees compute the same outputs, bit for bit.
 
     python tools/same_outputs.py OLD_SRC NEW_SRC [--small]
+    python tools/same_outputs.py SRC --write FILE [--small]
+    python tools/same_outputs.py SRC --against FILE
 
-OLD_SRC and NEW_SRC are directories holding the `rcc` package (a
+OLD_SRC, NEW_SRC and SRC are directories holding the `rcc` package (a
 checkout's `src`). Each tree runs one fixed, seeded battery in its own
-child process, which prints every output leaf as one JSON object; this
-process compares the two. The battery covers a grid of Clopper-Pearson
-endpoints, the two planners' sample sizes, coverage summaries, simulated
-records and their certificates, `pipeline` reports (apart from
-`timestamp`) and the CLI's `certify` output
+child process, with one BLAS thread, which prints every output leaf as one
+JSON object; this process compares them. The battery covers a grid of
+Clopper-Pearson endpoints, the two planners' sample sizes, coverage
+summaries, simulated records and their certificates, `pipeline` reports
+(apart from `timestamp`), window sweeps and the CLI's `certify` output
 (stdout, stderr and exit code). An output that raises an `RccError` is
 compared by its exception type and message. `--small` runs a shorter
 battery.
 
+`--write FILE` stores one tree's leaves in FILE, one per line, with the
+numpy, scipy and BLAS versions that computed them and which battery ran.
+`--against FILE` runs that battery on SRC and compares its leaves with the
+stored ones; a version that differs from the stored one is reported as a
+mismatch, since another LAPACK may move the last bits.
+
 Every differing field is printed with the number of its leaves that differ
 and its largest absolute change (a field is a leaf path with its case
-indices dropped). The exit status is 1 on any difference and 0 when the
-two trees agree on every leaf.
+indices dropped). The exit status is 1 on any difference or version
+mismatch and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -137,7 +145,8 @@ def battery(src: str, small: bool) -> dict:
     import numpy as np
 
     import rcc
-    from rcc import RunConfig, coverage_experiment, io, pipeline, simulate_record, stats
+    from rcc import (BlockPartition, ObservationWindow, RunConfig, WindowFamily,
+                     coverage_experiment, io, pipeline, simulate_record, stats, sweep_windows)
     from rcc.records import PROTOCOLS
 
     out: dict = {}
@@ -192,6 +201,14 @@ def battery(src: str, small: bool) -> dict:
     _leaves(records, "records", out)
     _leaves(certificates, "certificates", out)
     _leaves(reports, "pipeline", out)
+    # the first reference's states, swept from its basis states to the whole space
+    dim = cases[0][1].dim
+    family = WindowFamily((
+        ObservationWindow(BlockPartition.singletons(dim), 0.0),
+        ObservationWindow(BlockPartition(tuple((i, i + 1) for i in range(0, dim, 2))), 1.0),
+        ObservationWindow(BlockPartition.whole(dim), 2.0)))
+    _leaves([_guard(lambda: sweep_windows(rho, ref, family)) for _, ref, rho in cases[:3]],
+            "sweep", out)
 
     ref_cfg, ref, rho = cases[0]
     cli_sets = [[_record_payload(simulate_record(rho, ref, proto, 2000, seed=5))
@@ -238,12 +255,44 @@ def compare(old: dict, new: dict) -> list[str]:
     return lines
 
 
+def versions() -> dict:
+    """The numpy, scipy and BLAS builds that this interpreter computes with."""
+    import numpy as np
+    import scipy
+
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__, "scipy": scipy.__version__,
+            "blas": f"{blas['name']} {blas['version']}"}
+
+
+def mismatches(stored: dict, found: dict) -> list[str]:
+    """One line per version in `stored` that `found` does not share."""
+    return [f"version mismatch: {name} {found.get(name)} here, {want} in the stored file"
+            for name, want in sorted(stored.items()) if found.get(name) != want]
+
+
+# one BLAS thread: a threaded reduction's order, and so its last bits, may
+# depend on the machine's core count
+_ONE_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                       "MKL_NUM_THREADS")}
+
+
 def _run_child(src: str, small: bool) -> dict:
+    """The battery's {"versions", "leaves"} on the tree at src."""
     args = [sys.executable, __file__, "--emit", src] + (["--small"] if small else [])
-    proc = subprocess.run(args, capture_output=True, text=True, timeout=3600)
+    proc = subprocess.run(args, capture_output=True, text=True, timeout=3600,
+                          env={**os.environ, **_ONE_THREAD})
     if proc.returncode != 0:
         raise SystemExit(f"the battery failed on {src}:\n{proc.stderr}")
     return json.loads(proc.stdout)
+
+
+def _report(lines: list[str], leaves: int) -> int:
+    for line in lines:
+        print(line)
+    print(f"{leaves} leaves compared; " + (f"differences: {len(lines)}" if lines
+                                          else "all identical"))
+    return 1 if lines else 0
 
 
 def main(argv: list[str]) -> int:
@@ -256,18 +305,23 @@ def main(argv: list[str]) -> int:
 
         if not Path(rcc.__file__).resolve().is_relative_to(src):
             raise SystemExit(f"rcc was imported from {rcc.__file__}, not from {src}")
-        json.dump(battery(src, small), sys.stdout)
+        json.dump({"versions": versions(), "leaves": battery(src, small)}, sys.stdout)
         return 0
+    if len(argv) == 3 and argv[1] == "--write":
+        found = _run_child(str(Path(argv[0]).resolve()), small)
+        stored = {"battery": "small" if small else "full", **found}
+        Path(argv[2]).write_text(json.dumps(stored, indent=0, sort_keys=True) + "\n")
+        return 0
+    if len(argv) == 3 and argv[1] == "--against":
+        stored = json.loads(Path(argv[2]).read_text())
+        found = _run_child(str(Path(argv[0]).resolve()), stored["battery"] == "small")
+        lines = mismatches(stored["versions"], found["versions"])
+        return _report(lines + compare(stored["leaves"], found["leaves"]), len(stored["leaves"]))
     if len(argv) != 2:
         print(__doc__, file=sys.stderr)
         return 2
-    old, new = (_run_child(str(Path(a).resolve()), small) for a in argv)
-    lines = compare(old, new)
-    for line in lines:
-        print(line)
-    print(f"{len(old)} leaves compared; " + (f"{len(lines)} fields differ" if lines
-                                             else "all identical"))
-    return 1 if lines else 0
+    old, new = (_run_child(str(Path(a).resolve()), small)["leaves"] for a in argv)
+    return _report(compare(old, new), len(old))
 
 
 if __name__ == "__main__":
