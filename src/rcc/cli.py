@@ -6,12 +6,10 @@ requested level, 4 numerical or validation failure.
 
 from __future__ import annotations
 
-import functools
 import sys
 from dataclasses import asdict
 
 import click
-import numpy as np
 from click.core import ParameterSource
 
 from . import io
@@ -40,11 +38,13 @@ EXIT_PROTOCOL = 3
 EXIT_NUMERICAL = 4
 
 
-def _guarded(f):
-    @functools.wraps(f)
-    def wrapper(*args, **kwargs):
+class _Group(click.Group):
+    """The command group: an RccError from any command is one stderr line
+    and its exit code, so no command handles its own."""
+
+    def invoke(self, ctx):
         try:
-            return f(*args, **kwargs)
+            return super().invoke(ctx)
         except ConfigError as exc:
             click.echo(f"config error: {exc}", err=True)
             sys.exit(EXIT_CONFIG)
@@ -55,11 +55,9 @@ def _guarded(f):
             click.echo(f"error: {exc}", err=True)
             sys.exit(EXIT_NUMERICAL)
 
-    return wrapper
 
-
-def _emit(payload: dict, out: str | None) -> None:
-    text = io.dumps_json(payload)
+def _emit(text: str, out: str | None) -> None:
+    """Write a command's output to the file out, or to stdout: the same bytes."""
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -116,7 +114,7 @@ method_opt = click.option(
 )
 
 
-@click.group()
+@click.group(cls=_Group)
 @click.version_option(package_name="rcc")
 def main() -> None:
     """Certified lower bounds on circuit complexity from states or data."""
@@ -130,7 +128,6 @@ def main() -> None:
 @method_opt
 @unit_opt
 @out_opt
-@_guarded
 def compute(state_path, reference_path, epsilon, constants_path, method, unit, out):
     """Exact-state complexity and the circuit lower bound."""
     if state_path is None:
@@ -145,7 +142,7 @@ def compute(state_path, reference_path, epsilon, constants_path, method, unit, o
         unit=unit,
         echo={"state_path": state_path, "reference_path": reference_path},
     )
-    _emit(pipeline(config), out)
+    _emit(io.dumps_json(pipeline(config)), out)
 
 
 @main.command()
@@ -163,7 +160,6 @@ def compute(state_path, reference_path, epsilon, constants_path, method, unit, o
 @method_opt
 @unit_opt
 @out_opt
-@_guarded
 def certify(reference_path, state_path, record_paths, delta, eta, epsilon,
             constants_path, witness_rank, method, unit, out):
     """Certified bounds from measurement records, combined across paths."""
@@ -191,7 +187,7 @@ def certify(reference_path, state_path, record_paths, delta, eta, epsilon,
             "record_paths": list(record_paths),
         },
     )
-    _emit(pipeline(config), out)
+    _emit(io.dumps_json(pipeline(config)), out)
 
 
 @main.command()
@@ -206,7 +202,6 @@ def certify(reference_path, state_path, record_paths, delta, eta, epsilon,
 @click.option("--witness", "witness_path", type=click.Path(),
               help="Witness projector matrix (state-file layout).")
 @out_opt
-@_guarded
 def simulate(state_path, reference_path, protocol, n_samples, seed, eta,
              test_calibration, witness_rank, witness_path, out):
     """Draw Born-rule samples and emit a measurement record."""
@@ -216,10 +211,7 @@ def simulate(state_path, reference_path, protocol, n_samples, seed, eta,
         raise ConfigError("--witness applies only to --protocol witness")
     rho = io.load_state(state_path)
     ref = io.load_reference(reference_path)
-    projector = None
-    if witness_path is not None:
-        payload = io._read_json(witness_path)
-        projector = io._matrix_from_payload(payload, witness_path)
+    projector = io.read_matrix(witness_path) if witness_path is not None else None
     record = simulate_record(
         rho, ref, protocol, n_samples, seed=seed, eta=eta,
         test_calibration=test_calibration, witness_rank=witness_rank,
@@ -231,7 +223,7 @@ def simulate(state_path, reference_path, protocol, n_samples, seed, eta,
     if projector is not None and rank_given and witness_rank != record.meta["rank"]:
         raise ConfigError(f"--witness-rank {witness_rank} conflicts with the rank "
                           f"{record.meta['rank']} of the --witness projector")
-    _emit(io.record_to_payload(record), out)
+    _emit(io.dumps_json(io.record_to_payload(record)), out)
 
 
 @main.command()
@@ -244,7 +236,6 @@ def simulate(state_path, reference_path, protocol, n_samples, seed, eta,
 @click.option("--rank", type=int, default=1, show_default=True)
 @click.option("--dr", "d_r", type=int, help="Reference subspace dimension (witness).")
 @out_opt
-@_guarded
 def plan(protocol, target_bits, delta, p0, rank, d_r, out):
     """Sample-size planners for the certification protocols."""
     from .stats import ht_sample_plan, witness_sample_plan
@@ -255,7 +246,8 @@ def plan(protocol, target_bits, delta, p0, rank, d_r, out):
         if p0 is None or d_r is None:
             raise ConfigError("witness planning needs --p0 and --dr")
         n = witness_sample_plan(p0, target_bits, rank, d_r, delta)
-    _emit({"protocol": protocol, "target_bits": target_bits, "delta": delta, "n": n}, out)
+    _emit(io.dumps_json({"protocol": protocol, "target_bits": target_bits, "delta": delta,
+                         "n": n}), out)
 
 
 @main.command()
@@ -274,7 +266,6 @@ def plan(protocol, target_bits, delta, p0, rank, d_r, out):
 @click.option("--witness-rank", type=int, default=1, show_default=True)
 @seed_opt
 @out_opt
-@_guarded
 def coverage(state_path, reference_path, protocols, trials, n_samples, delta, eta,
              test_calibration, witness_rank, seed, out):
     """Monte Carlo check that certified bounds violate their targets at
@@ -295,7 +286,7 @@ def coverage(state_path, reference_path, protocols, trials, n_samples, delta, et
         witness_rank=witness_rank,
         echo={"state_path": state_path, "reference_path": reference_path},
     )
-    _emit(coverage_experiment(config, trials), out)
+    _emit(io.dumps_json(coverage_experiment(config, trials)), out)
 
 
 @main.command()
@@ -304,7 +295,6 @@ def coverage(state_path, reference_path, protocols, trials, n_samples, delta, et
 @click.option("--windows", "windows_path", type=click.Path(), required=True,
               help="Window family (JSON).")
 @out_opt
-@_guarded
 def sweep(state_path, reference_path, windows_path, out):
     """Windowed entropy and complexity along a nested window family (CSV)."""
     if state_path is None:
@@ -312,13 +302,7 @@ def sweep(state_path, reference_path, windows_path, out):
     rho = io.load_state(state_path)
     ref = io.load_reference(reference_path)
     family = io.load_window_family(windows_path)
-    rows = sweep_windows(rho, ref, family)
-    if out:
-        io.dump_sweep_csv(rows, out)
-    else:
-        click.echo("xi,S_bits,C_structons")
-        for xi, s_bits, c_st in rows:
-            click.echo(f"{xi!r},{s_bits!r},{c_st!r}")
+    _emit(io.dumps_sweep_csv(sweep_windows(rho, ref, family)), out)
 
 
 @main.command()
@@ -334,7 +318,6 @@ def sweep(state_path, reference_path, windows_path, out):
 @click.option("--j", type=float, help="Characteristic energy scale for the "
               "dimensionless margin.")
 @out_opt
-@_guarded
 def rect(sigma_avail, delta_t, c_opt, s_e, gamma_j, hbar, c_r, j, out):
     """Efficiency factors, the accounting identity, and performance margins."""
     eff = rect_efficiency(sigma_avail, delta_t, c_opt, s_e, gamma_j, hbar=hbar)
@@ -361,7 +344,7 @@ def rect(sigma_avail, delta_t, c_opt, s_e, gamma_j, hbar, c_r, j, out):
             "margin_dimensionless": perf.margin_dimensionless,
             "passed": perf.passed,
         }
-    _emit(payload, out)
+    _emit(io.dumps_json(payload), out)
 
 
 @main.command()
@@ -380,7 +363,6 @@ def rect(sigma_avail, delta_t, c_opt, s_e, gamma_j, hbar, c_r, j, out):
 @click.option("--log-correction", type=float, default=0.0, show_default=True)
 @constants_opt
 @out_opt
-@_guarded
 def thermo(trace_path, gamma_r, variant, delta_c, pi_avg, temperature,
            log_correction, constants_path, out):
     """Work accounting and complexity-driven lower bounds on process time."""
@@ -388,17 +370,15 @@ def thermo(trace_path, gamma_r, variant, delta_c, pi_avg, temperature,
     trace = io.load_trace_csv(trace_path)
     work, t_avg = info_work(trace, gamma_r)
     # a default that overflows is rejected by process_time_bound's checks
-    with np.errstate(over="ignore", invalid="ignore"):
-        if delta_c is None:
-            delta_c = float(trace.complexities[-1] - trace.complexities[0])
-        if pi_avg is None and variant not in ("isothermal", "sign_robust"):
-            span = float(trace.times[-1] - trace.times[0])
-            pi_avg = float(np.trapezoid(trace.potentials, trace.times) / span)
+    if delta_c is None:
+        delta_c = trace.net_change
+    if pi_avg is None and variant not in ("isothermal", "sign_robust"):
+        pi_avg = trace.time_average(trace.potentials)
     bound = process_time_bound(
         delta_c, pi_avg, variant, log_correction=log_correction,
         temperature=temperature, trace=trace, hbar=hbar, k_b=k_b,
     )
-    _emit({
+    _emit(io.dumps_json({
         "w_info": work,
         "t_avg_weighted": t_avg,
         "delta_c": delta_c,
@@ -409,7 +389,7 @@ def thermo(trace_path, gamma_r, variant, delta_c, pi_avg, temperature,
         },
         "inputs": {"gamma_r": gamma_r, "hbar": hbar, "k_b": k_b,
                    "trace_path": trace_path},
-    }, out)
+    }), out)
 
 
 if __name__ == "__main__":

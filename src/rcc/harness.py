@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import TYPE_CHECKING, Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -49,9 +49,6 @@ if TYPE_CHECKING:
 REPORT_SCHEMA = "rcc-report/2"
 COVERAGE_SCHEMA = "rcc-coverage/1"
 
-# label of the dephase outcome I - Pi_R; a shot on it is a sampling error
-_LEAK = None
-
 # units a report can display its exact complexity in
 _UNITS = ("bits", "nats", "structons")
 
@@ -74,11 +71,12 @@ def stream(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=key)))
 
 
-def _draw(labels: list, dists: list[np.ndarray], n: int, rngs: list, rows: int) -> np.ndarray:
-    """A (rows x outcomes) count matrix: distribution j's n-shot multinomial
+def _draw(kept: int, dists: list[np.ndarray], n: int, rngs: list, rows: int) -> np.ndarray:
+    """A (rows x kept) count matrix: distribution j's n-shot multinomial
     draws, one per row, come from rngs[j] in one call, and the columns follow
-    the distributions in order, with the leak outcome's column dropped. A
-    shot on the leak is a sampling error. The rows are integer, nonnegative
+    the distributions' outcomes in order. Outcomes past the first kept are
+    the leak (the dephase outcome I - Pi_R): a shot on one is a sampling
+    error, and their columns are dropped. The rows are integer, nonnegative
     and sum to n per distribution, which the coverage counters rely on
     without checking them again."""
     if not _is_integer(n) or n <= 0:
@@ -87,20 +85,17 @@ def _draw(labels: list, dists: list[np.ndarray], n: int, rngs: list, rows: int) 
         raise ValidationError(f"n = {n} is past the sampler's range [1, 2**63 - 1]")
     counts = np.concatenate([rng.multinomial(n, p, size=rows) for rng, p in zip(rngs, dists)],
                             axis=1)
-    if _LEAK in labels:
-        leak = labels.index(_LEAK)
-        if counts[:, leak].any():
-            raise ValidationError("state leaked outside the subspace during sampling")
-        counts = np.delete(counts, leak, axis=1)
-    return counts
+    if counts[:, kept:].any():
+        raise ValidationError("state leaked outside the subspace during sampling")
+    return counts[:, :kept]
 
 
 def _sample(protocol: str, outcomes: tuple, n: int, rng: np.random.Generator) -> MeasurementRecord:
     """A record of one multinomial draw of n shots per distribution, in order, on rng."""
     labels, dists, meta = outcomes
-    counts = _draw(labels, dists, n, [rng] * len(dists), 1)[0]
-    tally = dict(zip((label for label in labels if label is not _LEAK), counts.tolist()))
-    return MeasurementRecord(protocol, n * len(dists), tally, meta=dict(meta))
+    counts = _draw(len(labels), dists, n, [rng] * len(dists), 1)[0]
+    return MeasurementRecord(protocol, n * len(dists), dict(zip(labels, counts.tolist())),
+                             meta=dict(meta))
 
 
 def _normalised(probs) -> np.ndarray:
@@ -140,6 +135,9 @@ def _ht_setup(rho, ref, config, projector):
     # the waterfilling test T at eta_test accepts H1 with probability eta_test
     # on sigma_R (the null calibration) and w . mu on rho, mu its top d_R
     eta_test = config.eta * config.test_calibration
+    if eta_test == 0.0:
+        raise ValidationError(f"the test level eta * test_calibration = {config.eta!r} * "
+                              f"{config.test_calibration!r} underflows to 0")
     accept = float(_waterfill_weights(ref.d_r, eta_test) @ _supported_spectrum(rho, ref))
     dists = [_normalised([p, 1.0 - p]) for p in (eta_test, accept)]
     return list(HT_LABELS), dists, {"eta": config.eta, "eta_test": eta_test}, (
@@ -175,7 +173,6 @@ def _dephase_setup(rho, ref, config, projector):
     p = np.clip(diagonal.real, 0.0, None)
     kept = float(diagonal.sum().real)
     leak = float(np.trace(rho.matrix).real) - kept
-    labels = [str(i) for i in range(ref.d_r)] + [_LEAK]
 
     def target():
         # the distribution inside H_R is C's diagonal over Tr C
@@ -183,7 +180,8 @@ def _dephase_setup(rho, ref, config, projector):
             raise CompleteLeakageError(kept)
         return max(0.0, math.log2(ref.d_r) - shannon(p / p.sum()).bits)
 
-    return labels, [_normalised(np.append(p, leak))], {"basis": "reference-support"}, target
+    dists = [_normalised(np.append(p, leak))]
+    return range(ref.d_r), dists, {"basis": "reference-support"}, target
 
 
 def _stats():
@@ -233,15 +231,17 @@ def _protocol(name: str) -> _Protocol:
 
 def _outcome_setup(
     config: RunConfig, protocol: str, witness_projector=None,
-) -> tuple[list, list[np.ndarray], dict, Callable[[], float]]:
+) -> tuple[Sequence, list[np.ndarray], dict, Callable[[], float]]:
     """Per-run setup of one protocol: (labels, distributions, meta, target).
 
     The state, reference, eta, test calibration and witness rank are the
     config's, whose levels and seed RunConfig checked, so every entry point
     rejects a bad one alike. Each setup is called as (rho, ref, config,
     projector), with a supplied witness projector P or None. A record draws
-    n shots from each distribution in order; the labels run over the
-    outcomes of all of them. Nothing is eigensolved and no effect is built:
+    n shots from each distribution in order; the labels name the outcomes
+    of all of them in that order, and an outcome past the last label is the
+    leak, which _draw rejects (dephasing's I - Pi_R, the d_R labels being
+    0..d_R - 1). Nothing is eigensolved and no effect is built:
     the test and the witness read rho's validated spectrum
     (entropy._supported_spectrum), so both raise LeakageError on a leaking
     state, P (checked by records._witness_projector_rank) is read as one
@@ -514,7 +514,7 @@ def coverage_experiment(config: RunConfig, trials: int) -> dict:
         truth = target()
         key = PROTOCOLS.index(proto)
         rngs = [stream(config.seed, key, j) for j in range(len(dists))]
-        counts = _draw(labels, dists, config.n_samples, rngs, trials)
+        counts = _draw(len(labels), dists, config.n_samples, rngs, trials)
         violations, invalid = _protocol(proto).count(
             counts, config.n_samples, ref, truth + _VIOLATION_SLACK, config.eta,
             config.delta, meta.get("rank", config.witness_rank),

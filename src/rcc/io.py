@@ -86,10 +86,15 @@ def matrix_to_payload(matrix: np.ndarray) -> dict:
     }
 
 
+def read_matrix(path) -> np.ndarray:
+    """The complex matrix of a file in the state-file layout, not yet
+    checked as a state or a projector."""
+    return _matrix_from_payload(_read_json(path), str(path))
+
+
 def load_state(path) -> DensityOperator:
     """Load a density operator from a state file, repairing tolerable drift."""
-    payload = _read_json(path)
-    matrix = _matrix_from_payload(payload, str(path))
+    matrix = read_matrix(path)
     try:
         return validate_density(matrix)
     except Exception as exc:
@@ -265,13 +270,11 @@ def load_trace_csv(path) -> ProcessTrace:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def dump_sweep_csv(rows, path) -> None:
-    """Write window-sweep rows (xi, entropy bits, complexity structons)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["xi", "S_bits", "C_structons"])
-        for xi, s_bits, c_st in rows:
-            writer.writerow([repr(float(xi)), repr(float(s_bits)), repr(float(c_st))])
+def dumps_sweep_csv(rows) -> str:
+    """Window-sweep rows (xi, entropy bits, complexity structons) as CSV
+    text, one line per row, each ending in a newline."""
+    lines = ["xi,S_bits,C_structons"] + [",".join(repr(float(x)) for x in row) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def _sanitize(obj):

@@ -275,6 +275,11 @@ class BlockPartition:
                 lab[i] = k
         return lab
 
+    def pinch(self, matrix: np.ndarray) -> np.ndarray:
+        """matrix with its entries between different blocks set to 0."""
+        lab = self.labels(matrix.shape[0])
+        return np.where(lab[:, None] == lab[None, :], matrix, 0.0)
+
 
 def support_indices(rho: DensityOperator) -> np.ndarray:
     """Basis indices carrying diagonal mass above _SUPPORT_TOL."""
@@ -293,9 +298,7 @@ def pinch(rho: DensityOperator, partition: BlockPartition) -> DensityOperator:
         raise ValidationError(
             f"partition does not cover support indices {sorted(missing)}"
         )
-    lab = partition.labels(rho.dim)
-    mask = lab[:, None] == lab[None, :]
-    return DensityOperator(np.where(mask, rho.matrix, 0.0))
+    return DensityOperator(partition.pinch(rho.matrix))
 
 
 def trace_distance(rho: DensityOperator, sigma: DensityOperator) -> float:

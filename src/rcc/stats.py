@@ -174,6 +174,17 @@ def _ht_value(beta_upper: float) -> float:
     return max(0.0, -math.log2(beta_upper) if beta_upper > 0 else math.inf)
 
 
+def _record_counts(record: MeasurementRecord, protocol: str, labels) -> list[int]:
+    """The record's counts of labels, in their order, once the record is
+    checked to be the protocol's and to count every label."""
+    if record.protocol != protocol:
+        raise ValidationError(f"record protocol {record.protocol!r} is not {protocol}")
+    missing = [lab for lab in labels if lab not in record.counts]
+    if missing:
+        raise ValidationError(f"{protocol} record is missing counts {missing}")
+    return [record.counts[lab] for lab in labels]
+
+
 def ht_protocol(record: MeasurementRecord, eta: float, delta: float) -> CertifiedBound:
     """Hypothesis-testing certification at total confidence 1 - delta.
 
@@ -184,29 +195,20 @@ def ht_protocol(record: MeasurementRecord, eta: float, delta: float) -> Certifie
     returned value is -log2 of the type-II upper endpoint at the remaining
     budget.
     """
-    if record.protocol != "hypothesis_test":
-        raise ValidationError(f"record protocol {record.protocol!r} is not hypothesis_test")
+    null_h1, null_h0, alt_h1, alt_h0 = _record_counts(record, "hypothesis_test", HT_LABELS)
     _check_level("eta", eta)
     _check_level("delta", delta)
-    missing = [lab for lab in HT_LABELS if lab not in record.counts]
-    if missing:
-        raise ValidationError(f"hypothesis_test record is missing counts {missing}")
-    n_null = record.counts["null_accept_h1"] + record.counts["null_accept_h0"]
-    n_alt = record.counts["alt_accept_h1"] + record.counts["alt_accept_h0"]
+    n_null, n_alt = null_h1 + null_h0, alt_h1 + alt_h0
     if n_null == 0 or n_alt == 0:
         raise ValidationError("both the null and alternative runs need samples")
-    alpha_upper = clopper_pearson_upper(
-        record.counts["null_accept_h1"], n_null, delta * _HT_DELTA_SPLIT
-    )
+    alpha_upper = clopper_pearson_upper(null_h1, n_null, delta * _HT_DELTA_SPLIT)
     if alpha_upper > eta:
         raise ProtocolInvalidError(
             f"type-I upper endpoint {alpha_upper:.6f} exceeds eta = {eta}; the "
             "bound would not certify at this level (recalibrate the test or "
             "increase the null sample size)"
         )
-    beta_upper = clopper_pearson_upper(
-        record.counts["alt_accept_h0"], n_alt, delta * (1.0 - _HT_DELTA_SPLIT)
-    )
+    beta_upper = clopper_pearson_upper(alt_h0, n_alt, delta * (1.0 - _HT_DELTA_SPLIT))
     return CertifiedBound(
         quantity="D_H",
         value=_ht_value(beta_upper),
@@ -221,7 +223,7 @@ def ht_protocol(record: MeasurementRecord, eta: float, delta: float) -> Certifie
             "beta_upper": beta_upper,
             "n_null": n_null,
             "n_alt": n_alt,
-            "type_ii_count": record.counts["alt_accept_h0"],
+            "type_ii_count": alt_h0,
         },
     )
 
@@ -269,17 +271,12 @@ def witness_protocol(
     condition and the rank unless the projector matrix is supplied for
     checking.
     """
-    if record.protocol != "witness":
-        raise ValidationError(f"record protocol {record.protocol!r} is not witness")
+    successes, _ = _record_counts(record, "witness", WITNESS_LABELS)
     _check_witness_rank(rank, ref.d_r)
     if projector is not None:
         supplied = _witness_projector_rank(projector, ref)
         if supplied != rank:
             raise ValidationError(f"witness projector rank {supplied} is not its rank {rank}")
-    for lab in WITNESS_LABELS:
-        if lab not in record.counts:
-            raise ValidationError(f"witness record is missing count {lab!r}")
-    successes = record.counts["success"]
     p_lower = clopper_pearson_lower(successes, record.n, delta)
     return CertifiedBound(
         quantity="D_max",
@@ -359,16 +356,16 @@ def dephase_protocol(
     Shannon entropy by H_U and returns D >= log2 d_R - H_U floored at 0
     (see _dephase_value).
     """
-    if record.protocol != "dephase":
-        raise ValidationError(f"record protocol {record.protocol!r} is not dephase")
+    # a dephase record's labels are its own, in its order
+    outcomes = _record_counts(record, "dephase", record.counts)
     _check_level("delta", delta)
     m = ref.d_r
-    if len(record.counts) > m:
-        raise ValidationError(f"{len(record.counts)} outcome labels exceed the d_R = {m} "
+    if len(outcomes) > m:
+        raise ValidationError(f"{len(outcomes)} outcome labels exceed the d_R = {m} "
                               "basis states")
     n = record.n
     counts = np.zeros((1, m))
-    counts[0, : len(record.counts)] = list(record.counts.values())
+    counts[0, : len(outcomes)] = outcomes
     value, h_upper, h_hat, eps_n, v = _dephase_value(counts, n, m, delta)
     return CertifiedBound(
         quantity="D",

@@ -85,9 +85,7 @@ class WindowFamily:
 def window_compatible(window: ObservationWindow, ref: ReferenceSet) -> bool:
     """A window is compatible when its pinching fixes the total projector
     (equivalently the structured vacuum)."""
-    lab = window.partition.labels(ref.dim)
-    mask = lab[:, None] == lab[None, :]
-    pinched = np.where(mask, ref.total.matrix, 0.0)
+    pinched = window.partition.pinch(ref.total.matrix)
     return bool(np.linalg.norm(pinched - ref.total.matrix) <= COMPAT_TOL)
 
 
@@ -201,6 +199,20 @@ class ProcessTrace:
         if (arrays["times"][1:] <= arrays["times"][:-1]).any():
             raise ValidationError("trace times must be strictly increasing")
 
+    @property
+    def net_change(self) -> float:
+        """The net complexity change C(t_end) - C(t_0); like time_average,
+        inf or nan where it overflows, for its reader's finiteness check."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(self.complexities[-1] - self.complexities[0])
+
+    def time_average(self, values) -> float:
+        """The time average of values sampled at the trace's times
+        (trapezoidal over t, divided by the span t_end - t_0)."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            span = float(self.times[-1] - self.times[0])
+            return float(np.trapezoid(values, self.times) / span)
+
 
 def info_work(trace: ProcessTrace, gamma_r: float) -> tuple[float, float | None]:
     """Total information-processing work and complexity-weighted temperature.
@@ -215,7 +227,7 @@ def info_work(trace: ProcessTrace, gamma_r: float) -> tuple[float, float | None]
         raise ValidationError("gamma_r must exceed 1")
     with np.errstate(over="ignore", invalid="ignore"):
         t_dc = float(np.trapezoid(trace.temperatures, trace.complexities))
-        delta_c = float(trace.complexities[-1] - trace.complexities[0])
+    delta_c = trace.net_change
     work = math.log(gamma_r) * t_dc
     _check_finite(w_info=work)
     if abs(delta_c) < _NET_CHANGE_TOL:
@@ -278,11 +290,7 @@ def process_time_bound(
         if variant == "sign_robust":
             if trace is None:
                 raise ValidationError("sign_robust variant needs a process trace")
-            with np.errstate(over="ignore", invalid="ignore"):
-                span = float(trace.times[-1] - trace.times[0])
-                pi_avg = float(
-                    np.trapezoid(np.clip(trace.potentials, 0.0, None), trace.times) / span
-                )
+            pi_avg = trace.time_average(np.clip(trace.potentials, 0.0, None))
             _check_finite(pi_avg=pi_avg)
         if pi_avg is None or pi_avg <= 0:
             raise ValidationError("the average work potential must be positive")

@@ -2,11 +2,13 @@ import json
 import math
 import warnings
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from rcc.cli import main
+from rcc.errors import ConfigError, LeakageError, ProtocolInvalidError
 from rcc import io as rcc_io
 from rcc import validate_density
 
@@ -39,6 +41,25 @@ def files(tmp_path):
     ref_path = tmp_path / "ref.json"
     ref_path.write_text(json.dumps(ref_cfg))
     return str(state_path), str(ref_path), tmp_path
+
+
+@pytest.mark.parametrize("error, code, prefix", [
+    (ConfigError("bad file"), 2, "config error"),
+    (ProtocolInvalidError("cannot certify"), 3, "protocol invalid"),
+    (LeakageError(0.5, "leaked"), 4, "error"),
+])
+def test_every_command_exits_with_its_errors_code(runner, monkeypatch, error, code, prefix):
+    # the group maps errors to exit codes, so a command added without any
+    # handling of its own still exits with one stderr line
+    @click.command()
+    def failing():
+        raise error
+
+    monkeypatch.setitem(main.commands, "failing", failing)
+    result = runner.invoke(main, ["failing"])
+    assert result.exit_code == code
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr == f"{prefix}: {error}\n"
 
 
 class TestCompute:
@@ -441,6 +462,17 @@ class TestTestCalibration:
         assert result.exit_code == 4, result.output
         assert result.stderr == f"error: test_calibration {float(calibration)} must be in (0,1)\n"
 
+    @pytest.mark.parametrize("command", ["simulate", "coverage"])
+    def test_a_test_level_that_underflows_names_both_inputs(self, runner, files, command):
+        # each is a valid level, but their product is 0
+        state, ref, _ = files
+        result = runner.invoke(main, [command, "--state", state, "--reference", ref,
+                                      "--protocol", "hypothesis_test", "--eta", "1e-200",
+                                      "--test-calibration", "1e-200"])
+        assert result.exit_code == 4, result.output
+        assert result.stderr == ("error: the test level eta * test_calibration = 1e-200 * "
+                                 "1e-200 underflows to 0\n")
+
 
 class TestEta:
     @pytest.mark.parametrize("protocol, eta", [
@@ -475,6 +507,12 @@ class TestSweep:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "xi,S_bits,C_structons"
         assert len(lines) == 3
+        # stdout holds the same bytes as the file
+        result = runner.invoke(main, ["sweep", "--state", state, "--reference", ref,
+                                      "--windows", str(wf_path)])
+        assert result.exit_code == 0, result.output
+        assert result.stdout_bytes == out.read_bytes()
+        assert b"\r" not in result.stdout_bytes
 
 
 class TestRectThermo:

@@ -705,7 +705,7 @@ class TestTrialStreams:
     def test_keys_and_draws_match_stream(self, seed):
         for key in (0, 1, 2, 2**33):
             rngs = [stream(seed, key, j) for j in range(len(self.DISTS))]
-            counts = harness._draw(list("abcde"), self.DISTS, 40, rngs, 70)
+            counts = harness._draw(5, self.DISTS, 40, rngs, 70)
             assert counts.tolist() == sequential_rows(seed, key, self.DISTS, 40, 70)
 
     @settings(deadline=None)
@@ -713,7 +713,7 @@ class TestTrialStreams:
            trials=st.integers(1, 40))
     def test_any_seed_draws_as_stream(self, seed, key, trials):
         rngs = [stream(seed, key, j) for j in range(len(self.DISTS))]
-        assert harness._draw(list("abcde"), self.DISTS, 25, rngs, trials).tolist() == (
+        assert harness._draw(5, self.DISTS, 25, rngs, trials).tolist() == (
             sequential_rows(seed, key, self.DISTS, 25, trials))
 
     def test_coverage_builds_no_seed_sequence_per_trial(self, small_setup, monkeypatch):

@@ -592,6 +592,24 @@ class TestRecordValidation:
         with pytest.raises(ValidationError, match=r"count 'failure' is past the shot range"):
             MeasurementRecord("witness", top + 2, {"success": 1, "failure": top + 1})
 
+    @pytest.mark.parametrize("certifier, protocol, counts, message", [
+        ("hypothesis_test", "witness", {"success": 3},
+         "record protocol 'witness' is not hypothesis_test"),
+        ("witness", "dephase", {"0": 3}, "record protocol 'dephase' is not witness"),
+        ("dephase", "witness", {"success": 3}, "record protocol 'witness' is not dephase"),
+        ("hypothesis_test", "hypothesis_test", {"null_accept_h1": 1, "alt_accept_h0": 2},
+         "hypothesis_test record is missing counts ['null_accept_h0', 'alt_accept_h1']"),
+        ("witness", "witness", {"failure": 3}, "witness record is missing counts ['success']"),
+    ])
+    def test_certifiers_check_the_protocol_and_labels_alike(self, certifier, protocol, counts,
+                                                             message):
+        certify = {"hypothesis_test": lambda r: ht_protocol(r, 0.25, 0.05),
+                   "witness": lambda r: witness_protocol(r, full_reference(2), 1, 0.05),
+                   "dephase": lambda r: dephase_protocol(r, full_reference(2), 0.05)}[certifier]
+        with pytest.raises(ValidationError) as info:
+            certify(MeasurementRecord(protocol, 3, counts))
+        assert str(info.value) == message
+
     def test_numpy_integer_counts_accepted(self):
         record = MeasurementRecord("witness", np.int64(10), {"success": np.int64(7), "failure": 3})
         assert record.counts == {"success": 7, "failure": 3}

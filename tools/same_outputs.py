@@ -10,9 +10,10 @@ child process, with one BLAS thread, which prints every output leaf as one
 JSON object; this process compares them. The battery covers a grid of
 Clopper-Pearson endpoints, the two planners' sample sizes, coverage
 summaries, simulated records and their certificates, `pipeline` reports
-(apart from `timestamp`), window sweeps and the CLI's `certify` output
-(stdout, stderr and exit code). An output that raises an `RccError` is
-compared by its exception type and message. `--small` runs a shorter
+(apart from `timestamp`), window sweeps and the CLI's output (stdout,
+stderr, exit code and any `--out` file) of `certify`, `sweep`, `thermo` in
+each variant and `simulate --witness`. An output that raises an `RccError`
+is compared by its exception type and message. `--small` runs a shorter
 battery.
 
 `--write FILE` stores one tree's leaves in FILE, one per line, with the
@@ -120,24 +121,79 @@ def _plan_record(n_null: int, null_h1: int, bits: int, delta: float) -> dict:
                        "alt_accept_h1": n, "alt_accept_h0": 0}, "meta": {}}
 
 
-def _certify_cli(src: str, workdir: Path, ref_cfg: dict, records: list[dict], tag: str) -> dict:
-    """`rcc certify` on the records, run from workdir with relative paths so
-    that the paths the report echoes are the same for both trees."""
-    (workdir / "ref.json").write_text(json.dumps(ref_cfg))
-    args = [sys.executable, "-m", "rcc.cli", "certify", "--reference", "ref.json"]
-    for i, payload in enumerate(records):
-        name = f"{tag}_{i}.json"
-        (workdir / name).write_text(json.dumps(payload))
-        args += ["--record", name]
+def _run_cli(src: str, workdir: Path, args: list[str], out: str | None = None) -> dict:
+    """`rcc ARGS`, run from workdir with relative paths so that the paths a
+    report echoes are the same for both trees; with out, the file that
+    `--out out` wrote too, byte for byte."""
     env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run(args, cwd=workdir, env=env, capture_output=True, text=True,
-                          timeout=300)
+    if out is not None:
+        (workdir / out).unlink(missing_ok=True)
+        args = [*args, "--out", out]
+    proc = subprocess.run([sys.executable, "-m", "rcc.cli", *args], cwd=workdir, env=env,
+                          capture_output=True, text=True, timeout=300)
     try:
         report = json.loads(proc.stdout)
         report.pop("timestamp", None)
     except ValueError:
         report = proc.stdout
-    return {"exit": proc.returncode, "stdout": report, "stderr": proc.stderr}
+    result = {"exit": proc.returncode, "stdout": report, "stderr": proc.stderr}
+    if out is not None and (workdir / out).exists():
+        result["out"] = (workdir / out).read_bytes().decode()
+    return result
+
+
+def _certify_cli(src: str, workdir: Path, ref_cfg: dict, records: list[dict], tag: str) -> dict:
+    """`rcc certify` on the records."""
+    (workdir / "ref.json").write_text(json.dumps(ref_cfg))
+    args = ["certify", "--reference", "ref.json"]
+    for i, payload in enumerate(records):
+        name = f"{tag}_{i}.json"
+        (workdir / name).write_text(json.dumps(payload))
+        args += ["--record", name]
+    return _run_cli(src, workdir, args)
+
+
+# process traces (t, Pi, T, C): a steady one, one whose potential changes
+# sign, and one whose mean potential overflows
+TRACES = ["t,Pi,T,C\n0,0.5,3,0\n1,0.7,2.5,1.25\n2.5,0.2,3,2\n",
+          "t,Pi,T,C\n0,-1,2,0\n1,3,2,0.5\n3,0.5,1,0.75\n",
+          "t,Pi,T,C\n0,1e308,3,0\n10,1e308,3,1\n"]
+# each variant's own flags; every variant runs on the trace's defaults, then
+# with --delta-c and --pi-avg given
+THERMO_FLAGS = {"envelope": [], "net_gain": [], "full": ["--log-correction", "0.25"],
+                "isothermal": ["--temperature", "1.5"], "sign_robust": []}
+
+
+def _other_cli(src: str, workdir: Path, ref_cfg: dict, ref, rho, family) -> dict:
+    """`sweep` (stdout and --out), `thermo` in every variant with and
+    without --delta-c and --pi-avg, and `simulate --witness` with a projector
+    onto the top of H_R and with a missing file, all on the first case."""
+    from rcc import io
+
+    (workdir / "ref.json").write_text(json.dumps(ref_cfg))
+    io.dump_state(rho, workdir / "state.json")
+    (workdir / "windows.json").write_text(json.dumps({"windows": [
+        {"xi": w.xi, "blocks": [list(b) for b in w.partition.blocks]} for w in family.windows]}))
+    on_state = ["--state", "state.json", "--reference", "ref.json"]
+    sweep = ["sweep", *on_state, "--windows", "windows.json"]
+    out = {"sweep": [_run_cli(src, workdir, sweep), _run_cli(src, workdir, sweep, "sweep.csv")]}
+
+    thermo = []
+    for i, text in enumerate(TRACES):
+        (workdir / f"trace{i}.csv").write_text(text)
+        for variant, flags in THERMO_FLAGS.items():
+            args = ["thermo", "--trace", f"trace{i}.csv", "--gamma-r", "3",
+                    "--variant", variant, *flags]
+            thermo += [_run_cli(src, workdir, args),
+                       _run_cli(src, workdir, [*args, "--delta-c", "0.5", "--pi-avg", "2"])]
+    out["thermo"] = thermo
+
+    v = ref.support_basis()[:, :1]
+    (workdir / "witness.json").write_text(json.dumps(io.matrix_to_payload(v @ v.conj().T)))
+    simulate = ["simulate", *on_state, "--protocol", "witness", "--n", "500", "--seed", "3"]
+    out["simulate_witness"] = [_run_cli(src, workdir, [*simulate, "--witness", name], "rec.json")
+                               for name in ("witness.json", "missing.json")]
+    return out
 
 
 def battery(src: str, small: bool) -> dict:
@@ -220,7 +276,9 @@ def battery(src: str, small: bool) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         cli = [_certify_cli(src, Path(tmp), ref_cfg, recs, f"set{i}")
                for i, recs in enumerate(cli_sets)]
+        other = _other_cli(src, Path(tmp), ref_cfg, ref, rho, family)
     _leaves(cli, "cli_certify", out)
+    _leaves(other, "cli", out)
     return out
 
 
