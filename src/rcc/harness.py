@@ -493,12 +493,12 @@ def coverage_experiment(config: RunConfig, trials: int) -> dict:
     cannot certify (invalid runs). A binomial column is compared with one
     threshold count, which does not depend on the draws: the comparison
     finds the flip cell of the Clopper-Pearson bisection's grid, and a
-    binary search over the counts 0..n finds the least count whose endpoint
+    search over the counts 0..n finds the least count whose endpoint
     reaches it, one tail evaluation at the cell's lower edge per count
-    (exact while the tail is monotone on that grid), so a column costs at
-    most ceil(log2(n + 2)) tail evaluations and bisects no endpoint. The
-    summary contains no timestamp, so identical seeds give byte-identical
-    output.
+    (exact while the tail is monotone on that grid). Both searches start
+    at a guess of their answer, so a column costs about 2 comparisons and
+    2 tail evaluations and bisects no endpoint. The summary contains no
+    timestamp, so identical seeds give byte-identical output.
     """
     if not _is_integer(trials) or not 0 < trials <= _MAX_TRIALS:
         raise ValidationError(f"trials must be an integer in [1, 2**32], got {trials!r}")

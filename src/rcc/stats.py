@@ -26,15 +26,18 @@ cells of _bisect's grid, so the endpoints that pass are those from one flip
 cell on, found with the comparison alone. Whether a count's endpoint
 reaches the flip cell is the test its bisection makes at the cell's lower
 edge, one tail evaluation, which gives the bisection's answer as long as
-the tail is monotone in p on the grid. A binary search over the counts 0..n
-then finds k*: a column costs at most 35 comparisons and ceil(log2(n + 2))
-tail evaluations, whatever the number of records.
+the tail is monotone in p on the grid. A search over the counts 0..n then
+finds k*. Both searches start at a guess of their answer (`_first`): the
+cell where the counter's value function, inverted at the limit, puts the
+flip, and the normal approximation of the binomial delta-quantile at the
+flip cell's edge. A column then costs about 2 comparisons and 2 tail
+evaluations, whatever the number of records, and a wrong guess costs more
+evaluations, never another k*.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,6 +69,11 @@ from .reference import ReferenceSet
 # Clopper-Pearson endpoints are bisected on this grid: _bisect halves [0, 1]
 # until its bracket is one of this many cells of equal width, 2^-34 < 1e-10.
 _CELLS = 2**34
+# Shot counts up to this are exact doubles. Past it the tail's shape
+# parameters n - k and k + 1 round, and betainc's tail is not monotone in k
+# (it returns NaN and 0.5 at some counts), so a threshold search over those
+# counts probes where bisect_left probes rather than from a guess.
+_EXACT_COUNTS = 2**53
 # hypothesis_test spends this share of delta on the type-I endpoint and the
 # rest on the type-II endpoint.
 _HT_DELTA_SPLIT = 0.5
@@ -385,22 +393,58 @@ def dephase_protocol(
     )
 
 
-def _threshold(upper: bool, n: int, delta: float, passes) -> int:
+def _first(pred, lo: int, hi: int, guess: float | None) -> int:
+    """The least i in [lo, hi) with pred(i), hi if there is none, for a pred
+    false and then true along the range.
+
+    The search starts at the guess clamped into the range (lo for NaN),
+    steps away from it by doubling steps until the answer is bracketed and
+    then halves the bracket, on Python ints: an answer D away from the guess
+    costs about 2 log2(D + 1) + 1 evaluations, and no answer more than
+    2 ceil(log2(hi - lo + 1)). The guess changes the cost, never the answer.
+    With no guess (None) it only halves [lo, hi), probing where bisect_left
+    probes, which gives bisect_left's answer for any pred.
+    """
+    f, t = lo - 1, hi  # pred is false at f and true at t; neither end is evaluated
+    if guess is not None and lo < hi:
+        # max and min return their int over a NaN guess
+        i, step = int(max(lo, min(guess, hi - 1))), 1
+        if pred(i):
+            t = i
+            while t - step > f and pred(t - step):
+                t, step = t - step, 2 * step
+            f = max(f, t - step)
+        else:
+            f = i
+            while f + step < t and not pred(f + step):
+                f, step = f + step, 2 * step
+            t = min(t, f + step)
+    while t - f > 1:
+        mid = (f + t + 1) // 2
+        f, t = (f, mid) if pred(mid) else (mid, t)
+    return t
+
+
+def _threshold(upper: bool, n: int, delta: float, passes, flip: float) -> int:
     """The least count k in [0, n] whose upper (or lower) endpoint at delta
     passes, n + 1 if none does, for a predicate false and then true along
-    [0, 1].
+    [0, 1] that turns near p = flip.
 
     The least cell whose midpoint passes, the flip cell, is found with
-    passes alone; a bisected endpoint passes if and only if its bisection
-    keeps the upper half at the flip cell's lower edge, which holds if the
-    tail is monotone in p on the grid of cell edges. The edge count's
-    endpoint (1.0 upper, 0.0 lower) is not bisected, as in the certifiers.
-    The binary search runs over the other n counts, so that its range fits
-    bisect's C index up to the sampler's n = 2**63 - 1, and the edge count
-    is compared only where the search ends next to it.
+    passes alone, starting at flip's cell; a bisected endpoint passes if and
+    only if its bisection keeps the upper half at the flip cell's lower edge
+    p, which holds if the tail is monotone in p on the grid of cell edges.
+    That search over the counts starts at the normal approximation of the
+    binomial quantile at p, n p -+ z sqrt(n p (1 - p)) with z the standard
+    normal delta-quantile, up to n = _EXACT_COUNTS. The edge count's
+    endpoint (1.0 upper, 0.0 lower) is not bisected, as in the certifiers:
+    the search runs over the other n counts, and the edge count is compared
+    only where it ends next to it. Neither start changes the threshold, only
+    the number of comparisons and tail evaluations.
     """
-    cell = bisect_left(range(_CELLS), True, key=lambda j: passes((j + 0.5) / _CELLS))
-    x = 1.0 - cell / _CELLS
+    cell = _first(lambda j: passes((j + 0.5) / _CELLS), 0, _CELLS, flip * _CELLS)
+    p = cell / _CELLS
+    x = 1.0 - p
 
     # _above(upper, k, n, delta) at the edge: the tail _binom_cdf(k, n), or
     # _binom_cdf(k - 1, n) for the lower side, as one scalar betainc call,
@@ -410,8 +454,16 @@ def _threshold(upper: bool, n: int, delta: float, passes) -> int:
             return betainc(float(n - k), float(k + 1), x) - delta > 0
         return not (1.0 - betainc(float(n - k + 1), float(k), x)) - delta > 0
 
+    # the upper side's k* is near the delta-quantile of Binomial(n, p), the
+    # lower side's one past its (1 - delta)-quantile
+    guess = None
+    if n <= _EXACT_COUNTS:
+        from scipy.special import ndtri
+
+        spread = float(ndtri(delta)) * math.sqrt(n * p * x)
+        guess = n * p + spread if upper else n * p - spread + 1
     first = 0 if upper else 1
-    k = first + bisect_left(range(first, first + n), True, key=reaches)
+    k = _first(reaches, first, first + n, guess)
     if upper:
         return k if k < n or passes(1.0) else n + 1
     return 0 if k == 1 and passes(0.0) else k
@@ -425,9 +477,9 @@ def ht_counts(counts: np.ndarray, n: int, limit: float, eta: float,
     threshold null_accept_h1 count on, and its value is above the limit
     below a threshold alt_accept_h0 count."""
     invalid = counts[:, HT_LABELS.index("null_accept_h1")] >= _threshold(
-        True, n, delta * _HT_DELTA_SPLIT, lambda p: p > eta)
+        True, n, delta * _HT_DELTA_SPLIT, lambda p: p > eta, eta)
     k_alt = _threshold(True, n, delta * (1.0 - _HT_DELTA_SPLIT),
-                       lambda b: not _ht_value(b) > limit)
+                       lambda b: not _ht_value(b) > limit, _pow2(-limit))
     above = ~invalid & (counts[:, HT_LABELS.index("alt_accept_h0")] < k_alt)
     return int(np.count_nonzero(above)), int(np.count_nonzero(invalid))
 
@@ -439,7 +491,8 @@ def witness_counts(counts: np.ndarray, n: int, ref: ReferenceSet, limit: float, 
     limit. The value rises with success, so the rows from a threshold
     success count on certify above it."""
     _check_witness_rank(rank, ref.d_r)
-    k = _threshold(False, n, delta, lambda p: _witness_value(p, ref.d_r, rank) > limit)
+    k = _threshold(False, n, delta, lambda p: _witness_value(p, ref.d_r, rank) > limit,
+                   _pow2(limit) * rank / ref.d_r)
     return int(np.count_nonzero(counts[:, WITNESS_LABELS.index("success")] >= k)), 0
 
 

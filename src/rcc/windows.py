@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import PROBABILITY_TOL, binary_entropy, shannon, von_neumann
-from .errors import ValidationError, _check_finite
+from .errors import ConfigError, ValidationError, _check_finite
 from .operators import BlockPartition, DensityOperator, pinch
 from .reference import ReferenceSet
 
@@ -264,14 +264,17 @@ def process_time_bound(
     initial complexity). full: additionally removes the supplied logarithmic
     correction budget. isothermal: hbar * delta_c / (2 pi k_B T), flagged
     approximate since the underlying potential cap is heuristic.
-    sign_robust: pi_avg is replaced by the time average of the positive part
-    of the potential along the trace. Every number given and the bound must
-    be finite, and hbar and k_B positive.
+    sign_robust: pi_avg is the time average of the positive part of the
+    potential along the trace, and a given pi_avg is a ConfigError. Every
+    number given and the bound must be finite, and hbar and k_B positive.
     """
     if variant not in TIME_BOUND_VARIANTS:
         raise ValidationError(
             f"unknown variant {variant!r}; expected one of {TIME_BOUND_VARIANTS}"
         )
+    if variant == "sign_robust" and pi_avg is not None:
+        raise ConfigError(f"pi_avg = {pi_avg} cannot be given with the sign_robust variant, "
+                          "which averages the trace's positive potential")
     given = {"pi_avg": pi_avg, "temperature": temperature}
     _check_finite(delta_c=delta_c, log_correction=log_correction, hbar=hbar, k_b=k_b,
                   **{name: x for name, x in given.items() if x is not None})

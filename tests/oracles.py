@@ -184,6 +184,32 @@ def clopper_pearson_by_int_tail(upper: bool, k: int, n: int, delta: float) -> fl
     return lo + 0.5 * width
 
 
+def threshold_by_bisection(upper: bool, n: int, delta: float, passes) -> int:
+    """stats._threshold by bisect_left: the flip cell by a binary search over
+    all 2^34 cells, then the threshold count by one over the n counts other
+    than the edge count, each count's test one scalar betainc call at the
+    flip cell's lower edge."""
+    from bisect import bisect_left
+
+    from scipy.special import betainc
+
+    from rcc.stats import _CELLS
+
+    cell = bisect_left(range(_CELLS), True, key=lambda j: passes((j + 0.5) / _CELLS))
+    x = 1.0 - cell / _CELLS
+
+    def reaches(k: int) -> bool:
+        if upper:
+            return betainc(float(n - k), float(k + 1), x) - delta > 0
+        return not (1.0 - betainc(float(n - k + 1), float(k), x)) - delta > 0
+
+    first = 0 if upper else 1
+    k = first + bisect_left(range(first, first + n), True, key=reaches)
+    if upper:
+        return k if k < n or passes(1.0) else n + 1
+    return 0 if k == 1 and passes(0.0) else k
+
+
 def shannon_bits_oracle(p) -> float:
     return float(sum(-x * math.log2(x) for x in p if x > 0))
 

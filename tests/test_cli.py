@@ -598,6 +598,25 @@ class TestRectThermo:
         assert result.exit_code == 4, result.output
         assert result.stderr == f"error: {message}\n"
 
+    @pytest.mark.parametrize("trace, args, code, message", [
+        ("t,Pi,T,C\n0,0.5,3,0\n1,0.7,2.5,1.25\n2.5,0.2,3,2\n", ["--pi-avg", "2"], 2,
+         "config error: pi_avg = 2.0 cannot be given with the sign_robust variant, which "
+         "averages the trace's positive potential"),
+        ("t,Pi,T,C\n0,1e308,3,0\n10,1e308,3,1\n", ["--delta-c", "0.5", "--pi-avg", "2"], 2,
+         "config error: pi_avg = 2.0 cannot be given with the sign_robust variant, which "
+         "averages the trace's positive potential"),
+        # with no --pi-avg, the trace's average is checked as before
+        ("t,Pi,T,C\n0,1e308,3,0\n10,1e308,3,1\n", ["--delta-c", "0.5"], 4,
+         "error: pi_avg must be finite, got inf"),
+    ], ids=["given", "given-on-an-overflowing-trace", "overflowing-default"])
+    def test_sign_robust_rejects_pi_avg(self, runner, tmp_path, trace, args, code, message):
+        path = tmp_path / "trace.csv"
+        path.write_text(trace)
+        result = runner.invoke(main, ["thermo", "--trace", str(path), "--gamma-r", "3",
+                                      "--variant", "sign_robust", *args])
+        assert result.exit_code == code, result.output
+        assert result.stderr == f"{message}\n"
+
     @pytest.mark.parametrize("text, key, value", [
         ('{"hbar": true, "k_b": "2"}', "hbar", "True"),
         ('{"k_b": "2"}', "k_b", "'2'"),

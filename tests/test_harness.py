@@ -520,7 +520,7 @@ class TestBatchedCoverage:
                 simulate_record(rho, ref, proto, n, seed=0)
 
     def test_the_largest_shot_count_covers_and_simulates(self, state_and_ref):
-        # the threshold search over n + 1 counts still fits bisect's C index
+        # the threshold searches run on Python ints, past a C index
         rho, ref = state_and_ref
         n = 2**63 - 1
         config = RunConfig(state=rho, reference=ref, protocols=PROTOCOLS, n_samples=n)
@@ -543,34 +543,42 @@ class TestBatchedCoverage:
 
     def test_a_count_column_costs_a_binary_search_of_endpoints(self, state_and_ref, monkeypatch):
         # 500 trials certified one by one would evaluate 1,500 endpoints, and
-        # a full bisection makes 34 tail evaluations per endpoint; a column's
-        # threshold count costs at most ceil(log2(n + 2)) tail evaluations,
-        # whatever the number of trials, each one betainc call, and no
-        # bisection
+        # a full bisection makes 34 tail evaluations per endpoint; the three
+        # threshold counts cost a few comparisons and tail evaluations in
+        # all, whatever the number of trials, each tail one betainc call, and
+        # no bisection: their searches start where the comparison flips and
+        # at the normal approximation of the binomial quantile there
         def no_bisection(*args):
             raise AssertionError("coverage bisected an endpoint")
 
         def no_tail_function(*args):
             raise AssertionError("coverage built a tail function")
 
-        tails = []
+        tails, comparisons = [], []
         # the first tail rebinds stats.betainc to scipy's ufunc, which the
         # spy must wrap, or that first call would rebind the name over it
         stats.clopper_pearson_upper(1, 2, 0.5)
-        betainc = stats.betainc
+        betainc, threshold = stats.betainc, stats._threshold
+
+        def counted_threshold(upper, n, delta, passes, flip):
+            return threshold(upper, n, delta, lambda p: comparisons.append(1) or passes(p), flip)
+
         monkeypatch.setattr(stats, "_bisect", no_bisection)
         monkeypatch.setattr(stats, "_binom_cdf", no_tail_function)
         monkeypatch.setattr(stats, "betainc", lambda *args: tails.append(1) or betainc(*args))
+        monkeypatch.setattr(stats, "_threshold", counted_threshold)
         rho, ref = state_and_ref
         config = RunConfig(state=rho, reference=ref, protocols=PROTOCOLS, n_samples=400, seed=11)
         costs = []
         for trials in (50, 500):
             tails.clear()
+            comparisons.clear()
             summary = coverage_experiment(config, trials=trials)
             assert summary["protocols"]["hypothesis_test"]["invalid_runs"] == 0
-            costs.append(len(tails))
+            costs.append((len(tails), len(comparisons)))
         assert costs[0] == costs[1]
-        assert 0 < costs[1] <= 3 * math.ceil(math.log2(400 + 2))
+        assert 0 < costs[1][0] <= 9
+        assert 0 < costs[1][1] <= 9
 
     @pytest.mark.parametrize("state, settings, counts", [
         # (violations, invalid_runs) of hypothesis_test, witness and dephase

@@ -31,6 +31,7 @@ from oracles import (
     clopper_pearson_lower_oracle,
     clopper_pearson_upper_oracle,
     count_above_one_record_at_a_time,
+    threshold_by_bisection,
 )
 
 
@@ -184,8 +185,8 @@ class TestArrayEndpoints:
         assert clopper_pearson_lower(0, 7, 0.05) == 0.0
         # no cell midpoint passes, only the upper edge's 1.0; every cell
         # midpoint passes, but not the lower edge's 0.0
-        assert stats._threshold(True, 7, 0.05, lambda p: p > 1.0 - 1e-12) == 7
-        assert stats._threshold(False, 7, 0.05, lambda p: p > 1e-12) == 1
+        assert stats._threshold(True, 7, 0.05, lambda p: p > 1.0 - 1e-12, 1.0 - 1e-12) == 7
+        assert stats._threshold(False, 7, 0.05, lambda p: p > 1e-12, 1e-12) == 1
 
     def test_array_counts_are_checked(self):
         # an endpoint takes one count; an array of integer counts is not one
@@ -213,34 +214,72 @@ class TestArrayEndpoints:
             assert endpoint(k, n, 0.05) == endpoint(3, 100, 0.05)
 
 
+# starts of the threshold searches: any of them gives the same threshold
+GUESSES = st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0, math.nan, math.inf, -math.inf, 1e300])
+
+
+def threshold_comparisons(data, n, delta, d_r):
+    """(upper endpoint?, its full value at a count k, passes) for the three
+    comparisons of the coverage counters, at a k drawn near 0, near n or at
+    random, and a limit that ties k's value, sits one ULP beside it or is
+    random."""
+    k = data.draw(st.integers(0, min(n, 20)) | st.integers(0, n)
+                  | st.integers(max(0, n - 20), n))
+    rank = data.draw(st.integers(1, d_r))
+    upper, lower = clopper_pearson_upper(k, n, delta), clopper_pearson_lower(k, n, delta)
+    probes = [  # (upper endpoint?, its full value, the compared value, negated, random limits)
+        (True, upper, lambda p: p, False, st.floats(0.0, 1.0)),
+        (True, upper, stats._ht_value, True, st.floats(-1.0, 40.0)),
+        (False, lower, lambda p: stats._witness_value(p, d_r, rank), False,
+         st.floats(-1.0, 5.0)),
+    ]
+    for is_upper, full, value, negated, limits in probes:
+        tie = value(full)
+        for limit in (tie, np.nextafter(tie, -np.inf), np.nextafter(tie, np.inf),
+                      data.draw(limits)):
+            def passes(p, value=value, limit=limit, negated=negated):
+                return (value(p) > limit) != negated
+
+            yield k, is_upper, full, passes
+
+
 class TestThresholdCounts:
     """A coverage counter compares each count with the threshold count of
     its column; a count must reach it exactly when the full endpoint of that
     count passes the comparison, also at a limit that ties the endpoint's
-    value or sits one ULP beside it."""
+    value or sits one ULP beside it, wherever the searches start."""
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), n=st.integers(1, 3216643036), delta=st.floats(1e-9, 0.5),
            d_r=st.integers(1, 8))
     def test_threshold_is_where_the_full_endpoint_passes(self, data, n, delta, d_r):
-        k = data.draw(st.integers(0, min(n, 20)) | st.integers(0, n)
-                      | st.integers(max(0, n - 20), n))
-        rank = data.draw(st.integers(1, d_r))
-        upper, lower = clopper_pearson_upper(k, n, delta), clopper_pearson_lower(k, n, delta)
-        probes = [  # (upper endpoint?, its full value, the compared value, negated, random limits)
-            (True, upper, lambda p: p, False, st.floats(0.0, 1.0)),
-            (True, upper, stats._ht_value, True, st.floats(-1.0, 40.0)),
-            (False, lower, lambda p: stats._witness_value(p, d_r, rank), False,
-             st.floats(-1.0, 5.0)),
-        ]
-        for is_upper, full, value, negated, limits in probes:
-            tie = value(full)
-            for limit in (tie, np.nextafter(tie, -np.inf), np.nextafter(tie, np.inf),
-                          data.draw(limits)):
-                def passes(p, limit=limit):
-                    return (value(p) > limit) != negated
+        for k, is_upper, full, passes in threshold_comparisons(data, n, delta, d_r):
+            guess = data.draw(GUESSES)
+            assert (k >= stats._threshold(is_upper, n, delta, passes, guess)) == passes(full)
 
-                assert (k >= stats._threshold(is_upper, n, delta, passes)) == passes(full)
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 2**63 - 1), delta=st.floats(1e-9, 0.5),
+           d_r=st.integers(1, 8))
+    def test_any_guess_gives_the_blind_binary_searches_threshold(self, data, n, delta, d_r):
+        # the searches from a guess make at most 2 ceil(log2(n + 2)) + 2 tail
+        # evaluations, and those blind over all counts ceil(log2(n + 1))
+        stats.clopper_pearson_upper(1, 2, 0.5)
+        betainc, tails = stats.betainc, []
+
+        def counted(*args):
+            tails.append(1)
+            return betainc(*args)
+
+        for _, is_upper, _, passes in threshold_comparisons(data, n, delta, d_r):
+            guess = data.draw(GUESSES)
+            tails.clear()
+            stats.betainc = counted
+            try:
+                k = stats._threshold(is_upper, n, delta, passes, guess)
+            finally:
+                stats.betainc = betainc
+            assert k == threshold_by_bisection(is_upper, n, delta, passes)
+            assert len(tails) <= 2 * math.ceil(math.log2(n + 2)) + 2
 
 
 def certified_values(protocol, counts, n, ref, eta, delta, rank) -> list[float]:

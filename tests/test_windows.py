@@ -5,6 +5,7 @@ import pytest
 
 from rcc import (
     BlockPartition,
+    ConfigError,
     ObservationWindow,
     ProcessTrace,
     ValidationError,
@@ -275,6 +276,13 @@ class TestThermo:
         bound = process_time_bound(1.0, variant="sign_robust", trace=trace)
         # clipped samples [1, 0, 1] integrate to 1.0 over a span of 2
         assert bound.value == pytest.approx(1.0 / (2 * 0.5), abs=1e-12)
+
+    def test_sign_robust_rejects_a_given_pi_avg(self):
+        # the variant averages the trace's potential; a given average is not used
+        trace = ProcessTrace([0, 1, 2], [1.0, -1.0, 1.0], [1, 1, 1], [0, 0.5, 1])
+        with pytest.raises(ConfigError, match="pi_avg = 2.0 cannot be given with the "
+                                              "sign_robust variant"):
+            process_time_bound(1.0, 2.0, variant="sign_robust", trace=trace)
 
     def test_pi_avg_required_positive(self):
         with pytest.raises(ValidationError):
