@@ -12,14 +12,12 @@ from .bounds import (
     rcc,
     smoothed_lower_bound,
     solve_bootstrap,
-    structon_convert,
 )
 from .entropy import (
     EntropyValue,
     PurityCeiling,
     bernoulli_kl,
     binary_entropy,
-    explicit_test_divergence_bound,
     hypothesis_testing_divergence,
     leakage_adjusted_divergence,
     max_relative_to_reference,
@@ -52,24 +50,20 @@ from .harness import (
 from .operators import (
     BlockPartition,
     DensityOperator,
-    HermitianOperator,
     Projector,
     SpectralDecomposition,
     eig_hermitian,
     pinch,
     project_renormalize,
-    trace_distance,
     validate_density,
 )
 from .records import MeasurementRecord
 from .reference import (
     ReferenceSet,
-    SmoothedReference,
     block_reference,
     build_reference,
     misspecification_gap,
     sector_reference,
-    smooth_reference,
     stabilizer_reference,
 )
 from .windows import (
@@ -79,16 +73,12 @@ from .windows import (
     RectPerformance,
     TimeBound,
     WindowFamily,
-    conditional_expectation,
     info_work,
     process_time_bound,
     rect_efficiency,
     rect_identity_check,
     rect_performance_check,
-    window_leakage_error,
-    windowed_pinching_bound,
     windowed_rcc,
-    work_complexity_potential,
 )
 
 __version__ = "0.1.0"

@@ -88,14 +88,6 @@ def rcc(rho: DensityOperator, ref: ReferenceSet) -> float:
     return max(0.0, d_bits / ref.log2_gamma)
 
 
-def structon_convert(value: float, gamma_from: float, gamma_to: float) -> float:
-    """Re-express structons between platforms: factor ln(G_from)/ln(G_to)."""
-    for name, g in (("gamma_from", gamma_from), ("gamma_to", gamma_to)):
-        if g <= 1:
-            raise ValidationError(f"{name} must exceed 1")
-    return value * math.log(gamma_from) / math.log(gamma_to)
-
-
 def lambert_w0(z: float) -> float:
     """Principal branch of w e^w = z for z >= -1/e, by Halley iteration.
 

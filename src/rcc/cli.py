@@ -358,9 +358,10 @@ def rect(sigma_avail, delta_t, c_opt, s_e, gamma_j, hbar, c_r, j, out):
 @click.option("--delta-c", type=float, help="Complexity change; defaults to the "
               "trace's net change.")
 @click.option("--pi-avg", type=float, help="Average work potential; defaults to the "
-              "trace's time average. sign_robust takes none.")
+              "trace's time average. isothermal and sign_robust take none.")
 @click.option("--temperature", type=float, help="Temperature for the isothermal variant.")
-@click.option("--log-correction", type=float, default=0.0, show_default=True)
+@click.option("--log-correction", type=float, help="Logarithmic correction budget for the "
+              "full variant; defaults to 0.")
 @constants_opt
 @out_opt
 def thermo(trace_path, gamma_r, variant, delta_c, pi_avg, temperature,

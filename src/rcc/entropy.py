@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LeakageError, ValidationError, _check_finite, _check_level
-from .operators import EFFECT_TOL, DensityOperator, check_hermitian, project_renormalize
+from .operators import DensityOperator, project_renormalize
 from .reference import ReferenceSet
 
 LN2 = math.log(2.0)
@@ -29,8 +29,6 @@ DEFAULT_LEAK_TOL = 1e-9
 # below 0 by _NEGATIVE_PROB_TOL.
 PROBABILITY_TOL = 1e-9
 _NEGATIVE_PROB_TOL = 1e-12
-# An explicit test's type-I error may exceed eta by this rounding slack.
-_TYPE_I_SLACK = 1e-12
 # A type-II error at or below this gives an infinite testing divergence.
 _BETA_FLOOR = 1e-15
 
@@ -161,34 +159,6 @@ def hypothesis_testing_divergence(
     """
     weights = _waterfill_weights(ref.d_r, eta)
     beta = 1.0 - float(weights @ _supported_spectrum(rho, ref))
-    if beta <= _BETA_FLOOR:
-        return EntropyValue(math.inf)
-    return EntropyValue(-math.log2(beta))
-
-
-def explicit_test_divergence_bound(
-    rho: DensityOperator, sigma_matrix, test_matrix, eta: float
-) -> EntropyValue:
-    """Lower bound on the testing divergence from one explicit binary test.
-
-    For non-commuting pairs (a leaked state against a smoothed reference)
-    the exact optimum is not computed here; any supplied test operator T
-    with 0 <= T <= I and Tr(T sigma) <= eta certifies
-    D_H^eta >= -log2 Tr[(I - T) rho]. T and sigma must be finite and
-    Hermitian.
-    """
-    _check_level("eta", eta)
-    sigma = check_hermitian(np.asarray(sigma_matrix, dtype=complex))
-    t = check_hermitian(np.asarray(test_matrix, dtype=complex))
-    w = np.linalg.eigvalsh(t)
-    if w.min() < -EFFECT_TOL or w.max() > 1.0 + EFFECT_TOL:
-        raise ValidationError("test operator must satisfy 0 <= T <= I")
-    alpha = float(np.trace(t @ sigma).real)
-    if alpha > eta + _TYPE_I_SLACK:
-        raise ValidationError(
-            f"test has type-I error {alpha:.6f} above the allowed eta = {eta}"
-        )
-    beta = float(np.trace((np.eye(rho.dim) - t) @ rho.matrix).real)
     if beta <= _BETA_FLOOR:
         return EntropyValue(math.inf)
     return EntropyValue(-math.log2(beta))

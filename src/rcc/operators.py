@@ -1,8 +1,8 @@
 """Exact finite-dimensional operator algebra.
 
 Dense Hermitian matrices, density operators, projectors, spectral
-decompositions, block pinching and trace distance. Everything here is a
-pure function of immutable inputs; nothing mutates shared state.
+decompositions and block pinching. Everything here is a pure function of
+immutable inputs; nothing mutates shared state.
 """
 
 from __future__ import annotations
@@ -23,14 +23,14 @@ _SUPPORT_TOL = 1e-9
 _RANK_TOL = 1e-8
 # Retained mass Tr(P rho) at or below this is complete leakage.
 _COMPLETE_LEAK_TOL = 1e-14
-# Supplied measurement operators (explicit tests, witness projectors):
-# 0 <= T <= I, P^2 = P and support are checked to this tolerance.
+# A supplied witness projector's P^2 = P and support are checked to this
+# tolerance.
 EFFECT_TOL = 1e-9
 
 
 def _as_matrix(obj) -> np.ndarray:
     """Coerce input to a square complex ndarray."""
-    if isinstance(obj, (HermitianOperator, DensityOperator, Projector)):
+    if isinstance(obj, (DensityOperator, Projector)):
         return obj.matrix
     m = np.asarray(obj, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -82,22 +82,6 @@ def _with_spectrum(rho: "DensityOperator", w: np.ndarray) -> "DensityOperator":
     """rho carrying w as its cached spectrum, so no functional solves for it."""
     rho.__dict__["spectrum"] = _read_only(w)
     return rho
-
-
-@dataclass(frozen=True)
-class HermitianOperator:
-    """A validated dim x dim Hermitian matrix."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = _as_matrix(self.matrix)
-        check_hermitian(m)
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
 
 @dataclass(frozen=True)
@@ -299,14 +283,6 @@ def pinch(rho: DensityOperator, partition: BlockPartition) -> DensityOperator:
             f"partition does not cover support indices {sorted(missing)}"
         )
     return DensityOperator(partition.pinch(rho.matrix))
-
-
-def trace_distance(rho: DensityOperator, sigma: DensityOperator) -> float:
-    """(1/2) * sum |eigenvalues(rho - sigma)|, in [0, 1]."""
-    if rho.dim != sigma.dim:
-        raise ValidationError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
-    w = eigvals_hermitian(rho.matrix - sigma.matrix)
-    return float(min(1.0, max(0.0, 0.5 * np.abs(w).sum())))
 
 
 def project_renormalize(rho: DensityOperator, proj: Projector) -> tuple[DensityOperator, float]:

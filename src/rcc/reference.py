@@ -16,7 +16,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import ConfigError, ExclusiveSectorsError, ValidationError, _check_level
+from .errors import ConfigError, ExclusiveSectorsError, ValidationError
 from .operators import Projector, _is_diagonal, as_projector, eig_hermitian
 
 COMMUTATOR_TOL = 1e-10
@@ -260,30 +260,6 @@ def block_reference(blocks, g: int, addressable_units: int) -> ReferenceSet:
         q = np.concatenate([np.ones(r), np.zeros(m - r)])
         diags.append(np.kron(np.ones(d), q))
     return build_reference([np.diag(np.concatenate(diags)).astype(complex)], g, addressable_units)
-
-
-@dataclass(frozen=True)
-class SmoothedReference:
-    """Full-rank perturbation (1-delta) sigma_R + delta (I-Pi)/(d-d_R)."""
-
-    base: ReferenceSet
-    delta: float
-
-    def __post_init__(self):
-        _check_level("smoothing delta", self.delta)
-
-    def density_matrix(self) -> np.ndarray:
-        d, d_r = self.base.dim, self.base.d_r
-        pi = self.base.total.matrix
-        if d == d_r:
-            return self.base.sigma_matrix()
-        comp = (np.eye(d, dtype=complex) - pi) / (d - d_r)
-        return (1.0 - self.delta) * self.base.sigma_matrix() + self.delta * comp
-
-
-def smooth_reference(ref: ReferenceSet, delta: float) -> SmoothedReference:
-    """Smooth a reference onto its full space; a no-op when d = d_R."""
-    return SmoothedReference(ref, delta)
 
 
 def misspecification_gap(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import PROBABILITY_TOL, binary_entropy, shannon, von_neumann
+from .entropy import von_neumann
 from .errors import ConfigError, ValidationError, _check_finite
 from .operators import BlockPartition, DensityOperator, pinch
 from .reference import ReferenceSet
@@ -26,7 +26,17 @@ _NET_CHANGE_TOL = 1e-15
 # larger side of the inequality.
 _MARGIN_RTOL = 1e-12
 
-TIME_BOUND_VARIANTS = ("envelope", "net_gain", "full", "isothermal", "sign_robust")
+# the optional inputs of process_time_bound that each variant reads, and
+# what its message says it reads; a given input outside the set is a
+# ConfigError
+_VARIANT_INPUTS = {
+    "envelope": ({"pi_avg"}, "reads pi_avg"),
+    "net_gain": ({"pi_avg"}, "reads pi_avg"),
+    "full": ({"pi_avg", "log_correction"}, "reads pi_avg and log_correction"),
+    "isothermal": ({"temperature"}, "reads temperature"),
+    "sign_robust": (set(), "averages the trace's positive potential"),
+}
+TIME_BOUND_VARIANTS = tuple(_VARIANT_INPUTS)
 
 
 @dataclass(frozen=True)
@@ -89,11 +99,6 @@ def window_compatible(window: ObservationWindow, ref: ReferenceSet) -> bool:
     return bool(np.linalg.norm(pinched - ref.total.matrix) <= COMPAT_TOL)
 
 
-def conditional_expectation(rho: DensityOperator, window: ObservationWindow) -> DensityOperator:
-    """Project onto the window's block algebra (idempotent block pinching)."""
-    return pinch(rho, window.partition)
-
-
 def windowed_entropy_bits(
     rho: DensityOperator, ref: ReferenceSet, window: ObservationWindow
 ) -> float:
@@ -101,7 +106,7 @@ def windowed_entropy_bits(
         raise ValidationError(
             "window partition does not preserve the reference projector"
         )
-    return von_neumann(conditional_expectation(rho, window)).bits
+    return von_neumann(pinch(rho, window.partition)).bits
 
 
 def windowed_rcc(
@@ -118,57 +123,6 @@ def windowed_rcc(
 def _windowed_complexity(ref: ReferenceSet, s_bits: float) -> float:
     """The windowed complexity, in structons, of a window whose entropy is s_bits."""
     return max(0.0, (math.log2(ref.d_r) - s_bits) / ref.log2_gamma)
-
-
-def windowed_pinching_bound(probabilities, ranks, ref: ReferenceSet) -> float:
-    """Operational lower bound on windowed complexity from block outcomes.
-
-    Given outcome probabilities p_i over orthogonal blocks of ranks r_i that
-    resolve the reference subspace, returns
-    (ln d_R - H({p_i}) - sum_i p_i ln r_i) / ln Gamma_R, floored at 0.
-    Rank-one blocks reduce this to the plain dephasing bound.
-    """
-    p = np.asarray(probabilities, dtype=float)
-    r = np.asarray(ranks, dtype=float)
-    if p.shape != r.shape or p.ndim != 1:
-        raise ValidationError("probabilities and ranks must be matching 1-d arrays")
-    if (r < 1).any():
-        raise ValidationError("ranks must be >= 1")
-    # the sum is checked before shannon's own checks, so a vector that is
-    # both unnormalised and negative is reported as unnormalised
-    if abs(p.sum() - 1.0) > PROBABILITY_TOL:
-        raise ValidationError(f"probabilities sum to {p.sum()!r}, not 1")
-    h_nats = shannon(p).nats
-    p = np.clip(p, 0.0, None)
-    pos = p > 0.0
-    rank_term = float((p[pos] * np.log(r[pos])).sum())
-    value = (math.log(ref.d_r) - h_nats - rank_term) / math.log(ref.gamma)
-    return max(0.0, value)
-
-
-def work_complexity_potential(
-    temperature: float,
-    dc_dxi: float,
-    gamma_r: float,
-    dlngamma_dxi: float = 0.0,
-    complexity: float | None = None,
-) -> float:
-    """Information-processing work per unit budget at fixed energy.
-
-    Pi_Xi = T * ln(Gamma_R) * dC/dXi, plus T * C * dln(Gamma_R)/dXi when
-    the bandwidth drifts with the budget (then the current complexity C
-    must be supplied).
-    """
-    if temperature < 0:
-        raise ValidationError("temperature must be >= 0")
-    if gamma_r <= 1:
-        raise ValidationError("gamma_r must exceed 1")
-    value = temperature * math.log(gamma_r) * dc_dxi
-    if dlngamma_dxi != 0.0:
-        if complexity is None:
-            raise ValidationError("bandwidth drift requires the current complexity")
-        value += temperature * complexity * dlngamma_dxi
-    return value
 
 
 @dataclass(frozen=True)
@@ -251,7 +205,7 @@ def process_time_bound(
     pi_avg: float | None = None,
     variant: str = "envelope",
     *,
-    log_correction: float = 0.0,
+    log_correction: float | None = None,
     temperature: float | None = None,
     trace: ProcessTrace | None = None,
     hbar: float = 1.0,
@@ -262,22 +216,26 @@ def process_time_bound(
     envelope / net_gain: hbar * delta_c / (2 * pi_avg), differing only in
     what the caller subtracted to form delta_c (initial envelope value vs
     initial complexity). full: additionally removes the supplied logarithmic
-    correction budget. isothermal: hbar * delta_c / (2 pi k_B T), flagged
-    approximate since the underlying potential cap is heuristic.
-    sign_robust: pi_avg is the time average of the positive part of the
-    potential along the trace, and a given pi_avg is a ConfigError. Every
-    number given and the bound must be finite, and hbar and k_B positive.
+    correction budget (none given removes 0). isothermal: hbar * delta_c /
+    (2 pi k_B T), flagged approximate since the underlying potential cap is
+    heuristic. sign_robust: pi_avg is the time average of the positive part
+    of the potential along the trace. Of pi_avg, log_correction and
+    temperature, a variant reads only its own (_VARIANT_INPUTS), and a given
+    one that it does not read is a ConfigError. Every number given and the
+    bound must be finite, and hbar and k_B positive.
     """
     if variant not in TIME_BOUND_VARIANTS:
         raise ValidationError(
             f"unknown variant {variant!r}; expected one of {TIME_BOUND_VARIANTS}"
         )
-    if variant == "sign_robust" and pi_avg is not None:
-        raise ConfigError(f"pi_avg = {pi_avg} cannot be given with the sign_robust variant, "
-                          "which averages the trace's positive potential")
-    given = {"pi_avg": pi_avg, "temperature": temperature}
-    _check_finite(delta_c=delta_c, log_correction=log_correction, hbar=hbar, k_b=k_b,
-                  **{name: x for name, x in given.items() if x is not None})
+    reads, what = _VARIANT_INPUTS[variant]
+    given = {"pi_avg": pi_avg, "log_correction": log_correction, "temperature": temperature}
+    given = {name: x for name, x in given.items() if x is not None}
+    for name, x in given.items():
+        if name not in reads:
+            raise ConfigError(f"{name} = {x} cannot be given with the {variant} variant, "
+                              f"which {what}")
+    _check_finite(delta_c=delta_c, hbar=hbar, k_b=k_b, **given)
     if hbar <= 0 or k_b <= 0:
         raise ValidationError("hbar and k_b must be positive")
     if delta_c == 0.0:
@@ -297,29 +255,10 @@ def process_time_bound(
             _check_finite(pi_avg=pi_avg)
         if pi_avg is None or pi_avg <= 0:
             raise ValidationError("the average work potential must be positive")
-        effective = delta_c - (log_correction if variant == "full" else 0.0)
+        effective = delta_c - (log_correction or 0.0)
         value = max(0.0, hbar * effective / (2.0 * pi_avg))
     _check_finite(time_bound=value)
     return TimeBound(value, variant, approximate=variant == "isothermal")
-
-
-def window_leakage_error(p_leak: float, d_r: int, gamma_r: float) -> float:
-    """Worst-case windowed-complexity shift from support leakage p_leak.
-
-    Projection back into the subspace moves the state by at most
-    delta = 2p + 2 sqrt(p(1-p)) in trace distance, which perturbs any
-    windowed complexity by at most
-    (delta ln(d_R - 1) + h2(delta)) / ln(Gamma_R)   [structons, nats inside].
-    """
-    if not 0.0 <= p_leak < 1.0:
-        raise ValidationError(f"p_leak {p_leak} must be in [0,1)")
-    if d_r < 2:
-        raise ValidationError("d_R must be >= 2")
-    if gamma_r <= 1:
-        raise ValidationError("gamma_r must exceed 1")
-    delta = min(1.0, 2.0 * p_leak + 2.0 * math.sqrt(p_leak * (1.0 - p_leak)))
-    h2_nats = binary_entropy(delta).nats
-    return (delta * math.log(d_r - 1) + h2_nats) / math.log(gamma_r)
 
 
 @dataclass(frozen=True)

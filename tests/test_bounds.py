@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from rcc import (
     BoundConstants,
@@ -12,7 +11,6 @@ from rcc import (
     rcc,
     smoothed_lower_bound,
     solve_bootstrap,
-    structon_convert,
     validate_density,
 )
 from conftest import embedded_reference, full_reference, random_density, random_partition
@@ -68,21 +66,19 @@ class TestRcc:
             part = random_partition(rng, range(d_r))
             assert rcc(pinch(rho, part), ref) <= rcc(rho, ref) + 1e-12
 
-
-class TestStructonConvert:
-    def test_identity(self):
-        assert structon_convert(1.7, 4, 4) == 1.7
-
-    def test_four_to_eight(self):
-        assert structon_convert(1.0, 4, 8) == pytest.approx(2 / 3, abs=1e-15)
-
-    def test_two_to_four(self):
-        assert structon_convert(2.0, 2, 4) == pytest.approx(1.0, abs=1e-15)
-
-    @given(st.floats(0, 100), st.integers(2, 64), st.integers(2, 64))
-    def test_roundtrip(self, value, ga, gb):
-        back = structon_convert(structon_convert(value, ga, gb), gb, ga)
-        assert back == pytest.approx(value, rel=1e-12, abs=1e-12)
+    @pytest.mark.parametrize("gamma_a, gamma_b, ratio", [
+        (4, 4, 1.0), (4, 8, 2 / 3), (2, 4, 1 / 2), (16, 2, 4.0),
+    ])
+    def test_structons_convert_by_the_log_of_gamma(self, rng, gamma_a, gamma_b, ratio):
+        # one divergence counted in Gamma_R-ary instructions: the figures in
+        # two alphabets differ by log Gamma_a / log Gamma_b
+        assert rcc(basis_state(16), full_reference(16, g=gamma_b, units=1)) == pytest.approx(
+            ratio * rcc(basis_state(16), full_reference(16, g=gamma_a, units=1)), abs=1e-15)
+        for _ in range(10):
+            rho = random_density(rng, 8)
+            a = rcc(rho, full_reference(8, g=gamma_a, units=1))
+            b = rcc(rho, full_reference(8, g=gamma_b, units=1))
+            assert b == pytest.approx(ratio * a, rel=1e-12, abs=1e-15)
 
 
 class TestLambertW:

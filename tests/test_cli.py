@@ -617,6 +617,21 @@ class TestRectThermo:
         assert result.exit_code == code, result.output
         assert result.stderr == f"{message}\n"
 
+    @pytest.mark.parametrize("args, message", [
+        (["--variant", "isothermal", "--temperature", "1.5", "--pi-avg", "2"],
+         "pi_avg = 2.0 cannot be given with the isothermal variant, which reads temperature"),
+        (["--temperature", "1.5"],
+         "temperature = 1.5 cannot be given with the envelope variant, which reads pi_avg"),
+        (["--variant", "net_gain", "--log-correction", "5"],
+         "log_correction = 5.0 cannot be given with the net_gain variant, which reads pi_avg"),
+    ], ids=["isothermal-pi_avg", "envelope-temperature", "net_gain-log_correction"])
+    def test_a_flag_the_variant_does_not_read_exits_2(self, runner, tmp_path, args, message):
+        path = tmp_path / "trace.csv"
+        path.write_text("t,Pi,T,C\n0,0.5,3,0\n1,0.7,2.5,1.25\n2.5,0.2,3,2\n")
+        result = runner.invoke(main, ["thermo", "--trace", str(path), "--gamma-r", "3", *args])
+        assert result.exit_code == 2, result.output
+        assert result.stderr == f"config error: {message}\n"
+
     @pytest.mark.parametrize("text, key, value", [
         ('{"hbar": true, "k_b": "2"}', "hbar", "True"),
         ('{"k_b": "2"}', "k_b", "'2'"),

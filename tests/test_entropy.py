@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -221,6 +222,33 @@ class TestHypothesisTesting:
         ]
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
+    @pytest.mark.parametrize("eta", [0.125, 0.25, 0.5])
+    def test_the_waterfilling_test_attains_the_divergence(self, rng, eta):
+        # the operator a lab implements spends the type-I budget eta on
+        # sigma_R and leaves type-II error 2^-D_H on rho
+        from rcc.harness import optimal_test_projector
+
+        ref = embedded_reference(4, 6)
+        for _ in range(10):
+            rho = embed_state(random_density(rng, 4), 6)
+            t = optimal_test_projector(rho, ref, eta)
+            assert np.trace(t @ ref.sigma_matrix()).real == pytest.approx(eta, abs=1e-12)
+            beta = 1.0 - np.trace(t @ rho.matrix).real
+            exact = hypothesis_testing_divergence(rho, ref, eta).bits
+            assert -math.log2(beta) == pytest.approx(exact, abs=1e-10)
+
+    def test_no_test_within_the_level_does_better(self, rng):
+        # projecting on k basis states spends k/d of the budget on the flat
+        # sigma_R; the Neyman-Pearson test at that level is never worse
+        d = 6
+        ref = full_reference(d)
+        for _ in range(20):
+            rho = random_density(rng, d)
+            k = int(rng.integers(1, d))
+            accepted = float(np.diag(rho.matrix)[:k].real.sum())
+            crude = -math.log2(1.0 - accepted)
+            assert crude <= hypothesis_testing_divergence(rho, ref, k / d).bits + 1e-10
+
 
 class TestWaterfillWeights:
     @given(d_r=st.integers(1, 64), eta=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
@@ -283,6 +311,22 @@ class TestClassical:
     @given(st.floats(0.0, 1.0), st.floats(1e-9, 1.0 - 1e-9))
     def test_kl_nonnegative(self, q, p):
         assert bernoulli_kl(q, p).bits >= 0.0
+
+    @given(st.floats(0.0, 1.0), st.floats(1e-9, 1.0 - 1e-9))
+    def test_kl_obeys_pinsker(self, q, p):
+        # D(q || p) >= 2 (q - p)^2 nats
+        assert bernoulli_kl(q, p).nats >= 2.0 * (q - p) ** 2 - 1e-12
+
+    @pytest.mark.parametrize("q, p", [(0.5, 0.0), (0.5, 1.0)])
+    def test_kl_infinite_off_the_support(self, q, p):
+        assert bernoulli_kl(q, p).bits == math.inf
+
+    @pytest.mark.parametrize("q, p, message", [
+        (1.5, 0.5, "q = 1.5 outside [0,1]"), (0.5, -0.1, "p = -0.1 outside [0,1]"),
+    ])
+    def test_kl_arguments_outside_the_unit_interval_rejected(self, q, p, message):
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            bernoulli_kl(q, p)
 
     @given(st.floats(0.0, 1.0))
     def test_binary_entropy_bounds(self, v):
@@ -360,6 +404,30 @@ class TestLeakageAdjusted:
         with pytest.raises(ValidationError):
             leakage_adjusted_divergence(diag_state(1.0, 0.0, 0.0, 0.0), ref, mode="full")
 
+    def test_full_mode_adds_the_bernoulli_term(self):
+        dim, d_r = 10, 8
+        ref = embedded_reference(d_r, dim)
+        diag = np.zeros(dim)
+        diag[0] = 0.98
+        diag[d_r] = 0.02
+        got = leakage_adjusted_divergence(diag_state(*diag), ref, mode="full", delta=0.05).bits
+        assert got == pytest.approx(bernoulli_kl(0.98, 0.95).bits + 0.98 * 3.0, abs=1e-12)
+
+    def test_full_mode_delta_domain(self):
+        ref = embedded_reference(2, 4)
+        with pytest.raises(ValidationError, match=re.escape("delta 1.5 must be in (0,1)")):
+            leakage_adjusted_divergence(diag_state(1.0, 0.0, 0.0, 0.0), ref, mode="full",
+                                        delta=1.5)
+
+    def test_unknown_mode_rejected(self):
+        ref = embedded_reference(2, 4)
+        with pytest.raises(ValidationError, match="unknown mode 'additive'"):
+            leakage_adjusted_divergence(diag_state(1.0, 0.0, 0.0, 0.0), ref, mode="additive")
+
+    def test_dimension_mismatch_rejected(self):
+        with pytest.raises(ValidationError, match="dimension mismatch"):
+            leakage_adjusted_divergence(diag_state(1.0, 0.0), embedded_reference(2, 4))
+
     def test_rejects_a_state_whose_negative_part_projects_away(self):
         # built directly, not validated: the -0.25 sits outside the subspace,
         # so the projection alone would keep q = 1.25 and return 0.0363 bits
@@ -369,72 +437,6 @@ class TestLeakageAdjusted:
         ref = embedded_reference(2, 3)
         with pytest.raises(ValidationError, match="eigenvalue -2.500e-01 below -1e-10; not PSD"):
             leakage_adjusted_divergence(rho, ref)
-
-
-class TestExplicitTestBound:
-    def test_matches_exact_optimum_for_optimal_test(self):
-        from rcc import explicit_test_divergence_bound
-        from rcc.harness import optimal_test_projector
-
-        ref = full_reference(4)
-        rho = diag_state(0.7, 0.2, 0.1, 0.0)
-        t = optimal_test_projector(rho, ref, 0.25)
-        got = explicit_test_divergence_bound(rho, ref.sigma_matrix(), t, 0.25)
-        exact = hypothesis_testing_divergence(rho, ref, 0.25)
-        assert got.bits == pytest.approx(exact.bits, abs=1e-10)
-
-    def test_suboptimal_test_stays_below_optimum(self, rng):
-        from rcc import explicit_test_divergence_bound
-
-        ref = full_reference(6)
-        rho = random_density(rng, 6)
-        # crude test: project on the first two basis states
-        t = np.diag([1.0, 1.0, 0, 0, 0, 0]).astype(complex)
-        alpha = 2 / 6
-        got = explicit_test_divergence_bound(rho, ref.sigma_matrix(), t, alpha + 1e-9)
-        exact = hypothesis_testing_divergence(rho, ref, alpha + 1e-9)
-        assert got.bits <= exact.bits + 1e-10
-
-    @pytest.mark.parametrize("entry, message", [
-        (6e-5, "not Hermitian"), (math.nan, "non-finite"), (math.inf, "non-finite"),
-    ])
-    def test_test_and_reference_must_be_finite_and_hermitian(self, entry, message):
-        # with entry 6e-5 the test is oblique, and its Hermitian part lies
-        # within EFFECT_TOL of [0, I]; a non-finite reference would make the
-        # type-I check compare NaN and pass
-        from rcc import explicit_test_divergence_bound
-
-        ref = full_reference(2)
-        rho = diag_state(0.7, 0.3)
-        bad = np.array([[1.0, entry], [0.0, 0.0]])
-        with pytest.raises(ValidationError, match=message):
-            explicit_test_divergence_bound(rho, ref.sigma_matrix(), bad, 0.6)
-        if entry != 6e-5:
-            with pytest.raises(ValidationError, match=message):
-                explicit_test_divergence_bound(rho, bad, np.diag([1.0, 0.0]), 0.6)
-
-    def test_alpha_violation_rejected(self):
-        from rcc import explicit_test_divergence_bound
-
-        ref = full_reference(4)
-        rho = diag_state(0.7, 0.2, 0.1, 0.0)
-        t = np.diag([1.0, 1.0, 0, 0]).astype(complex)
-        with pytest.raises(ValidationError, match="type-I"):
-            explicit_test_divergence_bound(rho, ref.sigma_matrix(), t, 0.25)
-
-    def test_works_against_smoothed_reference(self):
-        # leaked state vs full-rank smoothed vacuum (non-commuting territory)
-        from rcc import explicit_test_divergence_bound, smooth_reference
-
-        ref = embedded_reference(2, 4)
-        smoothed = smooth_reference(ref, 0.02)
-        rho = diag_state(0.9, 0.08, 0.02, 0.0)
-        t = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
-        alpha = float(np.trace(t @ smoothed.density_matrix()).real)
-        got = explicit_test_divergence_bound(
-            rho, smoothed.density_matrix(), t, alpha + 1e-9
-        )
-        assert got.bits == pytest.approx(-math.log2(0.1), abs=1e-12)
 
 
 class TestStructuralProperties:

@@ -6,13 +6,11 @@ from rcc import (
     BlockPartition,
     CompleteLeakageError,
     DensityOperator,
-    HermitianOperator,
     Projector,
     ValidationError,
     eig_hermitian,
     pinch,
     project_renormalize,
-    trace_distance,
     validate_density,
     von_neumann,
 )
@@ -201,9 +199,8 @@ NON_FINITE = [
 
 class TestNonFinite:
     @pytest.mark.parametrize("matrix", NON_FINITE)
-    @pytest.mark.parametrize(
-        "build", [validate_density, DensityOperator, Projector, HermitianOperator]
-    )
+    @pytest.mark.parametrize("build", [validate_density, DensityOperator, Projector,
+                                       eig_hermitian])
     def test_rejected_everywhere(self, build, matrix):
         with pytest.raises(ValidationError, match="non-finite"):
             build(matrix)
@@ -215,35 +212,6 @@ class TestCheckHermitian:
         m = np.array([[0.5, 1.7e308], [-1.7e308, 0.5]])
         with pytest.raises(ValidationError, match="asymmetry inf"):
             operators.check_hermitian(m)
-
-
-class TestTraceDistance:
-    def test_equal_states(self):
-        rho = validate_density(np.diag([0.5, 0.5]))
-        assert trace_distance(rho, rho) == 0.0
-
-    def test_orthogonal_pure(self):
-        a = validate_density(np.diag([1.0, 0.0]))
-        b = validate_density(np.diag([0.0, 1.0]))
-        assert trace_distance(a, b) == 1.0
-
-    def test_direct_eigenvalue_sum(self):
-        a = validate_density(np.diag([0.7, 0.3]))
-        b = validate_density(np.diag([0.5, 0.5]))
-        assert trace_distance(a, b) == pytest.approx(0.2, abs=1e-14)
-
-    def test_dim_mismatch(self):
-        a = validate_density(np.diag([1.0, 0.0]))
-        b = validate_density(np.diag([1.0, 0.0, 0.0]))
-        with pytest.raises(ValidationError):
-            trace_distance(a, b)
-
-    def test_symmetry_and_triangle(self, rng):
-        for _ in range(50):
-            a, b, c = (random_density(rng, 6) for _ in range(3))
-            dab, dba = trace_distance(a, b), trace_distance(b, a)
-            assert abs(dab - dba) < 1e-10
-            assert dab <= trace_distance(a, c) + trace_distance(c, b) + 1e-10
 
 
 class TestPinch:
@@ -290,6 +258,33 @@ class TestPinch:
             out = pinch(rho, part)
             assert np.trace(out.matrix) == np.trace(rho.matrix)
 
+    def test_output_is_positive(self, rng):
+        for _ in range(40):
+            rho = random_density(rng, 7, rank=int(rng.integers(1, 8)))
+            out = pinch(rho, random_partition(rng, range(7)))
+            assert np.linalg.eigvalsh(out.matrix).min() > -1e-12
+
+    def test_block_diagonal_state_is_fixed(self, rng):
+        part = BlockPartition(((0, 3), (1, 2, 4)))
+        for _ in range(20):
+            rho = pinch(random_density(rng, 5), part)
+            assert np.array_equal(pinch(rho, part).matrix, rho.matrix)
+
+    def test_never_increases_trace_distance(self, rng):
+        # a channel contracts the trace norm, and the pinching is a channel
+        def distance(a, b):
+            return 0.5 * np.abs(np.linalg.eigvalsh(a.matrix - b.matrix)).sum()
+
+        for _ in range(50):
+            a, b = random_density(rng, 6), random_density(rng, 6)
+            part = random_partition(rng, range(6))
+            assert distance(pinch(a, part), pinch(b, part)) <= distance(a, b) + 1e-12
+
+    def test_block_index_out_of_range_rejected(self):
+        rho = validate_density(np.diag([0.5, 0.5]))
+        with pytest.raises(ValidationError, match="block index 2 out of range for dim 2"):
+            pinch(rho, BlockPartition(((0, 1), (2,))))
+
 
 class TestProjectRenormalize:
     def test_supported_state_unchanged(self):
@@ -323,6 +318,12 @@ class TestProjectRenormalize:
             outside = (np.eye(6) - proj.matrix) @ out.matrix
             assert np.abs(outside).max() < 1e-12
 
+    def test_dimension_mismatch_rejected(self):
+        rho = validate_density(np.diag([1.0, 0.0]))
+        proj = Projector(np.diag([1.0, 0.0, 0.0]).astype(complex))
+        with pytest.raises(ValidationError, match="dimension mismatch: 2 vs 3"):
+            project_renormalize(rho, proj)
+
 
 class TestBlockPartition:
     def test_rejects_overlap(self):
@@ -332,6 +333,17 @@ class TestBlockPartition:
     def test_rejects_empty_block(self):
         with pytest.raises(ValidationError):
             BlockPartition(((0,), ()))
+
+    def test_rejects_negative_index(self):
+        with pytest.raises(ValidationError, match="negative index -1"):
+            BlockPartition(((0, -1),))
+
+    def test_uncovered_indices_are_their_own_blocks(self):
+        part = BlockPartition(((3, 1),))
+        assert part.covered == frozenset({1, 3})
+        labels = part.labels(5)
+        assert labels[1] == labels[3]
+        assert len(set(labels.tolist())) == 4
 
 
 class TestProjector:

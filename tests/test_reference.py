@@ -1,16 +1,17 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from rcc import (
+    ConfigError,
     ExclusiveSectorsError,
     ValidationError,
     block_reference,
     build_reference,
     misspecification_gap,
     sector_reference,
-    smooth_reference,
     stabilizer_reference,
 )
 from conftest import embedded_reference
@@ -127,37 +128,31 @@ class TestBlockReference:
             block_reference([(3, 3)], 2, 2)
 
 
-class TestSmoothedReference:
-    def test_eigenvalue_split(self):
+class TestReferenceSet:
+    def test_sigma_is_flat_on_the_subspace(self):
         ref = embedded_reference(2, 4)
-        sm = smooth_reference(ref, 0.01)
-        w = np.sort(np.linalg.eigvalsh(sm.density_matrix()))[::-1]
-        assert np.allclose(w, [0.495, 0.495, 0.005, 0.005], atol=1e-12)
+        sigma = ref.sigma_matrix()
+        w = np.sort(np.linalg.eigvalsh(sigma))[::-1]
+        assert np.allclose(w, [0.5, 0.5, 0.0, 0.0], atol=1e-15)
+        assert np.trace(sigma).real == pytest.approx(1.0, abs=1e-15)
 
-    def test_full_subspace_is_noop(self):
+    def test_full_subspace_sigma_is_maximally_mixed(self):
         ref = embedded_reference(4, 4)
-        sm = smooth_reference(ref, 0.3)
-        assert np.allclose(sm.density_matrix(), ref.sigma_matrix())
+        assert np.array_equal(ref.sigma_matrix(), np.eye(4) / 4)
 
-    def test_small_delta_limit(self):
-        ref = embedded_reference(2, 4)
-        for delta in (1e-6, 1e-9, 1e-12):
-            sm = smooth_reference(ref, delta)
-            padded = np.zeros((4, 4), dtype=complex)
-            padded[:2, :2] = np.eye(2) / 2
-            assert np.abs(sm.density_matrix() - padded).max() <= delta
+    def test_contains_its_subspaces(self):
+        full, half = embedded_reference(4, 4), embedded_reference(2, 4)
+        assert full.contains(half) and full.contains(full)
+        assert not half.contains(full)
+        assert not full.contains(embedded_reference(2, 2))
 
-    def test_full_rank_iff_smoothed(self):
-        ref = embedded_reference(2, 4)
-        sm = smooth_reference(ref, 0.05)
-        w = np.linalg.eigvalsh(sm.density_matrix())
-        assert w.min() > 0
-        assert abs(np.trace(sm.density_matrix()).real - 1.0) < 1e-12
-
-    def test_delta_out_of_range(self):
-        ref = embedded_reference(2, 4)
-        with pytest.raises(ValidationError):
-            smooth_reference(ref, 1.5)
+    @pytest.mark.parametrize("raw, message", [
+        ("eight", "RCC_DIM_CAP='eight' is not an integer"), ("0", "RCC_DIM_CAP must be >= 1"),
+    ])
+    def test_dimension_cap_must_be_a_positive_integer(self, monkeypatch, raw, message):
+        monkeypatch.setenv("RCC_DIM_CAP", raw)
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            block_reference([(2, 1)], 2, 2)
 
 
 class TestMisspecificationGap:

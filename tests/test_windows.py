@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,18 +11,16 @@ from rcc import (
     ProcessTrace,
     ValidationError,
     WindowFamily,
-    conditional_expectation,
     info_work,
+    pinch,
     process_time_bound,
     rcc,
     rect_efficiency,
     rect_identity_check,
     rect_performance_check,
     validate_density,
-    window_leakage_error,
-    windowed_pinching_bound,
+    von_neumann,
     windowed_rcc,
-    work_complexity_potential,
 )
 from conftest import coarsen, embedded_reference, full_reference, random_density, random_partition
 from rcc.windows import window_compatible, windowed_entropy_bits
@@ -37,16 +36,18 @@ def plus_pair():
 
 
 class TestConditionalExpectation:
+    """E_Xi, a window's conditional expectation, is the pinching of its partition."""
+
     def test_whole_block_is_identity(self, rng):
         rho = random_density(rng, 4)
         window = ObservationWindow(BlockPartition.whole(4), xi=1.0)
-        out = conditional_expectation(rho, window)
+        out = pinch(rho, window.partition)
         assert np.array_equal(out.matrix, rho.matrix)
 
     def test_plus_state_dephases(self):
         plus = validate_density(np.full((2, 2), 0.5))
         window = ObservationWindow(BlockPartition.singletons(2), xi=0.0)
-        out = conditional_expectation(plus, window)
+        out = pinch(plus, window.partition)
         assert np.array_equal(out.matrix, np.diag([0.5, 0.5]))
 
     def test_vacuum_fixed_point(self, rng):
@@ -57,14 +58,14 @@ class TestConditionalExpectation:
             outer = random_partition(rng, range(4, 6))
             window = ObservationWindow(BlockPartition(inner.blocks + outer.blocks))
             assert window_compatible(window, ref)
-            out = conditional_expectation(sigma, window)
+            out = pinch(sigma, window.partition)
             assert np.abs(out.matrix - sigma.matrix).max() < 1e-12
 
     def test_idempotent(self, rng):
         rho = random_density(rng, 6)
         window = ObservationWindow(random_partition(rng, range(6)))
-        once = conditional_expectation(rho, window)
-        twice = conditional_expectation(once, window)
+        once = pinch(rho, window.partition)
+        twice = pinch(once, window.partition)
         assert np.abs(once.matrix - twice.matrix).max() < 1e-12
 
 
@@ -118,6 +119,31 @@ class TestWindowedRcc:
         gap = windowed_rcc(product, ref, window) - windowed_rcc(entangledish, ref, window)
         assert gap >= 0.4  # strict breaking under the diagonal window
 
+    def test_basis_state_keeps_its_complexity_under_the_diagonal_window(self):
+        # d_R = 16 and Gamma_R = 4: log2 16 / log2 4 = 2 structons
+        ref = embedded_reference(16, 16, g=2, units=2)
+        window = ObservationWindow(BlockPartition.singletons(16))
+        assert windowed_rcc(diag_state(*np.eye(16)[0]), ref, window) == 2.0
+
+    def test_a_block_keeps_its_coherences(self):
+        # (|0> + |1>)/sqrt 2: a window holding both indices in one block sees
+        # the pure state; the diagonal window sees one bit of entropy
+        ref = embedded_reference(4, 4, g=2, units=2)
+        psi = np.array([1.0, 1.0, 0.0, 0.0]) / math.sqrt(2)
+        rho = validate_density(np.outer(psi, psi))
+        pairs = ObservationWindow(BlockPartition(((0, 1), (2, 3))))
+        diagonal = ObservationWindow(BlockPartition.singletons(4))
+        assert windowed_rcc(rho, ref, pairs) == pytest.approx(1.0, abs=1e-12)
+        assert windowed_rcc(rho, ref, diagonal) == pytest.approx(0.5, abs=1e-12)
+
+    def test_the_windowed_entropy_is_that_of_the_pinched_state(self, rng):
+        ref = full_reference(6)
+        for _ in range(20):
+            rho = random_density(rng, 6)
+            window = ObservationWindow(random_partition(rng, range(6)))
+            pinched = pinch(rho, window.partition)
+            assert windowed_entropy_bits(rho, ref, window) == von_neumann(pinched).bits
+
 
 class TestWindowFamily:
     def test_nested_family_accepted(self):
@@ -159,64 +185,7 @@ class TestWindowFamily:
             assert windowed_rcc(rho, ref, w_coarse) <= rcc(rho, ref) + 1e-12
 
 
-class TestWindowedPinchingBound:
-    def test_deterministic_rank_one(self):
-        ref = embedded_reference(16, 16, g=2, units=2)
-        p = np.zeros(16)
-        p[0] = 1.0
-        assert windowed_pinching_bound(p, np.ones(16), ref) == pytest.approx(2.0, abs=1e-12)
-
-    def test_uniform_rank_one_floors(self):
-        ref = embedded_reference(8, 8)
-        p = np.full(8, 0.125)
-        assert windowed_pinching_bound(p, np.ones(8), ref) == 0.0
-
-    def test_two_blocks(self):
-        ref = embedded_reference(4, 4, g=2, units=2)
-        value = windowed_pinching_bound([1.0, 0.0], [2, 2], ref)
-        assert value == pytest.approx(0.5, abs=1e-12)
-
-    def test_below_windowed_rcc(self, rng):
-        for _ in range(40):
-            d = int(rng.integers(2, 13))
-            ref = full_reference(d)
-            rho = random_density(rng, d)
-            part = random_partition(rng, range(d))
-            window = ObservationWindow(part)
-            pinched = conditional_expectation(rho, window)
-            probs = [float(sum(pinched.matrix[i, i].real for i in b)) for b in part.blocks]
-            ranks = [len(b) for b in part.blocks]
-            lower = windowed_pinching_bound(probs, ranks, ref)
-            assert lower <= windowed_rcc(rho, ref, window) + 1e-12
-
-    def test_probability_sum_checked(self):
-        ref = full_reference(4)
-        with pytest.raises(ValidationError):
-            windowed_pinching_bound([0.5, 0.25], [1, 1], ref)
-
-    def test_negative_probability_rejected(self):
-        ref = full_reference(2)
-        with pytest.raises(ValidationError, match="negative probability entry"):
-            windowed_pinching_bound([1.5, -0.5], [1, 1], ref)
-
-
 class TestThermo:
-    def test_potential_direct(self):
-        assert work_complexity_potential(2.0, 0.25, 4.0) == pytest.approx(
-            2.0 * math.log(4) * 0.25, abs=1e-15
-        )
-
-    def test_potential_zero(self):
-        assert work_complexity_potential(5.0, 0.0, 4.0) == 0.0
-
-    def test_potential_drift_term(self):
-        got = work_complexity_potential(1.0, 0.0, 4.0, dlngamma_dxi=0.5, complexity=2.0)
-        assert got == pytest.approx(1.0, abs=1e-15)
-
-    def test_drift_needs_complexity(self):
-        with pytest.raises(ValidationError):
-            work_complexity_potential(1.0, 0.1, 4.0, dlngamma_dxi=0.5)
-
     def test_info_work_constant_temperature(self):
         trace = ProcessTrace([0, 1, 2], [1, 1, 1], [3, 3, 3], [0, 1, 2])
         work, t_avg = info_work(trace, gamma_r=2.0)
@@ -284,31 +253,86 @@ class TestThermo:
                                               "sign_robust variant"):
             process_time_bound(1.0, 2.0, variant="sign_robust", trace=trace)
 
+    @pytest.mark.parametrize("variant, given, message", [
+        ("isothermal", {"pi_avg": 2.0, "temperature": 1.5},
+         "pi_avg = 2.0 cannot be given with the isothermal variant, which reads temperature"),
+        ("envelope", {"pi_avg": 0.5, "temperature": 1.5},
+         "temperature = 1.5 cannot be given with the envelope variant, which reads pi_avg"),
+        ("net_gain", {"pi_avg": 0.5, "log_correction": 5.0},
+         "log_correction = 5.0 cannot be given with the net_gain variant, which reads pi_avg"),
+        ("full", {"pi_avg": 0.5, "temperature": math.nan},
+         "temperature = nan cannot be given with the full variant, which reads pi_avg and "
+         "log_correction"),
+        ("sign_robust", {"log_correction": 0.0},
+         "log_correction = 0.0 cannot be given with the sign_robust variant, which averages "
+         "the trace's positive potential"),
+    ], ids=["isothermal-pi_avg", "envelope-temperature", "net_gain-log_correction",
+            "full-temperature", "sign_robust-log_correction"])
+    def test_a_variant_rejects_an_input_it_does_not_read(self, variant, given, message):
+        trace = ProcessTrace([0, 1, 2], [1.0, -1.0, 1.0], [1, 1, 1], [0, 0.5, 1])
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            process_time_bound(1.0, variant=variant, trace=trace, **given)
+
+    def test_full_reads_an_absent_correction_as_zero(self):
+        assert (process_time_bound(4.0, 0.5, variant="full").value
+                == process_time_bound(4.0, 0.5, variant="full", log_correction=0.0).value
+                == process_time_bound(4.0, 0.5).value)
+
     def test_pi_avg_required_positive(self):
         with pytest.raises(ValidationError):
             process_time_bound(1.0, 0.0)
 
+    def test_unknown_variant_rejected(self):
+        with pytest.raises(ValidationError, match="unknown variant 'adiabatic'"):
+            process_time_bound(1.0, 0.5, variant="adiabatic")
 
-class TestWindowLeakage:
-    def test_zero_leak(self):
-        assert window_leakage_error(0.0, 8, 4.0) == 0.0
+    def test_sign_robust_needs_a_trace(self):
+        with pytest.raises(ValidationError, match="sign_robust variant needs a process trace"):
+            process_time_bound(1.0, variant="sign_robust")
 
-    def test_small_leak_delta(self):
-        # delta = 2p + 2 sqrt(p(1-p)) at p = 0.01
-        delta = 2 * 0.01 + 2 * math.sqrt(0.01 * 0.99)
-        assert delta == pytest.approx(0.219, abs=5e-4)
-        got = window_leakage_error(0.01, 8, 4.0)
-        h2 = -delta * math.log(delta) - (1 - delta) * math.log(1 - delta)
-        assert got == pytest.approx((delta * math.log(7) + h2) / math.log(4), abs=1e-12)
+    @pytest.mark.parametrize("temperature", [None, -1.0])
+    def test_isothermal_needs_a_positive_temperature(self, temperature):
+        with pytest.raises(ValidationError,
+                           match="isothermal variant needs a positive temperature"):
+            process_time_bound(1.0, variant="isothermal", temperature=temperature)
 
-    def test_degenerate_log_term(self):
-        delta = 2 * 0.01 + 2 * math.sqrt(0.01 * 0.99)
-        h2 = -delta * math.log(delta) - (1 - delta) * math.log(1 - delta)
-        assert window_leakage_error(0.01, 2, 4.0) == pytest.approx(h2 / math.log(4), abs=1e-12)
+    def test_a_complexity_loss_floors_at_zero(self):
+        assert process_time_bound(-1.0, 0.5).value == 0.0
+        assert process_time_bound(1.0, 0.5, variant="full", log_correction=2.0).value == 0.0
 
-    def test_domain(self):
-        with pytest.raises(ValidationError):
-            window_leakage_error(1.0, 4, 4.0)
+    def test_hbar_and_k_b_scale_the_bound(self):
+        assert process_time_bound(4.0, 0.5, hbar=2.0).value == pytest.approx(8.0, abs=1e-15)
+        plain = process_time_bound(1.0, variant="isothermal", temperature=1.0).value
+        scaled = process_time_bound(1.0, variant="isothermal", temperature=1.0, k_b=2.0).value
+        assert scaled == pytest.approx(plain / 2, abs=1e-15)
+
+    @pytest.mark.parametrize("constants", [{"hbar": 0.0}, {"k_b": -1.0}])
+    def test_hbar_and_k_b_must_be_positive(self, constants):
+        with pytest.raises(ValidationError, match="hbar and k_b must be positive"):
+            process_time_bound(1.0, 0.5, **constants)
+
+    def test_a_non_finite_change_is_rejected(self):
+        with pytest.raises(ValidationError, match="delta_c must be finite, got inf"):
+            process_time_bound(math.inf, 0.5)
+
+
+class TestProcessTrace:
+    def test_needs_two_samples(self):
+        with pytest.raises(ValidationError, match="at least 2 samples"):
+            ProcessTrace([0], [1], [1], [0])
+
+    def test_times_strictly_increasing(self):
+        with pytest.raises(ValidationError, match="strictly increasing"):
+            ProcessTrace([0, 1, 1], [1, 1, 1], [1, 1, 1], [0, 1, 2])
+
+    def test_columns_have_one_length(self):
+        with pytest.raises(ValidationError, match="trace column complexities must have 3 entries"):
+            ProcessTrace([0, 1, 2], [1, 1, 1], [1, 1, 1], [0, 1])
+
+    def test_a_non_finite_entry_names_its_column(self):
+        with pytest.raises(ValidationError,
+                           match="column temperatures: trace entries must be finite, got nan"):
+            ProcessTrace([0, 1, 2], [1, 1, 1], [1, math.nan, 1], [0, 1, 2])
 
 
 class TestRect:
