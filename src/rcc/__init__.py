@@ -7,7 +7,6 @@ from .bounds import (
     BoundBreakdown,
     BoundConstants,
     bound_from_divergence,
-    lambert_w0,
     main_lower_bound,
     rcc,
     smoothed_lower_bound,
@@ -33,7 +32,6 @@ from .errors import (
     ConfigError,
     ExclusiveSectorsError,
     LeakageError,
-    NumericalError,
     ProtocolInvalidError,
     RccError,
     ValidationError,

@@ -1,4 +1,4 @@
-"""Complexity measures and the closed-form bootstrap solvers.
+"""Complexity measures and the bootstrap solver.
 
 The central quantity is the reference-contingent complexity
 
@@ -6,8 +6,8 @@ The central quantity is the reference-contingent complexity
 
 and the circuit lower bounds it feeds, which are self-referential
 inequalities of the form x >= D - c * log2(max(1, x)). Their smallest
-solutions are obtained exactly through the principal Lambert-W branch,
-with conservative piecewise and asymptotic fallbacks.
+solutions come from a Newton solve that ends on the conservative side of
+the root, with piecewise and asymptotic stand-ins.
 """
 
 from __future__ import annotations
@@ -16,24 +16,15 @@ import math
 from dataclasses import dataclass, field
 
 from .entropy import LN2, relative_to_reference, spectral_skew
-from .errors import NumericalError, ValidationError, _check_finite, _check_level
+from .errors import ValidationError, _check_finite, _check_level
 from .operators import DensityOperator
 from .reference import ReferenceSet
 
-_INV_E = math.exp(-1.0)
-# Lambert-W iterations stop at this relative residual or this many steps.
-_W0_TOL = 1e-12
-_W0_MAX_ITER = 100
-# lambert_w0 accepts z this far below its branch point -1/e, and returns -1
-# for z within _W0_BRANCH_TOL above it.
-_W0_DOMAIN_SLACK = 1e-12
-_W0_BRANCH_TOL = 1e-15
-# A Halley step below this relative size has stalled at roundoff.
-_W0_STEP_TOL = 1e-16
-# The log-domain Newton iteration stops at a step below this relative size,
-# and after its step cap accepts a residual of this relative size.
-_LOG_W0_STEP_TOL = 4e-16
-_LOG_W0_RESIDUAL_TOL = 1e-9
+# The bootstrap root is stepped down until its residual, evaluated in
+# doubles, is at most minus this many units in the last place of each of its
+# three terms: more than the evaluation's own rounding, so the exact residual
+# is negative too.
+_MARGIN_ULPS = 4
 
 METHODS = ("lambert", "asymptotic", "piecewise")
 
@@ -88,83 +79,22 @@ def rcc(rho: DensityOperator, ref: ReferenceSet) -> float:
     return max(0.0, d_bits / ref.log2_gamma)
 
 
-def lambert_w0(z: float) -> float:
-    """Principal branch of w e^w = z for z >= -1/e, by Halley iteration.
-
-    Initial guess: branch-point series near -1/e, log z - log log z for
-    z > e, a rational seed otherwise; converges to |w e^w - z| within
-    _W0_TOL * max(1, |z|) in at most _W0_MAX_ITER steps.
-    """
-    _check_finite(z=z)
-    if z < -_INV_E - _W0_DOMAIN_SLACK:
-        raise ValidationError(f"lambert_w0 undefined for z = {z} < -1/e")
-    if z == 0.0:
-        return 0.0
-    if z < -_INV_E + _W0_BRANCH_TOL:
-        return -1.0
-    if z > 1e150:
-        # w e^w overflows in the iteration well before z does; switch to the
-        # logarithmic formulation.
-        return _w0_of_exp(math.log(z))
-    if z > math.e:
-        lz = math.log(z)
-        w = lz - math.log(lz)
-    elif z > 0:
-        w = z / (1.0 + z) * (1.0 + math.log1p(z)) / 2.0 + z / 2.0
-    else:
-        p = math.sqrt(2.0 * (math.e * z + 1.0))
-        w = -1.0 + p - p * p / 3.0 + 11.0 * p**3 / 72.0
-    target = _W0_TOL * max(1.0, abs(z))
-    for _ in range(_W0_MAX_ITER):
-        ew = math.exp(w)
-        f = w * ew - z
-        if abs(f) <= target:
-            return w
-        wp1 = w + 1.0
-        denom = ew * wp1 - (w + 2.0) * f / (2.0 * wp1)
-        step = f / denom
-        w -= step
-        if abs(step) <= _W0_STEP_TOL * max(1.0, abs(w)):
-            ew = math.exp(w)
-            if abs(w * ew - z) <= target:
-                return w
-    if abs(w * math.exp(w) - z) <= target:
-        return w
-    raise NumericalError(f"lambert_w0 failed to converge for z = {z}")
-
-
-def _w0_of_exp(log_z: float) -> float:
-    """W0(exp(log_z)) without forming exp(log_z); solves w + ln w = log_z.
-
-    Used when exp(log_z) overflows, i.e. far on the branch where W0 > 1.
-    """
-    if log_z <= 2.0:
-        return lambert_w0(math.exp(log_z))
-    w = log_z - math.log(log_z)
-    for _ in range(_W0_MAX_ITER):
-        f = w + math.log(w) - log_z
-        step = f / (1.0 + 1.0 / w)
-        w -= step
-        if abs(step) <= _LOG_W0_STEP_TOL * w:
-            return w
-    # Newton converges quadratically; reaching the cap means the step is
-    # dithering at roundoff, so the last iterate is as good as it gets.
-    if abs(w + math.log(w) - log_z) <= _LOG_W0_RESIDUAL_TOL * max(1.0, abs(log_z)):
-        return w
-    raise NumericalError(f"log-domain Lambert iteration failed for log z = {log_z}")
-
-
 def solve_bootstrap(d: float, c: float, method: str = "lambert") -> float:
     """Smallest x with x + c*log2(x) = D (method "lambert"), or a cheaper
     conservative stand-in.
 
-    "lambert" is exact: x* = alpha * W0(exp(D/alpha)/alpha), alpha = c/ln 2,
-    evaluated in the log domain so large D/c cannot overflow. "piecewise" is
-    the special-function-free floor (never above the exact root):
-    D/(1+alpha) for 0 < D <= 1+alpha, else D - alpha*ln(1+D). "asymptotic"
-    is the large-D expansion D - c*log2 D, meaningful only for D > 1.
+    With alpha = c/ln 2, g(x) = x + alpha*ln(x) - D is increasing and
+    concave, so a Newton step from below the root lands below it again.
+    "piecewise" is the largest of three points below the root: min(D, 1),
+    D/(1+alpha) and D - alpha*ln(1+D). "lambert" climbs from there by Newton
+    steps while they still raise x, to the root of the closed form
+    alpha * W0(exp(D/alpha)/alpha). Both are then stepped down until the
+    residual, evaluated in doubles, is at most -_MARGIN_ULPS units of
+    roundoff, so neither is ever above the exact root. "asymptotic" is the
+    large-D expansion D - c*log2 D, meaningful only for D > 1.
     Nonpositive D yields 0.
     """
+    _check_finite(d=d, c=c)
     if c <= 0:
         raise ValidationError(f"bootstrap constant c = {c} must be positive")
     if method not in METHODS:
@@ -176,11 +106,25 @@ def solve_bootstrap(d: float, c: float, method: str = "lambert") -> float:
     if d <= 0.0:
         return 0.0
     alpha = c / LN2
-    if method == "piecewise":
-        if d <= 1.0 + alpha:
-            return max(0.0, d / (1.0 + alpha))
-        return d - alpha * math.log1p(d)
-    return alpha * _w0_of_exp(d / alpha - math.log(alpha))
+    # each point y is at or below the root: g(y) is alpha*ln(D) or 1 - D at
+    # y = min(D, 1), alpha*(ln y - y) at y = D/(1+alpha), and
+    # alpha*ln(y/(1+D)) at y = D - alpha*ln(1+D); min(D, 1) keeps the start
+    # positive where the other two round to 0 or below
+    x = max(min(d, 1.0), d / (1.0 + alpha), d - alpha * math.log1p(d))
+    if method == "lambert":
+        while True:
+            step = (d - x - c * math.log2(x)) * (x / (x + alpha))
+            if not x + step > x:
+                break
+            x += step
+    while True:
+        cl = c * math.log2(x)
+        residual = x + cl - d
+        margin = _MARGIN_ULPS * (math.ulp(x) + math.ulp(cl) + math.ulp(d))
+        if residual <= -margin:
+            return x
+        # a Newton step from above lands below the root of g + 2*margin
+        x = min(x - (residual + 2.0 * margin) * (x / (x + alpha)), math.nextafter(x, 0.0))
 
 
 def _resolve_bootstrap_floor(

@@ -25,6 +25,7 @@ from .harness import (
 )
 from .records import PROTOCOLS
 from .windows import (
+    _VARIANT_INPUTS,
     TIME_BOUND_VARIANTS,
     info_work,
     process_time_bound,
@@ -373,7 +374,7 @@ def thermo(trace_path, gamma_r, variant, delta_c, pi_avg, temperature,
     # a default that overflows is rejected by process_time_bound's checks
     if delta_c is None:
         delta_c = trace.net_change
-    if pi_avg is None and variant not in ("isothermal", "sign_robust"):
+    if pi_avg is None and "pi_avg" in _VARIANT_INPUTS[variant][0]:
         pi_avg = trace.time_average(trace.potentials)
     bound = process_time_bound(
         delta_c, pi_avg, variant, log_correction=log_correction,

@@ -32,7 +32,8 @@ class LeakageError(ValidationError):
     """State support is not contained in the reference subspace.
 
     Carries the leaked probability mass; callers should project and
-    renormalize the state, or switch to a smoothed reference.
+    renormalize the state (`project_renormalize`), or bound its divergence
+    with the leak priced in (`leakage_adjusted_divergence`).
     """
 
     def __init__(self, leaked: float, message: str | None = None):
@@ -40,7 +41,7 @@ class LeakageError(ValidationError):
         if message is None:
             message = (
                 f"support leakage {leaked:.3e} outside the reference subspace; "
-                "project_renormalize the state or use a smoothed reference"
+                "project_renormalize the state or use leakage_adjusted_divergence"
             )
         super().__init__(message)
 
@@ -52,16 +53,13 @@ class CompleteLeakageError(LeakageError):
         super().__init__(
             1.0 - q,
             f"state mass inside the reference subspace is {q:.3e}; projection "
-            "is undefined, use the smoothed reference scheme instead",
+            "is undefined, and so are project_renormalize and "
+            "leakage_adjusted_divergence",
         )
 
 
 class ProtocolInvalidError(RccError):
     """A statistical protocol cannot certify at the requested level."""
-
-
-class NumericalError(RccError):
-    """A numerical routine failed to converge or left its domain."""
 
 
 def _check_level(name: str, x: float) -> None:

@@ -257,6 +257,9 @@ def load_trace_csv(path) -> ProcessTrace:
                 rows.append(tuple(float(row[i]) for i in cols))
     except FileNotFoundError as exc:
         raise ConfigError(f"file not found: {path}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: cannot be decoded as UTF-8 text "
+                          f"({exc.reason} at byte {exc.start})") from exc
     except ValueError as exc:
         raise ConfigError(f"{path}: bad numeric value: {exc}") from exc
     except OSError as exc:

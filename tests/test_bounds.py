@@ -2,11 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rcc import (
     BoundConstants,
     ValidationError,
-    lambert_w0,
     main_lower_bound,
     rcc,
     smoothed_lower_bound,
@@ -81,46 +81,6 @@ class TestRcc:
             assert b == pytest.approx(ratio * a, rel=1e-12, abs=1e-15)
 
 
-class TestLambertW:
-    def test_zero(self):
-        assert lambert_w0(0.0) == 0.0
-
-    def test_e(self):
-        assert lambert_w0(math.e) == pytest.approx(1.0, abs=1e-12)
-
-    def test_large_argument(self):
-        # frozen from bisection on w*e^w = 709.78
-        assert lambert_w0(709.78) == pytest.approx(4.96295394, abs=1e-7)
-
-    def test_functional_equation(self, rng):
-        for z in 10.0 ** rng.uniform(-8, 8, size=200):
-            w = lambert_w0(float(z))
-            assert abs(w * math.exp(w) - z) <= 1e-12 * max(1.0, z)
-
-    def test_near_branch_point(self):
-        z = -1 / math.e + 1e-10
-        w = lambert_w0(z)
-        assert abs(w * math.exp(w) - z) <= 1e-12
-
-    def test_negative_domain(self, rng):
-        for z in rng.uniform(-1 / math.e + 1e-12, 0.0, size=100):
-            w = lambert_w0(float(z))
-            assert -1.0 <= w <= 0.0
-            assert abs(w * math.exp(w) - z) <= 1e-12
-
-    def test_domain_error(self):
-        with pytest.raises(ValidationError):
-            lambert_w0(-1.0)
-
-    def test_matches_scipy(self, rng):
-        from scipy.special import lambertw as scipy_w
-
-        for z in 10.0 ** rng.uniform(-6, 6, size=50):
-            assert lambert_w0(float(z)) == pytest.approx(
-                float(scipy_w(z).real), rel=1e-12, abs=1e-12
-            )
-
-
 class TestSolveBootstrap:
     def test_example_root(self):
         # frozen from bisection on x + log2(x) = 10
@@ -168,6 +128,51 @@ class TestSolveBootstrap:
                 for d in (10.0, 100.0, 1000.0)
             ]
             assert gaps[0] > gaps[1] > gaps[2] > 0
+
+    @pytest.mark.parametrize("method", ["lambert", "piecewise", "asymptotic"])
+    @pytest.mark.parametrize("d", [math.nan, math.inf, -math.inf])
+    def test_non_finite_d_is_rejected(self, d, method):
+        with pytest.raises(ValidationError, match="d must be finite"):
+            solve_bootstrap(d, 1.0, method)
+
+    @pytest.mark.parametrize("d, c", [(2000.0, 1000.0), (50.0, 20.0), (3.0, 50.0)])
+    def test_piecewise_is_positive_at_large_c(self, d, c):
+        # D - alpha*ln(1+D) is negative here; the floor D/(1+alpha) is not
+        value = solve_bootstrap(d, c, "piecewise")
+        assert 0.0 < value <= bootstrap_root_by_bisection(d, c)
+
+    def test_piecewise_takes_the_larger_floor(self):
+        # just above D = 1 + alpha, D/(1+alpha) = 1.25 beats D - alpha*ln(1+D)
+        assert solve_bootstrap(2.5, math.log(2), "piecewise") == 1.25
+
+    def test_double_residual_at_the_root_is_never_positive(self):
+        rng = np.random.default_rng(2028)
+        for d, c in zip(10 ** rng.uniform(-6, 6, 10_000), 10 ** rng.uniform(-3, 2, 10_000)):
+            for method in ("lambert", "piecewise"):
+                x = solve_bootstrap(float(d), float(c), method)
+                assert x + c * math.log2(x) - d <= 0.0, (d, c, method)
+
+    def test_extreme_inputs_stay_positive_and_below_the_root(self):
+        for d, c in [(5e-324, 1.0), (5e-324, 100.0), (1e-300, 1e-3), (1e300, 1e-3),
+                     (1.7e308, 100.0), (1.0, 1e300)]:
+            for method in ("lambert", "piecewise"):
+                x = solve_bootstrap(d, c, method)
+                assert 0.0 < x and x + c * math.log2(x) - d <= 0.0, (d, c, method)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(log_d=st.floats(-6, 6), log_c=st.floats(-3, 2))
+def test_root_is_never_above_the_exact_root(log_d, log_c):
+    """Against a 200-bit root alpha*W0(e^(D/alpha)/alpha): the returned root
+    is at most the exact one and within 1e-12 relative of it."""
+    mpmath = pytest.importorskip("mpmath")
+    d, c = 10.0 ** log_d, 10.0 ** log_c
+    x = solve_bootstrap(d, c)
+    with mpmath.workprec(200):
+        alpha = mpmath.mpf(c) / mpmath.log(2)
+        exact = alpha * mpmath.lambertw(mpmath.exp(mpmath.mpf(d) / alpha) / alpha).real
+        assert mpmath.mpf(x) <= exact
+        assert abs(mpmath.mpf(x) - exact) <= 1e-12 * exact
 
 
 class TestMainLowerBound:

@@ -447,7 +447,7 @@ class TestCoverage:
         assert result.exit_code == 4, result.output
         assert result.stderr == (
             "error: state mass inside the reference subspace is 0.000e+00; projection is "
-            "undefined, use the smoothed reference scheme instead\n")
+            "undefined, and so are project_renormalize and leakage_adjusted_divergence\n")
 
 
 class TestTestCalibration:
@@ -653,3 +653,12 @@ class TestRectThermo:
         trace.write_text("a,b\n1,2\n")
         result = runner.invoke(main, ["thermo", "--trace", str(trace), "--gamma-r", "2"])
         assert result.exit_code == 2
+
+    def test_trace_that_is_not_utf8_is_named_as_one(self, runner, tmp_path):
+        # a UTF-16 byte-order mark: the file is text, but not UTF-8 text
+        trace = tmp_path / "trace.csv"
+        trace.write_bytes(b"\xff\xfet,Pi,T,C\n0,0.5,3,0\n1,0.5,3,1\n")
+        result = runner.invoke(main, ["thermo", "--trace", str(trace), "--gamma-r", "2"])
+        assert result.exit_code == 2, result.output
+        assert result.stderr == (f"config error: {trace}: cannot be decoded as UTF-8 text "
+                                 "(invalid start byte at byte 0)\n")

@@ -304,7 +304,7 @@ class TestProjectRenormalize:
     def test_complete_leakage(self):
         rho = validate_density(np.diag([0.0, 1.0]))
         proj = Projector(np.diag([1.0, 0.0]).astype(complex))
-        with pytest.raises(CompleteLeakageError, match="smoothed"):
+        with pytest.raises(CompleteLeakageError, match="leakage_adjusted_divergence"):
             project_renormalize(rho, proj)
 
     def test_output_unit_trace_and_support(self, rng):

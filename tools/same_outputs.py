@@ -8,13 +8,13 @@ OLD_SRC, NEW_SRC and SRC are directories holding the `rcc` package (a
 checkout's `src`). Each tree runs one fixed, seeded battery in its own
 child process, with one BLAS thread, which prints every output leaf as one
 JSON object; this process compares them. The battery covers a grid of
-Clopper-Pearson endpoints, the two planners' sample sizes, coverage
-summaries, simulated records and their certificates, `pipeline` reports
-(apart from `timestamp`), window sweeps and the CLI's output (stdout,
-stderr, exit code and any `--out` file) of `certify`, `sweep`, `thermo` in
-each variant and `simulate --witness`. An output that raises an `RccError`
-is compared by its exception type and message. `--small` runs a shorter
-battery.
+Clopper-Pearson endpoints, a grid of bootstrap roots by each method, the
+two planners' sample sizes, coverage summaries, simulated records and
+their certificates, `pipeline` reports (apart from `timestamp`), window
+sweeps and the CLI's output (stdout, stderr, exit code and any `--out`
+file) of `certify`, `sweep`, `thermo` in each variant and `simulate
+--witness`. An output that raises an `RccError` is compared by its
+exception type and message. `--small` runs a shorter battery.
 
 `--write FILE` stores one tree's leaves in FILE, one per line, with the
 numpy, scipy and BLAS versions that computed them and which battery ran.
@@ -56,6 +56,10 @@ COVERAGE = [(0, 2000, 0.05, 0.25, 200, 0.5, 1), (7, 50, 0.2, 0.3, 300, 0.7, 2),
 ENDPOINT_N = [1, 7, 100, 2000, 12345, 10**6, 3216643036, 10**12]
 ENDPOINT_DELTA = [1e-9, 1e-4, 0.025, 0.05, 0.3]
 PLAN_BITS = (10, 20, 30)
+# solve_bootstrap's (D, c) grid: D below 1, c small against D = 1e6, and c
+# large enough that D - alpha*ln(1+D) is negative
+BOOTSTRAP_D = (0.3, 1.5, 2.5, 10.0, 37.5, 1e3, 1e6)
+BOOTSTRAP_C = (1e-3, 0.5, 1.0, 20.0, 1000.0)
 # ht_sample_plan's (target_bits, delta) and witness_sample_plan's
 # (p0, target_bits, rank, d_R, delta)
 HT_PLANS = [(0, 0.05), (10, 0.05), (20, 1e-6), (30, 0.25), (40, 5e-324), (12.3, 0.01)]
@@ -217,6 +221,9 @@ def battery(src: str, small: bool) -> dict:
                              "upper": stats.clopper_pearson_upper(k, n, delta),
                              "lower": stats.clopper_pearson_lower(k, n, delta)})
     _leaves(grid, "endpoints", out)
+    roots = [{method: _guard(lambda: rcc.solve_bootstrap(d, c, method))
+              for method in rcc.bounds.METHODS} for d in BOOTSTRAP_D for c in BOOTSTRAP_C]
+    _leaves(roots, "bootstrap", out)
     plans = [_guard(lambda: stats.ht_sample_plan(*args)) for args in HT_PLANS]
     plans += [_guard(lambda: stats.witness_sample_plan(*args)) for args in WITNESS_PLANS]
     _leaves(plans, "plans", out)
