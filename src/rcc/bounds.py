@@ -6,8 +6,9 @@ The central quantity is the reference-contingent complexity
 
 and the circuit lower bounds it feeds, which are self-referential
 inequalities of the form x >= D - c * log2(max(1, x)). Their smallest
-solutions come from a Newton solve that ends on the conservative side of
-the root, with piecewise and asymptotic stand-ins.
+solutions come from one Newton solve that ends on the conservative side of
+the root; solve_bootstrap also offers library callers piecewise and
+asymptotic stand-ins, both below that root, which no bound uses.
 """
 
 from __future__ import annotations
@@ -64,7 +65,6 @@ class BoundBreakdown:
     spectral: float
     log_correction: float
     final: float
-    method: str
     floored: bool
     inputs: dict = field(default_factory=dict)
 
@@ -80,8 +80,8 @@ def rcc(rho: DensityOperator, ref: ReferenceSet) -> float:
 
 
 def solve_bootstrap(d: float, c: float, method: str = "lambert") -> float:
-    """Smallest x with x + c*log2(x) = D (method "lambert"), or a cheaper
-    conservative stand-in.
+    """Smallest x with x + c*log2(x) = D (method "lambert", which every
+    circuit bound here takes), or a cheaper conservative stand-in.
 
     With alpha = c/ln 2, g(x) = x + alpha*ln(x) - D is increasing and
     concave, so a Newton step from below the root lands below it again.
@@ -113,7 +113,9 @@ def solve_bootstrap(d: float, c: float, method: str = "lambert") -> float:
     x = max(min(d, 1.0), d / (1.0 + alpha), d - alpha * math.log1p(d))
     if method == "lambert":
         while True:
-            step = (d - x - c * math.log2(x)) * (x / (x + alpha))
+            # residual * x first: x / (x + alpha) underflows to 0 at a
+            # subnormal start, which would end the climb there
+            step = (d - x - c * math.log2(x)) * x / (x + alpha)
             if not x + step > x:
                 break
             x += step
@@ -127,15 +129,14 @@ def solve_bootstrap(d: float, c: float, method: str = "lambert") -> float:
         x = min(x - (residual + 2.0 * margin) * (x / (x + alpha)), math.nextafter(x, 0.0))
 
 
-def _resolve_bootstrap_floor(
-    net: float, c: float, method: str, floor: float
-) -> tuple[float, bool]:
+def _resolve_bootstrap_floor(net: float, c: float, floor: float) -> tuple[float, bool]:
     """Smallest x >= 0 with x >= net - c*log2(max(1, x)), honoring the
-    piecewise log(max(1, .)) system and the caller's floor (0 or 1)."""
+    piecewise log(max(1, .)) system and the caller's floor (0 or 1); past 1
+    it is solve_bootstrap's rounded-down root."""
     if net <= 1.0:
         # up to 1 the log term is inactive and the inequality is linear
         return max(floor, net, 0.0), True
-    value = solve_bootstrap(net, c, method=method)
+    value = solve_bootstrap(net, c)
     if value < floor:
         return floor, True
     return value, False
@@ -146,18 +147,16 @@ def _bound_from_terms(
     spectral: float,
     log_correction: float,
     c: float,
-    method: str,
     floor: float,
     inputs: dict,
 ) -> BoundBreakdown:
     net = leading + spectral - log_correction
-    final, floored = _resolve_bootstrap_floor(net, c, method, floor)
+    final, floored = _resolve_bootstrap_floor(net, c, floor)
     return BoundBreakdown(
         leading=leading,
         spectral=spectral,
         log_correction=log_correction,
         final=final,
-        method=method,
         floored=floored,
         inputs=inputs,
     )
@@ -169,7 +168,6 @@ def bound_from_divergence(
     epsilon: float,
     constants: BoundConstants = DEFAULT_CONSTANTS,
     spectral_bits: float = 0.0,
-    method: str = "lambert",
 ) -> BoundBreakdown:
     """Circuit lower bound from a divergence value (exact or certified).
 
@@ -187,7 +185,6 @@ def bound_from_divergence(
         spectral=spectral_bits / lg,
         log_correction=constants.c1 * math.log2(1.0 / epsilon) / lg,
         c=constants.c1 / lg,
-        method=method,
         floor=0.0,
         inputs={
             "epsilon": epsilon,
@@ -204,14 +201,11 @@ def main_lower_bound(
     ref: ReferenceSet,
     epsilon: float,
     constants: BoundConstants = DEFAULT_CONSTANTS,
-    method: str = "lambert",
 ) -> BoundBreakdown:
     """Exact-state circuit lower bound with the unit-coefficient skew term."""
     d_bits = relative_to_reference(rho, ref).bits
     skew = spectral_skew(rho).bits
-    return bound_from_divergence(
-        d_bits, ref, epsilon, constants=constants, spectral_bits=skew, method=method
-    )
+    return bound_from_divergence(d_bits, ref, epsilon, constants=constants, spectral_bits=skew)
 
 
 def smoothed_lower_bound(
@@ -220,7 +214,6 @@ def smoothed_lower_bound(
     epsilon: float,
     eta: float,
     constants: BoundConstants = DEFAULT_CONSTANTS,
-    method: str = "lambert",
 ) -> BoundBreakdown:
     """Circuit lower bound from a hypothesis-testing divergence value.
 
@@ -242,7 +235,6 @@ def smoothed_lower_bound(
         spectral=0.0,
         log_correction=log_corr,
         c=constants.c1_prime / lg,
-        method=method,
         floor=1.0,
         inputs={
             "epsilon": epsilon,

@@ -13,7 +13,7 @@ import click
 from click.core import ParameterSource
 
 from . import io
-from .bounds import DEFAULT_CONSTANTS, METHODS, BoundConstants
+from .bounds import DEFAULT_CONSTANTS, BoundConstants
 from .errors import ConfigError, ProtocolInvalidError, RccError
 from .harness import (
     _UNITS,
@@ -110,9 +110,6 @@ unit_opt = click.option(
     "--unit", type=click.Choice(_UNITS), default="structons",
     show_default=True,
 )
-method_opt = click.option(
-    "--method", type=click.Choice(METHODS), default="lambert", show_default=True,
-)
 
 
 @click.group(cls=_Group)
@@ -126,10 +123,9 @@ def main() -> None:
 @reference_opt
 @epsilon_opt
 @constants_opt
-@method_opt
 @unit_opt
 @out_opt
-def compute(state_path, reference_path, epsilon, constants_path, method, unit, out):
+def compute(state_path, reference_path, epsilon, constants_path, unit, out):
     """Exact-state complexity and the circuit lower bound."""
     if state_path is None:
         raise ConfigError("--state is required for compute")
@@ -139,7 +135,6 @@ def compute(state_path, reference_path, epsilon, constants_path, method, unit, o
         protocols=("exact",),
         epsilon=epsilon,
         constants=BoundConstants(**_constants(constants_path, **asdict(DEFAULT_CONSTANTS))),
-        method=method,
         unit=unit,
         echo={"state_path": state_path, "reference_path": reference_path},
     )
@@ -158,11 +153,10 @@ def compute(state_path, reference_path, epsilon, constants_path, method, unit, o
 @epsilon_opt
 @constants_opt
 @click.option("--witness-rank", type=int, default=1, show_default=True)
-@method_opt
 @unit_opt
 @out_opt
 def certify(reference_path, state_path, record_paths, delta, eta, epsilon,
-            constants_path, witness_rank, method, unit, out):
+            constants_path, witness_rank, unit, out):
     """Certified bounds from measurement records, combined across paths."""
     records = {}
     for path in record_paths:
@@ -180,7 +174,6 @@ def certify(reference_path, state_path, record_paths, delta, eta, epsilon,
         epsilon=epsilon,
         constants=BoundConstants(**_constants(constants_path, **asdict(DEFAULT_CONSTANTS))),
         witness_rank=witness_rank,
-        method=method,
         unit=unit,
         echo={
             "state_path": state_path,

@@ -8,7 +8,7 @@ divergence here collapses to a closed form in the eigenvalues of rho:
     D_H^eta               = exact Neyman-Pearson waterfilling
 
 Values are computed from eigenvalues only (never matrix logarithms) and
-returned with an explicit unit tag; the default reporting unit is bits.
+returned in bits, as an EntropyValue that also reads them in nats.
 """
 
 from __future__ import annotations
@@ -32,37 +32,20 @@ _NEGATIVE_PROB_TOL = 1e-12
 # A type-II error at or below this gives an infinite testing divergence.
 _BETA_FLOOR = 1e-15
 
-BITS = "bits"
-NATS = "nats"
-
 
 @dataclass(frozen=True)
 class EntropyValue:
-    """A scalar information quantity tagged with its unit."""
+    """A scalar information quantity in bits."""
 
     value: float
-    unit: str = BITS
-
-    def __post_init__(self):
-        if self.unit not in (BITS, NATS):
-            raise ValidationError(f"unknown unit {self.unit!r}")
 
     @property
     def bits(self) -> float:
-        return self.value if self.unit == BITS else self.value / LN2
+        return self.value
 
     @property
     def nats(self) -> float:
-        return self.value if self.unit == NATS else self.value * LN2
-
-    def to(self, unit: str) -> "EntropyValue":
-        if unit == self.unit:
-            return self
-        if unit == BITS:
-            return EntropyValue(self.bits, BITS)
-        if unit == NATS:
-            return EntropyValue(self.nats, NATS)
-        raise ValidationError(f"unknown unit {unit!r}")
+        return self.value * LN2
 
 
 def _clipped_eigenvalues(rho: DensityOperator) -> np.ndarray:
@@ -209,7 +192,6 @@ class PurityCeiling:
 
     value_structons: float
     purity: float
-    direction: str = "upper"
 
 
 def purity_upper_bound(rho: DensityOperator, ref: ReferenceSet) -> PurityCeiling:

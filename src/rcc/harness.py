@@ -83,7 +83,7 @@ def _draw(kept: int, dists: list[np.ndarray], n: int, rngs: list, rows: int) -> 
     if not _is_integer(n) or n <= 0:
         raise ValidationError(f"n must be a positive integer, got {n!r}")
     if n > _MAX_SHOTS:
-        raise ValidationError(f"n = {n} is past the sampler's range [1, 2**63 - 1]")
+        raise ValidationError(f"n = {n} is past the sampler's range [1, 2**53]")
     counts = np.concatenate([rng.multinomial(n, p, size=rows) for rng, p in zip(rngs, dists)],
                             axis=1)
     if counts[:, kept:].any():
@@ -317,7 +317,6 @@ class RunConfig:
     n_samples: int = 2000
     witness_rank: int = 1
     test_calibration: float = 0.5
-    method: str = "lambert"
     unit: str = "structons"
     echo: dict = field(default_factory=dict)
 
@@ -343,6 +342,9 @@ class RunConfig:
                 )
 
 
+# A report's "method", "unit" and "direction" fields are constants: every
+# bound solves for solve_bootstrap's rounded-down root, and every certified
+# bound is a lower bound in bits.
 def _breakdown_dict(bb: BoundBreakdown, log2_gamma: float) -> dict:
     return {
         "leading_structons": bb.leading,
@@ -350,7 +352,7 @@ def _breakdown_dict(bb: BoundBreakdown, log2_gamma: float) -> dict:
         "log_correction_structons": bb.log_correction,
         "final_structons": bb.final,
         "final_bits": bb.final * log2_gamma,
-        "method": bb.method,
+        "method": "lambert",
         "floored": bb.floored,
         "inputs": dict(bb.inputs),
     }
@@ -361,9 +363,9 @@ def _bound_dict(b: CertifiedBound, log2_gamma: float) -> dict:
         "quantity": b.quantity,
         "value_bits": b.value,
         "value_structons": b.value / log2_gamma,
-        "unit": b.unit,
+        "unit": "bits",
         "confidence": b.confidence,
-        "direction": b.direction,
+        "direction": "lower",
         "protocol": b.protocol,
         "params": dict(b.params),
     }
@@ -417,7 +419,7 @@ def pipeline(config: RunConfig) -> dict:
                 "c1_prime": config.constants.c1_prime,
                 "c2_prime": config.constants.c2_prime,
             },
-            "method": config.method,
+            "method": "lambert",
             "unit": config.unit,
         },
         "units": {
@@ -429,10 +431,8 @@ def pipeline(config: RunConfig) -> dict:
         with _Stage("exact"):
             d_bits = relative_to_reference(rho, ref).bits
             skew_bits = spectral_skew(rho).bits
-            bb = bound_from_divergence(
-                d_bits, ref, config.epsilon, constants=config.constants,
-                spectral_bits=skew_bits, method=config.method,
-            )
+            bb = bound_from_divergence(d_bits, ref, config.epsilon, constants=config.constants,
+                                       spectral_bits=skew_bits)
             value_structons = max(0.0, d_bits / lg)
             display = {
                 "bits": d_bits,
@@ -464,10 +464,7 @@ def pipeline(config: RunConfig) -> dict:
         from .stats import combine_bounds
 
         with _Stage("combine"):
-            combined = combine_bounds(
-                certified, ref, config.epsilon,
-                constants=config.constants, method=config.method,
-            )
+            combined = combine_bounds(certified, ref, config.epsilon, constants=config.constants)
         report["combined"] = {
             "value_structons": combined.value_structons,
             "value_bits": combined.value_structons * lg,

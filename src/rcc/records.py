@@ -31,10 +31,11 @@ PROTOCOLS = ("hypothesis_test", "witness", "dephase")
 HT_LABELS = ("null_accept_h1", "null_accept_h0", "alt_accept_h1", "alt_accept_h0")
 WITNESS_LABELS = ("success", "failure")
 
-# the shot range of one count: the largest shot count numpy's multinomial
-# sampler takes (a C long); the sampler, the records and the planners share
-# it, and a count in it converts to a double
-_MAX_SHOTS = 2**63 - 1
+# the shot range of one count, which the sampler, the records, the planners
+# and the binomial tails share: counts up to 2**53 are exact doubles, so a
+# tail's shape parameters n - k and k + 1 are exact; past it betainc's tail
+# is not monotone in k (it returns NaN and 0.5 at some counts)
+_MAX_SHOTS = 2**53
 
 
 def _is_integer(x) -> bool:
@@ -106,7 +107,7 @@ class MeasurementRecord:
             raise ValidationError("negative count")
         for name, v in counts.items():
             if v > _MAX_SHOTS:
-                raise ValidationError(f"count {name!r} is past the shot range [0, 2**63 - 1]")
+                raise ValidationError(f"count {name!r} is past the shot range [0, 2**53]")
         if sum(counts.values()) != self.n:
             raise ValidationError(
                 f"counts sum {sum(counts.values())} does not match n = {self.n}"

@@ -2,11 +2,11 @@
 measurement protocols, sample-size planners and bound combination.
 
 Every protocol turns raw outcome counts into a CertifiedBound: a one-sided
-lower confidence bound on a divergence, tagged with its confidence level
-and full parameter provenance. Endpoints are Clopper-Pearson, computed for
-one count at a time by bisecting the exact binomial tail (through the
-regularized incomplete beta) to one cell of a fixed grid on [0, 1], which
-is bit-reproducible and needs no Beta quantile function. A count's tail is
+lower confidence bound on a divergence in bits, tagged with its confidence
+level and full parameter provenance. Endpoints are Clopper-Pearson,
+computed for one count at a time by bisecting the exact binomial tail
+(through the regularized incomplete beta) to one cell of a fixed grid on
+[0, 1], which is bit-reproducible and needs no Beta quantile function. A count's tail is
 one function of p (`_binom_cdf`) that holds the count's two Beta shape
 parameters as doubles, so each bisection step is one array betainc call.
 scipy is imported at the first tail (`betainc`), so importing this module,
@@ -32,7 +32,8 @@ cell where the counter's value function, inverted at the limit, puts the
 flip, and the normal approximation of the binomial delta-quantile at the
 flip cell's edge. A column then costs about 2 comparisons and 2 tail
 evaluations, whatever the number of records, and a wrong guess costs more
-evaluations, never another k*.
+evaluations, never another k*. Counts stay in the shot range [0, 2^53]
+(records._MAX_SHOTS), where the shape parameters are exact doubles.
 """
 
 from __future__ import annotations
@@ -69,11 +70,6 @@ from .reference import ReferenceSet
 # Clopper-Pearson endpoints are bisected on this grid: _bisect halves [0, 1]
 # until its bracket is one of this many cells of equal width, 2^-34 < 1e-10.
 _CELLS = 2**34
-# Shot counts up to this are exact doubles. Past it the tail's shape
-# parameters n - k and k + 1 round, and betainc's tail is not monotone in k
-# (it returns NaN and 0.5 at some counts), so a threshold search over those
-# counts probes where bisect_left probes rather than from a guess.
-_EXACT_COUNTS = 2**53
 # hypothesis_test spends this share of delta on the type-I endpoint and the
 # rest on the type-II endpoint.
 _HT_DELTA_SPLIT = 0.5
@@ -86,29 +82,28 @@ _COMBINED_DELTA_CAP = 1.0 - 1e-12
 
 @dataclass(frozen=True)
 class CertifiedBound:
-    """A one-sided lower bound with confidence 1 - delta and provenance."""
+    """A one-sided lower bound, in bits, with confidence 1 - delta and
+    provenance."""
 
-    quantity: str  # "D_H" | "D_max" | "D" | "C_R"
+    quantity: str  # "D_H" | "D_max" | "D"
     value: float
-    unit: str
     confidence: float
     protocol: str
     params: dict = field(default_factory=dict)
-    direction: str = "lower"
 
     def __post_init__(self):
-        if self.quantity not in ("D_H", "D_max", "D", "C_R"):
+        if self.quantity not in ("D_H", "D_max", "D"):
             raise ValidationError(f"unknown quantity {self.quantity!r}")
         _check_level("confidence", self.confidence)
-        if self.direction != "lower":
-            raise ValidationError("certified bounds are lower bounds by construction")
 
 
 def _check_binomial_args(k, n, delta: float) -> None:
-    """Integer counts 0 <= k <= n with n > 0 (each an int or a numpy
-    integer), and delta in (0, 1)."""
+    """Integer counts 0 <= k <= n with n in the shot range (each an int or
+    a numpy integer), and delta in (0, 1)."""
     if not (_is_integer(k) and _is_integer(n)):
         raise ValidationError(f"counts must be integers, got k={k!r}, N={n!r}")
+    if n > _MAX_SHOTS:
+        raise ValidationError(f"N = {n} is past the shot range [1, 2**53]")
     if n <= 0 or k < 0 or k > n:
         raise ValidationError(f"invalid counts k={k}, N={n}")
     _check_level("delta", delta)
@@ -220,7 +215,6 @@ def ht_protocol(record: MeasurementRecord, eta: float, delta: float) -> Certifie
     return CertifiedBound(
         quantity="D_H",
         value=_ht_value(beta_upper),
-        unit="bits",
         confidence=1.0 - delta,
         protocol="hypothesis_test",
         params={
@@ -241,8 +235,7 @@ def _planned(size: float) -> int:
     the shot range of one count (records._MAX_SHOTS)."""
     n = math.ceil(size - _PLAN_SLACK)
     if n > _MAX_SHOTS:
-        raise ValidationError(f"the planned sample size {n} is past the shot range "
-                              "[1, 2**63 - 1]")
+        raise ValidationError(f"the planned sample size {n} is past the shot range [1, 2**53]")
     return n
 
 
@@ -289,7 +282,6 @@ def witness_protocol(
     return CertifiedBound(
         quantity="D_max",
         value=_witness_value(p_lower, ref.d_r, rank),
-        unit="bits",
         confidence=1.0 - delta,
         protocol="witness",
         params={
@@ -378,7 +370,6 @@ def dephase_protocol(
     return CertifiedBound(
         quantity="D",
         value=float(value[0]),
-        unit="bits",
         confidence=1.0 - delta,
         protocol="dephase",
         params={
@@ -393,32 +384,29 @@ def dephase_protocol(
     )
 
 
-def _first(pred, lo: int, hi: int, guess: float | None) -> int:
-    """The least i in [lo, hi) with pred(i), hi if there is none, for a pred
-    false and then true along the range.
+def _first(pred, lo: int, hi: int, guess: float) -> int:
+    """The least i in [lo, hi) with pred(i), hi if there is none, for
+    lo < hi and a pred false and then true along the range.
 
     The search starts at the guess clamped into the range (lo for NaN),
     steps away from it by doubling steps until the answer is bracketed and
     then halves the bracket, on Python ints: an answer D away from the guess
     costs about 2 log2(D + 1) + 1 evaluations, and no answer more than
     2 ceil(log2(hi - lo + 1)). The guess changes the cost, never the answer.
-    With no guess (None) it only halves [lo, hi), probing where bisect_left
-    probes, which gives bisect_left's answer for any pred.
     """
     f, t = lo - 1, hi  # pred is false at f and true at t; neither end is evaluated
-    if guess is not None and lo < hi:
-        # max and min return their int over a NaN guess
-        i, step = int(max(lo, min(guess, hi - 1))), 1
-        if pred(i):
-            t = i
-            while t - step > f and pred(t - step):
-                t, step = t - step, 2 * step
-            f = max(f, t - step)
-        else:
-            f = i
-            while f + step < t and not pred(f + step):
-                f, step = f + step, 2 * step
-            t = min(t, f + step)
+    # max and min return their int over a NaN guess
+    i, step = int(max(lo, min(guess, hi - 1))), 1
+    if pred(i):
+        t = i
+        while t - step > f and pred(t - step):
+            t, step = t - step, 2 * step
+        f = max(f, t - step)
+    else:
+        f = i
+        while f + step < t and not pred(f + step):
+            f, step = f + step, 2 * step
+        t = min(t, f + step)
     while t - f > 1:
         mid = (f + t + 1) // 2
         f, t = (f, mid) if pred(mid) else (mid, t)
@@ -436,10 +424,9 @@ def _threshold(upper: bool, n: int, delta: float, passes, flip: float) -> int:
     p, which holds if the tail is monotone in p on the grid of cell edges.
     That search over the counts starts at the normal approximation of the
     binomial quantile at p, n p -+ z sqrt(n p (1 - p)) with z the standard
-    normal delta-quantile, up to n = _EXACT_COUNTS. The edge count's
-    endpoint (1.0 upper, 0.0 lower) is not bisected, as in the certifiers:
-    the search runs over the other n counts, and the edge count is compared
-    only where it ends next to it. Neither start changes the threshold, only
+    normal delta-quantile. The edge count's endpoint (1.0 upper, 0.0 lower)
+    is not bisected, as in the certifiers: the search runs over the other n
+    counts, and the edge count is compared only where it ends next to it. Neither start changes the threshold, only
     the number of comparisons and tail evaluations.
     """
     cell = _first(lambda j: passes((j + 0.5) / _CELLS), 0, _CELLS, flip * _CELLS)
@@ -456,14 +443,11 @@ def _threshold(upper: bool, n: int, delta: float, passes, flip: float) -> int:
 
     # the upper side's k* is near the delta-quantile of Binomial(n, p), the
     # lower side's one past its (1 - delta)-quantile
-    guess = None
-    if n <= _EXACT_COUNTS:
-        from scipy.special import ndtri
+    from scipy.special import ndtri
 
-        spread = float(ndtri(delta)) * math.sqrt(n * p * x)
-        guess = n * p + spread if upper else n * p - spread + 1
+    spread = float(ndtri(delta)) * math.sqrt(n * p * x)
     first = 0 if upper else 1
-    k = _first(reaches, first, first + n, guess)
+    k = _first(reaches, first, first + n, n * p + spread if upper else n * p - spread + 1)
     if upper:
         return k if k < n or passes(1.0) else n + 1
     return 0 if k == 1 and passes(0.0) else k
@@ -519,36 +503,21 @@ class CombinedBound:
     confidence: float
     winner: str
     breakdown: BoundBreakdown
-    contributing: tuple[CertifiedBound, ...]
     per_path: dict[str, float] = field(default_factory=dict)
 
 
 def _path_breakdown(
-    bound: CertifiedBound,
-    ref: ReferenceSet,
-    epsilon: float,
-    constants: BoundConstants,
-    method: str,
+    bound: CertifiedBound, ref: ReferenceSet, epsilon: float, constants: BoundConstants
 ) -> BoundBreakdown:
     if bound.quantity == "D_H":
         eta = bound.params.get("eta")
         if eta is None:
             raise ValidationError("a D_H bound must carry its eta in params")
-        return smoothed_lower_bound(
-            bound.value, ref, epsilon, eta, constants=constants, method=method
-        )
-    if bound.quantity in ("D", "D_max"):
-        # D + skew equals D_max identically, so a max-divergence bound may be
-        # used as the leading term directly; a plain divergence bound gets
-        # the conservative zero skew.
-        return bound_from_divergence(
-            bound.value, ref, epsilon, constants=constants, spectral_bits=0.0, method=method
-        )
-    if bound.quantity == "C_R":
-        return bound_from_divergence(
-            bound.value * ref.log2_gamma, ref, epsilon, constants=constants, method=method
-        )
-    raise ValidationError(f"cannot combine quantity {bound.quantity!r}")
+        return smoothed_lower_bound(bound.value, ref, epsilon, eta, constants=constants)
+    # D + skew equals D_max identically, so a max-divergence bound may be
+    # used as the leading term directly; a plain divergence bound gets the
+    # conservative zero skew.
+    return bound_from_divergence(bound.value, ref, epsilon, constants=constants)
 
 
 def combine_bounds(
@@ -556,7 +525,6 @@ def combine_bounds(
     ref: ReferenceSet,
     epsilon: float,
     constants: BoundConstants = DEFAULT_CONSTANTS,
-    method: str = "lambert",
 ) -> CombinedBound:
     """Propagate each certified bound through its matching theorem form and
     keep the best final circuit bound.
@@ -568,14 +536,12 @@ def combine_bounds(
     if not bounds:
         raise ValidationError("no bounds to combine")
     for b in bounds:
-        if not isinstance(b, CertifiedBound) or b.direction != "lower":
-            raise ValidationError(
-                "only lower-direction CertifiedBounds can enter a lower-bound report"
-            )
+        if not isinstance(b, CertifiedBound):
+            raise ValidationError("only CertifiedBounds can enter a lower-bound report")
     per_path: dict[str, float] = {}
     best: tuple[float, CertifiedBound, BoundBreakdown] | None = None
     for i, b in enumerate(bounds):
-        bb = _path_breakdown(b, ref, epsilon, constants, method)
+        bb = _path_breakdown(b, ref, epsilon, constants)
         key = f"{b.protocol}[{i}]" if b.protocol in per_path else b.protocol
         per_path[key] = bb.final
         if best is None or bb.final > best[0]:
@@ -589,6 +555,5 @@ def combine_bounds(
         confidence=1.0 - delta_total,
         winner=best[1].protocol,
         breakdown=best[2],
-        contributing=tuple(bounds),
         per_path=per_path,
     )

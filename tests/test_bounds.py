@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rcc import (
     BoundConstants,
@@ -108,10 +108,14 @@ class TestSolveBootstrap:
             solve_bootstrap(0.5, 1.0, "asymptotic")
 
     def test_residuals_against_bisection(self, rng):
-        for _ in range(300):
-            d = float(10 ** rng.uniform(-1, 3))
-            c = float(10 ** rng.uniform(-1, 1))
+        # a subnormal D starts the climb at D itself, where x / (x + alpha)
+        # underflows to 0
+        pairs = [(5e-324, 100.0), (5e-324, 1.0)]
+        pairs += [(float(10 ** rng.uniform(-1, 3)), float(10 ** rng.uniform(-1, 1)))
+                  for _ in range(300)]
+        for d, c in pairs:
             x = solve_bootstrap(d, c)
+            assert x + c * math.log2(x) - d <= 0.0
             assert abs(x + c * math.log2(x) - d) <= 1e-9
             assert x == pytest.approx(bootstrap_root_by_bisection(d, c), rel=1e-10, abs=1e-10)
 
@@ -162,6 +166,9 @@ class TestSolveBootstrap:
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(log_d=st.floats(-6, 6), log_c=st.floats(-3, 2))
+# D = 10**-323.3 rounds to 5e-324, the least subnormal
+@example(log_d=-323.3, log_c=2.0)
+@example(log_d=-323.3, log_c=0.0)
 def test_root_is_never_above_the_exact_root(log_d, log_c):
     """Against a 200-bit root alpha*W0(e^(D/alpha)/alpha): the returned root
     is at most the exact one and within 1e-12 relative of it."""

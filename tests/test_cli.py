@@ -255,14 +255,14 @@ class TestSimulateAndCertify:
         assert not (tmp_path / "record.json").exists()
 
     @pytest.mark.parametrize("command", ["simulate", "coverage"])
-    @pytest.mark.parametrize("n", [2**63, 10**23])
+    @pytest.mark.parametrize("n", [2**53 + 1, 2**63, 10**23])
     def test_a_sample_size_past_the_samplers_range_exits_4(self, runner, files, command, n):
         state, ref, _ = files
         args = [command, "--state", state, "--reference", ref, "--n", str(n)]
         args += ["--protocol", "witness"] if command == "simulate" else ["--trials", "2"]
         result = runner.invoke(main, args)
         assert result.exit_code == 4, result.output
-        assert result.stderr == f"error: n = {n} is past the sampler's range [1, 2**63 - 1]\n"
+        assert result.stderr == f"error: n = {n} is past the sampler's range [1, 2**53]\n"
 
     @pytest.mark.parametrize("protocol", ["hypothesis_test", "dephase"])
     def test_witness_file_with_another_protocol_exits_2(self, runner, files, tmp_path, protocol):
@@ -319,7 +319,7 @@ class TestSimulateAndCertify:
         assert isinstance(result.exception, SystemExit)
         assert "meta must be a mapping" in result.output
 
-    @pytest.mark.parametrize("n", [10**400, 2**64])
+    @pytest.mark.parametrize("n", [10**400, 2**64, 2**53 + 6])
     def test_a_count_past_the_shot_range_exits_2(self, runner, files, tmp_path, n):
         _, ref, _ = files
         path = tmp_path / "record.json"
@@ -329,7 +329,21 @@ class TestSimulateAndCertify:
         assert result.exit_code == 2, result.output
         assert isinstance(result.exception, SystemExit)
         assert result.stderr == (f"config error: {path}: count 'success' is past the shot "
-                                 "range [0, 2**63 - 1]\n")
+                                 "range [0, 2**53]\n")
+
+    def test_a_binomial_run_past_the_shot_range_exits_4(self, runner, files, tmp_path):
+        # each count is in the range, but the null run's n, their sum, is not
+        _, ref, _ = files
+        path = tmp_path / "record.json"
+        top = 2**53
+        path.write_text(json.dumps({
+            "protocol": "hypothesis_test", "n": top + 11,
+            "counts": {"null_accept_h1": 1, "null_accept_h0": top, "alt_accept_h1": 10,
+                       "alt_accept_h0": 0}}))
+        result = runner.invoke(main, ["certify", "--reference", ref, "--record", str(path)])
+        assert result.exit_code == 4, result.output
+        assert result.stderr == ("error: stage 'hypothesis_test': N = 9007199254740993 is "
+                                 "past the shot range [1, 2**53]\n")
 
     def test_fractional_witness_rank_exits_4(self, runner, files, tmp_path):
         _, ref, _ = files
@@ -405,9 +419,9 @@ class TestPlan:
         # a plan of n = 0, which no record can certify
         (["hypothesis_test", "--target-bits", "10", "--delta", "1"], "delta 1.0 must be in (0,1)"),
         (["hypothesis_test", "--target-bits", "-1"], "target must be nonnegative, got -1.0"),
-        # plans that numpy's sampler could not draw nor a record hold
+        # plans past the shot range, which neither the sampler nor a record takes
         (["hypothesis_test", "--target-bits", "70"], "the planned sample size "
-         "3536736420070561415168 is past the shot range [1, 2**63 - 1]"),
+         "3536736420070561415168 is past the shot range [1, 2**53]"),
         (["witness", "--target-bits", "2", "--p0", "0.5000000001", "--dr", "8"],
          "the planned sample size 149786588890902659072 is past the shot range"),
     ])

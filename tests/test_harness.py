@@ -22,6 +22,7 @@ from rcc import (
     rcc,
     sector_reference,
     simulate_record,
+    solve_bootstrap,
     stream,
     sweep_windows,
     validate_density,
@@ -286,6 +287,21 @@ class TestPipeline:
         per_path = report["combined"]["per_path_structons"]
         assert per_path[winner] == max(per_path.values())
 
+    def test_exact_bound_is_the_rounded_down_bootstrap_root(self):
+        # a pure state with d_R = 16 and Gamma_R = 4 at epsilon = 0.5: the
+        # net term 2 - 0.5 is past 1, so the bootstrap solve decides the bound
+        ref = embedded_reference(16, 16, g=2, units=2)
+        config = RunConfig(state=basis_state(16), reference=ref, protocols=("exact",),
+                           epsilon=0.5)
+        report = pipeline(config)
+        bound = report["exact"]["circuit_bound"]
+        net = (bound["leading_structons"] + bound["spectral_structons"]
+               - bound["log_correction_structons"])
+        assert net == 1.5 and not bound["floored"]
+        c = bound["inputs"]["c1"] / ref.log2_gamma
+        assert bound["final_structons"] == solve_bootstrap(net, c)
+        assert bound["method"] == report["inputs"]["method"] == "lambert"
+
     def test_pipeline_matches_direct_library_calls(self, small_setup):
         rho, ref = small_setup
         config = RunConfig(state=rho, reference=ref, protocols=("exact",), epsilon=0.02)
@@ -507,11 +523,12 @@ class TestBatchedCoverage:
             with pytest.raises(ValidationError, match=message):
                 simulate_record(rho, ref, proto, n, seed=0)
 
-    @pytest.mark.parametrize("n", [2**63, 10**23])
+    @pytest.mark.parametrize("n", [2**53 + 1, 2**63, 10**23])
     def test_a_shot_count_past_the_samplers_range_is_rejected(self, state_and_ref, n):
-        # numpy's multinomial takes n up to 2**63 - 1, a C long
+        # past 2**53 a count is not an exact double, and the binomial tails
+        # that certify it are not monotone in it
         rho, ref = state_and_ref
-        message = re.escape(f"n = {n} is past the sampler's range [1, 2**63 - 1]")
+        message = re.escape(f"n = {n} is past the sampler's range [1, 2**53]")
         for proto in PROTOCOLS:
             config = RunConfig(state=rho, reference=ref, protocols=(proto,), n_samples=n)
             with pytest.raises(ValidationError, match=message):
@@ -520,9 +537,9 @@ class TestBatchedCoverage:
                 simulate_record(rho, ref, proto, n, seed=0)
 
     def test_the_largest_shot_count_covers_and_simulates(self, state_and_ref):
-        # the threshold searches run on Python ints, past a C index
+        # the threshold searches run on Python ints, past a C int index
         rho, ref = state_and_ref
-        n = 2**63 - 1
+        n = 2**53
         config = RunConfig(state=rho, reference=ref, protocols=PROTOCOLS, n_samples=n)
         summary = coverage_experiment(config, trials=3)
         assert all(s["trials"] == 3 for s in summary["protocols"].values())

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -258,7 +259,7 @@ class TestThresholdCounts:
             assert (k >= stats._threshold(is_upper, n, delta, passes, guess)) == passes(full)
 
     @settings(max_examples=200, deadline=None)
-    @given(data=st.data(), n=st.integers(1, 2**63 - 1), delta=st.floats(1e-9, 0.5),
+    @given(data=st.data(), n=st.integers(1, 2**53), delta=st.floats(1e-9, 0.5),
            d_r=st.integers(1, 8))
     def test_any_guess_gives_the_blind_binary_searches_threshold(self, data, n, delta, d_r):
         # the searches from a guess make at most 2 ceil(log2(n + 2)) + 2 tail
@@ -409,10 +410,10 @@ class TestPlanners:
                 math.log(1.0 / delta) / (2.0 * (p0 - 2.0 ** (-target / 8) / 4) ** 2) - slack)
 
     def test_plans_stay_in_the_shot_range(self):
-        # 2^62 ln 2 fits the sampler's n <= 2**63 - 1; 2^63 ln 20 does not
-        assert ht_sample_plan(62, 0.5) == math.ceil(2.0**62 * math.log(2.0))
-        with pytest.raises(ValidationError, match=r"past the shot range \[1, 2\*\*63 - 1\]"):
-            ht_sample_plan(63, 0.05)
+        # 2^52 ln 2 fits the shot range n <= 2**53; 2^53 ln 20 does not
+        assert ht_sample_plan(52, 0.5) == math.ceil(2.0**52 * math.log(2.0))
+        with pytest.raises(ValidationError, match=r"past the shot range \[1, 2\*\*53\]"):
+            ht_sample_plan(53, 0.05)
 
     def test_witness_plan_example(self):
         # p* = 0.8 realized as 2^2 * 1 / 5
@@ -553,15 +554,16 @@ class TestBonferroni:
 
 class TestCombineBounds:
     def _dh(self, value, eta=0.05, delta=0.05):
-        return CertifiedBound(
-            "D_H", value, "bits", 1 - delta, "hypothesis_test", {"eta": eta, "delta": delta}
-        )
+        return CertifiedBound(quantity="D_H", value=value, confidence=1 - delta,
+                              protocol="hypothesis_test", params={"eta": eta, "delta": delta})
 
     def _d(self, value, delta=0.05):
-        return CertifiedBound("D", value, "bits", 1 - delta, "dephase", {"delta": delta})
+        return CertifiedBound(quantity="D", value=value, confidence=1 - delta,
+                              protocol="dephase", params={"delta": delta})
 
     def _dmax(self, value, delta=0.05):
-        return CertifiedBound("D_max", value, "bits", 1 - delta, "witness", {"delta": delta})
+        return CertifiedBound(quantity="D_max", value=value, confidence=1 - delta,
+                              protocol="witness", params={"delta": delta})
 
     def test_single_bound_is_its_own_winner(self):
         ref = full_reference(4)
@@ -583,7 +585,7 @@ class TestCombineBounds:
             [self._dh(6.0), self._d(3.0), self._dmax(2.0)], ref, epsilon=0.05
         )
         assert combined.confidence == pytest.approx(0.85)
-        assert len(combined.contributing) == 3
+        assert list(combined.per_path) == ["hypothesis_test", "dephase", "witness"]
 
     def test_empty_rejected(self):
         ref = full_reference(4)
@@ -594,8 +596,10 @@ class TestCombineBounds:
         ref = full_reference(4)
         sigma = validate_density(np.eye(4) / 4)
         ceiling = purity_upper_bound(sigma, ref)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="only CertifiedBounds"):
             combine_bounds([ceiling], ref, epsilon=0.05)
+        with pytest.raises(ValidationError, match="only CertifiedBounds"):
+            combine_bounds([self._d(3.0), ceiling], ref, epsilon=0.05)
 
 
 class TestRecordValidation:
@@ -625,11 +629,16 @@ class TestRecordValidation:
             MeasurementRecord("witness", 10, {"success": 9, "failure": 1}, meta=[1])
 
     def test_counts_stay_in_the_shot_range(self):
-        top = 2**63 - 1
-        record = MeasurementRecord("witness", 2 * top, {"success": top, "failure": top})
+        top = 2**53
+        record = MeasurementRecord("witness", top, {"success": top // 2, "failure": top // 2})
         assert witness_protocol(record, full_reference(2), 1, 0.05).params["p_lower"] < 0.5
         with pytest.raises(ValidationError, match=r"count 'failure' is past the shot range"):
             MeasurementRecord("witness", top + 2, {"success": 1, "failure": top + 1})
+        # each count is in the range, but their sum, the binomial's n, is not
+        record = MeasurementRecord("witness", 2 * top, {"success": top, "failure": top})
+        with pytest.raises(ValidationError, match=re.escape(
+                f"N = {2 * top} is past the shot range [1, 2**53]")):
+            witness_protocol(record, full_reference(2), 1, 0.05)
 
     @pytest.mark.parametrize("certifier, protocol, counts, message", [
         ("hypothesis_test", "witness", {"success": 3},

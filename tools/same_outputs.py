@@ -7,9 +7,10 @@
 OLD_SRC, NEW_SRC and SRC are directories holding the `rcc` package (a
 checkout's `src`). Each tree runs one fixed, seeded battery in its own
 child process, with one BLAS thread, which prints every output leaf as one
-JSON object; this process compares them. The battery covers a grid of
-Clopper-Pearson endpoints, a grid of bootstrap roots by each method, the
-two planners' sample sizes, coverage summaries, simulated records and
+JSON object; the two trees' children run at once, and this process
+compares their leaves. The battery covers a grid of Clopper-Pearson
+endpoints, a grid of bootstrap roots by each method, the two planners'
+sample sizes, coverage summaries, simulated records and
 their certificates, `pipeline` reports (apart from `timestamp`), window
 sweeps and the CLI's output (stdout, stderr, exit code and any `--out`
 file) of `certify`, `sweep`, `thermo` in each variant and `simulate
@@ -343,14 +344,26 @@ _ONE_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                                        "MKL_NUM_THREADS")}
 
 
-def _run_child(src: str, small: bool) -> dict:
-    """The battery's {"versions", "leaves"} on the tree at src."""
-    args = [sys.executable, __file__, "--emit", src] + (["--small"] if small else [])
-    proc = subprocess.run(args, capture_output=True, text=True, timeout=3600,
-                          env={**os.environ, **_ONE_THREAD})
-    if proc.returncode != 0:
-        raise SystemExit(f"the battery failed on {src}:\n{proc.stderr}")
-    return json.loads(proc.stdout)
+def _run_children(srcs: list[str], small: bool) -> list[dict]:
+    """The battery's {"versions", "leaves"} on each tree in srcs, one child
+    process per tree, all running at once; when one fails, the others are
+    killed."""
+    flags = ["--small"] if small else []
+    procs = [subprocess.Popen([sys.executable, __file__, "--emit", src, *flags],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                              env={**os.environ, **_ONE_THREAD}) for src in srcs]
+    try:
+        found = []
+        for proc, src in zip(procs, srcs):
+            stdout, stderr = proc.communicate(timeout=3600)
+            if proc.returncode != 0:
+                raise SystemExit(f"the battery failed on {src}:\n{stderr}")
+            found.append(json.loads(stdout))
+        return found
+    finally:
+        for proc in procs:
+            proc.kill()  # a no-op on a child that has exited
+            proc.wait()
 
 
 def _report(lines: list[str], leaves: int) -> int:
@@ -374,7 +387,7 @@ def main(argv: list[str]) -> int:
         json.dump({"versions": versions(), "leaves": battery(src, small)}, sys.stdout)
         return 0
     if len(argv) == 3 and argv[1] == "--write":
-        found = _run_child(str(Path(argv[0]).resolve()), small)
+        [found] = _run_children([str(Path(argv[0]).resolve())], small)
         stored = {"battery": "small" if small else "full", **found}
         Path(argv[2]).write_text(json.dumps(stored, indent=0, sort_keys=True) + "\n")
         return 0
@@ -384,12 +397,13 @@ def main(argv: list[str]) -> int:
         lines = mismatches(stored["versions"], versions())
         if lines:
             return _report(lines, 0)
-        found = _run_child(str(Path(argv[0]).resolve()), stored["battery"] == "small")
+        [found] = _run_children([str(Path(argv[0]).resolve())], stored["battery"] == "small")
         return _report(compare(stored["leaves"], found["leaves"]), len(stored["leaves"]))
     if len(argv) != 2:
         print(__doc__, file=sys.stderr)
         return 2
-    old, new = (_run_child(str(Path(a).resolve()), small)["leaves"] for a in argv)
+    old, new = (found["leaves"]
+                for found in _run_children([str(Path(a).resolve()) for a in argv], small))
     return _report(compare(old, new), len(old))
 
 
