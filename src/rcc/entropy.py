@@ -48,13 +48,6 @@ class EntropyValue:
         return self.value * LN2
 
 
-def _clipped_eigenvalues(rho: DensityOperator) -> np.ndarray:
-    """Descending eigenvalues with tiny negative drift zeroed; 0 log 0 := 0
-    downstream."""
-    w = rho.spectrum
-    return np.where(w < 0.0, 0.0, w)
-
-
 def _entropy_bits(weights: np.ndarray) -> float:
     w = weights[weights > 0.0]
     if w.size == 0:
@@ -64,12 +57,12 @@ def _entropy_bits(weights: np.ndarray) -> float:
 
 def von_neumann(rho: DensityOperator) -> EntropyValue:
     """S(rho) = -Tr(rho log rho) from the eigenvalue spectrum."""
-    return EntropyValue(_entropy_bits(_clipped_eigenvalues(rho)))
+    return EntropyValue(_entropy_bits(rho.clipped_spectrum))
 
 
 def min_entropy(rho: DensityOperator) -> EntropyValue:
     """H_min(rho) = -log of the largest eigenvalue."""
-    top = float(_clipped_eigenvalues(rho).max())
+    top = float(rho.clipped_spectrum.max())
     return EntropyValue(max(0.0, -math.log2(top)))
 
 
@@ -102,7 +95,7 @@ def _supported_spectrum(rho: DensityOperator, ref: ReferenceSet) -> np.ndarray:
     supported in H_R (a LeakageError otherwise): by Cauchy interlacing they
     are those of V^dag rho V to within the leaked mass in total."""
     _require_supported(rho, ref)
-    return _clipped_eigenvalues(rho)[: ref.d_r]
+    return rho.clipped_spectrum[: ref.d_r]
 
 
 def relative_to_reference(rho: DensityOperator, ref: ReferenceSet) -> EntropyValue:
@@ -127,7 +120,9 @@ def _waterfill_weights(d_r: int, eta: float) -> np.ndarray:
     min(1, max(0, eta d_R - i)) on the i-th, so the leading ones are accepted
     whole and the marginal one in part, spending the budget eta d_R exactly."""
     _check_level("eta", eta)
-    return np.clip(eta * d_r - np.arange(d_r), 0.0, 1.0)
+    # np.clip(x, 0.0, 1.0) by two ufunc calls, without its wrapper: the same
+    # doubles on these finite entries, none of which is -0.0
+    return np.minimum(np.maximum(eta * d_r - np.arange(d_r), 0.0), 1.0)
 
 
 def hypothesis_testing_divergence(
@@ -141,7 +136,11 @@ def hypothesis_testing_divergence(
     Returns +inf when the type-II error hits 0.
     """
     weights = _waterfill_weights(ref.d_r, eta)
-    beta = 1.0 - float(weights @ _supported_spectrum(rho, ref))
+    return _testing_divergence(1.0 - float(weights @ _supported_spectrum(rho, ref)))
+
+
+def _testing_divergence(beta: float) -> EntropyValue:
+    """-log2 of the type-II error beta, +inf at or below _BETA_FLOOR."""
     if beta <= _BETA_FLOOR:
         return EntropyValue(math.inf)
     return EntropyValue(-math.log2(beta))
@@ -158,7 +157,7 @@ def shannon(probabilities) -> EntropyValue:
         raise ValidationError("negative probability entry")
     if abs(p.sum() - 1.0) > PROBABILITY_TOL:
         raise ValidationError(f"probabilities sum to {p.sum()!r}, not 1")
-    return EntropyValue(_entropy_bits(np.clip(p, 0.0, None)))
+    return EntropyValue(_entropy_bits(np.maximum(p, 0.0)))
 
 
 def binary_entropy(v: float) -> EntropyValue:

@@ -6,7 +6,8 @@ distributions once per run and then draws records from them. sigma_R is
 flat on H_R, so each designed measurement's distribution is a function of
 rho's spectrum, which validation already holds: the test and the default
 witness read rho's top d_R eigenvalues, those of C = V^dag rho V in the
-reference support basis V, and need a state supported in H_R; dephasing
+reference support basis V, and need a state supported in H_R, which one
+read per run (`_spectrum_read`) checks for all of them; dephasing
 reads C's diagonal, which over a coordinate reference (its H_R spanned by
 computational basis vectors, `ReferenceSet.coordinate_indices`) is a
 gather of rho's diagonal at the reference's index set. A supplied witness
@@ -22,6 +23,7 @@ across platforms.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -32,7 +34,7 @@ import numpy as np
 from .bounds import DEFAULT_CONSTANTS, BoundBreakdown, BoundConstants, bound_from_divergence
 from .bounds import rcc  # noqa: F401  (not called; perfbench's tracer test patches this binding)
 from .entropy import (
-    _supported_spectrum, _waterfill_weights, hypothesis_testing_divergence, min_entropy,
+    _supported_spectrum, _testing_divergence, _waterfill_weights, min_entropy,
     relative_to_reference, shannon, spectral_skew, von_neumann,
 )
 from .errors import CompleteLeakageError, RccError, ValidationError, _check_level
@@ -84,8 +86,10 @@ def _draw(kept: int, dists: list[np.ndarray], n: int, rngs: list, rows: int) -> 
         raise ValidationError(f"n must be a positive integer, got {n!r}")
     if n > _MAX_SHOTS:
         raise ValidationError(f"n = {n} is past the sampler's range [1, 2**53]")
-    counts = np.concatenate([rng.multinomial(n, p, size=rows) for rng, p in zip(rngs, dists)],
-                            axis=1)
+    counts = [rng.multinomial(n, p, size=rows) for rng, p in zip(rngs, dists)]
+    counts = counts[0] if len(counts) == 1 else np.concatenate(counts, axis=1)
+    if counts.shape[1] == kept:
+        return counts
     if counts[:, kept:].any():
         raise ValidationError("state leaked outside the subspace during sampling")
     return counts[:, :kept]
@@ -99,10 +103,12 @@ def _sample(protocol: str, outcomes: tuple, n: int, rng: np.random.Generator) ->
                              meta=dict(meta))
 
 
-def _normalised(probs) -> np.ndarray:
-    """An outcome distribution: probs clipped at 0 and normalised."""
-    probs = np.clip(probs, 0.0, None)
-    return probs / probs.sum()
+def _two_outcome(p: float) -> np.ndarray:
+    """The outcome distribution (p, 1 - p), each entry clipped at 0 and
+    divided by their sum, in floats: the doubles of np.clip and a numpy sum
+    on the pair (the clip maps -0.0 to +0.0 and keeps NaN, as here)."""
+    a, b = (0.0 if p <= 0.0 else p), (0.0 if 1.0 - p <= 0.0 else 1.0 - p)
+    return np.array([a / (a + b), b / (a + b)])
 
 
 def _eigenvectors(rho: DensityOperator, ref: ReferenceSet) -> np.ndarray:
@@ -132,35 +138,38 @@ def default_witness_projector(rho: DensityOperator, ref: ReferenceSet, rank: int
     return v @ v.conj().T
 
 
-def _ht_setup(rho, ref, config, projector):
+def _ht_setup(rho, ref, config, projector, spectrum):
     # the waterfilling test T at eta_test accepts H1 with probability eta_test
-    # on sigma_R (the null calibration) and w . mu on rho, mu its top d_R
+    # on sigma_R (the null calibration) and w . mu on rho, mu its top d_R; the
+    # target is hypothesis_testing_divergence at eta on the same mu
     eta_test = config.eta * config.test_calibration
     if eta_test == 0.0:
         raise ValidationError(f"the test level eta * test_calibration = {config.eta!r} * "
                               f"{config.test_calibration!r} underflows to 0")
-    accept = float(_waterfill_weights(ref.d_r, eta_test) @ _supported_spectrum(rho, ref))
-    dists = [_normalised([p, 1.0 - p]) for p in (eta_test, accept)]
+    weights = _waterfill_weights(ref.d_r, eta_test)
+    mu = spectrum()
+    dists = [_two_outcome(eta_test), _two_outcome(float(weights @ mu))]
     return list(HT_LABELS), dists, {"eta": config.eta, "eta_test": eta_test}, (
-        lambda: hypothesis_testing_divergence(rho, ref, config.eta).bits)
+        lambda: _testing_divergence(
+            1.0 - float(_waterfill_weights(ref.d_r, config.eta) @ mu)).bits)
 
 
-def _witness_setup(rho, ref, config, projector):
+def _witness_setup(rho, ref, config, projector, spectrum):
     # a projector succeeds with Tr(P rho): the designed one onto rho's top r
     # eigenvectors with their sum, a supplied one with one trace; a leaking
     # state has an infinite D_max, so neither has a finite target
-    spectrum = _supported_spectrum(rho, ref)
+    mu = spectrum()
     if projector is None:
         _check_witness_rank(config.witness_rank, ref.d_r)
-        rank, success = config.witness_rank, float(spectrum[:config.witness_rank].sum())
+        rank, success = config.witness_rank, float(mu[:config.witness_rank].sum())
     else:
         proj = np.asarray(projector, dtype=complex)
         rank, success = _witness_projector_rank(proj, ref), float(np.vdot(rho.matrix, proj).real)
-    return list(WITNESS_LABELS), [_normalised([success, 1.0 - success])], {"rank": rank}, (
+    return list(WITNESS_LABELS), [_two_outcome(success)], {"rank": rank}, (
         lambda: _witness_value(success, ref.d_r, rank))
 
 
-def _dephase_setup(rho, ref, config, projector):
+def _dephase_setup(rho, ref, config, projector, spectrum):
     # outcomes: the d_R reference basis vectors, p_i = C_ii with C = V^dag
     # rho V, then the leak I - Pi_R, whose mass is Tr(rho) - Tr(C); over a
     # coordinate reference V is the identity columns of its index set, so C's
@@ -171,9 +180,9 @@ def _dephase_setup(rho, ref, config, projector):
     else:
         basis = ref.support_basis()
         diagonal = (basis.conj().T @ rho.matrix @ basis).diagonal()
-    p = np.clip(diagonal.real, 0.0, None)
+    p = np.maximum(diagonal.real, 0.0)
     kept = float(diagonal.sum().real)
-    leak = float(np.trace(rho.matrix).real) - kept
+    leak = float(rho.matrix.trace().real) - kept
 
     def target():
         # the distribution inside H_R is C's diagonal over Tr C
@@ -181,11 +190,15 @@ def _dephase_setup(rho, ref, config, projector):
             raise CompleteLeakageError(kept)
         return max(0.0, math.log2(ref.d_r) - shannon(p / p.sum()).bits)
 
-    dists = [_normalised(np.append(p, leak))]
+    # p is clipped already, so only the leak is, as _two_outcome clips
+    dist = np.concatenate((p, [0.0 if leak <= 0.0 else leak]))
+    dists = [dist / dist.sum()]
     return range(ref.d_r), dists, {"basis": "reference-support"}, target
 
 
+@functools.cache
 def _stats():
+    # a relative import statement would look the module up at every call
     from . import stats
     return stats
 
@@ -193,10 +206,10 @@ def _stats():
 class _Protocol(NamedTuple):
     """A protocol's outcome setup (see _outcome_setup), record certifier
     (record, config) -> CertifiedBound and coverage counter (counts, n, ref,
-    limit, eta, delta, rank) -> (above, invalid). The last two look `stats`
-    up at each call, so `stats` is imported only when something certifies,
-    and a wrapper installed on a `stats` function is called; scipy loads
-    only at a hypothesis-test or witness tail."""
+    limit, eta, delta, rank) -> (above, invalid). The last two look their
+    `stats` function up at each call and import `stats` at the first, so
+    it loads only when something certifies, and a wrapper installed on a
+    `stats` function is called; scipy loads only at a binomial tail."""
 
     setup: Callable
     certify: Callable
@@ -230,23 +243,39 @@ def _protocol(name: str) -> _Protocol:
     return _PROTOCOL_TABLE[name]
 
 
+def _spectrum_read(rho: DensityOperator, ref: ReferenceSet) -> Callable[[], np.ndarray]:
+    """rho's supported spectrum (entropy._supported_spectrum), read at the
+    first call and returned by every later one, so that the setups and
+    targets of one run check the retained mass and read the clipped
+    spectrum once; on a leaking state every call raises LeakageError."""
+    read = []
+
+    def spectrum() -> np.ndarray:
+        if not read:
+            read.append(_supported_spectrum(rho, ref))
+        return read[0]
+
+    return spectrum
+
+
 def _outcome_setup(
-    config: RunConfig, protocol: str, witness_projector=None,
+    config: RunConfig, protocol: str, witness_projector=None, spectrum=None,
 ) -> tuple[Sequence, list[np.ndarray], dict, Callable[[], float]]:
     """Per-run setup of one protocol: (labels, distributions, meta, target).
 
     The state, reference, eta, test calibration and witness rank are the
     config's, whose levels and seed RunConfig checked, so every entry point
     rejects a bad one alike. Each setup is called as (rho, ref, config,
-    projector), with a supplied witness projector P or None. A record draws
+    projector, spectrum), with a supplied witness projector P or None and
+    the run's _spectrum_read (a new one when none is given). A record draws
     n shots from each distribution in order; the labels name the outcomes
     of all of them in that order, and an outcome past the last label is the
     leak, which _draw rejects (dephasing's I - Pi_R, the d_R labels being
     0..d_R - 1). Nothing is eigensolved and no effect is built:
-    the test and the witness read rho's validated spectrum
-    (entropy._supported_spectrum), so both raise LeakageError on a leaking
-    state, P (checked by records._witness_projector_rank) is read as one
-    trace Tr(P rho), and dephasing reads the diagonal of C = V^dag rho V,
+    the test and the witness read rho's validated spectrum through
+    spectrum(), so both raise LeakageError on a leaking state, P (checked
+    by records._witness_projector_rank) is read as one trace Tr(P rho),
+    and dephasing reads the diagonal of C = V^dag rho V,
     gathered from rho's diagonal when the reference is an index set
     (coordinate_indices), so neither V nor C is formed. target() is the
     exact value in bits that the protocol's certified bound targets, built
@@ -257,7 +286,9 @@ def _outcome_setup(
     rho, ref = config.state, config.reference
     if rho.dim != ref.dim:
         raise ValidationError(f"dimension mismatch: state {rho.dim}, reference {ref.dim}")
-    return _protocol(protocol).setup(rho, ref, config, witness_projector)
+    if spectrum is None:
+        spectrum = _spectrum_read(rho, ref)
+    return _protocol(protocol).setup(rho, ref, config, witness_projector, spectrum)
 
 
 def simulate_record(
@@ -330,6 +361,10 @@ class RunConfig:
             raise ValidationError(f"unknown protocols {bad}")
         if not self.protocols:
             raise ValidationError("at least one protocol is required")
+        # a repeat would certify one record twice, into one combined confidence
+        repeated = sorted({p for p in self.protocols if self.protocols.count(p) > 1})
+        if repeated:
+            raise ValidationError(f"protocols listed more than once: {repeated}")
         if self.unit not in _UNITS:
             raise ValidationError(f"unknown unit {self.unit!r}")
         if self.state is None:
@@ -480,9 +515,11 @@ def coverage_experiment(config: RunConfig, trials: int) -> dict:
     """Estimate how often certified bounds overshoot their exact targets.
 
     Sets up each statistical protocol in the config once, for both its
-    outcome distributions and its exact target; the setups read rho's
-    validated spectrum and eigensolve nothing, and the test and the witness
-    reject a state that leaks out of H_R, as their records do. Draws
+    outcome distributions and its exact target; the setups share one read
+    of rho's validated spectrum (one retained mass, one clipped spectrum)
+    and eigensolve nothing, and the test and the witness reject a state that
+    leaks out of H_R, as their records do. A one-distribution protocol's
+    draw is its count matrix, with no copy. Draws
     `trials` records into one count matrix, distribution j of all trials in
     one call on the stream (seed, protocol, j), trial t taking row t of each
     draw. The protocol's coverage counter counts, with the values
@@ -506,9 +543,10 @@ def coverage_experiment(config: RunConfig, trials: int) -> dict:
     if config.state is None:
         raise ValidationError("coverage simulation requires a state")
     ref = config.reference
+    spectrum = _spectrum_read(config.state, ref)
     results: dict = {}
     for proto in protocols:
-        labels, dists, meta, target = _outcome_setup(config, proto)
+        labels, dists, meta, target = _outcome_setup(config, proto, spectrum=spectrum)
         truth = target()
         key = PROTOCOLS.index(proto)
         rngs = [stream(config.seed, key, j) for j in range(len(dists))]

@@ -156,6 +156,14 @@ class DensityOperator:
         """
         return _read_only(_check_psd(eigvals_hermitian(self.matrix)))
 
+    @cached_property
+    def clipped_spectrum(self) -> np.ndarray:
+        """The spectrum with negative drift zeroed (0 log 0 := 0 where the
+        entropy functionals read it), read-only and computed once per state,
+        as the spectrum is."""
+        w = self.spectrum
+        return _read_only(np.where(w < 0.0, 0.0, w))
+
     def eigenvalues(self) -> np.ndarray:
         return self.spectrum
 

@@ -119,6 +119,15 @@ def betainc(a, b, x):
     return betainc(a, b, x)
 
 
+def _ndtri(p):
+    """scipy.special.ndtri, imported at the first call, which rebinds this
+    name to the ufunc as betainc's does."""
+    global _ndtri
+    from scipy.special import ndtri as _ndtri
+
+    return _ndtri(p)
+
+
 def _binom_cdf(k: int, n: int):
     """P(X <= k) for X ~ Binomial(n, p) as a function of p, for
     -1 <= k <= n and 0 <= p <= 1 (the points a bisection visits), via the
@@ -443,9 +452,7 @@ def _threshold(upper: bool, n: int, delta: float, passes, flip: float) -> int:
 
     # the upper side's k* is near the delta-quantile of Binomial(n, p), the
     # lower side's one past its (1 - delta)-quantile
-    from scipy.special import ndtri
-
-    spread = float(ndtri(delta)) * math.sqrt(n * p * x)
+    spread = float(_ndtri(delta)) * math.sqrt(n * p * x)
     first = 0 if upper else 1
     k = _first(reaches, first, first + n, n * p + spread if upper else n * p - spread + 1)
     if upper:

@@ -464,6 +464,15 @@ class TestCoverage:
             "undefined, and so are project_renormalize and leakage_adjusted_divergence\n")
 
 
+    def test_a_protocol_given_twice_exits_4_naming_it(self, runner, files):
+        state, ref, _ = files
+        result = runner.invoke(main, ["coverage", "--state", state, "--reference", ref,
+                                      "--protocol", "witness", "--protocol", "witness",
+                                      "--trials", "5"])
+        assert result.exit_code == 4, result.output
+        assert result.stderr == "error: protocols listed more than once: ['witness']\n"
+
+
 class TestTestCalibration:
     @pytest.mark.parametrize("command", ["simulate", "coverage"])
     @pytest.mark.parametrize("protocol", ["hypothesis_test", "witness", "dephase"])

@@ -260,6 +260,13 @@ class TestWaterfillWeights:
         assert ((w >= 0.0) & (w <= 1.0)).all()
         assert (np.diff(w) <= 0.0).all()
 
+    @given(d_r=st.one_of(st.integers(1, 64), st.integers(1, 2**16)),
+           eta=st.one_of(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                         st.sampled_from([5e-324, 1e-300, 0.5, 1.0 - 2.0**-53])))
+    def test_weights_are_np_clips_doubles(self, d_r, eta):
+        want = np.clip(eta * d_r - np.arange(d_r), 0.0, 1.0)
+        assert _waterfill_weights(d_r, eta).tobytes() == want.tobytes()
+
     @given(seed=st.integers(0, 2**32 - 1), d_r=st.integers(1, 16),
            eta=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
     def test_divergence_is_minus_log_of_the_unaccepted_mass(self, seed, d_r, eta):

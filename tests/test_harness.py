@@ -251,6 +251,17 @@ class TestDesignedDistributions:
         with pytest.raises(AssertionError, match="built its effects"):
             default_witness_projector(rho, ref, 1)
 
+    @settings(max_examples=300, deadline=None)
+    @given(p=st.one_of(
+        st.sampled_from([0.0, -0.0, 1.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                         1.0 - 2.0**-53, 1.0 + 2.0**-52, -1e-300, 1.0 + 1e-12]),
+        st.floats(-1e-300, 1.0 + 1e-12, allow_subnormal=True),
+        st.floats(-1e-300, 1e-300, allow_subnormal=True)))
+    def test_a_two_outcome_distribution_is_the_clipped_normalised_pair(self, p):
+        # the float arithmetic gives the doubles of np.clip and a numpy sum
+        pair = np.clip([p, 1.0 - p], 0.0, None)
+        assert harness._two_outcome(p).tobytes() == (pair / pair.sum()).tobytes()
+
 
 class TestPipeline:
     def test_exact_mode_logical_state(self):
@@ -342,6 +353,19 @@ class TestPipeline:
             RunConfig(state=rho, reference=ref, delta=1.5)
         with pytest.raises(ValidationError):
             RunConfig(state=None, reference=ref, protocols=("exact",))
+
+    @pytest.mark.parametrize("protocols, repeated", [
+        (("witness", "witness"), ["witness"]),
+        (("exact", "dephase", "exact", "dephase", "witness"), ["dephase", "exact"]),
+    ])
+    def test_a_protocol_listed_twice_is_rejected_by_name(self, small_setup, protocols,
+                                                         repeated):
+        # certifying one simulated record twice would count it twice into
+        # the combined confidence
+        rho, ref = small_setup
+        message = re.escape(f"protocols listed more than once: {repeated}")
+        with pytest.raises(ValidationError, match=message):
+            pipeline(RunConfig(state=rho, reference=ref, protocols=protocols, seed=3))
 
 
 class TestCoverage:

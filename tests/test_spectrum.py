@@ -30,6 +30,7 @@ from rcc import (
     stream,
     validate_density,
 )
+from rcc import entropy, harness
 from rcc.entropy import DEFAULT_LEAK_TOL, _supported_spectrum, reference_overlap
 from rcc.harness import _dephase_setup
 from rcc.records import PROTOCOLS
@@ -152,6 +153,36 @@ class TestEigensolveCount:
         eig_calls.update(eigh=0, eigvalsh=0)
         pipeline(config)
         assert eig_calls == {"eigh": 0, "eigvalsh": 0}
+
+
+    @pytest.mark.parametrize("make_ref", [
+        lambda: sector_reference(6, 3, 2, 6),
+        lambda: stabilizer_reference(3, ["XXI"], 2, 3),
+    ], ids=["sector", "XXI"])
+    def test_a_coverage_call_reads_rho_once(self, rng, eig_calls, monkeypatch, make_ref):
+        # the test's setup and target and the witness's setup share one
+        # supported-spectrum read: one retained mass, one leakage check
+        ref = make_ref()
+        rho = subspace_state(rng, ref)
+        ref.support_basis()
+        reads = {"overlap": 0, "spectrum": 0}
+
+        def counted(name, original):
+            def spy(*args):
+                reads[name] += 1
+                return original(*args)
+            return spy
+
+        monkeypatch.setattr(entropy, "reference_overlap",
+                            counted("overlap", entropy.reference_overlap))
+        monkeypatch.setattr(harness, "_supported_spectrum",
+                            counted("spectrum", harness._supported_spectrum))
+        config = RunConfig(state=rho, reference=ref, protocols=PROTOCOLS, n_samples=200, seed=3)
+        eig_calls.update(eigh=0, eigvalsh=0)
+        summary = coverage_experiment(config, 10)
+        assert reads == {"overlap": 1, "spectrum": 1}
+        assert eig_calls == {"eigh": 0, "eigvalsh": 0}
+        assert sorted(summary["protocols"]) == sorted(PROTOCOLS)
 
 
 class TestSpectrumCache:
@@ -316,9 +347,9 @@ class TestCoordinateReferences:
         # within 4 ULPs (a different summation order) and the same leak decision
         ref = COORDINATE[kind][0]()
         for rho in coordinate_states(rng, ref):
-            labels, dists, meta, target = _dephase_setup(rho, ref, None, None)
+            labels, dists, meta, target = _dephase_setup(rho, ref, None, None, None)
             dense_labels, dense_dists, dense_meta, dense_target = _dephase_setup(
-                rho, dense(ref), None, None)
+                rho, dense(ref), None, None, None)
             assert (labels, meta) == (dense_labels, dense_meta)
             assert dists[0].tobytes() == dense_dists[0].tobytes()
             assert target() == dense_target()

@@ -10,7 +10,8 @@ child process, with one BLAS thread, which prints every output leaf as one
 JSON object; the two trees' children run at once, and this process
 compares their leaves. The battery covers a grid of Clopper-Pearson
 endpoints, a grid of bootstrap roots by each method, the two planners'
-sample sizes, coverage summaries, simulated records and
+sample sizes, coverage summaries (of one protocol per run, and of all
+three in one run), simulated records and
 their certificates, `pipeline` reports (apart from `timestamp`), window
 sweeps and the CLI's output (stdout, stderr, exit code and any `--out`
 file) of `certify`, `sweep`, `thermo` in each variant and `simulate
@@ -110,6 +111,24 @@ def _states(ref, rng):
     inside = [v @ ginibre(ref.d_r, rank) @ v.conj().T for rank in (ref.d_r, 1)]
     return [validate_density(0.5 * (m + m.conj().T))
             for m in (*inside, ginibre(ref.dim, ref.dim))]
+
+
+def _repaired_state(ref, rng):
+    """A rank-2 state inside H_R with a third eigenvalue drifted to -1e-12,
+    which validate_density clips to 0 (its `clipped` flag) while it keeps
+    the matrix as given."""
+    import numpy as np
+
+    from rcc import validate_density
+
+    a = rng.normal(size=(ref.d_r, 3)) + 1j * rng.normal(size=(ref.d_r, 3))
+    q = np.linalg.qr(a)[0]
+    v = ref.support_basis() @ q
+    m = v @ np.diag([0.6 + 1e-12, 0.4, -1e-12]) @ v.conj().T
+    rho = validate_density(0.5 * (m + m.conj().T))
+    if not rho.clipped:
+        raise SystemExit("the repaired battery state was not clipped")
+    return rho
 
 
 def _record_payload(record) -> dict:
@@ -230,14 +249,16 @@ def battery(src: str, small: bool) -> dict:
     _leaves(plans, "plans", out)
 
     rng = np.random.default_rng(20261019)
-    cases = []
-    for ref_cfg in REFERENCES[:1] if small else REFERENCES:
-        ref = io.reference_from_config(ref_cfg)
-        cases += [(ref_cfg, ref, rho) for rho in _states(ref, rng)]
+    refs = [(ref_cfg, io.reference_from_config(ref_cfg))
+            for ref_cfg in (REFERENCES[:1] if small else REFERENCES)]
+    cases = [(ref_cfg, ref, rho) for ref_cfg, ref in refs for rho in _states(ref, rng)]
+    # drawn after the other states, which so keep their draws and positions
+    cases += [(ref_cfg, ref, _repaired_state(ref, rng)) for ref_cfg, ref in refs]
     coverage_settings = COVERAGE[:1] if small else COVERAGE
-    summaries, records, certificates, reports = [], [], [], []
+    summaries, together, records, certificates, reports = [], [], [], [], []
     for ref_cfg, ref, rho in cases:
-        for seed, n, delta, eta, trials, calibration, rank in coverage_settings:
+        for setting, (seed, n, delta, eta, trials, calibration, rank) in enumerate(
+                coverage_settings):
             def config(*protocols):
                 return RunConfig(state=rho, reference=ref, protocols=protocols, delta=delta,
                                  eta=eta, seed=seed, n_samples=n,
@@ -246,6 +267,9 @@ def battery(src: str, small: bool) -> dict:
             report = _guard(lambda: pipeline(config("exact", *PROTOCOLS)))
             report.pop("timestamp", None)
             reports.append(report)
+            if setting < 2:
+                # every protocol in one run, which shares one read of rho
+                together.append(_guard(lambda: coverage_experiment(config(*PROTOCOLS), trials)))
             for proto in PROTOCOLS:
                 # one protocol per run, so that a leaking state's dephase
                 # summary is not lost to the test's LeakageError
@@ -263,6 +287,7 @@ def battery(src: str, small: bool) -> dict:
                 certified.pop("timestamp", None)
                 certificates.append(certified)
     _leaves(summaries, "coverage", out)
+    _leaves(together, "coverage_all", out)
     _leaves(records, "records", out)
     _leaves(certificates, "certificates", out)
     _leaves(reports, "pipeline", out)
