@@ -16,7 +16,6 @@ from . import io
 from .bounds import DEFAULT_CONSTANTS, BoundConstants
 from .errors import ConfigError, ProtocolInvalidError, RccError
 from .harness import (
-    _UNITS,
     RunConfig,
     coverage_experiment,
     pipeline,
@@ -88,7 +87,10 @@ def _constants(path: str | None, **defaults: float) -> dict[str, float]:
     return values
 
 
-state_opt = click.option("--state", "state_path", type=click.Path(), help="State file (JSON).")
+state_opt = click.option(
+    "--state", "state_path", type=click.Path(), required=True,
+    help="State file (JSON).",
+)
 reference_opt = click.option(
     "--reference", "reference_path", type=click.Path(), required=True,
     help="Reference config (JSON).",
@@ -106,10 +108,17 @@ test_calibration_opt = click.option(
     help="Fraction of eta, in (0, 1), at which the simulated test is calibrated.",
 )
 out_opt = click.option("--out", type=click.Path(), help="Write output here instead of stdout.")
-unit_opt = click.option(
-    "--unit", type=click.Choice(_UNITS), default="structons",
-    show_default=True,
-)
+witness_rank_opt = click.option("--witness-rank", type=int, default=1, show_default=True)
+
+
+def _check_rank_flag(witness_rank: int, rank, source: str) -> None:
+    """A --witness-rank given on the command line must be the rank of the
+    witness it sits beside; left at its default, it yields to that rank."""
+    given = click.get_current_context().get_parameter_source(
+        "witness_rank") is not ParameterSource.DEFAULT
+    if given and witness_rank != rank:
+        raise ConfigError(f"--witness-rank {witness_rank} conflicts with the rank {rank} "
+                          f"of {source}")
 
 
 @click.group(cls=_Group)
@@ -123,19 +132,15 @@ def main() -> None:
 @reference_opt
 @epsilon_opt
 @constants_opt
-@unit_opt
 @out_opt
-def compute(state_path, reference_path, epsilon, constants_path, unit, out):
+def compute(state_path, reference_path, epsilon, constants_path, out):
     """Exact-state complexity and the circuit lower bound."""
-    if state_path is None:
-        raise ConfigError("--state is required for compute")
     config = RunConfig(
         state=io.load_state(state_path),
         reference=io.load_reference(reference_path),
         protocols=("exact",),
         epsilon=epsilon,
         constants=BoundConstants(**_constants(constants_path, **asdict(DEFAULT_CONSTANTS))),
-        unit=unit,
         echo={"state_path": state_path, "reference_path": reference_path},
     )
     _emit(io.dumps_json(pipeline(config)), out)
@@ -143,7 +148,6 @@ def compute(state_path, reference_path, epsilon, constants_path, unit, out):
 
 @main.command()
 @reference_opt
-@state_opt
 @click.option(
     "--record", "record_paths", type=click.Path(), multiple=True, required=True,
     help="Measurement record (JSON); repeatable.",
@@ -152,20 +156,21 @@ def compute(state_path, reference_path, epsilon, constants_path, unit, out):
 @eta_opt
 @epsilon_opt
 @constants_opt
-@click.option("--witness-rank", type=int, default=1, show_default=True)
-@unit_opt
+@witness_rank_opt
 @out_opt
-def certify(reference_path, state_path, record_paths, delta, eta, epsilon,
-            constants_path, witness_rank, unit, out):
+def certify(reference_path, record_paths, delta, eta, epsilon, constants_path, witness_rank,
+            out):
     """Certified bounds from measurement records, combined across paths."""
     records = {}
     for path in record_paths:
         rec = io.load_record(path)
         if rec.protocol in records:
             raise ConfigError(f"duplicate record for protocol {rec.protocol!r}")
+        if rec.protocol == "witness" and "rank" in rec.meta:
+            _check_rank_flag(witness_rank, rec.meta["rank"], f"the witness record {path}")
         records[rec.protocol] = rec
     config = RunConfig(
-        state=io.load_state(state_path) if state_path else None,
+        state=None,
         reference=io.load_reference(reference_path),
         protocols=tuple(records),
         records=records,
@@ -174,9 +179,8 @@ def certify(reference_path, state_path, record_paths, delta, eta, epsilon,
         epsilon=epsilon,
         constants=BoundConstants(**_constants(constants_path, **asdict(DEFAULT_CONSTANTS))),
         witness_rank=witness_rank,
-        unit=unit,
         echo={
-            "state_path": state_path,
+            "state_path": None,
             "reference_path": reference_path,
             "record_paths": list(record_paths),
         },
@@ -192,15 +196,13 @@ def certify(reference_path, state_path, record_paths, delta, eta, epsilon,
 @seed_opt
 @eta_opt
 @test_calibration_opt
-@click.option("--witness-rank", type=int, default=1, show_default=True)
+@witness_rank_opt
 @click.option("--witness", "witness_path", type=click.Path(),
               help="Witness projector matrix (state-file layout).")
 @out_opt
 def simulate(state_path, reference_path, protocol, n_samples, seed, eta,
              test_calibration, witness_rank, witness_path, out):
     """Draw Born-rule samples and emit a measurement record."""
-    if state_path is None:
-        raise ConfigError("--state is required for simulate")
     if witness_path is not None and protocol != "witness":
         raise ConfigError("--witness applies only to --protocol witness")
     rho = io.load_state(state_path)
@@ -211,12 +213,8 @@ def simulate(state_path, reference_path, protocol, n_samples, seed, eta,
         test_calibration=test_calibration, witness_rank=witness_rank,
         witness_projector=projector,
     )
-    # a rank given beside a projector must be the projector's rank
-    rank_given = click.get_current_context().get_parameter_source(
-        "witness_rank") is not ParameterSource.DEFAULT
-    if projector is not None and rank_given and witness_rank != record.meta["rank"]:
-        raise ConfigError(f"--witness-rank {witness_rank} conflicts with the rank "
-                          f"{record.meta['rank']} of the --witness projector")
+    if projector is not None:
+        _check_rank_flag(witness_rank, record.meta["rank"], "the --witness projector")
     _emit(io.dumps_json(io.record_to_payload(record)), out)
 
 
@@ -257,15 +255,13 @@ def plan(protocol, target_bits, delta, p0, rank, d_r, out):
 @delta_opt
 @eta_opt
 @test_calibration_opt
-@click.option("--witness-rank", type=int, default=1, show_default=True)
+@witness_rank_opt
 @seed_opt
 @out_opt
 def coverage(state_path, reference_path, protocols, trials, n_samples, delta, eta,
              test_calibration, witness_rank, seed, out):
     """Monte Carlo check that certified bounds violate their targets at
     most a delta fraction of the time."""
-    if state_path is None:
-        raise ConfigError("--state is required for coverage")
     if "all" in protocols:
         protocols = PROTOCOLS
     config = RunConfig(
@@ -291,8 +287,6 @@ def coverage(state_path, reference_path, protocols, trials, n_samples, delta, et
 @out_opt
 def sweep(state_path, reference_path, windows_path, out):
     """Windowed entropy and complexity along a nested window family (CSV)."""
-    if state_path is None:
-        raise ConfigError("--state is required for sweep")
     rho = io.load_state(state_path)
     ref = io.load_reference(reference_path)
     family = io.load_window_family(windows_path)

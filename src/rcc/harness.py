@@ -52,9 +52,6 @@ if TYPE_CHECKING:
 REPORT_SCHEMA = "rcc-report/2"
 COVERAGE_SCHEMA = "rcc-coverage/1"
 
-# units a report can display its exact complexity in
-_UNITS = ("bits", "nats", "structons")
-
 # a coverage trial violates when its bound exceeds the truth by more than this
 _VIOLATION_SLACK = 1e-12
 # the documented trial range; a count past it is rejected before anything
@@ -348,7 +345,6 @@ class RunConfig:
     n_samples: int = 2000
     witness_rank: int = 1
     test_calibration: float = 0.5
-    unit: str = "structons"
     echo: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -365,21 +361,18 @@ class RunConfig:
         repeated = sorted({p for p in self.protocols if self.protocols.count(p) > 1})
         if repeated:
             raise ValidationError(f"protocols listed more than once: {repeated}")
-        if self.unit not in _UNITS:
-            raise ValidationError(f"unknown unit {self.unit!r}")
         if self.state is None:
             needs_state = "exact" in self.protocols or any(
                 p not in self.records for p in self.protocols if p != "exact"
             )
             if needs_state:
-                raise ValidationError(
-                    "a state is required for exact analysis or record simulation"
-                )
+                raise ValidationError("exact analysis and record simulation need a state")
 
 
-# A report's "method", "unit" and "direction" fields are constants: every
-# bound solves for solve_bootstrap's rounded-down root, and every certified
-# bound is a lower bound in bits.
+# A report's "method", "unit", "direction" and "display" fields are
+# constants: every bound solves for solve_bootstrap's rounded-down root, every
+# certified bound is a lower bound in bits, and the exact complexity is
+# displayed in structons.
 def _breakdown_dict(bb: BoundBreakdown, log2_gamma: float) -> dict:
     return {
         "leading_structons": bb.leading,
@@ -455,7 +448,7 @@ def pipeline(config: RunConfig) -> dict:
                 "c2_prime": config.constants.c2_prime,
             },
             "method": "lambert",
-            "unit": config.unit,
+            "unit": "structons",
         },
         "units": {
             "structon_bits": lg,
@@ -469,11 +462,6 @@ def pipeline(config: RunConfig) -> dict:
             bb = bound_from_divergence(d_bits, ref, config.epsilon, constants=config.constants,
                                        spectral_bits=skew_bits)
             value_structons = max(0.0, d_bits / lg)
-            display = {
-                "bits": d_bits,
-                "nats": d_bits * math.log(2.0),
-                "structons": value_structons,
-            }[config.unit]
             report["exact"] = {
                 "rcc_structons": value_structons,
                 "divergence_bits": d_bits,
@@ -481,7 +469,7 @@ def pipeline(config: RunConfig) -> dict:
                 "min_entropy_bits": min_entropy(rho).bits,
                 "spectral_skew_bits": skew_bits,
                 "circuit_bound": _breakdown_dict(bb, lg),
-                "display": {"value": display, "unit": config.unit},
+                "display": {"value": value_structons, "unit": "structons"},
             }
     certified: list[CertifiedBound] = []
     for proto in config.protocols:

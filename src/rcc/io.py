@@ -11,11 +11,12 @@ import csv
 import itertools
 import json
 import math
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError
 from .operators import DensityOperator, validate_density
 from .records import MeasurementRecord, _is_integer
 from .reference import (
@@ -28,6 +29,21 @@ from .reference import (
     stabilizer_reference,
 )
 from .windows import BlockPartition, ObservationWindow, ProcessTrace, WindowFamily
+
+
+@contextmanager
+def _content_errors(where):
+    """Report bad file content inside as one ConfigError naming where: a
+    missing key by its name, any other error by its message; a ConfigError
+    passes unchanged."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except KeyError as exc:
+        raise ConfigError(f"{where}: missing key {exc}") from exc
+    except Exception as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _read_json(path) -> dict:
@@ -95,10 +111,8 @@ def read_matrix(path) -> np.ndarray:
 def load_state(path) -> DensityOperator:
     """Load a density operator from a state file, repairing tolerable drift."""
     matrix = read_matrix(path)
-    try:
+    with _content_errors(path):
         return validate_density(matrix)
-    except Exception as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def dump_state(rho: DensityOperator, path) -> None:
@@ -129,7 +143,7 @@ def reference_from_config(cfg: dict, where: str = "reference config") -> Referen
     kind = cfg["type"]
     g = _integer(cfg, "g", where)
     units = _integer(cfg, "addressable_units", where)
-    try:
+    with _content_errors(where):
         if kind == "projectors":
             mats = [
                 _matrix_from_payload(p, f"{where}: projector {i}")
@@ -149,12 +163,6 @@ def reference_from_config(cfg: dict, where: str = "reference config") -> Referen
             )
         if kind == "blocks":
             return block_reference(_integer_blocks(cfg["blocks"], where), g, units)
-    except ConfigError:
-        raise
-    except KeyError as exc:
-        raise ConfigError(f"{where}: missing key {exc}") from exc
-    except Exception as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
     raise ConfigError(f"{where}: unknown reference type {kind!r}")
 
 
@@ -187,15 +195,13 @@ def load_record(path) -> MeasurementRecord:
     problem = _record_shape_problem(payload)
     if problem is not None:
         raise ConfigError(f"{path}: {problem}; {_RECORD_SHAPE}")
-    try:
+    with _content_errors(path):
         return MeasurementRecord(
             protocol=payload["protocol"],
             n=payload["n"],
             counts=payload["counts"],
             meta=payload.get("meta", {}),
         )
-    except ValidationError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def record_to_payload(record: MeasurementRecord) -> dict:
@@ -215,7 +221,7 @@ def load_window_family(path) -> WindowFamily:
     """Read a window family: each window's 'blocks' are lists of integer
     basis indices and its 'xi' a finite number."""
     payload = _read_json(path)
-    try:
+    with _content_errors(path):
         windows = []
         for w in payload["windows"]:
             blocks, xi = _integer_blocks(w["blocks"], path), w["xi"]
@@ -223,12 +229,6 @@ def load_window_family(path) -> WindowFamily:
                 raise ConfigError(f"{path}: 'xi' must be a finite number, got {xi!r}")
             windows.append(ObservationWindow(BlockPartition(tuple(map(tuple, blocks))), float(xi)))
         return WindowFamily(tuple(windows))
-    except ConfigError:
-        raise
-    except KeyError as exc:
-        raise ConfigError(f"{path}: missing key {exc}") from exc
-    except Exception as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
 
 
 _TRACE_COLUMNS = ("t", "Pi", "T", "C")
@@ -266,11 +266,8 @@ def load_trace_csv(path) -> ProcessTrace:
         raise ConfigError(f"cannot read {path}: {exc.strerror}") from exc
     if len(rows) < 2:
         raise ConfigError(f"{path}: a trace needs at least 2 rows")
-    cols = list(zip(*rows))
-    try:
-        return ProcessTrace(*(np.array(c) for c in cols))
-    except Exception as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    with _content_errors(path):
+        return ProcessTrace(*(np.array(c) for c in zip(*rows)))
 
 
 def dumps_sweep_csv(rows) -> str:

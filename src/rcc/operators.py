@@ -197,10 +197,10 @@ def validate_density(matrix) -> DensityOperator:
 
 @dataclass(frozen=True)
 class Projector:
-    """Idempotent Hermitian matrix with integer rank."""
+    """Idempotent Hermitian matrix; its rank is its trace, rounded."""
 
     matrix: np.ndarray
-    rank: int = field(default=-1)
+    rank: int = field(init=False)
 
     def __post_init__(self):
         m = _as_matrix(self.matrix)
@@ -209,7 +209,7 @@ class Projector:
         if err > PROJECTOR_TOL:
             raise ValidationError(f"not idempotent: ||P^2 - P||_F = {err:.3e}")
         tr = float(np.trace(m).real)
-        r = int(round(tr)) if self.rank < 0 else self.rank
+        r = int(round(tr))
         if abs(tr - r) > _RANK_TOL:
             raise ValidationError(f"trace {tr!r} is not the integer rank {r}")
         object.__setattr__(self, "matrix", m)

@@ -155,15 +155,14 @@ def build_reference(projectors, g: int, addressable_units: int) -> ReferenceSet:
     total = projs[0].matrix
     for p in projs[1:]:
         total = total @ p.matrix
-    total = 0.5 * (total + total.conj().T)
-    d_r = int(round(float(np.trace(total).real)))
-    if d_r < 1:
+    proj = Projector(0.5 * (total + total.conj().T))
+    if proj.rank < 1:
         raise ExclusiveSectorsError(
             "product of the projectors is zero; the sectors are mutually "
             "exclusive. Pick one target sector's total projector first and "
             "add finer constraints inside it."
         )
-    return ReferenceSet(Projector(total, rank=d_r), g, addressable_units)
+    return ReferenceSet(proj, g, addressable_units)
 
 
 def sector_reference(

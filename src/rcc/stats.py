@@ -52,12 +52,9 @@ from .bounds import (
 )
 from .entropy import binary_entropy
 from .errors import ProtocolInvalidError, ValidationError, _check_finite, _check_level
-# the record layer; re-exported so that callers may import it from either
-# module
-from .records import (  # noqa: F401
+from .records import (
     _MAX_SHOTS,
     HT_LABELS,
-    PROTOCOLS,
     WITNESS_LABELS,
     MeasurementRecord,
     _check_witness_rank,

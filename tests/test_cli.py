@@ -62,6 +62,38 @@ def test_every_command_exits_with_its_errors_code(runner, monkeypatch, error, co
     assert result.stderr == f"{prefix}: {error}\n"
 
 
+class TestOptions:
+    @pytest.mark.parametrize("command, args", [
+        ("compute", []),
+        ("simulate", ["--protocol", "witness"]),
+        ("coverage", ["--trials", "2"]),
+        ("sweep", ["--windows", "windows.json"]),
+    ])
+    def test_a_command_without_a_state_is_a_usage_error(self, runner, files, command, args):
+        # click's own error, as for a missing --reference
+        _, ref, _ = files
+        result = runner.invoke(main, [command, "--reference", ref, *args])
+        assert result.exit_code == 2, result.output
+        assert "Missing option '--state'" in result.stderr
+        assert result.stdout == ""
+
+    @pytest.mark.parametrize("args", [
+        ["compute", "--state", "STATE", "--unit", "bits"],
+        ["certify", "--record", "RECORD", "--unit", "structons"],
+        ["certify", "--record", "RECORD", "--state", "STATE"],
+    ])
+    def test_options_that_no_run_read_are_unknown(self, runner, files, tmp_path, args):
+        state, ref, _ = files
+        record = tmp_path / "record.json"
+        record.write_text(json.dumps({"protocol": "witness", "n": 10,
+                                      "counts": {"success": 9, "failure": 1}}))
+        paths = {"STATE": state, "RECORD": str(record)}
+        result = runner.invoke(main, [*(paths.get(a, a) for a in args), "--reference", ref])
+        assert result.exit_code == 2, result.output
+        assert "No such option" in result.stderr and args[-2] in result.stderr
+        assert result.stdout == ""
+
+
 class TestCompute:
     def test_logical_state_value(self, runner, files):
         state, ref, _ = files
@@ -356,6 +388,47 @@ class TestSimulateAndCertify:
         assert result.exit_code == 4, result.output
         assert isinstance(result.exception, SystemExit)
         assert "must be an integer" in result.output
+
+    @pytest.mark.parametrize("rank_args, exit_code", [
+        ([], 0), (["--witness-rank", "2"], 0), (["--witness-rank", "1"], 2),
+        (["--witness-rank", "3"], 2),
+    ])
+    def test_witness_rank_must_be_the_records(self, runner, files, tmp_path, rank_args,
+                                              exit_code):
+        _, ref, _ = files
+        path = tmp_path / "record.json"
+        path.write_text(json.dumps({
+            "protocol": "witness", "n": 2000, "counts": {"success": 1990, "failure": 10},
+            "meta": {"rank": 2},
+        }))
+
+        def certify(*args):
+            result = runner.invoke(main, ["certify", "--reference", ref, "--record", str(path),
+                                          *args])
+            return result, json.loads(result.stdout or "{}")
+
+        result, report = certify(*rank_args)
+        assert result.exit_code == exit_code, result.output
+        if exit_code:
+            assert result.stderr == (f"config error: {' '.join(rank_args)} conflicts with the "
+                                     f"rank 2 of the witness record {path}\n")
+            assert result.stdout == ""
+        else:
+            _, alone = certify()
+            report.pop("timestamp"), alone.pop("timestamp")
+            assert report == alone
+            assert report["certified_bounds"][0]["params"]["rank"] == 2
+
+    def test_a_record_without_a_rank_takes_the_flag(self, runner, files, tmp_path):
+        _, ref, _ = files
+        path = tmp_path / "record.json"
+        path.write_text(json.dumps({
+            "protocol": "witness", "n": 2000, "counts": {"success": 1990, "failure": 10},
+        }))
+        result = runner.invoke(main, ["certify", "--reference", ref, "--record", str(path),
+                                      "--witness-rank", "3"])
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.stdout)["certified_bounds"][0]["params"]["rank"] == 3
 
     def test_alpha_failure_exits_3(self, runner, files, tmp_path):
         _, ref, _ = files

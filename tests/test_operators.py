@@ -354,3 +354,18 @@ class TestProjector:
     def test_rank_from_trace(self):
         p = Projector(np.diag([1.0, 1.0, 0.0]).astype(complex))
         assert p.rank == 2
+        # the rounded trace, which no caller gives
+        m = np.diag([1.0 + 1e-14, 0.0, 1.0, 1.0]).astype(complex)
+        assert Projector(m).rank == 3
+        with pytest.raises(TypeError):
+            Projector(m, rank=3)
+
+    def test_a_trace_off_its_integer_is_rejected(self, monkeypatch):
+        # diag(1, 1e-6): its trace is 1e-6 off 1, and ||P^2 - P||_F ~ 1e-6
+        m = np.diag([1.0, 1e-6]).astype(complex)
+        with pytest.raises(ValidationError, match="not idempotent"):
+            Projector(m)
+        # with the idempotence tolerance past it, the trace check rejects it
+        monkeypatch.setattr(operators, "PROJECTOR_TOL", 1e-5)
+        with pytest.raises(ValidationError, match="is not the integer rank 1"):
+            Projector(m)

@@ -14,9 +14,10 @@ sample sizes, coverage summaries (of one protocol per run, and of all
 three in one run), simulated records and
 their certificates, `pipeline` reports (apart from `timestamp`), window
 sweeps and the CLI's output (stdout, stderr, exit code and any `--out`
-file) of `certify`, `sweep`, `thermo` in each variant and `simulate
---witness`. An output that raises an `RccError` is compared by its
-exception type and message. `--small` runs a shorter battery.
+file) of `certify` (also on a witness record with `--witness-rank` agreeing
+with its rank and conflicting), `sweep`, `thermo` in each variant and
+`simulate --witness`. An output that raises an `RccError` is compared by
+its exception type and message. `--small` runs a shorter battery.
 
 `--write FILE` stores one tree's leaves in FILE, one per line, with the
 numpy, scipy and BLAS versions that computed them and which battery ran.
@@ -167,10 +168,11 @@ def _run_cli(src: str, workdir: Path, args: list[str], out: str | None = None) -
     return result
 
 
-def _certify_cli(src: str, workdir: Path, ref_cfg: dict, records: list[dict], tag: str) -> dict:
-    """`rcc certify` on the records."""
+def _certify_cli(src: str, workdir: Path, ref_cfg: dict, records: list[dict], tag: str,
+                 flags: tuple[str, ...] = ()) -> dict:
+    """`rcc certify` on the records, with flags."""
     (workdir / "ref.json").write_text(json.dumps(ref_cfg))
-    args = ["certify", "--reference", "ref.json"]
+    args = ["certify", "--reference", "ref.json", *flags]
     for i, payload in enumerate(records):
         name = f"{tag}_{i}.json"
         (workdir / name).write_text(json.dumps(payload))
@@ -307,9 +309,14 @@ def battery(src: str, small: bool) -> dict:
                  for bits in (PLAN_BITS[1:2] if small else PLAN_BITS)]
     # too many null acceptances: the test cannot certify at eta (exit 3)
     cli_sets.append([_plan_record(2000, 900, 10, 0.05)])
+    # a witness record of rank 2 with no --witness-rank, the same rank and
+    # another one (exit 2)
+    rank2 = [_record_payload(simulate_record(rho, ref, "witness", 2000, seed=5, witness_rank=2))]
     with tempfile.TemporaryDirectory() as tmp:
         cli = [_certify_cli(src, Path(tmp), ref_cfg, recs, f"set{i}")
                for i, recs in enumerate(cli_sets)]
+        cli += [_certify_cli(src, Path(tmp), ref_cfg, rank2, "rank2", flags)
+                for flags in ((), ("--witness-rank", "2"), ("--witness-rank", "1"))]
         other = _other_cli(src, Path(tmp), ref_cfg, ref, rho, family)
     _leaves(cli, "cli_certify", out)
     _leaves(other, "cli", out)
