@@ -69,6 +69,12 @@ class BoundBreakdown:
     inputs: dict = field(default_factory=dict)
 
 
+def _check_epsilon(epsilon: float) -> None:
+    """The precision rule of both bound forms and of a run: 0 < eps <= 1/2."""
+    if not 0.0 < epsilon <= 0.5:
+        raise ValidationError(f"epsilon {epsilon} must be in (0, 0.5]")
+
+
 def rcc(rho: DensityOperator, ref: ReferenceSet) -> float:
     """Reference-contingent complexity in structons.
 
@@ -175,8 +181,7 @@ def bound_from_divergence(
     floored at 0. A max-divergence value may be passed as d_bits with zero
     skew, since D + skew equals D_max identically.
     """
-    if not 0.0 < epsilon <= 0.5:
-        raise ValidationError(f"epsilon {epsilon} must be in (0, 0.5]")
+    _check_epsilon(epsilon)
     if d_bits < 0 or spectral_bits < 0:
         raise ValidationError("divergence terms must be nonnegative")
     lg = ref.log2_gamma
@@ -221,7 +226,7 @@ def smoothed_lower_bound(
     (c1' log(1/eps) + c2' log(1/eta))/log G and keeps the explicit
     max(1, .) floor of its closed-form solution.
     """
-    _check_level("epsilon", epsilon)
+    _check_epsilon(epsilon)
     _check_level("eta", eta)
     if dh_bits < 0:
         raise ValidationError("divergence bound must be nonnegative")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LeakageError, ValidationError, _check_finite, _check_level
-from .operators import DensityOperator, project_renormalize
+from .operators import DensityOperator, _check_same_dim, project_renormalize
 from .reference import ReferenceSet
 
 LN2 = math.log(2.0)
@@ -75,8 +75,7 @@ def reference_overlap(rho: DensityOperator, ref: ReferenceSet) -> float:
     """Tr(Pi_R rho), the mass retained inside the reference subspace: the
     sum of rho's diagonal over a coordinate reference's index set, otherwise
     one O(d^2) overlap of the two matrices."""
-    if rho.dim != ref.dim:
-        raise ValidationError(f"dimension mismatch: state {rho.dim}, reference {ref.dim}")
+    _check_same_dim(rho, ref)
     indices = ref.coordinate_indices
     if indices is not None:
         return float(rho.matrix.diagonal()[indices].real.sum())
@@ -219,8 +218,6 @@ def leakage_adjusted_divergence(
     mode="full" returns D_Bern(q || 1-delta) + q * D(rho~ || sigma_R) for a
     caller-chosen smoothing delta.
     """
-    if rho_phys.dim != ref.dim:
-        raise ValidationError("dimension mismatch between state and reference")
     # a state that is not PSD raises here; the projection alone could drop
     # its negative part and return q > 1
     rho_phys.spectrum

@@ -31,17 +31,18 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .bounds import DEFAULT_CONSTANTS, BoundBreakdown, BoundConstants, bound_from_divergence
+from .bounds import (DEFAULT_CONSTANTS, BoundBreakdown, BoundConstants, _check_epsilon,
+                     bound_from_divergence)
 from .bounds import rcc  # noqa: F401  (not called; perfbench's tracer test patches this binding)
 from .entropy import (
     _supported_spectrum, _testing_divergence, _waterfill_weights, min_entropy,
     relative_to_reference, shannon, spectral_skew, von_neumann,
 )
 from .errors import CompleteLeakageError, RccError, ValidationError, _check_level
-from .operators import _COMPLETE_LEAK_TOL, DensityOperator, eig_hermitian
+from .operators import _COMPLETE_LEAK_TOL, DensityOperator, _check_same_dim, eig_hermitian
 from .reference import ReferenceSet
 from .records import (
-    _MAX_SHOTS, HT_LABELS, PROTOCOLS, WITNESS_LABELS, MeasurementRecord, _check_witness_rank,
+    HT_LABELS, PROTOCOLS, WITNESS_LABELS, MeasurementRecord, _check_shots, _check_witness_rank,
     _is_integer, _witness_projector_rank, _witness_value,
 )
 from .windows import WindowFamily, _windowed_complexity, windowed_entropy_bits
@@ -81,8 +82,7 @@ def _draw(kept: int, dists: list[np.ndarray], n: int, rngs: list, rows: int) -> 
     without checking them again."""
     if not _is_integer(n) or n <= 0:
         raise ValidationError(f"n must be a positive integer, got {n!r}")
-    if n > _MAX_SHOTS:
-        raise ValidationError(f"n = {n} is past the sampler's range [1, 2**53]")
+    _check_shots(n)
     counts = [rng.multinomial(n, p, size=rows) for rng, p in zip(rngs, dists)]
     counts = counts[0] if len(counts) == 1 else np.concatenate(counts, axis=1)
     if counts.shape[1] == kept:
@@ -281,8 +281,7 @@ def _outcome_setup(
     mass.
     """
     rho, ref = config.state, config.reference
-    if rho.dim != ref.dim:
-        raise ValidationError(f"dimension mismatch: state {rho.dim}, reference {ref.dim}")
+    _check_same_dim(rho, ref)
     if spectrum is None:
         spectrum = _spectrum_read(rho, ref)
     return _protocol(protocol).setup(rho, ref, config, witness_projector, spectrum)
@@ -348,9 +347,10 @@ class RunConfig:
     echo: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for name, x in (("delta", self.delta), ("eta", self.eta), ("epsilon", self.epsilon),
+        for name, x in (("delta", self.delta), ("eta", self.eta),
                         ("test_calibration", self.test_calibration)):
             _check_level(name, x)
+        _check_epsilon(self.epsilon)
         _check_seed(self.seed)
         bad = [p for p in self.protocols if p != "exact" and p not in PROTOCOLS]
         if bad:

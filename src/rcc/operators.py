@@ -20,6 +20,8 @@ DENSITY_TOL = 1e-10
 # Diagonal mass above this marks a basis index as carrying support.
 _SUPPORT_TOL = 1e-9
 # A projector's trace may differ from its integer rank by this much.
+# Idempotence to PROJECTOR_TOL puts it within sqrt(d) * PROJECTOR_TOL of an
+# integer, so this fails only above d ~ 10^4, which RCC_DIM_CAP allows.
 _RANK_TOL = 1e-8
 # Retained mass Tr(P rho) at or below this is complete leakage.
 _COMPLETE_LEAK_TOL = 1e-14
@@ -164,9 +166,6 @@ class DensityOperator:
         w = self.spectrum
         return _read_only(np.where(w < 0.0, 0.0, w))
 
-    def eigenvalues(self) -> np.ndarray:
-        return self.spectrum
-
     def purity(self) -> float:
         return float(np.trace(self.matrix @ self.matrix).real)
 
@@ -293,6 +292,13 @@ def pinch(rho: DensityOperator, partition: BlockPartition) -> DensityOperator:
     return DensityOperator(partition.pinch(rho.matrix))
 
 
+def _check_same_dim(rho: DensityOperator, ref) -> None:
+    """One dimension for a state and a ReferenceSet or Projector, checked
+    where a path first reads both."""
+    if rho.dim != ref.dim:
+        raise ValidationError(f"dimension mismatch: state {rho.dim}, reference {ref.dim}")
+
+
 def project_renormalize(rho: DensityOperator, proj: Projector) -> tuple[DensityOperator, float]:
     """Project onto the range of `proj` and renormalize; also returns the
     retained mass q = Tr(P rho).
@@ -301,8 +307,7 @@ def project_renormalize(rho: DensityOperator, proj: Projector) -> tuple[DensityO
     projection P rho P is >= -DENSITY_TOL on the range of P, so after the
     division by q its drift is checked against DENSITY_TOL / q.
     """
-    if rho.dim != proj.dim:
-        raise ValidationError(f"dimension mismatch: {rho.dim} vs {proj.dim}")
+    _check_same_dim(rho, proj)
     # P is Hermitian, so Tr(P rho) is the elementwise sum of conj(P) * rho
     q = float(np.vdot(proj.matrix, rho.matrix).real)
     if q <= _COMPLETE_LEAK_TOL:

@@ -31,11 +31,16 @@ PROTOCOLS = ("hypothesis_test", "witness", "dephase")
 HT_LABELS = ("null_accept_h1", "null_accept_h0", "alt_accept_h1", "alt_accept_h0")
 WITNESS_LABELS = ("success", "failure")
 
-# the shot range of one count, which the sampler, the records, the planners
-# and the binomial tails share: counts up to 2**53 are exact doubles, so a
-# tail's shape parameters n - k and k + 1 are exact; past it betainc's tail
-# is not monotone in k (it returns NaN and 0.5 at some counts)
-_MAX_SHOTS = 2**53
+
+def _check_shots(n: int, name: str = "N") -> None:
+    """The top of the shot range, which the sampler, the records, the
+    planners and the binomial tails share: counts up to 2**53 are exact
+    doubles, so a tail's shape parameters n - k and k + 1 are exact; past it
+    betainc's tail is not monotone in k (it returns NaN and 0.5 at some
+    counts). Callers check a count's type and lower end first: 1 for a
+    run's size, 0 for a record's count."""
+    if n > 2**53:
+        raise ValidationError(f"{name} = {n} is past the shot range [1, 2**53]")
 
 
 def _is_integer(x) -> bool:
@@ -106,8 +111,7 @@ class MeasurementRecord:
         if any(v < 0 for v in counts.values()):
             raise ValidationError("negative count")
         for name, v in counts.items():
-            if v > _MAX_SHOTS:
-                raise ValidationError(f"count {name!r} is past the shot range [0, 2**53]")
+            _check_shots(v, f"count {name!r}")
         if sum(counts.values()) != self.n:
             raise ValidationError(
                 f"counts sum {sum(counts.values())} does not match n = {self.n}"

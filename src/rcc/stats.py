@@ -33,7 +33,7 @@ flip, and the normal approximation of the binomial delta-quantile at the
 flip cell's edge. A column then costs about 2 comparisons and 2 tail
 evaluations, whatever the number of records, and a wrong guess costs more
 evaluations, never another k*. Counts stay in the shot range [0, 2^53]
-(records._MAX_SHOTS), where the shape parameters are exact doubles.
+(records._check_shots), where the shape parameters are exact doubles.
 """
 
 from __future__ import annotations
@@ -53,10 +53,10 @@ from .bounds import (
 from .entropy import binary_entropy
 from .errors import ProtocolInvalidError, ValidationError, _check_finite, _check_level
 from .records import (
-    _MAX_SHOTS,
     HT_LABELS,
     WITNESS_LABELS,
     MeasurementRecord,
+    _check_shots,
     _check_witness_rank,
     _is_integer,
     _witness_projector_rank,
@@ -99,8 +99,7 @@ def _check_binomial_args(k, n, delta: float) -> None:
     a numpy integer), and delta in (0, 1)."""
     if not (_is_integer(k) and _is_integer(n)):
         raise ValidationError(f"counts must be integers, got k={k!r}, N={n!r}")
-    if n > _MAX_SHOTS:
-        raise ValidationError(f"N = {n} is past the shot range [1, 2**53]")
+    _check_shots(n)
     if n <= 0 or k < 0 or k > n:
         raise ValidationError(f"invalid counts k={k}, N={n}")
     _check_level("delta", delta)
@@ -238,10 +237,9 @@ def ht_protocol(record: MeasurementRecord, eta: float, delta: float) -> Certifie
 
 def _planned(size: float) -> int:
     """A planner's sample size, size rounded up after _PLAN_SLACK, within
-    the shot range of one count (records._MAX_SHOTS)."""
+    the shot range of one count (records._check_shots)."""
     n = math.ceil(size - _PLAN_SLACK)
-    if n > _MAX_SHOTS:
-        raise ValidationError(f"the planned sample size {n} is past the shot range [1, 2**53]")
+    _check_shots(n)
     return n
 
 

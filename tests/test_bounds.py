@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -233,9 +234,14 @@ class TestMainLowerBound:
         assert all(b >= a - 1e-12 for a, b in zip(finals, finals[1:]))
 
     def test_epsilon_domain(self):
+        # both bound forms take one precision rule, 0 < epsilon <= 1/2
         ref = full_reference(4)
-        with pytest.raises(ValidationError):
+        message = re.escape("epsilon 0.7 must be in (0, 0.5]")
+        with pytest.raises(ValidationError, match=message):
             main_lower_bound(diag_state(*[0.25] * 4), ref, epsilon=0.7)
+        with pytest.raises(ValidationError, match=message):
+            smoothed_lower_bound(1.0, ref, epsilon=0.7, eta=0.05)
+        assert smoothed_lower_bound(1.0, ref, epsilon=0.5, eta=0.05).inputs["epsilon"] == 0.5
 
     def test_residual_of_reported_inequality(self, rng):
         for _ in range(50):

@@ -294,7 +294,7 @@ class TestSimulateAndCertify:
         args += ["--protocol", "witness"] if command == "simulate" else ["--trials", "2"]
         result = runner.invoke(main, args)
         assert result.exit_code == 4, result.output
-        assert result.stderr == f"error: n = {n} is past the sampler's range [1, 2**53]\n"
+        assert result.stderr == f"error: N = {n} is past the shot range [1, 2**53]\n"
 
     @pytest.mark.parametrize("protocol", ["hypothesis_test", "dephase"])
     def test_witness_file_with_another_protocol_exits_2(self, runner, files, tmp_path, protocol):
@@ -360,8 +360,8 @@ class TestSimulateAndCertify:
         result = runner.invoke(main, ["certify", "--reference", ref, "--record", str(path)])
         assert result.exit_code == 2, result.output
         assert isinstance(result.exception, SystemExit)
-        assert result.stderr == (f"config error: {path}: count 'success' is past the shot "
-                                 "range [0, 2**53]\n")
+        assert result.stderr == (f"config error: {path}: count 'success' = {n - 5} is past "
+                                 "the shot range [1, 2**53]\n")
 
     def test_a_binomial_run_past_the_shot_range_exits_4(self, runner, files, tmp_path):
         # each count is in the range, but the null run's n, their sum, is not
@@ -493,10 +493,10 @@ class TestPlan:
         (["hypothesis_test", "--target-bits", "10", "--delta", "1"], "delta 1.0 must be in (0,1)"),
         (["hypothesis_test", "--target-bits", "-1"], "target must be nonnegative, got -1.0"),
         # plans past the shot range, which neither the sampler nor a record takes
-        (["hypothesis_test", "--target-bits", "70"], "the planned sample size "
-         "3536736420070561415168 is past the shot range [1, 2**53]"),
+        (["hypothesis_test", "--target-bits", "70"],
+         "N = 3536736420070561415168 is past the shot range [1, 2**53]"),
         (["witness", "--target-bits", "2", "--p0", "0.5000000001", "--dr", "8"],
-         "the planned sample size 149786588890902659072 is past the shot range"),
+         "N = 149786588890902659072 is past the shot range"),
     ])
     def test_bad_plan_inputs_exit_4(self, runner, args, message):
         result = runner.invoke(main, ["plan", "--protocol", *args])
@@ -581,6 +581,35 @@ class TestEta:
                                       "--protocol", protocol, "--eta", eta])
         assert result.exit_code == 4, result.output
         assert result.stderr == f"error: eta {float(eta)} must be in (0,1)\n"
+
+
+class TestEpsilon:
+    RECORDS = {
+        "hypothesis_test": {"protocol": "hypothesis_test", "n": 4000, "counts": {
+            "null_accept_h1": 100, "null_accept_h0": 1900, "alt_accept_h1": 2000,
+            "alt_accept_h0": 0}},
+        "witness": {"protocol": "witness", "n": 1000, "counts": {"success": 990, "failure": 10}},
+    }
+
+    @pytest.mark.parametrize("records", [
+        (), ("hypothesis_test",), ("witness",), ("hypothesis_test", "witness"),
+    ])
+    @pytest.mark.parametrize("epsilon, code", [("0.6", 4), ("0.5", 0)])
+    def test_every_path_takes_one_epsilon_rule(self, runner, files, tmp_path, records, epsilon,
+                                               code):
+        # both bound forms take 0 < epsilon <= 1/2, which the run checks
+        # before any stage; () is compute's exact path
+        state, ref, _ = files
+        args = ["compute", "--state", state, "--reference", ref] if not records else [
+            "certify", "--reference", ref]
+        for protocol in records:
+            path = tmp_path / f"{protocol}.json"
+            path.write_text(json.dumps(self.RECORDS[protocol]))
+            args += ["--record", str(path)]
+        result = runner.invoke(main, [*args, "--epsilon", epsilon])
+        assert result.exit_code == code, result.output
+        if code:
+            assert result.stderr == "error: epsilon 0.6 must be in (0, 0.5]\n"
 
 
 class TestSweep:

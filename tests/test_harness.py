@@ -552,7 +552,7 @@ class TestBatchedCoverage:
         # past 2**53 a count is not an exact double, and the binomial tails
         # that certify it are not monotone in it
         rho, ref = state_and_ref
-        message = re.escape(f"n = {n} is past the sampler's range [1, 2**53]")
+        message = re.escape(f"N = {n} is past the shot range [1, 2**53]")
         for proto in PROTOCOLS:
             config = RunConfig(state=rho, reference=ref, protocols=(proto,), n_samples=n)
             with pytest.raises(ValidationError, match=message):

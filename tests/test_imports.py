@@ -1,7 +1,7 @@
 """The import graph: scipy loads only at a binomial tail, the
 package keeps every public name, whichever module defines it, each public
-name reaches a command, a criterion or README, and `errors` alone raises
-the level and finiteness messages."""
+name reaches a command, a criterion or README, and one module each raises
+the level and finiteness, shot-range and dimension messages."""
 
 import ast
 import importlib
@@ -143,20 +143,34 @@ def test_every_exported_name_resolves_to_its_defining_object():
     assert rcc.MeasurementRecord is rcc.records.MeasurementRecord
 
 
-def test_only_errors_raises_the_level_and_finiteness_messages():
-    """errors._check_level and errors._check_finite own these two rules; a
-    module raising either message itself holds a second copy of its rule."""
-    copies = []
+def _raised(message: str) -> list[str]:
+    """"module:line" of each raise statement in `rcc` whose string
+    constants contain message."""
+    found = []
     for path in sorted(Path(rcc.__file__).parent.glob("*.py")):
-        if path.name == "errors.py":
-            continue
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Raise):
                 text = "".join(c.value for c in ast.walk(node)
                                if isinstance(c, ast.Constant) and isinstance(c.value, str))
-                copies += [f"{path.name}:{node.lineno}" for message in
-                           ("must be in (0,1)", "must be finite") if message in text]
+                if message in text:
+                    found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_only_errors_raises_the_level_and_finiteness_messages():
+    """errors._check_level and errors._check_finite own these two rules; a
+    module raising either message itself holds a second copy of its rule."""
+    copies = [site for message in ("must be in (0,1)", "must be finite")
+              for site in _raised(message) if not site.startswith("errors.py:")]
     assert copies == []
+
+
+def test_one_module_raises_the_shot_range_and_dimension_messages():
+    """records._check_shots and operators._check_same_dim own these two
+    rules; a second module raising either message holds a second copy."""
+    modules = {message: {site.partition(":")[0] for site in _raised(message)}
+               for message in ("shot range", "dimension mismatch")}
+    assert modules == {"shot range": {"records.py"}, "dimension mismatch": {"operators.py"}}
 
 
 # exports that no command, criterion or README sentence reaches yet, each

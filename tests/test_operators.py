@@ -88,7 +88,7 @@ class TestValidateDensity:
     def test_clips_tolerance_edge(self):
         rho = validate_density(np.diag([1 + 1e-12, -1e-12]))
         assert rho.clipped
-        assert rho.eigenvalues().min() >= 0.0
+        assert rho.spectrum.min() >= 0.0
         assert abs(np.trace(rho.matrix).real - 1.0) < 1e-14
 
     def test_rejects_negative_beyond_tol(self):
@@ -321,7 +321,7 @@ class TestProjectRenormalize:
     def test_dimension_mismatch_rejected(self):
         rho = validate_density(np.diag([1.0, 0.0]))
         proj = Projector(np.diag([1.0, 0.0, 0.0]).astype(complex))
-        with pytest.raises(ValidationError, match="dimension mismatch: 2 vs 3"):
+        with pytest.raises(ValidationError, match="dimension mismatch: state 2, reference 3"):
             project_renormalize(rho, proj)
 
 

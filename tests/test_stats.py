@@ -24,7 +24,7 @@ from rcc import (
     witness_sample_plan,
 )
 from rcc import stats
-from rcc.harness import _protocol
+from rcc.harness import _protocol, protocol_ground_truth
 from conftest import embedded_reference, full_reference
 from oracles import (
     certify_record,
@@ -540,6 +540,44 @@ class TestDephaseProtocol:
         assert abs(bound.value - (1.0 - h)) < 0.02
 
 
+def largest_remainders(w: np.ndarray, n: int) -> np.ndarray:
+    """Integer counts summing to n: floor(n w), plus one at each of the
+    largest remainders."""
+    scaled = w * n
+    c = np.floor(scaled).astype(np.int64)
+    c[np.argsort(c - scaled, kind="stable")[: n - int(c.sum())]] += 1
+    return c
+
+
+# spectra over d_R basis states: pure, 0.7 with the rest flat, geometric
+# with ratio 1/2, and flat on half
+EXACT_SPECTRA = {
+    "pure": lambda d: np.eye(d)[0],
+    "top_0.7": lambda d: np.r_[0.7, np.full(d - 1, 0.3 / (d - 1))],
+    "geometric": lambda d: 0.5 ** np.arange(d) / (0.5 ** np.arange(d)).sum(),
+    "half_flat": lambda d: np.r_[np.full(d // 2, 2 / d), np.zeros(d - d // 2)],
+}
+
+
+class TestExactFrequencies:
+    @pytest.mark.parametrize("spectrum", sorted(EXACT_SPECTRA))
+    @pytest.mark.parametrize("n", [2000, 20000])
+    @pytest.mark.parametrize("d_r", [4, 16, 64])
+    def test_certificates_do_not_exceed_their_targets(self, d_r, n, spectrum):
+        # the state is diag(c)/N, so the records' frequencies are its
+        # probabilities exactly: a Clopper-Pearson interval holds p-hat = p
+        # and H_U >= H(p-hat), so each certificate is at most its target
+        c = largest_remainders(EXACT_SPECTRA[spectrum](d_r), n)
+        rho = validate_density(np.diag(c / n))
+        ref = full_reference(d_r)
+        top = int(c.max())
+        witness = witness_protocol(witness_record(top, n), ref, 1, 0.05)
+        dephase = MeasurementRecord("dephase", n, {str(i): int(k) for i, k in enumerate(c)})
+        assert witness.value <= protocol_ground_truth(rho, ref, "witness")
+        assert dephase_protocol(dephase, ref, 0.05).value <= protocol_ground_truth(
+            rho, ref, "dephase")
+
+
 class TestBonferroni:
     def test_single(self):
         assert bonferroni(0.05, 1) == 0.05
@@ -632,7 +670,8 @@ class TestRecordValidation:
         top = 2**53
         record = MeasurementRecord("witness", top, {"success": top // 2, "failure": top // 2})
         assert witness_protocol(record, full_reference(2), 1, 0.05).params["p_lower"] < 0.5
-        with pytest.raises(ValidationError, match=r"count 'failure' is past the shot range"):
+        with pytest.raises(ValidationError, match=re.escape(
+                f"count 'failure' = {top + 1} is past the shot range [1, 2**53]")):
             MeasurementRecord("witness", top + 2, {"success": 1, "failure": top + 1})
         # each count is in the range, but their sum, the binomial's n, is not
         record = MeasurementRecord("witness", 2 * top, {"success": top, "failure": top})

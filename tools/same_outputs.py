@@ -15,9 +15,11 @@ three in one run), simulated records and
 their certificates, `pipeline` reports (apart from `timestamp`), window
 sweeps and the CLI's output (stdout, stderr, exit code and any `--out`
 file) of `certify` (also on a witness record with `--witness-rank` agreeing
-with its rank and conflicting), `sweep`, `thermo` in each variant and
-`simulate --witness`. An output that raises an `RccError` is compared by
-its exception type and message. `--small` runs a shorter battery.
+with its rank and conflicting, and at `--epsilon` 0.6 and 0.5 on a
+hypothesis-test record alone and beside a witness record), `compute
+--epsilon 0.6`, `sweep`, `thermo` in each variant and `simulate --witness`.
+An output that raises an `RccError` is compared by its exception type and
+message. `--small` runs a shorter battery.
 
 `--write FILE` stores one tree's leaves in FILE, one per line, with the
 numpy, scipy and BLAS versions that computed them and which battery ran.
@@ -192,9 +194,10 @@ THERMO_FLAGS = {"envelope": [], "net_gain": [], "full": ["--log-correction", "0.
 
 
 def _other_cli(src: str, workdir: Path, ref_cfg: dict, ref, rho, family) -> dict:
-    """`sweep` (stdout and --out), `thermo` in every variant with and
-    without --delta-c and --pi-avg, and `simulate --witness` with a projector
-    onto the top of H_R and with a missing file, all on the first case."""
+    """`compute --epsilon 0.6`, past the precision range (0, 1/2], `sweep`
+    (stdout and --out), `thermo` in every variant with and without
+    --delta-c and --pi-avg, and `simulate --witness` with a projector onto
+    the top of H_R and with a missing file, all on the first case."""
     from rcc import io
 
     (workdir / "ref.json").write_text(json.dumps(ref_cfg))
@@ -203,7 +206,8 @@ def _other_cli(src: str, workdir: Path, ref_cfg: dict, ref, rho, family) -> dict
         {"xi": w.xi, "blocks": [list(b) for b in w.partition.blocks]} for w in family.windows]}))
     on_state = ["--state", "state.json", "--reference", "ref.json"]
     sweep = ["sweep", *on_state, "--windows", "windows.json"]
-    out = {"sweep": [_run_cli(src, workdir, sweep), _run_cli(src, workdir, sweep, "sweep.csv")]}
+    out = {"sweep": [_run_cli(src, workdir, sweep), _run_cli(src, workdir, sweep, "sweep.csv")],
+           "compute_epsilon": _run_cli(src, workdir, ["compute", *on_state, "--epsilon", "0.6"])}
 
     thermo = []
     for i, text in enumerate(TRACES):
@@ -317,6 +321,11 @@ def battery(src: str, small: bool) -> dict:
                for i, recs in enumerate(cli_sets)]
         cli += [_certify_cli(src, Path(tmp), ref_cfg, rank2, "rank2", flags)
                 for flags in ((), ("--witness-rank", "2"), ("--witness-rank", "1"))]
+        # a planned hypothesis-test record alone and beside a simulated
+        # witness record, past the precision range (0, 1/2] and at its top
+        test, witness = cli_sets[1], cli_sets[0][1:2]
+        cli += [_certify_cli(src, Path(tmp), ref_cfg, recs, f"eps{i}", ("--epsilon", epsilon))
+                for epsilon in ("0.6", "0.5") for i, recs in enumerate((test, test + witness))]
         other = _other_cli(src, Path(tmp), ref_cfg, ref, rho, family)
     _leaves(cli, "cli_certify", out)
     _leaves(other, "cli", out)
