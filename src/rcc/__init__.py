@@ -13,7 +13,6 @@ from .bounds import (
     solve_bootstrap,
 )
 from .entropy import (
-    EntropyValue,
     PurityCeiling,
     bernoulli_kl,
     binary_entropy,

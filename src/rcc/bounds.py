@@ -16,10 +16,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .entropy import LN2, relative_to_reference, spectral_skew
+from .entropy import relative_to_reference, spectral_skew
 from .errors import ValidationError, _check_finite, _check_level
 from .operators import DensityOperator
 from .reference import ReferenceSet
+
+LN2 = math.log(2.0)
 
 # The bootstrap root is stepped down until its residual, evaluated in
 # doubles, is at most minus this many units in the last place of each of its
@@ -81,7 +83,7 @@ def rcc(rho: DensityOperator, ref: ReferenceSet) -> float:
     Ranges over [0, log2 d_R / log2 Gamma_R]: zero exactly at the structured
     vacuum, maximal for any pure state in the subspace.
     """
-    d_bits = relative_to_reference(rho, ref).bits
+    d_bits = relative_to_reference(rho, ref)
     return max(0.0, d_bits / ref.log2_gamma)
 
 
@@ -208,8 +210,8 @@ def main_lower_bound(
     constants: BoundConstants = DEFAULT_CONSTANTS,
 ) -> BoundBreakdown:
     """Exact-state circuit lower bound with the unit-coefficient skew term."""
-    d_bits = relative_to_reference(rho, ref).bits
-    skew = spectral_skew(rho).bits
+    d_bits = relative_to_reference(rho, ref)
+    skew = spectral_skew(rho)
     return bound_from_divergence(d_bits, ref, epsilon, constants=constants, spectral_bits=skew)
 
 

@@ -95,20 +95,21 @@ reference_opt = click.option(
     "--reference", "reference_path", type=click.Path(), required=True,
     help="Reference config (JSON).",
 )
-delta_opt = click.option("--delta", type=float, default=0.05, show_default=True)
-eta_opt = click.option("--eta", type=float, default=0.25, show_default=True)
-epsilon_opt = click.option("--epsilon", type=float, default=0.01, show_default=True)
+delta_opt = click.option("--delta", type=float, default=RunConfig.delta, show_default=True)
+eta_opt = click.option("--eta", type=float, default=RunConfig.eta, show_default=True)
+epsilon_opt = click.option("--epsilon", type=float, default=RunConfig.epsilon, show_default=True)
 constants_opt = click.option(
     "--constants", "constants_path", type=click.Path(),
     help="JSON with c1, c1_prime, c2_prime (and hbar, k_b for thermo).",
 )
-seed_opt = click.option("--seed", type=int, default=0, show_default=True)
+seed_opt = click.option("--seed", type=int, default=RunConfig.seed, show_default=True)
 test_calibration_opt = click.option(
-    "--test-calibration", type=float, default=0.5, show_default=True,
+    "--test-calibration", type=float, default=RunConfig.test_calibration, show_default=True,
     help="Fraction of eta, in (0, 1), at which the simulated test is calibrated.",
 )
 out_opt = click.option("--out", type=click.Path(), help="Write output here instead of stdout.")
-witness_rank_opt = click.option("--witness-rank", type=int, default=1, show_default=True)
+witness_rank_opt = click.option("--witness-rank", type=int, default=RunConfig.witness_rank,
+                                 show_default=True)
 
 
 def _check_rank_flag(witness_rank: int, rank, source: str) -> None:
@@ -192,7 +193,7 @@ def certify(reference_path, record_paths, delta, eta, epsilon, constants_path, w
 @state_opt
 @reference_opt
 @click.option("--protocol", type=click.Choice(PROTOCOLS), required=True)
-@click.option("--n", "n_samples", type=int, default=2000, show_default=True)
+@click.option("--n", "n_samples", type=int, default=RunConfig.n_samples, show_default=True)
 @seed_opt
 @eta_opt
 @test_calibration_opt
@@ -251,7 +252,7 @@ def plan(protocol, target_bits, delta, p0, rank, d_r, out):
     default=("all",), show_default=True,
 )
 @click.option("--trials", type=int, default=500, show_default=True)
-@click.option("--n", "n_samples", type=int, default=2000, show_default=True)
+@click.option("--n", "n_samples", type=int, default=RunConfig.n_samples, show_default=True)
 @delta_opt
 @eta_opt
 @test_calibration_opt

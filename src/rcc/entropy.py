@@ -8,7 +8,7 @@ divergence here collapses to a closed form in the eigenvalues of rho:
     D_H^eta               = exact Neyman-Pearson waterfilling
 
 Values are computed from eigenvalues only (never matrix logarithms) and
-returned in bits, as an EntropyValue that also reads them in nats.
+returned as Python floats in bits.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .errors import LeakageError, ValidationError, _check_finite, _check_level
 from .operators import DensityOperator, _check_same_dim, project_renormalize
 from .reference import ReferenceSet
 
-LN2 = math.log(2.0)
 # Mass outside the reference subspace above this rejects a state.
 DEFAULT_LEAK_TOL = 1e-9
 # A probability vector may sum to 1 within this, and its entries may dip
@@ -33,21 +32,6 @@ _NEGATIVE_PROB_TOL = 1e-12
 _BETA_FLOOR = 1e-15
 
 
-@dataclass(frozen=True)
-class EntropyValue:
-    """A scalar information quantity in bits."""
-
-    value: float
-
-    @property
-    def bits(self) -> float:
-        return self.value
-
-    @property
-    def nats(self) -> float:
-        return self.value * LN2
-
-
 def _entropy_bits(weights: np.ndarray) -> float:
     w = weights[weights > 0.0]
     if w.size == 0:
@@ -55,20 +39,20 @@ def _entropy_bits(weights: np.ndarray) -> float:
     return float(-(w * np.log2(w)).sum()) + 0.0  # normalizes -0.0
 
 
-def von_neumann(rho: DensityOperator) -> EntropyValue:
+def von_neumann(rho: DensityOperator) -> float:
     """S(rho) = -Tr(rho log rho) from the eigenvalue spectrum."""
-    return EntropyValue(_entropy_bits(rho.clipped_spectrum))
+    return _entropy_bits(rho.clipped_spectrum)
 
 
-def min_entropy(rho: DensityOperator) -> EntropyValue:
+def min_entropy(rho: DensityOperator) -> float:
     """H_min(rho) = -log of the largest eigenvalue."""
     top = float(rho.clipped_spectrum.max())
-    return EntropyValue(max(0.0, -math.log2(top)))
+    return max(0.0, -math.log2(top))
 
 
-def spectral_skew(rho: DensityOperator) -> EntropyValue:
+def spectral_skew(rho: DensityOperator) -> float:
     """S(rho) - H_min(rho) >= 0; vanishes for flat spectra and pure states."""
-    return EntropyValue(max(0.0, von_neumann(rho).bits - min_entropy(rho).bits))
+    return max(0.0, von_neumann(rho) - min_entropy(rho))
 
 
 def reference_overlap(rho: DensityOperator, ref: ReferenceSet) -> float:
@@ -97,20 +81,20 @@ def _supported_spectrum(rho: DensityOperator, ref: ReferenceSet) -> np.ndarray:
     return rho.clipped_spectrum[: ref.d_r]
 
 
-def relative_to_reference(rho: DensityOperator, ref: ReferenceSet) -> EntropyValue:
+def relative_to_reference(rho: DensityOperator, ref: ReferenceSet) -> float:
     """D(rho || sigma_R) = log2 d_R - S(rho) for a reference-supported state.
 
     States leaking outside the subspace are rejected (the divergence would
     diverge); use project_renormalize or leakage_adjusted_divergence instead.
     """
     _require_supported(rho, ref)
-    return EntropyValue(max(0.0, math.log2(ref.d_r) - von_neumann(rho).bits))
+    return max(0.0, math.log2(ref.d_r) - von_neumann(rho))
 
 
-def max_relative_to_reference(rho: DensityOperator, ref: ReferenceSet) -> EntropyValue:
+def max_relative_to_reference(rho: DensityOperator, ref: ReferenceSet) -> float:
     """D_max(rho || sigma_R) = log2 d_R - H_min(rho)."""
     _require_supported(rho, ref)
-    return EntropyValue(max(0.0, math.log2(ref.d_r) - min_entropy(rho).bits))
+    return max(0.0, math.log2(ref.d_r) - min_entropy(rho))
 
 
 def _waterfill_weights(d_r: int, eta: float) -> np.ndarray:
@@ -126,7 +110,7 @@ def _waterfill_weights(d_r: int, eta: float) -> np.ndarray:
 
 def hypothesis_testing_divergence(
     rho: DensityOperator, ref: ReferenceSet, eta: float
-) -> EntropyValue:
+) -> float:
     """D_H^eta(rho || sigma_R) by exact Neyman-Pearson waterfilling.
 
     sigma_R is flat on the subspace, so rho and sigma_R commute and the
@@ -138,14 +122,14 @@ def hypothesis_testing_divergence(
     return _testing_divergence(1.0 - float(weights @ _supported_spectrum(rho, ref)))
 
 
-def _testing_divergence(beta: float) -> EntropyValue:
+def _testing_divergence(beta: float) -> float:
     """-log2 of the type-II error beta, +inf at or below _BETA_FLOOR."""
     if beta <= _BETA_FLOOR:
-        return EntropyValue(math.inf)
-    return EntropyValue(-math.log2(beta))
+        return math.inf
+    return -math.log2(beta)
 
 
-def shannon(probabilities) -> EntropyValue:
+def shannon(probabilities) -> float:
     """Shannon entropy of a probability vector, 0 log 0 := 0."""
     p = np.asarray(probabilities, dtype=float)
     if p.ndim != 1 or p.size == 0:
@@ -156,17 +140,17 @@ def shannon(probabilities) -> EntropyValue:
         raise ValidationError("negative probability entry")
     if abs(p.sum() - 1.0) > PROBABILITY_TOL:
         raise ValidationError(f"probabilities sum to {p.sum()!r}, not 1")
-    return EntropyValue(_entropy_bits(np.maximum(p, 0.0)))
+    return _entropy_bits(np.maximum(p, 0.0))
 
 
-def binary_entropy(v: float) -> EntropyValue:
+def binary_entropy(v: float) -> float:
     """h2(v) = -v log2 v - (1-v) log2(1-v) on [0, 1]."""
     if not 0.0 <= v <= 1.0:
         raise ValidationError(f"binary entropy argument {v} outside [0,1]")
-    return EntropyValue(_entropy_bits(np.array([v, 1.0 - v])))
+    return _entropy_bits(np.array([v, 1.0 - v]))
 
 
-def bernoulli_kl(q: float, p: float) -> EntropyValue:
+def bernoulli_kl(q: float, p: float) -> float:
     """Binary KL divergence D(q || p) in bits."""
     for name, x in (("q", q), ("p", p)):
         if not 0.0 <= x <= 1.0:
@@ -174,13 +158,13 @@ def bernoulli_kl(q: float, p: float) -> EntropyValue:
     terms = 0.0
     if q > 0.0:
         if p == 0.0:
-            return EntropyValue(math.inf)
+            return math.inf
         terms += q * math.log2(q / p)
     if q < 1.0:
         if p == 1.0:
-            return EntropyValue(math.inf)
+            return math.inf
         terms += (1.0 - q) * math.log2((1.0 - q) / (1.0 - p))
-    return EntropyValue(max(0.0, terms))
+    return max(0.0, terms)
 
 
 @dataclass(frozen=True)
@@ -209,7 +193,7 @@ def leakage_adjusted_divergence(
     ref: ReferenceSet,
     mode: str = "multiplicative",
     delta: float | None = None,
-) -> EntropyValue:
+) -> float:
     """Certified lower bound on the divergence of a leaking state.
 
     With q = Tr(Pi_R rho) and rho~ the projected-renormalized state:
@@ -222,12 +206,12 @@ def leakage_adjusted_divergence(
     # its negative part and return q > 1
     rho_phys.spectrum
     projected, q = project_renormalize(rho_phys, ref.total)
-    d_core = max(0.0, math.log2(ref.d_r) - von_neumann(projected).bits)
+    d_core = max(0.0, math.log2(ref.d_r) - von_neumann(projected))
     if mode == "multiplicative":
-        return EntropyValue(q * d_core)
+        return q * d_core
     if mode == "full":
         if delta is None:
             raise ValidationError("mode='full' requires the smoothing delta")
         _check_level("delta", delta)
-        return EntropyValue(bernoulli_kl(q, 1.0 - delta).bits + q * d_core)
+        return bernoulli_kl(q, 1.0 - delta) + q * d_core
     raise ValidationError(f"unknown mode {mode!r} (use 'multiplicative' or 'full')")

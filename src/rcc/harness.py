@@ -23,6 +23,7 @@ across platforms.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass, field
@@ -148,7 +149,7 @@ def _ht_setup(rho, ref, config, projector, spectrum):
     dists = [_two_outcome(eta_test), _two_outcome(float(weights @ mu))]
     return list(HT_LABELS), dists, {"eta": config.eta, "eta_test": eta_test}, (
         lambda: _testing_divergence(
-            1.0 - float(_waterfill_weights(ref.d_r, config.eta) @ mu)).bits)
+            1.0 - float(_waterfill_weights(ref.d_r, config.eta) @ mu)))
 
 
 def _witness_setup(rho, ref, config, projector, spectrum):
@@ -185,7 +186,7 @@ def _dephase_setup(rho, ref, config, projector, spectrum):
         # the distribution inside H_R is C's diagonal over Tr C
         if kept <= _COMPLETE_LEAK_TOL:
             raise CompleteLeakageError(kept)
-        return max(0.0, math.log2(ref.d_r) - shannon(p / p.sum()).bits)
+        return max(0.0, math.log2(ref.d_r) - shannon(p / p.sum()))
 
     # p is clipped already, so only the leak is, as _two_outcome clips
     dist = np.concatenate((p, [0.0 if leak <= 0.0 else leak]))
@@ -244,15 +245,9 @@ def _spectrum_read(rho: DensityOperator, ref: ReferenceSet) -> Callable[[], np.n
     """rho's supported spectrum (entropy._supported_spectrum), read at the
     first call and returned by every later one, so that the setups and
     targets of one run check the retained mass and read the clipped
-    spectrum once; on a leaking state every call raises LeakageError."""
-    read = []
-
-    def spectrum() -> np.ndarray:
-        if not read:
-            read.append(_supported_spectrum(rho, ref))
-        return read[0]
-
-    return spectrum
+    spectrum once; the cache keeps no exception, so on a leaking state every
+    call raises LeakageError."""
+    return functools.cache(lambda: _supported_spectrum(rho, ref))
 
 
 def _outcome_setup(
@@ -285,43 +280,6 @@ def _outcome_setup(
     if spectrum is None:
         spectrum = _spectrum_read(rho, ref)
     return _protocol(protocol).setup(rho, ref, config, witness_projector, spectrum)
-
-
-def simulate_record(
-    rho: DensityOperator,
-    ref: ReferenceSet,
-    protocol: str,
-    n: int,
-    seed: int,
-    eta: float = 0.25,
-    test_calibration: float = 0.5,
-    witness_rank: int = 1,
-    witness_projector=None,
-) -> MeasurementRecord:
-    """Produce the MeasurementRecord a lab would hand to the certifiers.
-
-    hypothesis_test runs both a null calibration (on the structured vacuum)
-    and an alternative run of n shots each, with the waterfilling test
-    calibrated at eta * test_calibration so the type-I endpoint certifies
-    below eta with headroom.
-    """
-    config = RunConfig(rho, ref, eta=eta, test_calibration=test_calibration,
-                       witness_rank=witness_rank, seed=seed)
-    outcomes = _outcome_setup(config, protocol, witness_projector)
-    return _sample(protocol, outcomes[:3], n, stream(seed))
-
-
-def protocol_ground_truth(
-    rho: DensityOperator,
-    ref: ReferenceSet,
-    protocol: str,
-    eta: float = 0.25,
-    witness_rank: int = 1,
-) -> float:
-    """The exact value (in bits) that a protocol's certified bound targets:
-    the target of its outcome setup, whose test calibration (here
-    RunConfig's default) moves the draws but not the target."""
-    return _outcome_setup(RunConfig(rho, ref, eta=eta, witness_rank=witness_rank), protocol)[3]()
 
 
 @dataclass(frozen=True)
@@ -369,6 +327,43 @@ class RunConfig:
                 raise ValidationError("exact analysis and record simulation need a state")
 
 
+def simulate_record(
+    rho: DensityOperator,
+    ref: ReferenceSet,
+    protocol: str,
+    n: int,
+    seed: int,
+    eta: float = RunConfig.eta,
+    test_calibration: float = RunConfig.test_calibration,
+    witness_rank: int = RunConfig.witness_rank,
+    witness_projector=None,
+) -> MeasurementRecord:
+    """Produce the MeasurementRecord a lab would hand to the certifiers.
+
+    hypothesis_test runs both a null calibration (on the structured vacuum)
+    and an alternative run of n shots each, with the waterfilling test
+    calibrated at eta * test_calibration so the type-I endpoint certifies
+    below eta with headroom.
+    """
+    config = RunConfig(rho, ref, eta=eta, test_calibration=test_calibration,
+                       witness_rank=witness_rank, seed=seed)
+    outcomes = _outcome_setup(config, protocol, witness_projector)
+    return _sample(protocol, outcomes[:3], n, stream(seed))
+
+
+def protocol_ground_truth(
+    rho: DensityOperator,
+    ref: ReferenceSet,
+    protocol: str,
+    eta: float = RunConfig.eta,
+    witness_rank: int = RunConfig.witness_rank,
+) -> float:
+    """The exact value (in bits) that a protocol's certified bound targets:
+    the target of its outcome setup, whose test calibration (here
+    RunConfig's default) moves the draws but not the target."""
+    return _outcome_setup(RunConfig(rho, ref, eta=eta, witness_rank=witness_rank), protocol)[3]()
+
+
 # A report's "method", "unit", "direction" and "display" fields are
 # constants: every bound solves for solve_bootstrap's rounded-down root, every
 # certified bound is a lower bound in bits, and the exact complexity is
@@ -399,21 +394,14 @@ def _bound_dict(b: CertifiedBound, log2_gamma: float) -> dict:
     }
 
 
-class _Stage:
-    """Context that prefixes an RccError raised inside it with the stage name."""
-
-    __slots__ = ("name",)
-
-    def __init__(self, name: str):
-        self.name = name
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        if isinstance(exc, RccError):
-            exc.args = (f"stage '{self.name}': {exc}",)
-        return False
+@contextlib.contextmanager
+def _stage(name: str):
+    """Prefix an RccError raised inside the block with the stage name."""
+    try:
+        yield
+    except RccError as exc:
+        exc.args = (f"stage '{name}': {exc}",)
+        raise
 
 
 def pipeline(config: RunConfig) -> dict:
@@ -456,17 +444,17 @@ def pipeline(config: RunConfig) -> dict:
         },
     }
     if "exact" in config.protocols:
-        with _Stage("exact"):
-            d_bits = relative_to_reference(rho, ref).bits
-            skew_bits = spectral_skew(rho).bits
+        with _stage("exact"):
+            d_bits = relative_to_reference(rho, ref)
+            skew_bits = spectral_skew(rho)
             bb = bound_from_divergence(d_bits, ref, config.epsilon, constants=config.constants,
                                        spectral_bits=skew_bits)
             value_structons = max(0.0, d_bits / lg)
             report["exact"] = {
                 "rcc_structons": value_structons,
                 "divergence_bits": d_bits,
-                "entropy_bits": von_neumann(rho).bits,
-                "min_entropy_bits": min_entropy(rho).bits,
+                "entropy_bits": von_neumann(rho),
+                "min_entropy_bits": min_entropy(rho),
                 "spectral_skew_bits": skew_bits,
                 "circuit_bound": _breakdown_dict(bb, lg),
                 "display": {"value": value_structons, "unit": "structons"},
@@ -475,7 +463,7 @@ def pipeline(config: RunConfig) -> dict:
     for proto in config.protocols:
         if proto == "exact":
             continue
-        with _Stage(proto):
+        with _stage(proto):
             record = config.records.get(proto)
             if record is None:
                 outcomes = _outcome_setup(config, proto)
@@ -486,7 +474,7 @@ def pipeline(config: RunConfig) -> dict:
     if certified:
         from .stats import combine_bounds
 
-        with _Stage("combine"):
+        with _stage("combine"):
             combined = combine_bounds(certified, ref, config.epsilon, constants=config.constants)
         report["combined"] = {
             "value_structons": combined.value_structons,

@@ -120,6 +120,15 @@ def _check_psd(w: np.ndarray, tol: float = DENSITY_TOL) -> np.ndarray:
     return w
 
 
+def _check_trace(m: np.ndarray) -> None:
+    """Reject a matrix whose trace deviates from 1 by more than DENSITY_TOL."""
+    tr = float(np.trace(m).real)
+    if abs(tr - 1.0) > DENSITY_TOL:
+        raise ValidationError(
+            f"trace deviation |{tr} - 1| = {abs(tr - 1.0):.3e} > {DENSITY_TOL:.0e}"
+        )
+
+
 @dataclass(frozen=True)
 class DensityOperator:
     """Unit-trace PSD Hermitian matrix; `clipped` marks a state whose spectrum
@@ -132,16 +141,15 @@ class DensityOperator:
     matrix: np.ndarray
     clipped: bool = False
     _: KW_ONLY
-    # set only by validate_density, which has run check_hermitian on the matrix
+    # set only by validate_density, which has run check_hermitian and
+    # _check_trace on the matrix
     checked: InitVar[bool] = False
 
     def __post_init__(self, checked: bool):
         m = _as_matrix(self.matrix)
         if not checked:
             check_hermitian(m)
-        tr = float(np.trace(m).real)
-        if abs(tr - 1.0) > DENSITY_TOL:
-            raise ValidationError(f"density operator trace {tr!r} is not 1")
+            _check_trace(m)
         object.__setattr__(self, "matrix", m)
 
     @property
@@ -181,11 +189,7 @@ def validate_density(matrix) -> DensityOperator:
     given, which its consumers read with the drift clipped.
     """
     m = check_hermitian(_as_matrix(matrix))
-    tr = float(np.trace(m).real)
-    if abs(tr - 1.0) > DENSITY_TOL:
-        raise ValidationError(
-            f"trace deviation |{tr} - 1| = {abs(tr - 1.0):.3e} > {DENSITY_TOL:.0e}"
-        )
+    _check_trace(m)
     w = _check_psd(eigvals_hermitian(m))
     clipped = bool(w.min() < 0.0)
     if clipped:

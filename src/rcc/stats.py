@@ -346,7 +346,7 @@ def _dephase_value(counts: np.ndarray, n: int, m: int, delta: float):
     continuity = 0.0
     if m > 1:
         v_eff = min(v, 1.0 - 1.0 / m)
-        continuity = v_eff * math.log2(m - 1) + binary_entropy(v_eff).bits
+        continuity = v_eff * math.log2(m - 1) + binary_entropy(v_eff)
     h_upper = np.minimum(math.log2(m), h_hat + continuity)
     return np.maximum(0.0, math.log2(m) - h_upper), h_upper, h_hat, eps_n, v
 

@@ -106,7 +106,7 @@ def windowed_entropy_bits(
         raise ValidationError(
             "window partition does not preserve the reference projector"
         )
-    return von_neumann(pinch(rho, window.partition)).bits
+    return von_neumann(pinch(rho, window.partition))
 
 
 def windowed_rcc(

@@ -82,10 +82,10 @@ def test_criterion_1_entropy_identity():
             ref = full_reference(d_r)
             rho = random_density(rng, d_r)
         gap = (
-            max_relative_to_reference(rho, ref).bits
-            - relative_to_reference(rho, ref).bits
+            max_relative_to_reference(rho, ref)
+            - relative_to_reference(rho, ref)
         )
-        worst = max(worst, abs(gap - spectral_skew(rho).bits))
+        worst = max(worst, abs(gap - spectral_skew(rho)))
     elapsed = time.monotonic() - start
     ok = worst <= 1e-9 and elapsed < 60.0
     _verdict(1, "entropy identity", ok, f"worst {worst:.2e}, {elapsed:.1f}s")
@@ -149,7 +149,7 @@ def test_criterion_4_hypothesis_testing_waterfilling():
         rho = validate_density(np.diag(p))
         ref = full_reference(d_r)
         eta = float(etas[int(rng.integers(0, 4))])
-        mine = hypothesis_testing_divergence(rho, ref, eta).bits
+        mine = hypothesis_testing_divergence(rho, ref, eta)
         oracle = hypothesis_testing_grid_oracle(p, d_r, eta)
         if math.isinf(mine) or math.isinf(oracle):
             assert mine == oracle
@@ -160,7 +160,7 @@ def test_criterion_4_hypothesis_testing_waterfilling():
         ref = full_reference(d_r)
         sigma = validate_density(ref.sigma_matrix())
         for eta in etas:
-            got = hypothesis_testing_divergence(sigma, ref, eta).bits
+            got = hypothesis_testing_divergence(sigma, ref, eta)
             if abs(got - (-math.log2(1 - eta))) > 1e-12:
                 vacuum_ok = False
     ok = worst <= 1e-6 and vacuum_ok
@@ -223,7 +223,7 @@ def test_criterion_7_monotonicity_suites():
         dim = int(rng.integers(2, 33))
         rho = random_density(rng, dim)
         part = random_partition(rng, range(dim))
-        if von_neumann(pinch(rho, part)).bits < von_neumann(rho).bits - tol:
+        if von_neumann(pinch(rho, part)) < von_neumann(rho) - tol:
             failures.append("pinching-entropy")
             break
 
@@ -242,8 +242,8 @@ def test_criterion_7_monotonicity_suites():
         states = [random_density(rng, d_r) for _ in range(3)]
         weights = rng.dirichlet(np.ones(3))
         mix = validate_density(sum(w * s.matrix for w, s in zip(weights, states)))
-        lhs = relative_to_reference(mix, ref).bits
-        rhs = sum(w * relative_to_reference(s, ref).bits for w, s in zip(weights, states))
+        lhs = relative_to_reference(mix, ref)
+        rhs = sum(w * relative_to_reference(s, ref) for w, s in zip(weights, states))
         if lhs > rhs + tol:
             failures.append("convexity")
             break
@@ -257,7 +257,7 @@ def test_criterion_7_monotonicity_suites():
         u[:d_r, :d_r] = u_in
         rotated = validate_density(u @ rho.matrix @ u.conj().T)
         gap = abs(
-            relative_to_reference(rotated, ref).bits - relative_to_reference(rho, ref).bits
+            relative_to_reference(rotated, ref) - relative_to_reference(rho, ref)
         )
         if gap > tol:
             failures.append("unitary-invariance")
@@ -281,7 +281,7 @@ def test_criterion_7_monotonicity_suites():
         ref_a = embedded_reference(d_a, d_a)
         ref_b = embedded_reference(d_b, d_a)
         rho = embed_state(random_density(rng, d_b), d_a)
-        bound, exact = misspecification_gap(ref_a, ref_b, von_neumann(rho).bits)
+        bound, exact = misspecification_gap(ref_a, ref_b, von_neumann(rho))
         measured = rcc(rho, ref_a) - rcc(rho, ref_b)
         if exact is None or abs(measured - exact) > tol or exact > bound + tol:
             failures.append("exact-refinement")

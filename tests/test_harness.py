@@ -409,7 +409,7 @@ class TestCoverage:
     def test_ground_truths(self, small_setup):
         rho, ref = small_setup
         ht_truth = protocol_ground_truth(rho, ref, "hypothesis_test", eta=0.25)
-        assert ht_truth == hypothesis_testing_divergence(rho, ref, 0.25).bits
+        assert ht_truth == hypothesis_testing_divergence(rho, ref, 0.25)
         dephase_truth = protocol_ground_truth(rho, ref, "dephase")
         h = -sum(p * math.log2(p) for p in (0.6, 0.25, 0.1, 0.05))
         assert dephase_truth == pytest.approx(2.0 - h, abs=1e-12)

@@ -21,7 +21,7 @@ import rcc
 EXPORTS = {
     "bounds": ("BoundBreakdown", "BoundConstants", "bound_from_divergence", "main_lower_bound",
                "rcc", "smoothed_lower_bound", "solve_bootstrap"),
-    "entropy": ("EntropyValue", "PurityCeiling", "bernoulli_kl", "binary_entropy",
+    "entropy": ("PurityCeiling", "bernoulli_kl", "binary_entropy",
                 "hypothesis_testing_divergence", "leakage_adjusted_divergence",
                 "max_relative_to_reference", "min_entropy", "purity_upper_bound",
                 "relative_to_reference", "shannon", "spectral_skew", "von_neumann"),

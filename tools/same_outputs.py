@@ -13,11 +13,13 @@ endpoints, a grid of bootstrap roots by each method, the two planners'
 sample sizes, coverage summaries (of one protocol per run, and of all
 three in one run), simulated records and
 their certificates, `pipeline` reports (apart from `timestamp`), window
-sweeps and the CLI's output (stdout, stderr, exit code and any `--out`
-file) of `certify` (also on a witness record with `--witness-rank` agreeing
-with its rank and conflicting, and at `--epsilon` 0.6 and 0.5 on a
-hypothesis-test record alone and beside a witness record), `compute
---epsilon 0.6`, `sweep`, `thermo` in each variant and `simulate --witness`.
+sweeps, every entropy functional on each (reference, state) case and on a
+grid of scalar arguments, and the CLI's output (stdout, stderr, exit code
+and any `--out` file) of `certify` (also on a witness record with
+`--witness-rank` agreeing with its rank and conflicting, and at `--epsilon`
+0.6 and 0.5 on a hypothesis-test record alone and beside a witness record),
+`compute --epsilon 0.6`, `sweep`, `thermo` in each variant and `simulate
+--witness`.
 An output that raises an `RccError` is compared by its exception type and
 message. `--small` runs a shorter battery.
 
@@ -70,6 +72,16 @@ BOOTSTRAP_C = (1e-3, 0.5, 1.0, 20.0, 1000.0)
 HT_PLANS = [(0, 0.05), (10, 0.05), (20, 1e-6), (30, 0.25), (40, 5e-324), (12.3, 0.01)]
 WITNESS_PLANS = [(0.9, 2.0, 1, 5, 0.05), (0.5, 1, 1, 8, 5e-324), (0.99, -3.0, 2, 64, 1e-9),
                  (0.3, 0.5, 3, 16, 0.2)]
+# the testing divergence's levels, and the smoothing of the full leakage mode
+ENTROPY_ETAS = (0.05, 0.3)
+LEAKAGE_DELTA = 0.05
+# scalar arguments, each with values at the edges, past them (an error) and
+# where the result is inf
+SHANNON_P = [(0.5, 0.5), (1.0, 0.0), (0.2, 0.3, 0.5), (1e-300, 1.0), (0.5, 0.6), (-0.1, 1.1),
+             (), (float("nan"), 1.0)]
+BINARY_V = (0.0, 1e-300, 0.11, 0.5, 1.0, 1.5, -0.0)
+BERNOULLI_QP = [(0.3, 0.3), (0.5, 0.0), (0.5, 1.0), (0.0, 0.0), (1.0, 1.0), (0.0, 0.5),
+                (1.0, 0.5), (0.9, 0.1), (1e-12, 0.5), (1.2, 0.5), (0.5, -0.1)]
 
 
 def _leaves(obj, path: str, out: dict) -> None:
@@ -132,6 +144,36 @@ def _repaired_state(ref, rng):
     if not rho.clipped:
         raise SystemExit("the repaired battery state was not clipped")
     return rho
+
+
+def _entropies(ref, rho) -> dict:
+    """Every entropy functional of rho against ref, in bits, and the purity
+    ceiling."""
+    from rcc import entropy
+
+    return {
+        "von_neumann": _guard(lambda: entropy.von_neumann(rho)),
+        "min_entropy": _guard(lambda: entropy.min_entropy(rho)),
+        "spectral_skew": _guard(lambda: entropy.spectral_skew(rho)),
+        "reference_overlap": entropy.reference_overlap(rho, ref),
+        "relative": _guard(lambda: entropy.relative_to_reference(rho, ref)),
+        "max_relative": _guard(lambda: entropy.max_relative_to_reference(rho, ref)),
+        "testing": [_guard(lambda: entropy.hypothesis_testing_divergence(rho, ref, eta))
+                    for eta in ENTROPY_ETAS],
+        "leakage_multiplicative": _guard(lambda: entropy.leakage_adjusted_divergence(rho, ref)),
+        "leakage_full": _guard(lambda: entropy.leakage_adjusted_divergence(
+            rho, ref, "full", LEAKAGE_DELTA)),
+        "purity_ceiling": _guard(lambda: vars(entropy.purity_upper_bound(rho, ref))),
+    }
+
+
+def _scalar_entropies() -> dict:
+    """shannon, binary_entropy and bernoulli_kl on their argument grids."""
+    from rcc import entropy
+
+    return {"shannon": [_guard(lambda: entropy.shannon(p)) for p in SHANNON_P],
+            "binary": [_guard(lambda: entropy.binary_entropy(v)) for v in BINARY_V],
+            "bernoulli_kl": [_guard(lambda: entropy.bernoulli_kl(q, p)) for q, p in BERNOULLI_QP]}
 
 
 def _record_payload(record) -> dict:
@@ -305,6 +347,8 @@ def battery(src: str, small: bool) -> dict:
         ObservationWindow(BlockPartition.whole(dim), 2.0)))
     _leaves([_guard(lambda: sweep_windows(rho, ref, family)) for _, ref, rho in cases[:3]],
             "sweep", out)
+    _leaves([_entropies(ref, rho) for _, ref, rho in cases], "entropy", out)
+    _leaves(_scalar_entropies(), "entropy_scalars", out)
 
     ref_cfg, ref, rho = cases[0]
     cli_sets = [[_record_payload(simulate_record(rho, ref, proto, 2000, seed=5))
