@@ -142,9 +142,10 @@ def compute(state_path, reference_path, epsilon, constants_path, out):
         protocols=("exact",),
         epsilon=epsilon,
         constants=BoundConstants(**_constants(constants_path, **asdict(DEFAULT_CONSTANTS))),
-        echo={"state_path": state_path, "reference_path": reference_path},
     )
-    _emit(io.dumps_json(pipeline(config)), out)
+    report = pipeline(config)
+    report["inputs"].update(state_path=state_path, reference_path=reference_path)
+    _emit(io.dumps_json(report), out)
 
 
 @main.command()
@@ -180,13 +181,11 @@ def certify(reference_path, record_paths, delta, eta, epsilon, constants_path, w
         epsilon=epsilon,
         constants=BoundConstants(**_constants(constants_path, **asdict(DEFAULT_CONSTANTS))),
         witness_rank=witness_rank,
-        echo={
-            "state_path": None,
-            "reference_path": reference_path,
-            "record_paths": list(record_paths),
-        },
     )
-    _emit(io.dumps_json(pipeline(config)), out)
+    report = pipeline(config)
+    report["inputs"].update(state_path=None, reference_path=reference_path,
+                            record_paths=list(record_paths))
+    _emit(io.dumps_json(report), out)
 
 
 @main.command()
@@ -275,7 +274,6 @@ def coverage(state_path, reference_path, protocols, trials, n_samples, delta, et
         n_samples=n_samples,
         test_calibration=test_calibration,
         witness_rank=witness_rank,
-        echo={"state_path": state_path, "reference_path": reference_path},
     )
     _emit(io.dumps_json(coverage_experiment(config, trials)), out)
 

@@ -139,7 +139,7 @@ def shannon(probabilities) -> float:
     if (p < -_NEGATIVE_PROB_TOL).any():
         raise ValidationError("negative probability entry")
     if abs(p.sum() - 1.0) > PROBABILITY_TOL:
-        raise ValidationError(f"probabilities sum to {p.sum()!r}, not 1")
+        raise ValidationError(f"probabilities sum to {float(p.sum())}, not 1")
     return _entropy_bits(np.maximum(p, 0.0))
 
 
@@ -200,7 +200,8 @@ def leakage_adjusted_divergence(
     mode="multiplicative" returns q * D(rho~ || sigma_R), which lower-bounds
     the divergence against the reference smoothed at delta = 1 - q;
     mode="full" returns D_Bern(q || 1-delta) + q * D(rho~ || sigma_R) for a
-    caller-chosen smoothing delta.
+    caller-chosen smoothing delta, with q capped at 1 in the Bernoulli term,
+    where a state inside H_R may round it past 1.
     """
     # a state that is not PSD raises here; the projection alone could drop
     # its negative part and return q > 1
@@ -208,10 +209,13 @@ def leakage_adjusted_divergence(
     projected, q = project_renormalize(rho_phys, ref.total)
     d_core = max(0.0, math.log2(ref.d_r) - von_neumann(projected))
     if mode == "multiplicative":
+        if delta is not None:
+            raise ValidationError(f"delta = {delta} cannot be given with mode 'multiplicative', "
+                                  "which smooths at 1 - q")
         return q * d_core
     if mode == "full":
         if delta is None:
             raise ValidationError("mode='full' requires the smoothing delta")
         _check_level("delta", delta)
-        return bernoulli_kl(q, 1.0 - delta) + q * d_core
+        return bernoulli_kl(min(q, 1.0), 1.0 - delta) + q * d_core
     raise ValidationError(f"unknown mode {mode!r} (use 'multiplicative' or 'full')")

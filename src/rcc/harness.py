@@ -51,7 +51,7 @@ from .windows import WindowFamily, _windowed_complexity, windowed_entropy_bits
 if TYPE_CHECKING:
     from .stats import CertifiedBound
 
-REPORT_SCHEMA = "rcc-report/2"
+REPORT_SCHEMA = "rcc-report/3"
 COVERAGE_SCHEMA = "rcc-coverage/1"
 
 # a coverage trial violates when its bound exceeds the truth by more than this
@@ -284,7 +284,7 @@ def _outcome_setup(
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a pipeline run needs, with the file-path echo for reports.
+    """Everything a pipeline run needs.
 
     The state may be omitted when every selected protocol certifies from a
     provided record; exact analysis and simulation both require it.
@@ -302,7 +302,6 @@ class RunConfig:
     n_samples: int = 2000
     witness_rank: int = 1
     test_calibration: float = 0.5
-    echo: dict = field(default_factory=dict)
 
     def __post_init__(self):
         for name, x in (("delta", self.delta), ("eta", self.eta),
@@ -364,10 +363,6 @@ def protocol_ground_truth(
     return _outcome_setup(RunConfig(rho, ref, eta=eta, witness_rank=witness_rank), protocol)[3]()
 
 
-# A report's "method", "unit", "direction" and "display" fields are
-# constants: every bound solves for solve_bootstrap's rounded-down root, every
-# certified bound is a lower bound in bits, and the exact complexity is
-# displayed in structons.
 def _breakdown_dict(bb: BoundBreakdown, log2_gamma: float) -> dict:
     return {
         "leading_structons": bb.leading,
@@ -375,7 +370,6 @@ def _breakdown_dict(bb: BoundBreakdown, log2_gamma: float) -> dict:
         "log_correction_structons": bb.log_correction,
         "final_structons": bb.final,
         "final_bits": bb.final * log2_gamma,
-        "method": "lambert",
         "floored": bb.floored,
         "inputs": dict(bb.inputs),
     }
@@ -386,9 +380,7 @@ def _bound_dict(b: CertifiedBound, log2_gamma: float) -> dict:
         "quantity": b.quantity,
         "value_bits": b.value,
         "value_structons": b.value / log2_gamma,
-        "unit": "bits",
         "confidence": b.confidence,
-        "direction": "lower",
         "protocol": b.protocol,
         "params": dict(b.params),
     }
@@ -420,7 +412,6 @@ def pipeline(config: RunConfig) -> dict:
         "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "seed": config.seed,
         "inputs": {
-            **config.echo,
             "dim": rho.dim if rho is not None else None,
             "d_r": ref.d_r,
             "gamma_r": ref.gamma,
@@ -435,13 +426,8 @@ def pipeline(config: RunConfig) -> dict:
                 "c1_prime": config.constants.c1_prime,
                 "c2_prime": config.constants.c2_prime,
             },
-            "method": "lambert",
-            "unit": "structons",
         },
-        "units": {
-            "structon_bits": lg,
-            "note": "1 structon = log2(Gamma_R) bits = ln(Gamma_R) nats",
-        },
+        "units": {"structon_bits": lg},
     }
     if "exact" in config.protocols:
         with _stage("exact"):
@@ -449,15 +435,13 @@ def pipeline(config: RunConfig) -> dict:
             skew_bits = spectral_skew(rho)
             bb = bound_from_divergence(d_bits, ref, config.epsilon, constants=config.constants,
                                        spectral_bits=skew_bits)
-            value_structons = max(0.0, d_bits / lg)
             report["exact"] = {
-                "rcc_structons": value_structons,
+                "rcc_structons": max(0.0, d_bits / lg),
                 "divergence_bits": d_bits,
                 "entropy_bits": von_neumann(rho),
                 "min_entropy_bits": min_entropy(rho),
                 "spectral_skew_bits": skew_bits,
                 "circuit_bound": _breakdown_dict(bb, lg),
-                "display": {"value": value_structons, "unit": "structons"},
             }
     certified: list[CertifiedBound] = []
     for proto in config.protocols:

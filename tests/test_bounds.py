@@ -8,12 +8,14 @@ from hypothesis import example, given, settings, strategies as st
 from rcc import (
     BoundConstants,
     ValidationError,
+    bound_from_divergence,
     main_lower_bound,
     rcc,
     smoothed_lower_bound,
     solve_bootstrap,
     validate_density,
 )
+from rcc.bounds import METHODS, _resolve_bootstrap_floor
 from conftest import embedded_reference, full_reference, random_density, random_partition
 from oracles import bootstrap_root_by_bisection
 
@@ -140,6 +142,11 @@ class TestSolveBootstrap:
         with pytest.raises(ValidationError, match="d must be finite"):
             solve_bootstrap(d, 1.0, method)
 
+    def test_an_unknown_method_is_rejected(self):
+        with pytest.raises(ValidationError, match="^" + re.escape(
+                f"unknown method 'newton'; expected one of {METHODS}") + "$"):
+            solve_bootstrap(2.0, 1.0, "newton")
+
     @pytest.mark.parametrize("d, c", [(2000.0, 1000.0), (50.0, 20.0), (3.0, 50.0)])
     def test_piecewise_is_positive_at_large_c(self, d, c):
         # D - alpha*ln(1+D) is negative here; the floor D/(1+alpha) is not
@@ -253,6 +260,25 @@ class TestMainLowerBound:
             if bb.final > 1.0:
                 c = bb.inputs["c1"] / ref.log2_gamma
                 assert abs(bb.final + c * math.log2(bb.final) - net) <= 1e-9
+
+
+class TestBootstrapFloor:
+    def test_a_root_rounded_below_the_floor_takes_the_floor(self):
+        # net just past 1: the rounded-down root falls below the floor 1
+        net = math.nextafter(1.0, 2.0)
+        assert solve_bootstrap(net, 1.0) < 1.0
+        assert _resolve_bootstrap_floor(net, 1.0, 1.0) == (1.0, True)
+
+
+class TestNegativeDivergences:
+    @pytest.mark.parametrize("d_bits, spectral_bits", [(-1.0, 0.0), (1.0, -0.5)])
+    def test_the_divergence_form_rejects_a_negative_term(self, d_bits, spectral_bits):
+        with pytest.raises(ValidationError, match="^divergence terms must be nonnegative$"):
+            bound_from_divergence(d_bits, full_reference(4), 0.05, spectral_bits=spectral_bits)
+
+    def test_the_smoothed_form_rejects_a_negative_bound(self):
+        with pytest.raises(ValidationError, match="^divergence bound must be nonnegative$"):
+            smoothed_lower_bound(-1.0, full_reference(4), epsilon=0.05, eta=0.1)
 
 
 class TestSmoothedLowerBound:

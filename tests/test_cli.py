@@ -1,6 +1,7 @@
 import json
 import math
 import warnings
+from dataclasses import fields
 
 import click
 import numpy as np
@@ -10,7 +11,8 @@ from click.testing import CliRunner
 from rcc.cli import main
 from rcc.errors import ConfigError, LeakageError, ProtocolInvalidError
 from rcc import io as rcc_io
-from rcc import validate_density
+from rcc import RunConfig, pipeline, validate_density
+from rcc.records import PROTOCOLS
 
 
 @pytest.fixture
@@ -176,6 +178,14 @@ class TestCompute:
         assert result.stderr == (
             f"config error: {ref}: block dimension 600 exceeds the dimension cap 512\n")
 
+    def test_an_unknown_reference_type_exits_2(self, runner, files):
+        state, _, tmp_path = files
+        ref = tmp_path / "torus.json"
+        ref.write_text(json.dumps({"type": "torus", "g": 2, "addressable_units": 2}))
+        result = runner.invoke(main, ["compute", "--state", state, "--reference", str(ref)])
+        assert result.exit_code == 2, result.output
+        assert result.stderr == f"config error: {ref}: unknown reference type 'torus'\n"
+
     def test_out_file(self, runner, files):
         state, ref, tmp_path = files
         out = tmp_path / "report.json"
@@ -183,7 +193,44 @@ class TestCompute:
             main, ["compute", "--state", state, "--reference", ref, "--out", str(out)]
         )
         assert result.exit_code == 0
-        assert json.loads(out.read_text())["schema"] == "rcc-report/2"
+        assert json.loads(out.read_text())["schema"] == "rcc-report/3"
+
+
+def _keys(obj) -> set:
+    """The keys of every dict nested in obj."""
+    if isinstance(obj, dict):
+        return set(obj).union(*map(_keys, obj.values()))
+    if isinstance(obj, list):
+        return set().union(*map(_keys, obj))
+    return set()
+
+
+def test_reports_state_no_constants(runner, files, tmp_path):
+    # every report field is a figure of its run: the bound method, the units,
+    # the bound direction and a display copy would read the same in every one
+    state, ref, _ = files
+    assert "echo" not in {f.name for f in fields(RunConfig)}
+    config = RunConfig(state=rcc_io.load_state(state), reference=rcc_io.load_reference(ref),
+                       protocols=("exact", *PROTOCOLS), n_samples=800, seed=5)
+    record = tmp_path / "record.json"
+    result = runner.invoke(main, ["simulate", "--state", state, "--reference", ref,
+                                  "--protocol", "dephase", "--n", "800", "--out", str(record)])
+    assert result.exit_code == 0, result.output
+    computed, certified = (runner.invoke(main, args) for args in (
+        ["compute", "--state", state, "--reference", ref],
+        ["certify", "--reference", ref, "--record", str(record)]))
+    assert computed.exit_code == certified.exit_code == 0, computed.output + certified.output
+    reports = [pipeline(config), json.loads(computed.stdout), json.loads(certified.stdout)]
+    for report in reports:
+        assert report["schema"] == "rcc-report/3"
+        assert not _keys(report) & {"method", "unit", "direction", "display", "note"}
+    assert "combined" in reports[0] and "exact" in reports[0]
+    # the CLI adds the paths it read to the report's inputs
+    assert reports[1]["inputs"]["state_path"] == state
+    assert reports[1]["inputs"]["reference_path"] == ref
+    assert reports[2]["inputs"]["state_path"] is None
+    assert reports[2]["inputs"]["reference_path"] == ref
+    assert reports[2]["inputs"]["record_paths"] == [str(record)]
 
 
 class TestSimulateAndCertify:
@@ -204,6 +251,18 @@ class TestSimulateAndCertify:
         report = json.loads(result.output)
         assert report["combined"]["winner"] == "dephase"
         assert report["certified_bounds"][0]["value_bits"] > 1.0
+
+    def test_two_records_of_one_protocol_exit_2(self, runner, files, tmp_path):
+        # one record certified twice would count twice into the combined confidence
+        state, ref, _ = files
+        record = tmp_path / "record.json"
+        result = runner.invoke(main, ["simulate", "--state", state, "--reference", ref,
+                                      "--protocol", "dephase", "--out", str(record)])
+        assert result.exit_code == 0, result.output
+        result = runner.invoke(main, ["certify", "--reference", ref, "--record", str(record),
+                                      "--record", str(record)])
+        assert result.exit_code == 2, result.output
+        assert result.stderr == "config error: duplicate record for protocol 'dephase'\n"
 
     def test_simulate_determinism(self, runner, files, tmp_path):
         state, ref, _ = files

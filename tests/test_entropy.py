@@ -21,11 +21,13 @@ from rcc import (
     min_entropy,
     pinch,
     pipeline,
+    project_renormalize,
     purity_upper_bound,
     rcc,
     relative_to_reference,
     shannon,
     spectral_skew,
+    stabilizer_reference,
     validate_density,
     von_neumann,
 )
@@ -303,6 +305,11 @@ class TestClassical:
         with pytest.raises(ValidationError, match="probabilities must be finite"):
             shannon(p)
 
+    def test_shannon_names_a_bad_sum_as_a_float(self):
+        with pytest.raises(ValidationError,
+                           match=f"^{re.escape('probabilities sum to 1.1, not 1')}$"):
+            shannon([0.5, 0.6])
+
     def test_shannon_oracle(self, rng):
         for _ in range(20):
             p = rng.dirichlet(np.ones(int(rng.integers(2, 20))))
@@ -433,6 +440,31 @@ class TestLeakageAdjusted:
         rho = diag_state(*diag)
         got = leakage_adjusted_divergence(rho, ref, mode="full", delta=0.02)
         assert got == pytest.approx(0.98 * 3.0, abs=1e-12)
+
+    def test_full_mode_on_states_inside_the_reference(self):
+        # rank-4 states on the ZZI code space (d_R = 4 of 8), read through a
+        # dense support basis: the projection rounds q = Tr(Pi_R rho) to
+        # 1 + 2**-52 on some of them, which the Bernoulli term reads as 1
+        ref = stabilizer_reference(3, ["ZZI"], 2, 3)
+        v = ref.support_basis()
+        past_one = 0
+        for seed in range(200):
+            small = random_density(np.random.default_rng(seed), 4).matrix
+            rho = validate_density(v @ small @ v.conj().T)
+            q = project_renormalize(rho, ref.total)[1]
+            past_one += q > 1.0
+            assert leakage_adjusted_divergence(rho, ref, "full", 0.05) == (
+                bernoulli_kl(min(q, 1.0), 0.95) + leakage_adjusted_divergence(rho, ref))
+        assert past_one > 0
+
+    def test_multiplicative_mode_rejects_delta(self):
+        # the mode smooths at 1 - q, so a delta given to it would be ignored
+        ref = embedded_reference(2, 4)
+        with pytest.raises(ValidationError, match="^" + re.escape(
+                "delta = 0.05 cannot be given with mode 'multiplicative', "
+                "which smooths at 1 - q") + "$"):
+            leakage_adjusted_divergence(diag_state(1.0, 0.0, 0.0, 0.0), ref, "multiplicative",
+                                        0.05)
 
     def test_full_mode_needs_delta(self):
         ref = embedded_reference(2, 4)

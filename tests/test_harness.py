@@ -272,7 +272,7 @@ class TestPipeline:
         assert report["exact"]["rcc_structons"] == pytest.approx(
             3 / math.log2(6), abs=1e-12
         )
-        assert report["schema"] == "rcc-report/2"
+        assert report["schema"] == "rcc-report/3"
 
     def test_vacuum_combined_floor_flagged(self):
         ref = full_reference(4)
@@ -311,7 +311,6 @@ class TestPipeline:
         assert net == 1.5 and not bound["floored"]
         c = bound["inputs"]["c1"] / ref.log2_gamma
         assert bound["final_structons"] == solve_bootstrap(net, c)
-        assert bound["method"] == report["inputs"]["method"] == "lambert"
 
     def test_pipeline_matches_direct_library_calls(self, small_setup):
         rho, ref = small_setup
@@ -353,6 +352,15 @@ class TestPipeline:
             RunConfig(state=rho, reference=ref, delta=1.5)
         with pytest.raises(ValidationError):
             RunConfig(state=None, reference=ref, protocols=("exact",))
+
+    @pytest.mark.parametrize("protocols, message", [
+        (("exact", "tomography"), "unknown protocols ['tomography']"),
+        ((), "at least one protocol is required"),
+    ])
+    def test_protocols_must_be_known_and_given(self, small_setup, protocols, message):
+        rho, ref = small_setup
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            RunConfig(state=rho, reference=ref, protocols=protocols)
 
     @pytest.mark.parametrize("protocols, repeated", [
         (("witness", "witness"), ["witness"]),
@@ -397,6 +405,18 @@ class TestCoverage:
         message = re.escape(f"trials must be an integer in [1, 2**32], got {trials!r}")
         with pytest.raises(ValidationError, match=message):
             coverage_experiment(config, trials)
+
+    def test_coverage_needs_a_statistical_protocol_and_a_state(self, small_setup):
+        rho, ref = small_setup
+        record = simulate_record(rho, ref, "witness", 100, seed=1)
+        for config, message in (
+                (RunConfig(state=rho, reference=ref, protocols=("exact",)),
+                 "coverage needs at least one statistical protocol"),
+                (RunConfig(state=None, reference=ref, protocols=("witness",),
+                           records={"witness": record}),
+                 "coverage simulation requires a state")):
+            with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+                coverage_experiment(config, 5)
 
     def test_numpy_integer_trials_and_seeds_are_accepted(self, small_setup):
         rho, ref = small_setup

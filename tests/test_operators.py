@@ -96,6 +96,7 @@ class TestValidateDensity:
             validate_density(np.diag([1.5, -0.5]))
 
     @pytest.mark.parametrize("matrix, message", [
+        (np.zeros((2, 3)), "expected a square matrix, got shape (2, 3)"),
         (np.diag([np.inf, 0.5]), "matrix has non-finite entries (NaN or inf)"),
         (np.array([[0.5, 1e-3], [0.0, 0.5]]),
          "matrix is not Hermitian: max asymmetry 1.000e-03 exceeds 1e-12"),

@@ -155,7 +155,28 @@ class TestReferenceSet:
             block_reference([(2, 1)], 2, 2)
 
 
+@pytest.mark.parametrize("build, args, message", [
+    (build_reference, ([np.eye(2)], 0, 2), "g and addressable_units must be >= 1"),
+    (build_reference, ([], 2, 2), "at least one projector is required"),
+    (build_reference, ([np.eye(2), np.eye(4)], 2, 2), "projectors live on different dimensions"),
+    (stabilizer_reference, (2, ["ZQ"], 2, 2), "invalid Pauli letter 'Q' (use I, X, Y, Z)"),
+    (stabilizer_reference, (2, [], 2, 2), "at least one generator is required"),
+    (stabilizer_reference, (3, ["ZZ"], 2, 3), "generator 'ZZ' is not 3 letters long"),
+    (block_reference, ([(1, 2, 3, 4)], 2, 2), "block (1, 2, 3, 4) must be (d, r) or (d, r, m)"),
+    (block_reference, ([(2, 3, 1)], 2, 2), "block (2, 3, 1) needs d >= 1 and m >= r >= 1"),
+    (block_reference, ([(0, 1)], 2, 2), "block (0, 1) needs d >= 1 and m >= r >= 1"),
+])
+def test_a_malformed_reference_is_rejected_with_its_message(build, args, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        build(*args)
+
+
 class TestMisspecificationGap:
+    def test_a_negative_entropy_is_rejected(self):
+        ref = embedded_reference(2, 4)
+        with pytest.raises(ValidationError, match="^entropy must be nonnegative$"):
+            misspecification_gap(ref, ref, s_rho_bits=-1.0)
+
     def test_exact_refinement_difference(self):
         ref_a = embedded_reference(16, 16, g=2, units=2)
         ref_b = embedded_reference(8, 16, g=2, units=2)

@@ -630,6 +630,17 @@ class TestCombineBounds:
         with pytest.raises(ValidationError):
             combine_bounds([], ref, epsilon=0.05)
 
+    def test_an_unknown_quantity_is_rejected(self):
+        with pytest.raises(ValidationError, match="^unknown quantity 'D_min'$"):
+            CertifiedBound(quantity="D_min", value=1.0, confidence=0.95, protocol="witness")
+
+    def test_a_testing_bound_needs_its_eta(self):
+        bound = CertifiedBound(quantity="D_H", value=12.0, confidence=0.95,
+                               protocol="hypothesis_test", params={"delta": 0.05})
+        with pytest.raises(ValidationError,
+                           match="^a D_H bound must carry its eta in params$"):
+            combine_bounds([bound], full_reference(4), epsilon=0.05)
+
     def test_purity_ceiling_refused(self):
         ref = full_reference(4)
         sigma = validate_density(np.eye(4) / 4)
@@ -662,6 +673,10 @@ class TestRecordValidation:
         with pytest.raises(ValidationError, match="must be an integer"):
             MeasurementRecord("witness", n, counts)
 
+    def test_a_negative_count_is_rejected(self):
+        with pytest.raises(ValidationError, match="^negative count$"):
+            MeasurementRecord("witness", 3, {"success": 4, "failure": -1})
+
     def test_meta_must_be_a_mapping(self):
         with pytest.raises(ValidationError, match="meta"):
             MeasurementRecord("witness", 10, {"success": 9, "failure": 1}, meta=[1])
@@ -687,6 +702,12 @@ class TestRecordValidation:
         ("hypothesis_test", "hypothesis_test", {"null_accept_h1": 1, "alt_accept_h0": 2},
          "hypothesis_test record is missing counts ['null_accept_h0', 'alt_accept_h1']"),
         ("witness", "witness", {"failure": 3}, "witness record is missing counts ['success']"),
+        ("hypothesis_test", "hypothesis_test",
+         {"null_accept_h1": 0, "null_accept_h0": 0, "alt_accept_h1": 2, "alt_accept_h0": 1},
+         "both the null and alternative runs need samples"),
+        ("hypothesis_test", "hypothesis_test",
+         {"null_accept_h1": 2, "null_accept_h0": 1, "alt_accept_h1": 0, "alt_accept_h0": 0},
+         "both the null and alternative runs need samples"),
     ])
     def test_certifiers_check_the_protocol_and_labels_alike(self, certifier, protocol, counts,
                                                              message):

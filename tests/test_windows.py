@@ -163,6 +163,17 @@ class TestWindowFamily:
         with pytest.raises(ValidationError, match="nested"):
             WindowFamily((ObservationWindow(a, 0.0), ObservationWindow(b, 1.0)))
 
+    def test_windows_over_different_indices_do_not_nest(self):
+        with pytest.raises(ValidationError, match="^" + re.escape(
+                "window at xi=0.0 does not refine the window at xi=1.0; "
+                "the family is not nested") + "$"):
+            WindowFamily((ObservationWindow(BlockPartition.singletons(2), 0.0),
+                          ObservationWindow(BlockPartition.whole(4), 1.0)))
+
+    def test_a_negative_label_is_rejected(self):
+        with pytest.raises(ValidationError, match="^window label xi must be >= 0$"):
+            ObservationWindow(BlockPartition.singletons(2), -1.0)
+
     def test_labels_strictly_increasing(self):
         part = BlockPartition.singletons(2)
         with pytest.raises(ValidationError, match="increasing"):
@@ -377,6 +388,16 @@ class TestRect:
         perf = rect_performance_check(2.0, 1.5, eff.eta_qsl, eff.eta_lr, 1.0, 1.0, 0.5)
         assert perf.margin > 0
         assert perf.margin_dimensionless == pytest.approx(perf.margin, abs=1e-15)
+
+    @pytest.mark.parametrize("eta_qsl, j, message", [
+        (0.0, 1.0, "eta_qsl must be positive"),
+        (-0.5, 1.0, "eta_qsl must be positive"),
+        (0.5, 0.0, "the characteristic energy scale J must be positive"),
+        (0.5, -1.0, "the characteristic energy scale J must be positive"),
+    ])
+    def test_performance_needs_positive_eta_qsl_and_j(self, eta_qsl, j, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            rect_performance_check(2.0, 1.5, eta_qsl, 0.5, 1.0, j, 1.0)
 
     def test_fabricated_violation_fails(self):
         perf = rect_performance_check(0.1, 0.1, 0.5, 1.0, 1.0, 1.0, 10.0)

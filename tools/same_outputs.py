@@ -18,7 +18,8 @@ grid of scalar arguments, and the CLI's output (stdout, stderr, exit code
 and any `--out` file) of `certify` (also on a witness record with
 `--witness-rank` agreeing with its rank and conflicting, and at `--epsilon`
 0.6 and 0.5 on a hypothesis-test record alone and beside a witness record),
-`compute --epsilon 0.6`, `sweep`, `thermo` in each variant and `simulate
+`compute` (on the sector and on the XXI stabilizer, and at `--epsilon 0.6`),
+`coverage --protocol all`, `sweep`, `thermo` in each variant and `simulate
 --witness`.
 An output that raises an `RccError` is compared by its exception type and
 message. `--small` runs a shorter battery.
@@ -212,6 +213,16 @@ def _run_cli(src: str, workdir: Path, args: list[str], out: str | None = None) -
     return result
 
 
+def _compute_cli(src: str, workdir: Path, ref_cfg: dict, rho, tag: str) -> dict:
+    """`rcc compute` on rho against the reference ref_cfg."""
+    from rcc import io
+
+    (workdir / f"{tag}_ref.json").write_text(json.dumps(ref_cfg))
+    io.dump_state(rho, workdir / f"{tag}_state.json")
+    return _run_cli(src, workdir, ["compute", "--state", f"{tag}_state.json",
+                                   "--reference", f"{tag}_ref.json"])
+
+
 def _certify_cli(src: str, workdir: Path, ref_cfg: dict, records: list[dict], tag: str,
                  flags: tuple[str, ...] = ()) -> dict:
     """`rcc certify` on the records, with flags."""
@@ -236,10 +247,11 @@ THERMO_FLAGS = {"envelope": [], "net_gain": [], "full": ["--log-correction", "0.
 
 
 def _other_cli(src: str, workdir: Path, ref_cfg: dict, ref, rho, family) -> dict:
-    """`compute --epsilon 0.6`, past the precision range (0, 1/2], `sweep`
-    (stdout and --out), `thermo` in every variant with and without
-    --delta-c and --pi-avg, and `simulate --witness` with a projector onto
-    the top of H_R and with a missing file, all on the first case."""
+    """`compute --epsilon 0.6`, past the precision range (0, 1/2], `coverage
+    --protocol all` on 20 trials, `sweep` (stdout and --out), `thermo` in
+    every variant with and without --delta-c and --pi-avg, and `simulate
+    --witness` with a projector onto the top of H_R and with a missing file,
+    all on the first case."""
     from rcc import io
 
     (workdir / "ref.json").write_text(json.dumps(ref_cfg))
@@ -249,7 +261,9 @@ def _other_cli(src: str, workdir: Path, ref_cfg: dict, ref, rho, family) -> dict
     on_state = ["--state", "state.json", "--reference", "ref.json"]
     sweep = ["sweep", *on_state, "--windows", "windows.json"]
     out = {"sweep": [_run_cli(src, workdir, sweep), _run_cli(src, workdir, sweep, "sweep.csv")],
-           "compute_epsilon": _run_cli(src, workdir, ["compute", *on_state, "--epsilon", "0.6"])}
+           "compute_epsilon": _run_cli(src, workdir, ["compute", *on_state, "--epsilon", "0.6"]),
+           "coverage": _run_cli(src, workdir, ["coverage", *on_state, "--protocol", "all",
+                                               "--trials", "20"])}
 
     thermo = []
     for i, text in enumerate(TRACES):
@@ -371,7 +385,13 @@ def battery(src: str, small: bool) -> dict:
         cli += [_certify_cli(src, Path(tmp), ref_cfg, recs, f"eps{i}", ("--epsilon", epsilon))
                 for epsilon in ("0.6", "0.5") for i, recs in enumerate((test, test + witness))]
         other = _other_cli(src, Path(tmp), ref_cfg, ref, rho, family)
+        # the first case, and the XXI stabilizer's first (a mixed state inside
+        # H_R, read through a dense support basis) unless --small skips it
+        xxi = [case for case in cases if case[0] is REFERENCES[3]][:1]
+        compute = [_compute_cli(src, Path(tmp), cfg, state, f"compute{i}")
+                   for i, (cfg, _, state) in enumerate([cases[0], *xxi])]
     _leaves(cli, "cli_certify", out)
+    _leaves(compute, "cli_compute", out)
     _leaves(other, "cli", out)
     return out
 
