@@ -203,8 +203,6 @@ def certify(reference_path, record_paths, delta, eta, epsilon, constants_path, w
 def simulate(state_path, reference_path, protocol, n_samples, seed, eta,
              test_calibration, witness_rank, witness_path, out):
     """Draw Born-rule samples and emit a measurement record."""
-    if witness_path is not None and protocol != "witness":
-        raise ConfigError("--witness applies only to --protocol witness")
     rho = io.load_state(state_path)
     ref = io.load_reference(reference_path)
     projector = io.read_matrix(witness_path) if witness_path is not None else None

@@ -13,12 +13,12 @@ computational basis vectors, `ReferenceSet.coordinate_indices`) is a
 gather of rho's diagonal at the reference's index set. A supplied witness
 projector P is read as one trace, Tr(P rho), and no d x d effect is
 sampled. Randomness comes from Philox, a named 64-bit counter-based
-generator; independent streams are derived from the master seed with spawn
-keys, the first of which is the protocol's position in `records.PROTOCOLS`.
-A record draws all its distributions on one stream; coverage draws
-distribution j of every trial on the stream (seed, protocol, j) in one
-call, so coverage experiments are order-independent and bit-reproducible
-across platforms.
+generator: distribution j of protocol p, its position in `records.PROTOCOLS`,
+is drawn on the stream (seed, p, j) everywhere (`_streams`). Coverage draws
+it for every trial in one call, and a simulated record (`simulate_record`,
+`pipeline`, `rcc simulate`) is coverage's trial 0 at its seed, so two
+protocols' records share no bits and coverage experiments are
+order-independent and bit-reproducible across platforms.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .entropy import (
     _supported_spectrum, _testing_divergence, _waterfill_weights, min_entropy,
     relative_to_reference, shannon, spectral_skew, von_neumann,
 )
-from .errors import CompleteLeakageError, RccError, ValidationError, _check_level
+from .errors import CompleteLeakageError, ConfigError, RccError, ValidationError, _check_level
 from .operators import _COMPLETE_LEAK_TOL, DensityOperator, _check_same_dim, eig_hermitian
 from .reference import ReferenceSet
 from .records import (
@@ -73,6 +73,11 @@ def stream(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=key)))
 
 
+def _streams(seed: int, protocol: str, count: int) -> list[np.random.Generator]:
+    """Distribution j's stream (seed, p, j), j < count, p the protocol's index in PROTOCOLS."""
+    return [stream(seed, PROTOCOLS.index(protocol), j) for j in range(count)]
+
+
 def _draw(kept: int, dists: list[np.ndarray], n: int, rngs: list, rows: int) -> np.ndarray:
     """A (rows x kept) count matrix: distribution j's n-shot multinomial
     draws, one per row, come from rngs[j] in one call, and the columns follow
@@ -91,14 +96,6 @@ def _draw(kept: int, dists: list[np.ndarray], n: int, rngs: list, rows: int) -> 
     if counts[:, kept:].any():
         raise ValidationError("state leaked outside the subspace during sampling")
     return counts[:, :kept]
-
-
-def _sample(protocol: str, outcomes: tuple, n: int, rng: np.random.Generator) -> MeasurementRecord:
-    """A record of one multinomial draw of n shots per distribution, in order, on rng."""
-    labels, dists, meta = outcomes
-    counts = _draw(len(labels), dists, n, [rng] * len(dists), 1)[0]
-    return MeasurementRecord(protocol, n * len(dists), dict(zip(labels, counts.tolist())),
-                             meta=dict(meta))
 
 
 def _two_outcome(p: float) -> np.ndarray:
@@ -258,7 +255,7 @@ def _outcome_setup(
     The state, reference, eta, test calibration and witness rank are the
     config's, whose levels and seed RunConfig checked, so every entry point
     rejects a bad one alike. Each setup is called as (rho, ref, config,
-    projector, spectrum), with a supplied witness projector P or None and
+    projector, spectrum), with a witness projector P (witness only) or None and
     the run's _spectrum_read (a new one when none is given). A record draws
     n shots from each distribution in order; the labels name the outcomes
     of all of them in that order, and an outcome past the last label is the
@@ -277,9 +274,12 @@ def _outcome_setup(
     """
     rho, ref = config.state, config.reference
     _check_same_dim(rho, ref)
+    setup = _protocol(protocol).setup
+    if witness_projector is not None and protocol != "witness":
+        raise ConfigError(f"only the witness protocol reads a projector, not {protocol!r}")
     if spectrum is None:
         spectrum = _spectrum_read(rho, ref)
-    return _protocol(protocol).setup(rho, ref, config, witness_projector, spectrum)
+    return setup(rho, ref, config, witness_projector, spectrum)
 
 
 @dataclass(frozen=True)
@@ -326,6 +326,16 @@ class RunConfig:
                 raise ValidationError("exact analysis and record simulation need a state")
 
 
+def _record(config: RunConfig, protocol: str, witness_projector=None) -> MeasurementRecord:
+    """n_samples shots of each of the protocol's distributions, in order, on its _streams at
+    the config's seed: row 0 of coverage's draw, so a record is coverage's trial 0."""
+    labels, dists, meta, _ = _outcome_setup(config, protocol, witness_projector)
+    n = config.n_samples
+    counts = _draw(len(labels), dists, n, _streams(config.seed, protocol, len(dists)), 1)[0]
+    return MeasurementRecord(protocol, n * len(dists), dict(zip(labels, counts.tolist())),
+                             meta=dict(meta))
+
+
 def simulate_record(
     rho: DensityOperator,
     ref: ReferenceSet,
@@ -342,12 +352,13 @@ def simulate_record(
     hypothesis_test runs both a null calibration (on the structured vacuum)
     and an alternative run of n shots each, with the waterfilling test
     calibrated at eta * test_calibration so the type-I endpoint certifies
-    below eta with headroom.
+    below eta with headroom. Distribution j is drawn on stream(seed, p, j), p the
+    protocol's index in PROTOCOLS, as coverage's trial 0 and `pipeline` draw it;
+    a witness_projector given to another protocol is a ConfigError.
     """
     config = RunConfig(rho, ref, eta=eta, test_calibration=test_calibration,
-                       witness_rank=witness_rank, seed=seed)
-    outcomes = _outcome_setup(config, protocol, witness_projector)
-    return _sample(protocol, outcomes[:3], n, stream(seed))
+                       witness_rank=witness_rank, seed=seed, n_samples=n)
+    return _record(config, protocol, witness_projector)
 
 
 def protocol_ground_truth(
@@ -400,7 +411,7 @@ def pipeline(config: RunConfig) -> dict:
     """Run the selected measurement paths end to end and assemble a report.
 
     Records are taken from the config when provided, otherwise simulated
-    from the state with per-protocol Philox streams. Certified bounds are
+    from the state as simulate_record draws them. Certified bounds are
     combined by best final circuit bound; exact-state analysis is included
     whenever the "exact" protocol is selected.
     """
@@ -448,11 +459,7 @@ def pipeline(config: RunConfig) -> dict:
         if proto == "exact":
             continue
         with _stage(proto):
-            record = config.records.get(proto)
-            if record is None:
-                outcomes = _outcome_setup(config, proto)
-                record = _sample(proto, outcomes[:3], config.n_samples,
-                                 stream(config.seed, PROTOCOLS.index(proto)))
+            record = config.records.get(proto) or _record(config, proto)
             certified.append(_protocol(proto).certify(record, config))
     report["certified_bounds"] = [_bound_dict(b, lg) for b in certified]
     if certified:
@@ -508,8 +515,7 @@ def coverage_experiment(config: RunConfig, trials: int) -> dict:
     for proto in protocols:
         labels, dists, meta, target = _outcome_setup(config, proto, spectrum=spectrum)
         truth = target()
-        key = PROTOCOLS.index(proto)
-        rngs = [stream(config.seed, key, j) for j in range(len(dists))]
+        rngs = _streams(config.seed, proto, len(dists))
         counts = _draw(len(labels), dists, config.n_samples, rngs, trials)
         violations, invalid = _protocol(proto).count(
             counts, config.n_samples, ref, truth + _VIOLATION_SLACK, config.eta,

@@ -7,8 +7,9 @@ bisection instead of Lambert-W, direct binomial pmf sums instead of
 incomplete-beta tail inversion, Born probabilities of explicit POVM effects
 as traces of matrix products instead of a spectrum or one contraction,
 one multinomial call per distribution and trial instead of one call of all
-trials, and one record certification per row instead of a binary search for
-a threshold count. One oracle is the library's own earlier route, kept to
+trials, one record certification per row instead of a binary search for
+a threshold count, and a record's exact law, binomial pmfs summed over every
+count it can hold, instead of Monte Carlo coverage. One oracle is the library's own earlier route, kept to
 pin a kernel change bit for bit: the Clopper-Pearson bisection with one
 scalar betainc call on integer shape parameters per step.
 """
@@ -301,3 +302,54 @@ def count_above_one_record_at_a_time(protocol: str, counts, n: int, ref, limit: 
         except ProtocolInvalidError:
             invalid += 1
     return above, invalid
+
+
+def binomial_pmf(n: int, p: float) -> np.ndarray:
+    """P(X = k) for k = 0..n and X ~ Bin(n, p), each term in log space."""
+    if not 0.0 < p < 1.0:
+        pmf = np.zeros(n + 1)
+        pmf[n if p >= 1.0 else 0] = 1.0
+        return pmf
+    return np.array([math.exp(math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+                              + k * math.log(p) + (n - k) * math.log1p(-p))
+                     for k in range(n + 1)])
+
+
+def exact_law(config, protocol: str) -> tuple[float, float]:
+    """(P(violation), P(invalid)) of one record of the witness or the
+    hypothesis test, simulated under config: binomial pmfs of the
+    distributions that harness._outcome_setup draws from, summed over the
+    counts whose record the real certifier (certify_record) certifies above
+    the setup's target + _VIOLATION_SLACK, or rejects with
+    ProtocolInvalidError. The witness is one binomial. The test is the null
+    binomial times the alternative one: validity reads only the null count
+    and the value only the alternative count, so 2(n + 1) certifications
+    classify all (n + 1)^2 records. No record is drawn."""
+    from rcc import ProtocolInvalidError
+    from rcc.harness import _VIOLATION_SLACK, _outcome_setup
+
+    _, dists, meta, target = _outcome_setup(config, protocol)
+    n, limit = config.n_samples, target() + _VIOLATION_SLACK
+    rank = meta.get("rank", config.witness_rank)
+
+    def value(row):
+        """The certified value of the record row, None when it is invalid."""
+        try:
+            return certify_record(protocol, row, n, config.reference, config.eta,
+                                  config.delta, rank).value
+        except ProtocolInvalidError:
+            return None
+
+    if protocol == "witness":
+        above = [value([k, n - k]) > limit for k in range(n + 1)]
+        return float(binomial_pmf(n, dists[0][0]) @ above), 0.0
+    if protocol != "hypothesis_test":
+        raise ValueError(f"no exact law for {protocol!r}")
+    null, alt = binomial_pmf(n, dists[0][0]), binomial_pmf(n, dists[1][0])
+    valid = np.array([value([k, n - k, 0, n]) is not None for k in range(n + 1)])
+    p_invalid = float(null[~valid].sum())
+    if not valid.any():
+        return 0.0, p_invalid
+    k0 = int(valid.argmax())
+    above = [value([k0, n - k0, k, n - k]) > limit for k in range(n + 1)]
+    return float(null[valid].sum() * (alt @ above)), p_invalid

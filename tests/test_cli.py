@@ -365,7 +365,7 @@ class TestSimulateAndCertify:
             "--protocol", protocol, "--witness", str(path),
         ])
         assert result.exit_code == 2, result.output
-        assert "--witness applies only to --protocol witness" in result.output
+        assert f"only the witness protocol reads a projector, not '{protocol}'" in result.output
 
     @pytest.mark.parametrize("n, counts", [
         (10, {"success": 10.7, "failure": -0.7}),

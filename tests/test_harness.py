@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,8 +10,10 @@ from hypothesis import given, settings, strategies as st
 from rcc import (
     BlockPartition,
     CompleteLeakageError,
+    ConfigError,
     LeakageError,
     ObservationWindow,
+    ProtocolInvalidError,
     RunConfig,
     ValidationError,
     WindowFamily,
@@ -34,7 +37,7 @@ from rcc.windows import windowed_entropy_bits
 from rcc.harness import _protocol, default_witness_projector, optimal_test_projector
 from rcc.records import PROTOCOLS
 from conftest import embed_state, embedded_reference, full_reference, random_density
-from oracles import coverage_one_trial_at_a_time
+from oracles import certify_record, coverage_one_trial_at_a_time, exact_law
 
 
 def diag_state(*p):
@@ -207,15 +210,26 @@ class TestSimulateRecord:
         with pytest.raises(ValidationError, match="4x4"):
             simulate_record(rho, ref, "witness", 100, seed=1, witness_projector=np.eye(2))
 
+    @pytest.mark.parametrize("protocol", ["hypothesis_test", "dephase"])
+    def test_a_witness_projector_is_rejected_by_another_protocol(self, small_setup, protocol):
+        # the protocol would not read it, so not even its shape (3x3 for a
+        # 4-dim state) would be checked; an unknown protocol is named first
+        rho, ref = small_setup
+        with pytest.raises(ConfigError) as info:
+            simulate_record(rho, ref, protocol, 100, seed=1, witness_projector=np.eye(3))
+        assert str(info.value) == f"only the witness protocol reads a projector, not '{protocol}'"
+        with pytest.raises(ValidationError, match="^unknown protocol 'nope'$"):
+            simulate_record(rho, ref, "nope", 100, seed=1, witness_projector=np.eye(3))
+
     def test_record_counts_are_pinned(self, small_setup):
         # every protocol's draws at a fixed seed, so that a change in how a
         # record is sampled cannot silently move its bits
         rho, ref = small_setup
         expected = {
-            "hypothesis_test": {"null_accept_h1": 61, "null_accept_h0": 439,
-                                "alt_accept_h1": 138, "alt_accept_h0": 362},
-            "witness": {"success": 426, "failure": 74},
-            "dephase": {"0": 304, "1": 131, "2": 42, "3": 23},
+            "hypothesis_test": {"null_accept_h1": 56, "null_accept_h0": 444,
+                                "alt_accept_h1": 148, "alt_accept_h0": 352},
+            "witness": {"success": 411, "failure": 89},
+            "dephase": {"0": 292, "1": 129, "2": 51, "3": 28},
         }
         for protocol, counts in expected.items():
             record = simulate_record(rho, ref, protocol, 500, seed=2024, witness_rank=2)
@@ -662,6 +676,42 @@ class TestBatchedCoverage:
                 for p in PROTOCOLS] == counts
 
 
+class TestExactLaw:
+    """The violation probability of one record, summed over every count its
+    certifier can see (oracles.exact_law), with no draw and no seed."""
+
+    @pytest.mark.parametrize("top", [0.4, 0.7, 0.95])
+    @pytest.mark.parametrize("n", [20, 100, 400])
+    @pytest.mark.parametrize("delta", [0.05, 0.2])
+    def test_each_path_and_the_pair_violate_within_delta(self, top, n, delta):
+        # rho has its top eigenvalue, then the rest flat, on d_R = 3
+        rho, ref = diag_state(top, (1 - top) / 2, (1 - top) / 2), full_reference(3)
+        config = RunConfig(state=rho, reference=ref, protocols=("hypothesis_test", "witness"),
+                           n_samples=n, delta=delta)
+        test, witness = (exact_law(config, p)[0] for p in ("hypothesis_test", "witness"))
+        assert test <= delta and witness <= delta
+        # the two records are drawn on independent streams, so the pair
+        # violates with 1 - (1 - P_test)(1 - P_witness); the combination's
+        # confidence does not depend on the records' counts
+        bounds = [certify_record("hypothesis_test", [0, n, n, 0], n, ref, config.eta, delta, 1),
+                  certify_record("witness", [n, 0], n, ref, config.eta, delta, 1)]
+        confidence = stats.combine_bounds(bounds, ref, config.epsilon).confidence
+        assert 1.0 - (1.0 - test) * (1.0 - witness) <= 1.0 - confidence
+
+    def test_coverage_converges_to_the_law(self):
+        # the law and 20,000 coverage trials agree within 5 standard errors
+        rho, ref = diag_state(0.4, 0.3, 0.3), full_reference(3)
+        config = RunConfig(state=rho, reference=ref, protocols=("hypothesis_test", "witness"),
+                           n_samples=20, delta=0.2, seed=7)
+        trials = 20000
+        summary = coverage_experiment(config, trials)["protocols"]
+        for proto in config.protocols:
+            law = exact_law(config, proto)
+            found = (summary[proto]["violations"], summary[proto]["invalid_runs"])
+            for p, count in zip(law, found):
+                assert abs(count / trials - p) <= 5.0 * math.sqrt(p * (1.0 - p) / trials)
+
+
 class TestSweep:
     def test_vacuum_all_zero(self, rng):
         ref = full_reference(4)
@@ -750,6 +800,77 @@ class TestStreams:
             stream(seed, 1, 0)
         with pytest.raises(ValidationError, match=message):
             simulate_record(rho, ref, "dephase", 10, seed=seed)
+
+
+class TestStreamRule:
+    """Distribution j of protocol p, its position in PROTOCOLS, is drawn on
+    stream(seed, p, j) everywhere: a simulated record is coverage's trial 0
+    at its seed, whichever entry point simulates it, and two protocols'
+    records share no bits."""
+
+    # the parameter each certificate reads off its record's counts
+    READS = {"hypothesis_test": "type_ii_count", "witness": "successes",
+             "dephase": "empirical_entropy_bits"}
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_a_record_is_row_0_of_coverages_draw(self, small_setup, protocol):
+        rho, ref = small_setup
+        config = RunConfig(state=rho, reference=ref, protocols=(protocol,), n_samples=300,
+                           witness_rank=2)
+        labels, dists, _, _ = harness._outcome_setup(config, protocol)
+        key = PROTOCOLS.index(protocol)
+        for seed in range(20):
+            rngs = [stream(seed, key, j) for j in range(len(dists))]
+            row = harness._draw(len(labels), dists, 300, rngs, 5)[0].tolist()
+            record = simulate_record(rho, ref, protocol, 300, seed=seed, witness_rank=2)
+            assert record.counts == {str(label): c for label, c in zip(labels, row)}
+            simulated = pipeline(replace(config, seed=seed))["certified_bounds"][0]["params"]
+            certified = pipeline(RunConfig(
+                state=None, reference=ref, protocols=(protocol,), records={protocol: record},
+                witness_rank=2))["certified_bounds"][0]["params"]
+            assert simulated[self.READS[protocol]] == certified[self.READS[protocol]]
+
+    def test_two_protocols_records_share_no_bits(self):
+        # on the 3-qubit weight-1 sector with rho diagonal (0.6, 0.3, 0.1) on
+        # H_R, the witness succeeds and dephasing reads outcome 0 with the
+        # same probability 0.6: two records drawn on one stream have equal
+        # counts at every seed, independent ones at about 1.3% of seeds
+        ref = sector_reference(3, 1, 2, 3)
+        v = ref.support_basis()
+        rho = validate_density(v @ np.diag([0.6, 0.3, 0.1]) @ v.conj().T)
+        equal = sum(simulate_record(rho, ref, "witness", 2000, seed=seed).counts["success"]
+                    == simulate_record(rho, ref, "dephase", 2000, seed=seed).counts["0"]
+                    for seed in range(50))
+        assert equal <= 5
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_coverage_trial_0_is_the_certifiers_verdict_on_the_record(self, small_setup,
+                                                                       protocol):
+        # settings at which the test is invalid at some seeds, and the test
+        # and the witness certify above their targets at some; dephasing's
+        # certificate stays below its target at every seed here (its exact
+        # P(violation) is at most about 1e-6 at any small n, ROADMAP item 19)
+        rho, ref = small_setup
+        limit = protocol_ground_truth(rho, ref, protocol) + harness._VIOLATION_SLACK
+        verdicts = {"covered": (0, 0), "violation": (1, 0), "invalid": (0, 1)}
+        seen = set()
+        for seed in range(200):
+            summary = coverage_experiment(RunConfig(
+                state=rho, reference=ref, protocols=(protocol,), n_samples=100, delta=0.8,
+                test_calibration=0.99, seed=seed), trials=1)["protocols"][protocol]
+            record = simulate_record(rho, ref, protocol, 100, seed=seed, test_calibration=0.99)
+            try:
+                report = pipeline(RunConfig(state=None, reference=ref, protocols=(protocol,),
+                                            records={protocol: record}, delta=0.8))
+            except ProtocolInvalidError:
+                verdict = "invalid"
+            else:
+                above = report["certified_bounds"][0]["value_bits"] > limit
+                verdict = "violation" if above else "covered"
+            assert (summary["violations"], summary["invalid_runs"]) == verdicts[verdict], seed
+            seen.add(verdict)
+        assert seen == {"hypothesis_test": {"covered", "violation", "invalid"},
+                        "witness": {"covered", "violation"}, "dephase": {"covered"}}[protocol]
 
 
 def sequential_rows(seed: int, key: int, dists: list, n: int, trials: int) -> list:

@@ -242,7 +242,7 @@ class TestDephaseRecordIdentity:
         effects = [np.outer(basis[:, i], basis[:, i].conj()) for i in range(ref.d_r)]
         effects.append(np.eye(ref.dim) - ref.total.matrix)
         for trial in range(20):
-            explicit = explicit_povm_counts(rho, effects, 2000, stream(trial))
+            explicit = explicit_povm_counts(rho, effects, 2000, stream(trial, 2, 0))
             record = simulate_record(rho, ref, "dephase", 2000, seed=trial)
             assert explicit.pop(str(ref.d_r)) == 0
             assert record.counts == explicit
@@ -258,7 +258,7 @@ class TestWitnessAndTestRecordIdentity:
         effects = [proj, np.eye(ref.dim) - proj]
         for trial in range(20):
             explicit = explicit_povm_counts(
-                rho, effects, 2000, stream(trial), labels=["success", "failure"]
+                rho, effects, 2000, stream(trial, 1, 0), labels=["success", "failure"]
             )
             record = simulate_record(rho, ref, "witness", 2000, seed=trial, witness_rank=2)
             supplied = simulate_record(rho, ref, "witness", 2000, seed=trial,
@@ -276,10 +276,10 @@ class TestWitnessAndTestRecordIdentity:
         effects = [t, np.eye(ref.dim) - t]
         labels = ["accept_h1", "accept_h0"]
         for trial in range(20):
-            # the null calibration draws first, then the alternative, on one stream
-            rng_explicit = stream(trial)
-            null = explicit_povm_counts(sigma, effects, 2000, rng_explicit, labels=labels)
-            alt = explicit_povm_counts(rho, effects, 2000, rng_explicit, labels=labels)
+            # the null calibration draws on the stream (trial, 0, 0), the
+            # alternative on (trial, 0, 1)
+            null = explicit_povm_counts(sigma, effects, 2000, stream(trial, 0, 0), labels=labels)
+            alt = explicit_povm_counts(rho, effects, 2000, stream(trial, 0, 1), labels=labels)
             record = simulate_record(rho, ref, "hypothesis_test", 2000, seed=trial)
             assert record.counts == {
                 **{f"null_{k}": v for k, v in null.items()},

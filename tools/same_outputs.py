@@ -19,8 +19,9 @@ and any `--out` file) of `certify` (also on a witness record with
 `--witness-rank` agreeing with its rank and conflicting, and at `--epsilon`
 0.6 and 0.5 on a hypothesis-test record alone and beside a witness record),
 `compute` (on the sector and on the XXI stabilizer, and at `--epsilon 0.6`),
-`coverage --protocol all`, `sweep`, `thermo` in each variant and `simulate
---witness`.
+`coverage --protocol all`, `sweep`, `thermo` in each variant, `simulate
+--witness` (also with another protocol), and `simulate` of each protocol at
+one seed with `certify` of those three records.
 An output that raises an `RccError` is compared by its exception type and
 message. `--small` runs a shorter battery.
 
@@ -249,10 +250,12 @@ THERMO_FLAGS = {"envelope": [], "net_gain": [], "full": ["--log-correction", "0.
 def _other_cli(src: str, workdir: Path, ref_cfg: dict, ref, rho, family) -> dict:
     """`compute --epsilon 0.6`, past the precision range (0, 1/2], `coverage
     --protocol all` on 20 trials, `sweep` (stdout and --out), `thermo` in
-    every variant with and without --delta-c and --pi-avg, and `simulate
-    --witness` with a projector onto the top of H_R and with a missing file,
-    all on the first case."""
+    every variant with and without --delta-c and --pi-avg, `simulate
+    --witness` with a projector onto the top of H_R, with a missing file and
+    with `--protocol dephase`, `simulate` of each protocol at one seed, and
+    `certify` of those three records, all on the first case."""
     from rcc import io
+    from rcc.records import PROTOCOLS
 
     (workdir / "ref.json").write_text(json.dumps(ref_cfg))
     io.dump_state(rho, workdir / "state.json")
@@ -277,9 +280,18 @@ def _other_cli(src: str, workdir: Path, ref_cfg: dict, ref, rho, family) -> dict
 
     v = ref.support_basis()[:, :1]
     (workdir / "witness.json").write_text(json.dumps(io.matrix_to_payload(v @ v.conj().T)))
-    simulate = ["simulate", *on_state, "--protocol", "witness", "--n", "500", "--seed", "3"]
-    out["simulate_witness"] = [_run_cli(src, workdir, [*simulate, "--witness", name], "rec.json")
-                               for name in ("witness.json", "missing.json")]
+    simulate = ["simulate", *on_state, "--n", "500", "--seed", "3", "--protocol"]
+    out["simulate_witness"] = [
+        *(_run_cli(src, workdir, [*simulate, "witness", "--witness", name], "rec.json")
+          for name in ("witness.json", "missing.json")),
+        _run_cli(src, workdir, [*simulate, "dephase", "--witness", "witness.json"], "rec.json")]
+    # every protocol's record at one seed, then those records certified together
+    out["simulate"] = [_run_cli(src, workdir, [*simulate, proto], f"sim_{proto}.json")
+                       for proto in PROTOCOLS]
+    certify = ["certify", "--reference", "ref.json"]
+    for proto in PROTOCOLS:
+        certify += ["--record", f"sim_{proto}.json"]
+    out["simulate_certify"] = _run_cli(src, workdir, certify)
     return out
 
 
